@@ -301,16 +301,10 @@ TIMESERIES_COLUMNS = (
 def write_timeseries(traj: Trajectory, path) -> Path:
     """Write one row per sample with shortest-round-trip float formatting."""
     path = Path(path)
+    table = np.column_stack((traj.times, traj.states[:, :13], traj.spin,
+                             traj.h_phys, traj.residuals))
     lines = [",".join(TIMESERIES_COLUMNS)]
-    for i in range(len(traj)):
-        row = np.concatenate((
-            [traj.times[i]],
-            traj.states[i, :13],
-            traj.spin[i],
-            [traj.h_phys[i]],
-            traj.residuals[i],
-        ))
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
     try:
         path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
@@ -400,6 +394,13 @@ def _threshold(cfg: dict, name: str, default: float,
     return default
 
 
+def _t_span(cfg: dict, default) -> Tuple[float, float]:
+    t0, t1 = cfg.get("t_span", default)
+    if not t1 > t0:
+        raise ConfigError(f"$.t_span: end {t1!r} must be after start {t0!r}")
+    return t0, t1
+
+
 def _drift(traj: Trajectory) -> float:
     return float(np.max(np.abs(traj.residuals)))
 
@@ -418,7 +419,7 @@ def run_free_spin(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajectory]]:
     fields = _build_field(cfg, default_kind="free")
     gauge = _build_gauge(cfg)
     z0 = _build_initial(cfg, params)
-    t_span = tuple(cfg.get("t_span", (0.0, 10.0)))
+    t_span = _t_span(cfg, (0.0, 10.0))
     # the declared check is S(t) = S(0) to 1e-9, so integrate tight
     opts = _integration_options(cfg, t_span, cfg.get("samples", 500),
                                 rel_default=1e-12, abs_default=1e-14)
@@ -440,7 +441,7 @@ def _larmor_span(cfg: dict, params: ModelParams, b_mag: float):
     omega_spin = abs(params.moment_coupling) * b_mag
     period = 2.0 * np.pi / omega_spin
     periods = cfg.get("periods", 10.0)
-    t_span = tuple(cfg.get("t_span", (0.0, periods * period)))
+    t_span = _t_span(cfg, (0.0, periods * period))
     return t_span, omega_spin
 
 
@@ -456,6 +457,9 @@ def run_larmor(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajectory]]:
     b_mag = float(np.linalg.norm(b_vec))
     if b_mag == 0.0:
         raise ConfigError("$.field.B0: larmor needs a nonzero field")
+    if params.e == 0.0 or params.mu == 0.0:
+        raise ConfigError("$.params: larmor needs nonzero e and mu; "
+                          "with either zero there is no frequency to fit")
     t_span, omega_spin = _larmor_span(cfg, params, b_mag)
     opts = _integration_options(cfg, t_span, cfg.get("samples", 2000))
     traj = integrate(z0, t_span, params, fields, gauge, opts)
@@ -500,7 +504,7 @@ def run_stern_gerlach(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajector
     spec.setdefault("omega", [params.a, 0.0, 0.0])
     spec.setdefault("pi", [0.0, params.b, 0.0])
     z0 = _build_initial({**cfg, "initial": spec}, params)
-    t_span = tuple(cfg.get("t_span", (0.0, 20.0)))
+    t_span = _t_span(cfg, (0.0, 20.0))
     opts = _integration_options(cfg, t_span, cfg.get("samples", 2000))
     traj = integrate(z0, t_span, params, fields, gauge, opts)
 
@@ -529,7 +533,7 @@ def run_gauge_compare(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajector
     gauge_a = _build_gauge(cfg, "gauge", default="1")
     gauge_b = _build_gauge(cfg, "gauge_alt", default="1 + 0.5*sin(2*t)")
     z0 = _build_initial(cfg, params)
-    t_span = tuple(cfg.get("t_span", (0.0, 4.0 * np.pi)))
+    t_span = _t_span(cfg, (0.0, 4.0 * np.pi))
     opts = _integration_options(cfg, t_span, cfg.get("samples", 800))
     traj_a = integrate(z0, t_span, params, fields, gauge_a, opts)
     traj_b = integrate(z0, t_span, params, fields, gauge_b, opts)

@@ -114,7 +114,7 @@ def evaluate(cset: ConstraintSet, z) -> np.ndarray:
 def _warn_if_off_surface(cset, zf, where):
     res = evaluate(cset, zf)
     scale = np.maximum(1.0, np.abs(cset.targets))
-    if np.any(np.abs(res) > cset.tolerance * np.maximum(1.0, scale)):
+    if np.any(np.abs(res) > cset.tolerance * scale):
         warnings.warn(
             f"{where}: point is off the constraint surface "
             f"(residuals {res})", OffSurfaceWarning, stacklevel=3)

@@ -2,10 +2,15 @@
 
 The equations of motion couple a charged-particle sector (x, p) minimally to
 a magnetic field and the spin sector (omega, pi) to the field through the
-composed moment S = omega x pi.  One Lagrange multiplier is fixed at every
-right-hand-side evaluation by the consistency condition that omega.pi stays
-zero under the flow; the auxiliary gauge coordinate phi follows a
-user-supplied function of time and never influences gauge-invariant output.
+composed moment S = omega x pi.  The multiplier of the pi^2 constraint term
+is fixed by the consistency condition {omega.pi, H} = 0, which has the closed
+form lambda_1 = 2 |omega|^2 / (phi |pi|^2).  The field coupling drops out:
+omega.pi generates the scaling (omega, pi) -> (e^s omega, e^-s pi), which
+leaves S, and with it every B.S term, unchanged.  The right-hand side uses
+that closed form and explicit component formulas; solve_multiplier keeps the
+bracket-engine derivation as the reference the kernels are tested against.
+The auxiliary gauge coordinate phi follows a user-supplied function of time
+and never influences gauge-invariant output.
 
 Integration uses an embedded Dormand-Prince 5(4) pair with proportional step
 control, cubic Hermite dense output, and optional Newton projection onto the
@@ -34,10 +39,8 @@ from .phasespace import (
     P,
     PHI,
     PI,
-    PI_PHI,
     X,
     Observable,
-    PhasePoint,
     as_flat,
     poisson_bracket,
 )
@@ -131,10 +134,18 @@ class FieldConfig:
             [B0[1], -B0[0], 0.0],
         ])
 
+        b1, b2, b3 = B0.tolist()
+
+        def potential(x):
+            x1, x2, x3 = x
+            return np.array([0.5 * (b2 * x3 - b3 * x2),
+                             0.5 * (b3 * x1 - b1 * x3),
+                             0.5 * (b1 * x2 - b2 * x1)])
+
         return cls(
             kind="uniform",
             B=lambda x: B0.copy(),
-            A=lambda x: 0.5 * np.cross(B0, x),
+            A=potential,
             grad_B=lambda x: np.zeros((3, 3)),
             grad_A=lambda x: dA.copy(),
         )
@@ -300,36 +311,63 @@ def solve_multiplier(z, params: ModelParams, phi_val: Optional[float] = None,
     return float(-numerator / denominator)
 
 
+def _multiplier(w, p, phi):
+    """Closed-form pi^2 multiplier 2 |omega|^2 / (phi |pi|^2).
+
+    w and p are indexable by component, so the same formula serves one state
+    (3-vectors) and a batch (arrays of shape (3, N) with phi of shape (N,)).
+    """
+    w_sq = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
+    p_sq = p[0] * p[0] + p[1] * p[1] + p[2] * p[2]
+    return 2.0 * w_sq / (phi * p_sq)
+
+
+def _floats(v):
+    """Field data as Python numbers: arrays become (nested) lists."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
 def eom(z, t: float, params: ModelParams, fields: FieldConfig,
         gauge: GaugeFunction) -> Array:
     """Flat time derivative of the state at time t."""
     zf = as_flat(z)
-    phi = zf[PHI]
+    _, _, _, p1, p2, p3, w1, w2, w3, q1, q2, q3, phi, _ = zf.tolist()
     if abs(phi) < 1e-9:
-        raise GaugeError(f"equations of motion are singular at phi = {phi!r}")
-    lam1 = solve_multiplier(zf, params, fields=fields, check_surface=False)
+        raise GaugeError(f"equations of motion are singular at phi = {zf[PHI]!r}")
+    if q1 * q1 + q2 * q2 + q3 * q3 < 1e-12 * max(1.0, params.b ** 2):
+        raise DomainError("multiplier is undefined where pi^2 ~ 0")
+    lam1 = _multiplier((w1, w2, w3), (q1, q2, q3), phi)
 
     x = zf[X]
-    p = zf[P]
-    w = zf[OMEGA]
-    pp = zf[PI]
     e_over_c = params.e / params.c
     coupling = params.moment_coupling
-    B = fields.B(x)
-    A = fields.A(x)
-    dA = fields.grad_A(x)
-    dB = fields.grad_B(x)
-    spin = np.cross(w, pp)
-
-    velocity = (p - e_over_c * A) / params.m
-    out = np.empty(DIM)
-    out[X] = velocity
-    out[P] = e_over_c * (dA @ velocity) + coupling * (dB @ spin)
-    out[OMEGA] = lam1 * pp + coupling * np.cross(w, B)
-    out[PI] = -(2.0 / phi) * w + coupling * np.cross(pp, B)
-    out[PHI] = gauge.derivative(t)
-    out[PI_PHI] = 0.0
-    return out
+    m = params.m
+    b1, b2, b3 = _floats(fields.B(x))
+    a1, a2, a3 = _floats(fields.A(x))
+    dA = _floats(fields.grad_A(x))
+    dB = _floats(fields.grad_B(x))
+    s1 = w2 * q3 - w3 * q2
+    s2 = w3 * q1 - w1 * q3
+    s3 = w1 * q2 - w2 * q1
+    v1 = (p1 - e_over_c * a1) / m
+    v2 = (p2 - e_over_c * a2) / m
+    v3 = (p3 - e_over_c * a3) / m
+    force = [e_over_c * (r[0] * v1 + r[1] * v2 + r[2] * v3)
+             + coupling * (g[0] * s1 + g[1] * s2 + g[2] * s3)
+             for r, g in zip(dA, dB)]
+    k = -2.0 / phi
+    return np.array([
+        v1, v2, v3,
+        *force,
+        lam1 * q1 + coupling * (w2 * b3 - w3 * b2),
+        lam1 * q2 + coupling * (w3 * b1 - w1 * b3),
+        lam1 * q3 + coupling * (w1 * b2 - w2 * b1),
+        k * w1 + coupling * (q2 * b3 - q3 * b2),
+        k * w2 + coupling * (q3 * b1 - q1 * b3),
+        k * w3 + coupling * (q1 * b2 - q2 * b1),
+        gauge.derivative(t),
+        0.0,
+    ])
 
 
 def physical_hamiltonian(z, params: ModelParams, fields: FieldConfig) -> float:
@@ -405,9 +443,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def point(self, i: int) -> PhasePoint:
-        return PhasePoint.from_array(self.states[i])
-
     def sample(self, ts) -> Array:
         """Cubic Hermite interpolation of the states at the requested times."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -432,6 +467,11 @@ class Trajectory:
     def spin_at(self, ts) -> Array:
         states = self.sample(ts)
         return np.cross(states[:, OMEGA], states[:, PI])
+
+
+def _field_rows(fn, xs) -> Array:
+    """A field callable evaluated at each row of xs, stacked."""
+    return np.array([fn(x) for x in xs], dtype=float)
 
 
 def _error_norm(err, y0, y1, rel_tol, abs_tol):
@@ -556,16 +596,17 @@ def integrate(z0, t_span, params: ModelParams, fields: FieldConfig,
     states = np.asarray(states)
     derivs = np.asarray(derivs)
     spin = np.cross(states[:, OMEGA], states[:, PI])
-    h_phys = np.array([physical_hamiltonian(s, params, fields) for s in states])
+    xs = states[:, X]
+    kinetic = states[:, P] - (params.e / params.c) * _field_rows(fields.A, xs)
+    h_phys = (np.einsum("ij,ij->i", kinetic, kinetic) / (2.0 * params.m)
+              - params.moment_coupling
+              * np.einsum("ij,ij->i", _field_rows(fields.B, xs), spin))
     residuals = np.column_stack([
         np.einsum("ij,ij->i", states[:, OMEGA], states[:, OMEGA]) - params.a ** 2,
         np.einsum("ij,ij->i", states[:, PI], states[:, PI]) - params.b ** 2,
         np.einsum("ij,ij->i", states[:, OMEGA], states[:, PI]),
     ])
-    lambda1 = np.array([
-        solve_multiplier(s, params, fields=fields, check_surface=False)
-        for s in states
-    ])
+    lambda1 = _multiplier(states[:, OMEGA].T, states[:, PI].T, states[:, PHI])
     return Trajectory(times=times, states=states, derivatives=derivs,
                       spin=spin, h_phys=h_phys, residuals=residuals,
                       lambda1=lambda1)
@@ -584,20 +625,17 @@ def second_order_residual(traj: Trajectory, params: ModelParams,
     data rather than integration error.
     """
     e_over_c = params.e / params.c
-    coupling = params.moment_coupling
-    out = np.empty(len(traj))
-    for i, state in enumerate(traj.states):
-        x = state[X]
-        v = (state[P] - e_over_c * fields.A(x)) / params.m
-        spin = np.cross(state[OMEGA], state[PI])
-        dA = fields.grad_A(x)
-        p_dot = e_over_c * (dA @ v) + coupling * (fields.grad_B(x) @ spin)
-        acc = (p_dot - e_over_c * (dA.T @ v)) / params.m
-        residual = (params.m * acc
-                    - e_over_c * np.cross(v, fields.B(x))
-                    - coupling * (fields.grad_B(x) @ spin))
-        out[i] = np.linalg.norm(residual)
-    return out
+    xs = traj.states[:, X]
+    v = (traj.states[:, P] - e_over_c * _field_rows(fields.A, xs)) / params.m
+    dA = _field_rows(fields.grad_A, xs)
+    torque = params.moment_coupling * np.einsum(
+        "nij,nj->ni", _field_rows(fields.grad_B, xs), traj.spin)
+    p_dot = e_over_c * np.einsum("nij,nj->ni", dA, v) + torque
+    acc = (p_dot - e_over_c * np.einsum("nji,nj->ni", dA, v)) / params.m
+    residual = (params.m * acc
+                - e_over_c * np.cross(v, _field_rows(fields.B, xs))
+                - torque)
+    return np.linalg.norm(residual, axis=1)
 
 
 @dataclass(frozen=True)

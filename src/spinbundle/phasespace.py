@@ -166,9 +166,6 @@ class Observable:
             return np.asarray(self.grad(zf), dtype=float)
         return gradient(self.fn, zf, rel_step)
 
-    def _combine(self, other, fn, grad, name):
-        return Observable(fn=fn, grad=grad, name=name)
-
     def __add__(self, other):
         if isinstance(other, Observable):
             g = None
@@ -213,11 +210,10 @@ class Observable:
     __rmul__ = __mul__
 
 
-def gradient(f, z, rel_step: float = 1e-6, richardson: bool = False) -> Array:
+def gradient(f, z, rel_step: float = 1e-6) -> Array:
     """Central finite-difference gradient with per-coordinate relative steps.
 
-    The step for coordinate i is rel_step * max(1, |z_i|).  One level of
-    Richardson extrapolation is available but off by default.
+    The step for coordinate i is rel_step * max(1, |z_i|).
     """
     if rel_step <= 0:
         raise ValueError("rel_step must be positive")
@@ -226,11 +222,7 @@ def gradient(f, z, rel_step: float = 1e-6, richardson: bool = False) -> Array:
     out = np.empty(z0.size)
     for i in range(z0.size):
         h = rel_step * max(1.0, abs(z0[i]))
-        d = _central_difference(fn, z0, i, h)
-        if richardson:
-            d_half = _central_difference(fn, z0, i, 0.5 * h)
-            d = (4.0 * d_half - d) / 3.0
-        out[i] = d
+        out[i] = _central_difference(fn, z0, i, h)
     return out
 
 

@@ -1,12 +1,18 @@
 """Config parsing, gauge expression grammar, artifact formats, scenario
 orchestration, and command-line exit codes."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spinbundle
 from spinbundle.cli import (
     Check,
     ConfigError,
@@ -228,6 +234,26 @@ def test_timeseries_round_trip(tiny_trajectory, tmp_path):
     assert np.array_equal(data[:, 18:21], tiny_trajectory.residuals)
 
 
+def _per_row_timeseries(traj):
+    """Reference formatter: one np.concatenate and repr per row."""
+    lines = [",".join(TIMESERIES_COLUMNS)]
+    for i in range(len(traj)):
+        row = np.concatenate(([traj.times[i]], traj.states[i, :13], traj.spin[i],
+                              [traj.h_phys[i]], traj.residuals[i]))
+        lines.append(",".join(repr(float(v)) for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_timeseries_bytes_match_per_row_formatter(tiny_trajectory, tmp_path):
+    states = tiny_trajectory.states.copy()
+    states[1, :4] = (-0.0, 1e300, 5e-324, -1.2345678901234567e-17)
+    states[2, 5] = -2.5e-310
+    traj = dataclasses.replace(tiny_trajectory, states=states)
+    path = write_timeseries(traj, tmp_path / "run.csv")
+    assert path.read_bytes() == _per_row_timeseries(traj)
+    assert "-0.0,1e+300,5e-324,-1.2345678901234567e-17" in path.read_text()
+
+
 def test_read_timeseries_errors(tmp_path):
     with pytest.raises(SpinBundleError):
         read_timeseries(tmp_path / "missing.csv")
@@ -346,6 +372,24 @@ def test_main_runtime_error_exit_2(tmp_path, capsys, monkeypatch):
     with pytest.warns(OffSurfaceWarning):
         assert main(["run", str(path)]) == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    "scenario: free_spin\nt_span: [1.0, 0.0]\n",
+    "scenario: larmor\nparams: {e: 0.0}\n",
+    "scenario: larmor\nparams: {mu: 0}\n",
+])
+def test_main_rejects_degenerate_config_in_one_line(config, tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(config)
+    env = {**os.environ, "SPINBUNDLE_OUTPUT_DIR": str(tmp_path),
+           "PYTHONPATH": str(Path(spinbundle.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "spinbundle.cli", "run", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
 
 
 def test_main_failed_check_exit_3(tmp_path, capsys, monkeypatch):
