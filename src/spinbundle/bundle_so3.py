@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainError, DomainError, SurfaceError
+from .phasespace import _cross3
 
 Array = np.ndarray
 
@@ -23,7 +24,7 @@ def spin_map(omega, pi) -> Array:
     pi = np.asarray(pi, dtype=float)
     if omega.shape != (3,) or pi.shape != (3,):
         raise ValueError("spin_map expects two 3-vectors")
-    return np.cross(omega, pi)
+    return _cross3(omega, pi)
 
 
 def _skew(a: Array) -> Array:
@@ -115,7 +116,7 @@ def rotation_matrix(omega, pi, tol: float = 1e-9) -> Array:
     if np.max(np.abs(residuals)) > tol:
         raise SurfaceError(residuals,
                            "rotation_matrix needs a normalized surface point")
-    return np.vstack([omega, pi, np.cross(omega, pi)])
+    return np.vstack([omega, pi, _cross3(omega, pi)])
 
 
 def so2_action(omega, pi, beta: float):
@@ -138,7 +139,7 @@ def local_coords(omega, pi, surface_tol: float = 1e-9,
     if abs(omega[2]) <= chart_tol:
         raise ChartDomainError(
             "point lies outside the chart omega3 != 0")
-    spin = np.cross(omega, pi)
+    spin = _cross3(omega, pi)
     return np.array([spin[0], spin[1], omega[2]])
 
 

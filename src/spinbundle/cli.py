@@ -37,11 +37,12 @@ from .dynamics import (
     physical_hamiltonian,
     second_order_residual,
 )
-from .errors import SpinBundleError
+from .errors import GaugeError, SpinBundleError
 from .phasespace import (
     OMEGA,
     PI,
     PhasePoint,
+    _cross3,
     coordinate,
     poisson_bracket,
     quadratic,
@@ -240,7 +241,12 @@ def parse_gauge_expression(expression: str, label: str = "") -> GaugeFunction:
     env = {"__builtins__": {}, **_GAUGE_FUNCS}
 
     def phi(t: float) -> float:
-        return float(eval(code, env, {"t": t}))
+        try:
+            return float(eval(code, env, {"t": t}))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise GaugeError(
+                f"gauge expression {expression!r} cannot be evaluated at "
+                f"t = {float(t)!r}: {exc}") from None
 
     return GaugeFunction(phi=phi, label=label or expression)
 
@@ -595,7 +601,7 @@ def verify_so3(cfg: dict) -> Tuple[List[Check], dict, dict]:
     for _ in range(n_alg):
         z = sample_state()
         for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            want = float(np.cross(z[OMEGA], z[PI])[k])
+            want = float(_cross3(z[OMEGA], z[PI])[k])
             alg_poisson = max(alg_poisson, abs(
                 poisson_bracket(S[i], S[j], z) - want))
             alg_dirac = max(alg_dirac, abs(
@@ -638,14 +644,14 @@ def verify_so3(cfg: dict) -> Tuple[List[Check], dict, dict]:
     for _ in range(n_alg):
         w = rng.standard_normal(3)
         p = rng.standard_normal(3)
-        s2 = float(np.dot(np.cross(w, p), np.cross(w, p)))
+        s2 = float(np.dot(_cross3(w, p), _cross3(w, p)))
         casimir_err = max(casimir_err, abs(
             s2 - (np.dot(w, w) * np.dot(p, p) - np.dot(w, p) ** 2)))
     norm_err = 0.0
     for _ in range(n_alg):
         w, p = so3.sample_surface_point(rng, a=a, b=b)
         norm_err = max(norm_err, abs(
-            float(np.dot(np.cross(w, p), np.cross(w, p))) - params.spin_norm_sq))
+            float(np.dot(_cross3(w, p), _cross3(w, p))) - params.spin_norm_sq))
 
     # rank of the bundle projection: worst ratio past the expected rank,
     # with the numerical floor standing in when the Jacobian has no further
@@ -813,7 +819,7 @@ def verify_t4(cfg: dict) -> Tuple[List[Check], dict, dict]:
         beta = rng.uniform(0.0, 2.0 * np.pi)
         w2, p2 = lor.t4_structure_action(w, p, k, beta)
         action_spin_err = max(action_spin_err, float(np.max(np.abs(
-            np.cross(w2, p2) - np.cross(w, p)))))
+            _cross3(w2, p2) - _cross3(w, p)))))
         action_surface_err = max(
             action_surface_err,
             abs(float(np.dot(w2, p2))),

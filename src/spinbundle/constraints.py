@@ -22,18 +22,18 @@ from .phasespace import (
     OMEGA,
     PI,
     PI_PHI,
-    PHI,
     CanonicalStructure,
     Observable,
     PhasePoint,
+    _bracket,
+    _checked_gradient,
+    _checked_point,
     as_flat,
     coordinate,
-    poisson_bracket,
 )
 
 # Indices updated by default when projecting: the spin-sector block.
 SPIN_BLOCK = tuple(range(OMEGA.start, PI.stop))
-GAUGE_BLOCK = (PHI, PI_PHI)
 
 
 @dataclass(frozen=True)
@@ -120,21 +120,35 @@ def _warn_if_off_surface(cset, zf, where):
             f"(residuals {res})", OffSurfaceWarning, stacklevel=3)
 
 
+def _constraint_brackets(cset: ConstraintSet, zf, rel_step: float):
+    """Checked gradients of the constraints, each taken once, and the
+    antisymmetric matrix of their mutual brackets.
+
+    With fewer than two constraints there is no bracket to take, so neither
+    the point nor any gradient is looked at.
+    """
+    n = len(cset)
+    delta = np.zeros((n, n))
+    if n < 2:
+        return [], delta
+    structure = cset.structure
+    zf = _checked_point(zf, structure)
+    grads = [_checked_gradient(c.func, zf, structure, rel_step) for c in cset]
+    for a in range(n):
+        for b in range(a + 1, n):
+            value = _bracket(grads[a], grads[b], structure)
+            delta[a, b] = value
+            delta[b, a] = -value
+    return grads, delta
+
+
 def constraint_matrix(cset: ConstraintSet, z, rel_step: float = 1e-6,
                       warn: bool = True) -> BracketMatrix:
     """Antisymmetric matrix of mutual brackets of the set at z."""
     zf = as_flat(z)
     if warn:
         _warn_if_off_surface(cset, zf, "constraint_matrix")
-    n = len(cset)
-    delta = np.zeros((n, n))
-    members = list(cset)
-    for a in range(n):
-        for b in range(a + 1, n):
-            value = poisson_bracket(members[a].func, members[b].func, zf,
-                                    structure=cset.structure, rel_step=rel_step)
-            delta[a, b] = value
-            delta[b, a] = -value
+    _, delta = _constraint_brackets(cset, zf, rel_step)
     return BracketMatrix(delta=delta, names=cset.names)
 
 
@@ -164,39 +178,39 @@ def classify(cset: ConstraintSet, z, tol: float = 1e-8,
 
 def dirac_bracket(f, g, second_class: ConstraintSet, z,
                   rel_step: float = 1e-6, max_condition: float = 1e12) -> float:
-    """Dirac bracket {f, g}* = {f, g} - {f, Phi_a} (delta^-1)_ab {Phi_b, g}."""
+    """Dirac bracket {f, g}* = {f, g} - {f, Phi_a} (delta^-1)_ab {Phi_b, g}.
+
+    Every gradient (each constraint's, then f's and g's) is taken once and
+    shared between the brackets that need it.
+    """
+    structure = second_class.structure
     zf = as_flat(z)
-    bm = constraint_matrix(second_class, zf, rel_step=rel_step, warn=False)
-    delta = bm.delta
+    grads, delta = _constraint_brackets(second_class, zf, rel_step)
     condition = float(np.linalg.cond(delta)) if len(second_class) else 1.0
     if not np.isfinite(condition) or condition > max_condition:
         raise DegenerateConstraintError(condition)
-    plain = poisson_bracket(f, g, zf, structure=second_class.structure,
-                            rel_step=rel_step)
+    zf = _checked_point(zf, structure)
+    df = _checked_gradient(f, zf, structure, rel_step)
+    dg = _checked_gradient(g, zf, structure, rel_step)
+    plain = _bracket(df, dg, structure)
     if not len(second_class):
         return plain
-    bf = np.array([poisson_bracket(f, c.func, zf, structure=second_class.structure,
-                                   rel_step=rel_step) for c in second_class])
-    bg = np.array([poisson_bracket(c.func, g, zf, structure=second_class.structure,
-                                   rel_step=rel_step) for c in second_class])
+    bf = np.array([_bracket(df, dc, structure) for dc in grads])
+    bg = np.array([_bracket(dc, dg, structure) for dc in grads])
     correction = bf @ np.linalg.solve(delta, bg)
     return float(plain - correction)
 
 
-def project(z, cset: ConstraintSet, max_iter: int = 25, tol: float = 1e-12,
-            include_gauge_block: bool = False):
+def project(z, cset: ConstraintSet, max_iter: int = 25, tol: float = 1e-12):
     """Newton projection of z onto the constraint surface.
 
-    Updates are minimum-norm over the set's update block (the spin sector by
-    default; a flag extends it to (phi, pi_phi)).  All other coordinates are
-    left untouched.  Returns the same kind of object it was given.
+    Updates are minimum-norm over the set's update indices (the spin sector
+    by default).  All other coordinates are left untouched.  Returns the
+    same kind of object it was given.
     """
     was_point = isinstance(z, PhasePoint)
     zf = np.array(as_flat(z), dtype=float)
-    indices = list(cset.update_indices)
-    if include_gauge_block:
-        indices += [i for i in GAUGE_BLOCK if i not in indices]
-    indices = np.array(indices, dtype=int)
+    indices = np.array(cset.update_indices, dtype=int)
 
     residuals = evaluate(cset, zf)
     scale = np.maximum(1.0, np.abs(cset.targets))

@@ -239,10 +239,19 @@ class GaugeFunction:
 
     def validate(self, t0: float, t1: float, samples: int = 1000,
                  min_abs: float = 1e-6) -> None:
+        """Sample phi on a grid over [t0, t1]; raise GaugeError where |phi|
+        falls to min_abs or where phi changes sign between two samples."""
+        prev_t = prev = None
         for t in np.linspace(t0, t1, samples):
-            if abs(float(self.phi(t))) <= min_abs:
+            value = float(self.phi(t))
+            if abs(value) <= min_abs:
                 raise GaugeError(
                     f"gauge function falls to |phi| <= {min_abs:g} near t = {t:.6g}")
+            if prev is not None and prev * value < 0.0:
+                raise GaugeError(
+                    f"gauge function changes sign between t = {prev_t:.6g} "
+                    f"and t = {t:.6g}")
+            prev_t, prev = t, value
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +342,7 @@ def eom(z, t: float, params: ModelParams, fields: FieldConfig,
     zf = as_flat(z)
     _, _, _, p1, p2, p3, w1, w2, w3, q1, q2, q3, phi, _ = zf.tolist()
     if abs(phi) < 1e-9:
-        raise GaugeError(f"equations of motion are singular at phi = {zf[PHI]!r}")
+        raise GaugeError(f"equations of motion are singular at phi = {phi!r}")
     if q1 * q1 + q2 * q2 + q3 * q3 < 1e-12 * max(1.0, params.b ** 2):
         raise DomainError("multiplier is undefined where pi^2 ~ 0")
     lam1 = _multiplier((w1, w2, w3), (q1, q2, q3), phi)
@@ -373,10 +382,11 @@ def eom(z, t: float, params: ModelParams, fields: FieldConfig,
 def physical_hamiltonian(z, params: ModelParams, fields: FieldConfig) -> float:
     """Gauge-invariant energy (p - (e/c) A)^2 / 2m - (mu e/m c) B.S."""
     zf = as_flat(z)
-    kinetic = zf[P] - (params.e / params.c) * fields.A(zf[X])
+    kinetic = zf[P] - (params.e / params.c) * np.asarray(fields.A(zf[X]))
+    B = np.asarray(fields.B(zf[X]))
     spin = np.cross(zf[OMEGA], zf[PI])
     return float(np.dot(kinetic, kinetic) / (2.0 * params.m)
-                 - params.moment_coupling * np.dot(fields.B(zf[X]), spin))
+                 - params.moment_coupling * np.dot(B, spin))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .constraints import Constraint, ConstraintSet
 from .errors import DomainError, SuperluminalError, SurfaceError
-from .phasespace import MINKOWSKI_SPIN, Observable
+from .phasespace import MINKOWSKI_SPIN, Observable, _cross3
 
 Array = np.ndarray
 
@@ -195,7 +195,7 @@ def base_ellipsoid_residual(j, P, hbar: float = 1.0) -> float:
         raise ValueError("j must be a 3-vector")
     P = _four(P, "momentum")
     effective_mass(P)  # timelike check
-    cross = np.cross(j, P[1:])
+    cross = _cross3(j, P[1:])
     return float(np.dot(j, j) - np.dot(cross, cross) / P[0] ** 2
                  - 3.0 * float(hbar) ** 2)
 
@@ -209,9 +209,9 @@ def bmt_vector(omega, pi, P) -> Array:
     P = _four(P, "momentum")
     scale = effective_mass(P)
     wv, pv, Pv = omega[1:], pi[1:], P[1:]
-    wxp = np.cross(wv, pv)
+    wxp = _cross3(wv, pv)
     s0 = np.dot(Pv, wxp)
-    sv = P[0] * wxp - omega[0] * np.cross(Pv, pv) + pi[0] * np.cross(Pv, wv)
+    sv = P[0] * wxp - omega[0] * _cross3(Pv, pv) + pi[0] * _cross3(Pv, wv)
     return LEVI_CIVITA_SIGN * np.concatenate(([s0], sv)) / scale
 
 
@@ -231,7 +231,7 @@ def bmt_to_k(S, P) -> Array:
     S = _four(S, "spin four-vector")
     gamma = gamma_factor(P)
     beta = beta_vector(P)
-    return 2.0 * gamma * np.cross(S[1:], beta)
+    return 2.0 * gamma * _cross3(S[1:], beta)
 
 
 def j_to_bmt(j, P) -> Array:

@@ -90,10 +90,21 @@ class PhasePoint:
     @property
     def spin(self) -> Array:
         """Composed spin vector S = omega x pi."""
-        return np.cross(self.omega, self.pi)
+        return _cross3(self.omega, self.pi)
 
     def replace(self, **changes) -> "PhasePoint":
         return dataclasses.replace(self, **changes)
+
+
+def _cross3(a: Array, b: Array) -> Array:
+    """np.cross of two 3-vector arrays, written out by components.
+
+    The products and differences are the ones np.cross forms, so the result
+    is bit-identical to it, at a fraction of its per-call overhead.
+    """
+    a1, a2, a3 = a.tolist()
+    b1, b2, b3 = b.tolist()
+    return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
 
 
 def as_flat(z) -> Array:
@@ -234,6 +245,14 @@ def _central_difference(fn, z, i, h):
     return (float(fn(zp)) - float(fn(zm))) / (2.0 * h)
 
 
+def _checked_point(z, structure):
+    zf = as_flat(z)
+    if zf.shape != (structure.dim,):
+        raise ValueError(
+            f"point has shape {zf.shape}, structure expects ({structure.dim},)")
+    return zf
+
+
 def _checked_gradient(obs, zf, structure, rel_step):
     if isinstance(obs, Observable):
         grad = obs.gradient(zf, rel_step)
@@ -253,12 +272,20 @@ def _checked_gradient(obs, zf, structure, rel_step):
 def poisson_bracket(f, g, z, structure: CanonicalStructure = CANONICAL_PARTICLE,
                     rel_step: float = 1e-6) -> float:
     """Evaluate the canonical Poisson bracket {f, g} at the point z."""
-    zf = as_flat(z)
-    if zf.shape != (structure.dim,):
-        raise ValueError(
-            f"point has shape {zf.shape}, structure expects ({structure.dim},)")
+    zf = _checked_point(z, structure)
     df = _checked_gradient(f, zf, structure, rel_step)
     dg = _checked_gradient(g, zf, structure, rel_step)
+    return _bracket(df, dg, structure)
+
+
+def _bracket(df: Array, dg: Array, structure: CanonicalStructure) -> float:
+    """The bracket sum over canonical pairs for two checked gradients.
+
+    The sum runs on Python floats: the same IEEE products and additions, in
+    the same order, without a numpy scalar per term.
+    """
+    df = df.tolist()
+    dg = dg.tolist()
     total = 0.0
     for (q, p), w in zip(structure.pairs, structure.weights):
         total += w * (df[q] * dg[p] - df[p] * dg[q])
@@ -296,16 +323,20 @@ def spin_component(i: int) -> Observable:
     """Component i of the composed spin S = omega x pi on the 14-dim layout."""
     if i not in (0, 1, 2):
         raise ValueError("spin component index must be 0, 1 or 2")
-    basis = np.zeros(3)
-    basis[i] = 1.0
+    # S_i = omega_j pi_k - omega_k pi_j with (i, j, k) cyclic.
+    j, k = (i + 1) % 3, (i + 2) % 3
+    wj, wk = OMEGA.start + j, OMEGA.start + k
+    pj, pk = PI.start + j, PI.start + k
 
     def fn(z):
-        return float(np.cross(z[OMEGA], z[PI])[i])
+        return float(_cross3(z[OMEGA], z[PI])[i])
 
     def grad(z):
         out = np.zeros(DIM)
-        out[OMEGA] = np.cross(z[PI], basis)
-        out[PI] = np.cross(basis, z[OMEGA])
+        out[wj] = z[pk]
+        out[wk] = -z[pj]
+        out[pk] = z[wj]
+        out[pj] = -z[wk]
         return out
 
     return Observable(fn, grad, name=f"S{i + 1}")

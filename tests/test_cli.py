@@ -33,7 +33,7 @@ from spinbundle.dynamics import (
     ModelParams,
     integrate,
 )
-from spinbundle.errors import OffSurfaceWarning, SpinBundleError
+from spinbundle.errors import GaugeError, OffSurfaceWarning, SpinBundleError
 from spinbundle.phasespace import PhasePoint
 
 
@@ -390,6 +390,37 @@ def test_main_rejects_degenerate_config_in_one_line(config, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize("expression, message", [
+    ("exp(1000*t)", "math range error"),
+    ("t - 0.500123", "changes sign between t = 0.499499 and t = 0.500501"),
+])
+def test_main_gauge_failure_is_one_line_runtime_error(expression, message,
+                                                       tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("scenario: free_spin\n"
+                    "t_span: [0.0, 1.0]\n"
+                    "samples: 16\n"
+                    f"gauge: {{expression: \"{expression}\"}}\n")
+    env = {**os.environ, "SPINBUNDLE_OUTPUT_DIR": str(tmp_path),
+           "PYTHONPATH": str(Path(spinbundle.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "spinbundle.cli", "run", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("runtime error: ")
+    assert message in lines[0]
+
+
+def test_gauge_expression_overflow_names_t():
+    g = parse_gauge_expression("exp(1000*t)")
+    assert g(0.0) == 1.0
+    with pytest.raises(GaugeError, match=r"at t = 1\.0"):
+        g(1.0)
+    with pytest.raises(GaugeError, match=r"at t = 0\.5"):
+        parse_gauge_expression("1/(t - 0.5)")(0.5)
 
 
 def test_main_failed_check_exit_3(tmp_path, capsys, monkeypatch):

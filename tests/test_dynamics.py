@@ -128,6 +128,21 @@ def test_gauge_validate_rejects_vanishing():
         g.validate(0.0, 10.0)
 
 
+def test_gauge_validate_rejects_sign_change_between_samples():
+    calls = []
+
+    def phi(t):
+        calls.append(t)
+        return t - 0.500123
+
+    g = GaugeFunction(phi=phi)
+    # no grid point comes within 1e-6 of the root; the sign change shows it
+    with pytest.raises(GaugeError,
+                       match="changes sign between t = 0.499499 and t = 0.500501"):
+        g.validate(0.0, 1.0)
+    assert len(calls) == 501  # stops at the first sample past the crossing
+
+
 # ---------------------------------------------------------------------------
 # solve_multiplier
 # ---------------------------------------------------------------------------
@@ -231,6 +246,15 @@ def test_eom_singular_gauge():
     z[PHI] = 0.0
     with pytest.raises(GaugeError):
         eom(z, 0.0, params, FieldConfig.free(), UNIT_GAUGE)
+
+
+def test_eom_singular_gauge_message_prints_plain_float():
+    params = ModelParams()
+    z = larmor_start(params).as_array()
+    z[PHI] = -1e-10
+    with pytest.raises(GaugeError) as info:
+        eom(z, 0.0, params, FieldConfig.free(), UNIT_GAUGE)
+    assert str(info.value).endswith("singular at phi = -1e-10")
 
 
 def test_eom_gauge_rate_enters_phi_dot():

@@ -1,11 +1,22 @@
-"""The closed-form dynamics kernels pinned to their references: the
-multiplier to the Poisson-engine solve, the right-hand side to the
-np.cross formulation, and the batched trajectory post-processing to the
-per-sample functions."""
+"""The closed-form kernels pinned to their references: the multiplier to
+the Poisson-engine solve, the right-hand side to the np.cross formulation,
+the batched trajectory post-processing to the per-sample functions, the
+written-out 3-vector cross product to np.cross, and the gradient-once Dirac
+brackets to the same brackets built from public Poisson-bracket calls."""
 
 import numpy as np
 import pytest
 
+from spinbundle.constraints import (
+    Constraint,
+    ConstraintSet,
+    constraint_matrix,
+    dirac_bracket,
+    omega_norm_sq,
+    pauli_model_set,
+    second_class_pair,
+    t4_surface_set,
+)
 from spinbundle.dynamics import (
     FieldConfig,
     GaugeFunction,
@@ -18,8 +29,21 @@ from spinbundle.dynamics import (
     second_order_residual,
     solve_multiplier,
 )
-from spinbundle.errors import DomainError
-from spinbundle.phasespace import OMEGA, P, PHI, PI, PI_PHI, X
+from spinbundle.errors import DegenerateConstraintError, DomainError, GradientError
+from spinbundle.phasespace import (
+    OMEGA,
+    P,
+    PHI,
+    PI,
+    PI_PHI,
+    X,
+    Observable,
+    _cross3,
+    coordinate,
+    poisson_bracket,
+    quadratic,
+    spin_component,
+)
 
 from conftest import random_phase_state
 
@@ -144,7 +168,7 @@ def test_batched_postprocessing_matches_per_row(kind, rng):
     traj = integrate(z0, (0.0, 2.0), PARAMS, fields, WOBBLE, opts)
 
     ref_fields = _with_arrays(fields)
-    h_rows = [physical_hamiltonian(s, PARAMS, ref_fields) for s in traj.states]
+    h_rows = [physical_hamiltonian(s, PARAMS, fields) for s in traj.states]
     lam_rows = [solve_multiplier(s, PARAMS, fields=fields, check_surface=False)
                 for s in traj.states]
     assert np.max(np.abs(traj.h_phys - h_rows)) <= ATOL
@@ -152,3 +176,171 @@ def test_batched_postprocessing_matches_per_row(kind, rng):
     assert np.max(np.abs(
         second_order_residual(traj, PARAMS, fields)
         - reference_second_order_residual(traj, PARAMS, ref_fields))) <= ATOL
+
+
+# ---------------------------------------------------------------------------
+# The 3-vector cross product
+# ---------------------------------------------------------------------------
+
+SPECIAL = np.array([0.0, -0.0, 1.0, -2.5, 1e300, -1e300, 5e-324, -5e-324,
+                    np.inf, -np.inf, np.nan])
+
+
+def test_cross3_is_np_cross_bit_for_bit():
+    rng = np.random.default_rng(7)
+    n = 20_000
+    scale = 10.0 ** rng.integers(-300, 300, size=(2, n, 1))
+    a, b = rng.standard_normal((2, n, 3)) * scale
+    for v in (a, b):
+        mask = rng.random(v.shape) < 0.3
+        v[mask] = rng.choice(SPECIAL, size=int(mask.sum()))
+    with np.errstate(all="ignore"):
+        for u, v in zip(a, b):
+            got, want = _cross3(u, v), np.cross(u, v)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_spin_component_gradient_matches_np_cross(rng):
+    for _ in range(N_STATES):
+        z = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
+        for i in range(3):
+            basis = np.eye(3)[i]
+            want = np.zeros(14)
+            want[OMEGA] = np.cross(z[PI], basis)
+            want[PI] = np.cross(basis, z[OMEGA])
+            assert np.array_equal(spin_component(i).gradient(z), want)
+            assert spin_component(i)(z) == np.cross(z[OMEGA], z[PI])[i]
+
+
+# ---------------------------------------------------------------------------
+# Dirac brackets with every gradient taken once
+# ---------------------------------------------------------------------------
+
+def reference_constraint_matrix(cset, z):
+    """Mutual brackets from one public poisson_bracket call per pair."""
+    members = list(cset)
+    n = len(members)
+    delta = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            value = poisson_bracket(members[a].func, members[b].func, z,
+                                    structure=cset.structure)
+            delta[a, b] = value
+            delta[b, a] = -value
+    return delta
+
+
+def reference_dirac_bracket(f, g, cset, z):
+    """{f, g} - {f, Phi_a} (Delta^-1)_ab {Phi_b, g}, every bracket a public
+    poisson_bracket call, in the order the formula is written."""
+    delta = reference_constraint_matrix(cset, z)
+    plain = poisson_bracket(f, g, z, structure=cset.structure)
+    bf = np.array([poisson_bracket(f, c.func, z, structure=cset.structure)
+                   for c in cset])
+    bg = np.array([poisson_bracket(c.func, g, z, structure=cset.structure)
+                   for c in cset])
+    return float(plain - bf @ np.linalg.solve(delta, bg))
+
+
+def _dirac_cases(rng, cset):
+    spins = [spin_component(i) for i in range(3)]
+    quads = [quadratic(0.5 * (A + A.T), rng.standard_normal(14))
+             for A in rng.standard_normal((2, 14, 14))]
+    i, j = rng.integers(0, 3, size=2)
+    return [
+        *[(spins[k], spins[(k + 1) % 3]) for k in range(3)],
+        (coordinate(6 + i), coordinate(9 + j)),
+        (coordinate(0), coordinate(3)),
+        (quads[0], quads[1]),
+        (cset.constraints[0].func, quads[0]),
+        (quads[1], spins[i]),
+    ]
+
+
+def test_dirac_bracket_equals_public_bracket_reference(rng):
+    pair = second_class_pair(PARAMS.a)
+    t4 = t4_surface_set(0.75)
+    for _ in range(N_STATES):
+        z = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
+        for f, g in _dirac_cases(rng, pair):
+            assert dirac_bracket(f, g, pair, z) == \
+                reference_dirac_bracket(f, g, pair, z)
+        # off the t4 surface its pair is second class, so Delta inverts
+        zt = random_phase_state(rng, a=rng.uniform(0.7, 1.5),
+                                b=rng.uniform(0.7, 1.5))
+        for f, g in _dirac_cases(rng, t4):
+            assert dirac_bracket(f, g, t4, zt) == \
+                reference_dirac_bracket(f, g, t4, zt)
+
+
+def test_constraint_matrix_equals_public_bracket_reference(rng):
+    sets = (second_class_pair(PARAMS.a), t4_surface_set(0.75),
+            pauli_model_set(PARAMS.a, PARAMS.b))
+    for _ in range(N_STATES):
+        z = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
+        for cset in sets:
+            got = constraint_matrix(cset, z, warn=False).delta
+            assert np.array_equal(got, reference_constraint_matrix(cset, z))
+
+
+def _counted(obs, counts, key):
+    """obs with a gradient that counts its evaluations under key."""
+
+    def grad(z):
+        counts[key] = counts.get(key, 0) + 1
+        return obs.grad(z)
+
+    return Observable(obs.fn, grad, name=obs.name)
+
+
+def _counted_set(cset, counts):
+    return ConstraintSet(
+        constraints=tuple(Constraint(c.name, _counted(c.func, counts, c.name),
+                                     c.target) for c in cset),
+        structure=cset.structure)
+
+
+def test_dirac_bracket_takes_each_gradient_once(rng):
+    counts = {}
+    pair = _counted_set(second_class_pair(PARAMS.a), counts)
+    f = _counted(spin_component(0), counts, "f")
+    g = _counted(spin_component(1), counts, "g")
+    z = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
+    dirac_bracket(f, g, pair, z)
+    assert counts == {"omega_sq": 1, "omega_pi": 1, "f": 1, "g": 1}
+
+
+def test_nonfinite_constraint_gradient_raises_before_f_and_g(rng):
+    counts = {}
+
+    def bad_grad(z):
+        out = np.zeros(14)
+        out[7] = np.nan
+        return out
+
+    cset = ConstraintSet(constraints=(
+        Constraint("omega_sq", omega_norm_sq(), PARAMS.a ** 2),
+        Constraint("broken", Observable(lambda z: 0.0, bad_grad, name="broken")),
+    ))
+    f = _counted(spin_component(0), counts, "f")
+    g = _counted(spin_component(1), counts, "g")
+    z = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
+    with pytest.raises(GradientError) as info:
+        dirac_bracket(f, g, cset, z)
+    assert info.value.label == "omega2"
+    assert counts == {}
+
+
+def test_degenerate_delta_raises_before_f_and_g(rng):
+    counts = {}
+    cset = ConstraintSet(constraints=(
+        Constraint("omega_sq", omega_norm_sq(), 1.0),
+        Constraint("omega_sq_again", 2.0 * omega_norm_sq(), 2.0),
+    ))
+    f = _counted(spin_component(0), counts, "f")
+    g = _counted(spin_component(1), counts, "g")
+    z = random_phase_state(rng, a=1.0)
+    with pytest.raises(DegenerateConstraintError):
+        dirac_bracket(f, g, cset, z)
+    assert counts == {}
