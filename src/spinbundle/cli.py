@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -230,25 +231,89 @@ def _check_gauge_node(node: ast.AST) -> None:
             f"unsupported syntax in gauge expression: {type(node).__name__}")
 
 
+def _product(a: ast.AST, b: ast.AST) -> ast.AST:
+    return ast.BinOp(a, ast.Mult(), b)
+
+
+def _negated(node: ast.AST) -> ast.AST:
+    return ast.UnaryOp(ast.USub(), node)
+
+
+def _combined(a: Optional[ast.AST], b: Optional[ast.AST],
+              op: ast.operator) -> Optional[ast.AST]:
+    """a + b or a - b, where None stands for zero."""
+    if b is None:
+        return a
+    if a is None:
+        return b if isinstance(op, ast.Add) else _negated(b)
+    return ast.BinOp(a, op, b)
+
+
+def _gauge_derivative(node: ast.AST) -> Optional[ast.AST]:
+    """d/dt of a checked gauge expression node; None where it is zero."""
+    if isinstance(node, ast.Name):
+        return ast.Constant(1.0)
+    if isinstance(node, ast.Constant):
+        return None
+    if isinstance(node, ast.UnaryOp):
+        d = _gauge_derivative(node.operand)
+        return d if d is None or isinstance(node.op, ast.UAdd) else _negated(d)
+    if isinstance(node, ast.Call):
+        (u,) = node.args
+        du = _gauge_derivative(u)
+        if du is None:
+            return None
+        sin, cos = (ast.Call(ast.Name(f, ast.Load()), [u], []) for f in ("sin", "cos"))
+        outer = {"sin": cos, "cos": _negated(sin), "exp": node}[node.func.id]
+        return _product(outer, du)
+    left, right = node.left, node.right
+    dl, dr = _gauge_derivative(left), _gauge_derivative(right)
+    if isinstance(node.op, (ast.Add, ast.Sub)):
+        return _combined(dl, dr, node.op)
+    if isinstance(node.op, ast.Mult):
+        return _combined(dl and _product(dl, right), dr and _product(left, dr),
+                         ast.Add())
+    # quotient rule: d(l/r) = dl/r - l dr / (r r)
+    return _combined(dl and ast.BinOp(dl, ast.Div(), right),
+                     dr and ast.BinOp(_product(left, dr), ast.Div(),
+                                      _product(right, right)),
+                     ast.Sub())
+
+
+def _gauge_evaluator(body: ast.AST, what: str) -> Callable[[float], float]:
+    """Compile one expression over t; a result that overflows, divides by
+    zero or is not finite raises GaugeError naming what and t."""
+    tree = ast.fix_missing_locations(ast.Expression(body))
+    code = compile(tree, "<gauge>", "eval")
+    env = {"__builtins__": {}, **_GAUGE_FUNCS}
+
+    def evaluate(t: float) -> float:
+        t = float(t)
+        try:
+            value = float(eval(code, env, {"t": t}))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise GaugeError(
+                f"{what} cannot be evaluated at t = {t!r}: {exc}") from None
+        if not math.isfinite(value):
+            raise GaugeError(f"{what} is {value!r} at t = {t!r}")
+        return value
+
+    return evaluate
+
+
 def parse_gauge_expression(expression: str, label: str = "") -> GaugeFunction:
-    """Compile a gauge expression over t from the fixed small grammar."""
+    """Compile a gauge expression over t from the fixed small grammar, with
+    its exact derivative taken on the syntax tree."""
     try:
         tree = ast.parse(expression, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"gauge expression does not parse: {exc.msg}") from None
     _check_gauge_node(tree)
-    code = compile(tree, "<gauge>", "eval")
-    env = {"__builtins__": {}, **_GAUGE_FUNCS}
-
-    def phi(t: float) -> float:
-        try:
-            return float(eval(code, env, {"t": t}))
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise GaugeError(
-                f"gauge expression {expression!r} cannot be evaluated at "
-                f"t = {float(t)!r}: {exc}") from None
-
-    return GaugeFunction(phi=phi, label=label or expression)
+    name = f"gauge expression {expression!r}"
+    derivative = _gauge_derivative(tree.body) or ast.Constant(0.0)
+    return GaugeFunction(phi=_gauge_evaluator(tree.body, name),
+                         phi_dot=_gauge_evaluator(derivative, f"derivative of {name}"),
+                         label=label or expression)
 
 
 # ---------------------------------------------------------------------------
@@ -912,6 +977,10 @@ def _print_report(summary: dict, stream=None) -> None:
     print(f"summary written to {summary['summary_path']}", file=stream)
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="spinbundle",
@@ -954,6 +1023,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
+    # a warning shown on stderr is one line, like the error messages
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _one_line_warning
     try:
         code, summary = run_config(cfg)
     except ConfigError as exc:
@@ -962,6 +1034,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SpinBundleError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
     _print_report(summary)
     return code

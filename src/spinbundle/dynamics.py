@@ -19,8 +19,9 @@ spin constraint surface after accepted steps.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (
     GaugeError,
     IntegrationError,
     OffSurfaceWarning,
+    ProjectionError,
 )
 from .phasespace import (
     DIM,
@@ -104,22 +106,56 @@ def _fd_jacobian3(f: Callable[[Array], Array], step: float = 1e-6):
     return jac
 
 
+def _floats(v):
+    """Field data as Python numbers: arrays become (nested) lists."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
+def _callable_kernel(B, A, grad_B, grad_A):
+    """The field kernel of four public field callables."""
+
+    def kernel(x1, x2, x3):
+        x = np.array([x1, x2, x3])
+        return (_floats(B(x)), _floats(A(x)), _floats(grad_A(x)),
+                _floats(grad_B(x)))
+
+    return kernel
+
+
+_ZERO3 = (0.0, 0.0, 0.0)
+_ZERO33 = (_ZERO3, _ZERO3, _ZERO3)
+
+
 @dataclass(frozen=True)
 class FieldConfig:
     """Magnetic field data: B, a vector potential A with curl A = B, and
-    their spatial derivative matrices G[i, j] = d_i (field_j)."""
+    their spatial derivative matrices G[i, j] = d_i (field_j).
+
+    The private kernel maps x given as three floats to (B, A, grad_A,
+    grad_B) as (nested) sequences of Python floats; it is the form eom
+    reads field data in.  The built-in kinds write it in closed form;
+    otherwise it wraps the four public callables.
+    """
 
     kind: str
     B: Callable[[Array], Array]
     A: Callable[[Array], Array]
     grad_B: Callable[[Array], Array]
     grad_A: Callable[[Array], Array]
+    _kernel: Optional[Callable] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self._kernel is None:
+            object.__setattr__(self, "_kernel", _callable_kernel(
+                self.B, self.A, self.grad_B, self.grad_A))
 
     @classmethod
     def free(cls) -> "FieldConfig":
         zero3 = lambda x: np.zeros(3)
         zero33 = lambda x: np.zeros((3, 3))
-        return cls(kind="free", B=zero3, A=zero3, grad_B=zero33, grad_A=zero33)
+        data = (_ZERO3, _ZERO3, _ZERO33, _ZERO33)
+        return cls(kind="free", B=zero3, A=zero3, grad_B=zero33, grad_A=zero33,
+                   _kernel=lambda x1, x2, x3: data)
 
     @classmethod
     def uniform(cls, B0) -> "FieldConfig":
@@ -142,12 +178,21 @@ class FieldConfig:
                              0.5 * (b3 * x1 - b1 * x3),
                              0.5 * (b1 * x2 - b2 * x1)])
 
+        B_data, dA_data = (b1, b2, b3), tuple(map(tuple, dA.tolist()))
+
+        def kernel(x1, x2, x3):
+            return (B_data,
+                    (0.5 * (b2 * x3 - b3 * x2), 0.5 * (b3 * x1 - b1 * x3),
+                     0.5 * (b1 * x2 - b2 * x1)),
+                    dA_data, _ZERO33)
+
         return cls(
             kind="uniform",
             B=lambda x: B0.copy(),
             A=potential,
             grad_B=lambda x: np.zeros((3, 3)),
             grad_A=lambda x: dA.copy(),
+            _kernel=kernel,
         )
 
     @classmethod
@@ -175,8 +220,15 @@ class FieldConfig:
             out[2, 1] = g * x[0]
             return out
 
+        dB = ((-g, 0.0, 0.0), _ZERO3, (0.0, 0.0, g))
+
+        def kernel(x1, x2, x3):
+            bz = B0 + g * x3
+            return ((-g * x1, 0.0, bz), (0.0, x1 * bz, 0.0),
+                    ((0.0, bz, 0.0), _ZERO3, (0.0, g * x1, 0.0)), dB)
+
         return cls(kind="linear_gradient", B=field, A=potential,
-                   grad_B=grad_field, grad_A=grad_potential)
+                   grad_B=grad_field, grad_A=grad_potential, _kernel=kernel)
 
     @classmethod
     def custom(cls, B, A, grad_B=None, grad_A=None) -> "FieldConfig":
@@ -331,30 +383,20 @@ def _multiplier(w, p, phi):
     return 2.0 * w_sq / (phi * p_sq)
 
 
-def _floats(v):
-    """Field data as Python numbers: arrays become (nested) lists."""
-    return v.tolist() if isinstance(v, np.ndarray) else v
-
-
 def eom(z, t: float, params: ModelParams, fields: FieldConfig,
         gauge: GaugeFunction) -> Array:
     """Flat time derivative of the state at time t."""
-    zf = as_flat(z)
-    _, _, _, p1, p2, p3, w1, w2, w3, q1, q2, q3, phi, _ = zf.tolist()
+    x1, x2, x3, p1, p2, p3, w1, w2, w3, q1, q2, q3, phi, _ = as_flat(z).tolist()
     if abs(phi) < 1e-9:
         raise GaugeError(f"equations of motion are singular at phi = {phi!r}")
     if q1 * q1 + q2 * q2 + q3 * q3 < 1e-12 * max(1.0, params.b ** 2):
         raise DomainError("multiplier is undefined where pi^2 ~ 0")
     lam1 = _multiplier((w1, w2, w3), (q1, q2, q3), phi)
 
-    x = zf[X]
     e_over_c = params.e / params.c
     coupling = params.moment_coupling
     m = params.m
-    b1, b2, b3 = _floats(fields.B(x))
-    a1, a2, a3 = _floats(fields.A(x))
-    dA = _floats(fields.grad_A(x))
-    dB = _floats(fields.grad_B(x))
+    (b1, b2, b3), (a1, a2, a3), dA, dB = fields._kernel(x1, x2, x3)
     s1 = w2 * q3 - w3 * q2
     s2 = w3 * q1 - w1 * q3
     s3 = w1 * q2 - w2 * q1
@@ -485,8 +527,76 @@ def _field_rows(fn, xs) -> Array:
 
 
 def _error_norm(err, y0, y1, rel_tol, abs_tol):
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    """RMS of err scaled by abs_tol + rel_tol * max(|y0|, |y1|); the same
+    reduction as np.mean, without its dispatch."""
+    q = err / (abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1)))
+    return math.sqrt(np.add.reduce(q * q) / q.size)
+
+
+_SPIN = slice(OMEGA.start, PI.stop)
+# sin^2 of the angle below which omega and pi count as parallel: the square
+# of lstsq's default relative cutoff for a 3 x 6 Jacobian, 6 eps
+_PARALLEL_SIN_SQ = (6.0 * np.finfo(float).eps) ** 2
+
+
+def _project_spin(y, a_sq: float, b_sq: float, tol: float,
+                  max_iter: int = 25) -> Array:
+    """Newton projection of the spin block of the flat state y onto
+    omega^2 = a_sq, pi^2 = b_sq, omega.pi = 0; returns a new array.
+
+    The same minimum-norm iteration as constraints.project, on Python
+    floats.  The Jacobian rows are (2 omega, 0), (0, 2 pi), (pi, omega), so
+    J J^T = [[4W, 0, 2D], [0, 4Q, 2D], [2D, 2D, W + Q]] with W = omega^2,
+    Q = pi^2, D = omega.pi; it is solved by cofactors and the step is
+    J^T c: (2 omega c1 + pi c3, 2 pi c2 + omega c3).  The determinant is
+    16 (W + Q) |omega x pi|^2, so J loses rank exactly where omega and pi
+    are parallel or one of them vanishes; there, as where lstsq's default
+    cutoff drops a singular value, ProjectionError is raised.
+    """
+    out = np.array(y, dtype=float)
+    w1, w2, w3, q1, q2, q3 = out[_SPIN].tolist()
+    W = w1 * w1 + w2 * w2 + w3 * w3
+    Q = q1 * q1 + q2 * q2 + q3 * q3
+    D = w1 * q1 + w2 * q2 + w3 * q3
+    r1, r2, r3 = W - a_sq, Q - b_sq, D
+    if (abs(r1) > 0.1 * max(1.0, a_sq) or abs(r2) > 0.1 * max(1.0, b_sq)
+            or abs(r3) > 0.1):
+        warnings.warn(
+            f"project: starting point is far from the surface "
+            f"(residuals {np.array([r1, r2, r3])})", OffSurfaceWarning, stacklevel=3)
+
+    for iteration in range(max_iter):
+        if abs(r1) < tol and abs(r2) < tol and abs(r3) < tol:
+            break
+        s1, s2, s3 = w2 * q3 - w3 * q2, w3 * q1 - w1 * q3, w1 * q2 - w2 * q1
+        cross_sq = s1 * s1 + s2 * s2 + s3 * s3
+        det = 16.0 * (W + Q) * cross_sq
+        if not (cross_sq > _PARALLEL_SIN_SQ * W * Q and 0.0 < det < math.inf):
+            raise ProjectionError(np.array([r1, r2, r3]), iteration)
+        c11 = 4.0 * Q * (W + Q) - 4.0 * D * D
+        c22 = 4.0 * W * (W + Q) - 4.0 * D * D
+        c33 = 16.0 * W * Q
+        c12 = 4.0 * D * D
+        c13 = -8.0 * Q * D
+        c23 = -8.0 * W * D
+        k1 = (c11 * r1 + c12 * r2 + c13 * r3) / det
+        k2 = (c12 * r1 + c22 * r2 + c23 * r3) / det
+        k3 = (c13 * r1 + c23 * r2 + c33 * r3) / det
+        step = (2.0 * w1 * k1 + q1 * k3, 2.0 * w2 * k1 + q2 * k3,
+                2.0 * w3 * k1 + q3 * k3, 2.0 * q1 * k2 + w1 * k3,
+                2.0 * q2 * k2 + w2 * k3, 2.0 * q3 * k2 + w3 * k3)
+        if not all(map(math.isfinite, step)):
+            raise ProjectionError(np.array([r1, r2, r3]), iteration)
+        w1, w2, w3, q1, q2, q3 = (w1 - step[0], w2 - step[1], w3 - step[2],
+                                  q1 - step[3], q2 - step[4], q3 - step[5])
+        W = w1 * w1 + w2 * w2 + w3 * w3
+        Q = q1 * q1 + q2 * q2 + q3 * q3
+        D = w1 * q1 + w2 * q2 + w3 * q3
+        r1, r2, r3 = W - a_sq, Q - b_sq, D
+    if not (abs(r1) < tol and abs(r2) < tol and abs(r3) < tol):
+        raise ProjectionError(np.array([r1, r2, r3]), max_iter)
+    out[_SPIN] = (w1, w2, w3, q1, q2, q3)
+    return out
 
 
 def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, span):
@@ -519,6 +629,7 @@ def integrate(z0, t_span, params: ModelParams, fields: FieldConfig,
     gauge.validate(t0, t1)
 
     surface = params.surface()
+    a_sq, b_sq = surface.targets[:2].tolist()
     y = np.array(as_flat(z0), dtype=float)
     y[PHI] = gauge(t0)
     res0 = con.evaluate(surface, y)
@@ -526,7 +637,7 @@ def integrate(z0, t_span, params: ModelParams, fields: FieldConfig,
         warnings.warn(
             f"integrate: initial point is off the spin surface (residuals {res0}); "
             "projecting before integration", OffSurfaceWarning, stacklevel=2)
-        y = con.project(y, surface, tol=opts.projection_tol)
+        y = _project_spin(y, a_sq, b_sq, opts.projection_tol)
 
     def rhs(t, state):
         return eom(state, t, params, fields, gauge)
@@ -570,7 +681,9 @@ def integrate(z0, t_span, params: ModelParams, fields: FieldConfig,
                 h_try = gap
                 target = t_eval[next_eval]
         if h_try < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError(f"step size underflow at t = {t:.6g}")
+            name = f"gauge {gauge.label!r}" if gauge.label else "gauge"
+            raise IntegrationError(f"step size underflow at t = {t:.6g} "
+                                   f"({name} = {gauge(t):.6g} there)")
 
         attempts += 1
         k[0] = f
@@ -587,7 +700,7 @@ def integrate(z0, t_span, params: ModelParams, fields: FieldConfig,
             y = y_new
             f = k[6]  # the last stage is the derivative at (t, y_new)
             if opts.project_every and accepted % opts.project_every == 0:
-                y = con.project(y, surface, tol=opts.projection_tol)
+                y = _project_spin(y, a_sq, b_sq, opts.projection_tol)
                 f = rhs(t, y)
             if t_eval is None:
                 record(t, y, f)

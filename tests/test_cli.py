@@ -149,6 +149,49 @@ def test_gauge_expression_nested_calls():
     assert g.label == "damped"
 
 
+# one case per grammar rule, each with its derivative written out by hand
+EXACT_DERIVATIVES = [
+    ("t*t + sin(t)", lambda t: 2.0 * t + np.cos(t)),                    # sum
+    ("3*t - exp(t)", lambda t: 3.0 - np.exp(t)),                        # difference
+    ("t*cos(t)", lambda t: np.cos(t) - t * np.sin(t)),                  # product
+    ("sin(t)/(1 + t*t)",                                                # quotient
+     lambda t: np.cos(t) / (1 + t * t) - np.sin(t) * (2 * t) / (1 + t * t) ** 2),
+    ("-(t*t) + 4", lambda t: -2.0 * t),                                 # unary minus
+    ("+t", lambda t: 1.0),                                              # unary plus
+    ("sin(2*t*t)", lambda t: 4.0 * t * np.cos(2 * t * t)),              # chain: sin
+    ("cos(3*t)", lambda t: -3.0 * np.sin(3 * t)),                       # chain: cos
+    ("exp(-t/10)", lambda t: -0.1 * np.exp(-t / 10)),                   # chain: exp
+    ("exp(sin(t))", lambda t: np.cos(t) * np.exp(np.sin(t))),           # nested
+]
+DERIVATIVE_TIMES = np.linspace(0.1, 2.9, 15)
+
+
+@pytest.mark.parametrize("expression, derivative", EXACT_DERIVATIVES,
+                         ids=[e for e, _ in EXACT_DERIVATIVES])
+def test_gauge_derivative_is_exact(expression, derivative):
+    g = parse_gauge_expression(expression)
+    finite_difference = GaugeFunction(phi=g.phi)
+    for t in DERIVATIVE_TIMES:
+        got = g.derivative(t)
+        assert type(got) is float
+        assert_allclose(got, derivative(t), rtol=1e-14, atol=0)
+        assert_allclose(got, finite_difference.derivative(t), rtol=0, atol=1e-7)
+
+
+def test_constant_gauge_derivative_is_exactly_zero():
+    for expression in ("1", "2*3 - 1/4", "-exp(1)"):
+        g = parse_gauge_expression(expression)
+        assert all(g.derivative(t) == 0.0 for t in DERIVATIVE_TIMES)
+
+
+def test_gauge_derivative_overflow_names_t():
+    g = parse_gauge_expression("exp(708)*(2 + sin(1000*t))")
+    assert np.isfinite(g(0.0))
+    with pytest.raises(GaugeError,
+                       match=r"derivative of gauge expression .* at t = 0\.0"):
+        g.derivative(0.0)
+
+
 @pytest.mark.parametrize("expression", [
     "t**2",                    # power not in the grammar
     "__import__('os')",
@@ -395,6 +438,9 @@ def test_main_rejects_degenerate_config_in_one_line(config, tmp_path):
 @pytest.mark.parametrize("expression, message", [
     ("exp(1000*t)", "math range error"),
     ("t - 0.500123", "changes sign between t = 0.499499 and t = 0.500501"),
+    ("1/((t-0.5)*(t-0.5))", "(gauge '1/((t-0.5)*(t-0.5))' = "),
+    ("exp(708)*(2 + sin(1000*t))",
+     "derivative of gauge expression 'exp(708)*(2 + sin(1000*t))' is inf at t = 0.0"),
 ])
 def test_main_gauge_failure_is_one_line_runtime_error(expression, message,
                                                        tmp_path):
@@ -412,6 +458,27 @@ def test_main_gauge_failure_is_one_line_runtime_error(expression, message,
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("runtime error: ")
     assert message in lines[0]
+
+
+@pytest.mark.parametrize("initial", [
+    "{omega: [0.0, 0.0, 0.0]}",
+    "{pi: [0.0, 0.0, 0.0]}",
+    "{omega: [0.3, 0.5, 0.7], pi: [0.21, 0.35, 0.49]}",
+], ids=["omega_zero", "pi_zero", "parallel"])
+def test_main_prints_each_warning_on_one_line(initial, tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("scenario: free_spin\n"
+                    "t_span: [0.0, 1.0]\n"
+                    "samples: 16\n"
+                    f"initial: {initial}\n")
+    env = {**os.environ, "SPINBUNDLE_OUTPUT_DIR": str(tmp_path),
+           "PYTHONPATH": str(Path(spinbundle.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "spinbundle.cli", "run", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    *warned, last = proc.stderr.splitlines()
+    assert warned and all(line.startswith("warning: ") for line in warned)
+    assert last.startswith("runtime error: projection did not converge")
 
 
 def test_gauge_expression_overflow_names_t():

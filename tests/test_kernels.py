@@ -1,8 +1,12 @@
 """The closed-form kernels pinned to their references: the multiplier to
 the Poisson-engine solve, the right-hand side to the np.cross formulation,
 the batched trajectory post-processing to the per-sample functions, the
+field kernels to the public field callables, the float-level spin
+projection to constraints.project, the error norm to its np.mean form, the
 written-out 3-vector cross product to np.cross, and the gradient-once Dirac
 brackets to the same brackets built from public Poisson-bracket calls."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +16,10 @@ from spinbundle.constraints import (
     ConstraintSet,
     constraint_matrix,
     dirac_bracket,
+    evaluate,
     omega_norm_sq,
     pauli_model_set,
+    project,
     second_class_pair,
     t4_surface_set,
 )
@@ -22,14 +28,22 @@ from spinbundle.dynamics import (
     GaugeFunction,
     IntegrationOptions,
     ModelParams,
+    _error_norm,
     _multiplier,
+    _project_spin,
     eom,
     integrate,
     physical_hamiltonian,
     second_order_residual,
     solve_multiplier,
 )
-from spinbundle.errors import DegenerateConstraintError, DomainError, GradientError
+from spinbundle.errors import (
+    DegenerateConstraintError,
+    DomainError,
+    GradientError,
+    OffSurfaceWarning,
+    ProjectionError,
+)
 from spinbundle.phasespace import (
     OMEGA,
     P,
@@ -176,6 +190,138 @@ def test_batched_postprocessing_matches_per_row(kind, rng):
     assert np.max(np.abs(
         second_order_residual(traj, PARAMS, fields)
         - reference_second_order_residual(traj, PARAMS, ref_fields))) <= ATOL
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_field_kernel_equals_public_callables(kind, rng):
+    fields = FIELDS[kind]
+    for x in rng.standard_normal((N_STATES, 3)) * 3.0:
+        B, A, dA, dB = fields._kernel(*x.tolist())
+        for got, public in ((B, fields.B), (A, fields.A),
+                            (dA, fields.grad_A), (dB, fields.grad_B)):
+            want = public(x)
+            if kind != "custom_lists":
+                assert isinstance(want, np.ndarray)
+            assert np.array_equal(np.array(got, dtype=float), want)
+            assert all(type(v) is float for v in np.ravel(got).tolist())
+
+
+def test_directly_constructed_field_wraps_its_callables(rng):
+    ref = FIELDS["linear_gradient"]
+    fields = FieldConfig(kind=ref.kind, B=ref.B, A=ref.A,
+                         grad_B=ref.grad_B, grad_A=ref.grad_A)
+    assert fields == ref
+    assert "_kernel" not in repr(fields)
+    for x in rng.standard_normal((20, 3)):
+        for got, want in zip(fields._kernel(*x), ref._kernel(*x)):
+            assert np.array_equal(got, want)
+
+
+def test_error_norm_equals_np_mean_form(rng):
+    for _ in range(2000):
+        n = int(rng.integers(1, 30))
+        scale = 10.0 ** rng.uniform(-12, 3, size=(3, n))
+        err, y0, y1 = rng.standard_normal((3, n)) * scale
+        rel_tol, abs_tol = 10.0 ** rng.uniform(-13, -3, size=2)
+        old = float(np.sqrt(np.mean(
+            (err / (abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1)))) ** 2)))
+        assert _error_norm(err, y0, y1, rel_tol, abs_tol) == old
+
+
+# ---------------------------------------------------------------------------
+# The float-level spin projection
+# ---------------------------------------------------------------------------
+
+PROJECTION_TOL = IntegrationOptions().projection_tol
+SURFACE = PARAMS.surface()
+A_SQ, B_SQ = SURFACE.targets[:2].tolist()
+
+
+def test_project_spin_matches_project_near_the_surface(rng):
+    borderline = 0
+    for _ in range(N_STATES):
+        z = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
+        z[6:12] += 10.0 ** rng.uniform(-12, -6) * rng.standard_normal(6)
+        got = _project_spin(z, A_SQ, B_SQ, PROJECTION_TOL)
+        want = project(z, SURFACE, tol=PROJECTION_TOL)
+        final = max(np.max(np.abs(evaluate(SURFACE, r))) for r in (got, want))
+        assert final < PROJECTION_TOL
+        assert np.array_equal(np.delete(got, range(6, 12)),
+                              np.delete(z, range(6, 12)))
+        # The two residual sums round differently (np.dot may fuse them),
+        # so where an iterate lands within rounding of tol one side can take
+        # one more Newton step than the other, a move smaller than tol.
+        if final > 0.5 * PROJECTION_TOL:
+            borderline += 1
+            assert np.max(np.abs(got - want)) < PROJECTION_TOL
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15
+    assert borderline <= N_STATES // 10
+
+
+def test_project_spin_leaves_a_point_within_tol_unchanged(rng):
+    for _ in range(N_STATES):
+        z = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
+        assert np.max(np.abs(evaluate(SURFACE, z))) < PROJECTION_TOL
+        got = _project_spin(z, A_SQ, B_SQ, PROJECTION_TOL)
+        assert got is not z
+        assert np.array_equal(got, z)
+        assert np.array_equal(got, project(z, SURFACE, tol=PROJECTION_TOL))
+
+
+def test_project_spin_far_start_warns_like_project(rng):
+    z = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
+    z[6:9] *= 1.5
+    with pytest.warns(OffSurfaceWarning, match="far from the surface"):
+        got = _project_spin(z, A_SQ, B_SQ, PROJECTION_TOL)
+    with pytest.warns(OffSurfaceWarning, match="far from the surface"):
+        want = project(z, SURFACE, tol=PROJECTION_TOL)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("omega, pi", [
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+    ((0.8, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((0.48, 0.64, 0.0), (0.3, 0.4, 0.0)),
+    # parallel, but omega x pi rounds to a nonzero vector
+    ((0.3, 0.5, 0.7), (0.21, 0.35, 0.49)),
+])
+def test_project_spin_raises_where_project_cannot_converge(omega, pi):
+    z = np.zeros(14)
+    z[6:9], z[9:12], z[12] = omega, pi, 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OffSurfaceWarning)
+        with pytest.raises(ProjectionError):
+            project(z, SURFACE, tol=PROJECTION_TOL)
+        with pytest.raises(ProjectionError) as info:
+            _project_spin(z, A_SQ, B_SQ, PROJECTION_TOL)
+    # J J^T is singular at the start, so no Newton step is taken
+    assert info.value.iterations == 0
+    assert info.value.residuals.shape == (3,)
+
+
+def test_project_spin_gives_up_after_max_iter(rng):
+    z = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
+    z[6:12] += 1e-3 * rng.standard_normal(6)
+    with pytest.raises(ProjectionError) as info:
+        _project_spin(z, A_SQ, B_SQ, 1e-15, max_iter=1)
+    assert info.value.iterations == 1
+
+
+def test_projected_integration_never_calls_project(monkeypatch, rng):
+    import spinbundle.constraints as con
+
+    def fail(*args, **kwargs):
+        raise AssertionError("constraints.project is off the integration path")
+
+    monkeypatch.setattr(con, "project", fail)
+    z0 = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
+    z0[6:9] *= 1.001
+    opts = IntegrationOptions(project_every=1, t_eval=np.linspace(0.0, 1.0, 20))
+    with pytest.warns(OffSurfaceWarning):
+        traj = integrate(z0, (0.0, 1.0), PARAMS, FIELDS["linear_gradient"],
+                         WOBBLE, opts)
+    assert np.max(np.abs(traj.residuals)) < PROJECTION_TOL
 
 
 # ---------------------------------------------------------------------------
