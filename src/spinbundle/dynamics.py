@@ -142,20 +142,25 @@ class FieldConfig:
     A: Callable[[Array], Array]
     grad_B: Callable[[Array], Array]
     grad_A: Callable[[Array], Array]
-    _kernel: Optional[Callable] = field(default=None, compare=False, repr=False)
+    _kernel: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self._kernel is None:
-            object.__setattr__(self, "_kernel", _callable_kernel(
-                self.B, self.A, self.grad_B, self.grad_A))
+        object.__setattr__(self, "_kernel", _callable_kernel(
+            self.B, self.A, self.grad_B, self.grad_A))
+
+    def _with_kernel(self, kernel: Callable) -> "FieldConfig":
+        """Swap in a closed-form kernel; only the built-in constructors,
+        which know their callables, use it."""
+        object.__setattr__(self, "_kernel", kernel)
+        return self
 
     @classmethod
     def free(cls) -> "FieldConfig":
         zero3 = lambda x: np.zeros(3)
         zero33 = lambda x: np.zeros((3, 3))
         data = (_ZERO3, _ZERO3, _ZERO33, _ZERO33)
-        return cls(kind="free", B=zero3, A=zero3, grad_B=zero33, grad_A=zero33,
-                   _kernel=lambda x1, x2, x3: data)
+        return cls(kind="free", B=zero3, A=zero3, grad_B=zero33,
+                   grad_A=zero33)._with_kernel(lambda x1, x2, x3: data)
 
     @classmethod
     def uniform(cls, B0) -> "FieldConfig":
@@ -192,8 +197,7 @@ class FieldConfig:
             A=potential,
             grad_B=lambda x: np.zeros((3, 3)),
             grad_A=lambda x: dA.copy(),
-            _kernel=kernel,
-        )
+        )._with_kernel(kernel)
 
     @classmethod
     def linear_gradient(cls, B0: float = 1.0, gradient: float = 0.1) -> "FieldConfig":
@@ -228,7 +232,7 @@ class FieldConfig:
                     ((0.0, bz, 0.0), _ZERO3, (0.0, g * x1, 0.0)), dB)
 
         return cls(kind="linear_gradient", B=field, A=potential,
-                   grad_B=grad_field, grad_A=grad_potential, _kernel=kernel)
+                   grad_B=grad_field, grad_A=grad_potential)._with_kernel(kernel)
 
     @classmethod
     def custom(cls, B, A, grad_B=None, grad_A=None) -> "FieldConfig":

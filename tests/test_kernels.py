@@ -7,6 +7,7 @@ written-out 3-vector cross product to np.cross, and the gradient-once Dirac
 brackets to the same brackets built from public Poisson-bracket calls."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,20 @@ def test_directly_constructed_field_wraps_its_callables(rng):
             assert np.array_equal(got, want)
 
 
+def test_replaced_field_callables_replace_the_kernel(rng):
+    base = FieldConfig.uniform((0.0, 0.0, 1.0))
+    tilted = FieldConfig.uniform((0.2, -0.5, 1.0))
+    fields = replace(base, B=tilted.B, A=tilted.A, grad_A=tilted.grad_A)
+    for x in rng.standard_normal((20, 3)):
+        for got, want in zip(fields._kernel(*x), tilted._kernel(*x)):
+            assert np.array_equal(got, want)
+    z0 = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
+    opts = IntegrationOptions(t_eval=np.linspace(0.0, 1.0, 20))
+    run = lambda f: integrate(z0, (0.0, 1.0), PARAMS, f, WOBBLE, opts).states
+    assert np.array_equal(run(fields), run(tilted))
+    assert not np.array_equal(run(fields), run(base))
+
+
 def test_error_norm_equals_np_mean_form(rng):
     for _ in range(2000):
         n = int(rng.integers(1, 30))
@@ -237,26 +252,45 @@ SURFACE = PARAMS.surface()
 A_SQ, B_SQ = SURFACE.targets[:2].tolist()
 
 
+def residual(z):
+    return float(np.max(np.abs(evaluate(SURFACE, z))))
+
+
+# A near-surface state, one of two found among 100,000 seeded ones, where
+# project takes one more Newton step than the kernel.
+ONE_STEP_APART = np.array([float.fromhex(h) for h in (
+    "0x1.43ef60b162063p-1", "0x1.38bc832d8ee41p+0", "-0x1.f3fb0d8978315p-1",
+    "-0x1.40396d7f5e38ep-2", "0x1.3e26b1f9f4bdbp-7", "-0x1.aa15b65d1c1d9p-1",
+    "-0x1.3537aba528493p-1", "-0x1.d61f99e180821p-2", "-0x1.04057b67878e1p-2",
+    "0x1.2ca602ac6cdc4p-2", "-0x1.8baac04996ab8p-1", "0x1.65d750ceca436p-1",
+    "0x1.1b75a17a2dc85p+0", "0x0.0p+0")])
+
+
 def test_project_spin_matches_project_near_the_surface(rng):
-    borderline = 0
+    states = []
     for _ in range(N_STATES):
         z = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
         z[6:12] += 10.0 ** rng.uniform(-12, -6) * rng.standard_normal(6)
+        states.append(z)
+    borderline = 0
+    for z in states + [ONE_STEP_APART]:
         got = _project_spin(z, A_SQ, B_SQ, PROJECTION_TOL)
         want = project(z, SURFACE, tol=PROJECTION_TOL)
-        final = max(np.max(np.abs(evaluate(SURFACE, r))) for r in (got, want))
-        assert final < PROJECTION_TOL
+        assert max(residual(got), residual(want)) < PROJECTION_TOL
         assert np.array_equal(np.delete(got, range(6, 12)),
                               np.delete(z, range(6, 12)))
         # The two residual sums round differently (np.dot may fuse them),
         # so where an iterate lands within rounding of tol one side can take
-        # one more Newton step than the other, a move smaller than tol.
-        if final > 0.5 * PROJECTION_TOL:
+        # one more Newton step than the other: one more step on the side
+        # that stopped first must then reach the other.
+        if np.max(np.abs(got - want)) > 1e-15:
             borderline += 1
-            assert np.max(np.abs(got - want)) < PROJECTION_TOL
-        else:
-            assert np.max(np.abs(got - want)) <= 1e-15
-    assert borderline <= N_STATES // 10
+            late, other = sorted((got, want), key=residual, reverse=True)
+            late = _project_spin(late, A_SQ, B_SQ, 0.5 * residual(late),
+                                 max_iter=1)
+            assert np.max(np.abs(late - other)) <= 1e-15
+    # about 1 seeded state in 50,000 is borderline
+    assert borderline <= 2
 
 
 def test_project_spin_leaves_a_point_within_tol_unchanged(rng):
