@@ -171,6 +171,21 @@ CONFIG_SCHEMA = {
 _VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
 
 
+def _check_finite(value, path: str) -> None:
+    """Raise ConfigError naming the first number under value that is nan,
+    infinite or too large for a float."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}[{i}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        # exact for ints of any size; false for nan
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{path}: {value!r} is not a finite number")
+
+
 def validate_config(cfg) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("top level must be a mapping")
@@ -178,6 +193,7 @@ def validate_config(cfg) -> dict:
     if errors:
         first = errors[0]
         raise ConfigError(f"{first.json_path}: {first.message}")
+    _check_finite(cfg, "$")
     return cfg
 
 
@@ -443,15 +459,13 @@ def _build_initial(cfg: dict, params: ModelParams) -> PhasePoint:
     )
 
 
-def _integration_options(cfg: dict, t_span, samples: int,
-                         rel_default: float = 1e-10,
+def _integration_options(cfg: dict, rel_default: float = 1e-10,
                          abs_default: float = 1e-12) -> IntegrationOptions:
     tol = cfg.get("tolerances", {})
     return IntegrationOptions(
         rel_tol=tol.get("rel_tol", rel_default),
         abs_tol=tol.get("abs_tol", abs_default),
         project_every=tol.get("project_every", 0),
-        t_eval=np.linspace(t_span[0], t_span[1], samples),
     )
 
 
@@ -465,11 +479,24 @@ def _threshold(cfg: dict, name: str, default: float,
     return default
 
 
-def _t_span(cfg: dict, default) -> Tuple[float, float]:
-    t0, t1 = cfg.get("t_span", default)
+def _sample_times(cfg: dict, default_span, default_samples: int,
+                  span_key: str = "$.t_span") -> np.ndarray:
+    """The sample grid: $.samples evenly spaced times over $.t_span, or over
+    default_span, which span_key names when it is computed from that key.
+    A grid that is not finite or repeats a time is a ConfigError."""
+    key = "$.t_span" if "t_span" in cfg else span_key
+    t0, t1 = cfg.get("t_span", default_span)
     if not t1 > t0:
-        raise ConfigError(f"$.t_span: end {t1!r} must be after start {t0!r}")
-    return t0, t1
+        raise ConfigError(f"{key}: end {t1!r} must be after start {t0!r}")
+    if not math.isfinite(t1 - t0):
+        raise ConfigError(
+            f"{key}: the span from {t0!r} to {t1!r} has no finite length")
+    samples = cfg.get("samples", default_samples)
+    times = np.linspace(t0, t1, samples)
+    if not np.all(np.diff(times) > 0):
+        raise ConfigError(f"$.samples: {samples} samples from {t0!r} to {t1!r} "
+                          "are not distinct floating-point times")
+    return times
 
 
 def _drift(traj: Trajectory) -> float:
@@ -490,11 +517,10 @@ def run_free_spin(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajectory]]:
     fields = _build_field(cfg, default_kind="free")
     gauge = _build_gauge(cfg)
     z0 = _build_initial(cfg, params)
-    t_span = _t_span(cfg, (0.0, 10.0))
+    times = _sample_times(cfg, (0.0, 10.0), 500)
     # the declared check is S(t) = S(0) to 1e-9, so integrate tight
-    opts = _integration_options(cfg, t_span, cfg.get("samples", 500),
-                                rel_default=1e-12, abs_default=1e-14)
-    traj = integrate(z0, t_span, params, fields, gauge, opts)
+    opts = _integration_options(cfg, rel_default=1e-12, abs_default=1e-14)
+    traj = integrate(z0, times, params, fields, gauge, opts)
 
     spin_dev = float(np.max(np.linalg.norm(traj.spin - traj.spin[0], axis=1)))
     checks = [
@@ -506,14 +532,6 @@ def run_free_spin(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajectory]]:
     ]
     metrics = {"spin_deviation": spin_dev, "samples": float(len(traj))}
     return checks, metrics, {"timeseries": traj}
-
-
-def _larmor_span(cfg: dict, params: ModelParams, b_mag: float):
-    omega_spin = abs(params.moment_coupling) * b_mag
-    period = 2.0 * np.pi / omega_spin
-    periods = cfg.get("periods", 10.0)
-    t_span = _t_span(cfg, (0.0, periods * period))
-    return t_span, omega_spin
 
 
 def run_larmor(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajectory]]:
@@ -531,9 +549,11 @@ def run_larmor(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajectory]]:
     if params.e == 0.0 or params.mu == 0.0:
         raise ConfigError("$.params: larmor needs nonzero e and mu; "
                           "with either zero there is no frequency to fit")
-    t_span, omega_spin = _larmor_span(cfg, params, b_mag)
-    opts = _integration_options(cfg, t_span, cfg.get("samples", 2000))
-    traj = integrate(z0, t_span, params, fields, gauge, opts)
+    omega_spin = abs(params.moment_coupling) * b_mag
+    period = 2.0 * np.pi / omega_spin
+    times = _sample_times(cfg, (0.0, cfg.get("periods", 10.0) * period), 2000,
+                          span_key="$.periods")
+    traj = integrate(z0, times, params, fields, gauge, _integration_options(cfg))
 
     spin_fit = fit_rotation_frequency(traj.times, traj.spin[:, 0])
     spin_err = abs(spin_fit.omega - omega_spin) / omega_spin
@@ -575,9 +595,8 @@ def run_stern_gerlach(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajector
     spec.setdefault("omega", [params.a, 0.0, 0.0])
     spec.setdefault("pi", [0.0, params.b, 0.0])
     z0 = _build_initial({**cfg, "initial": spec}, params)
-    t_span = _t_span(cfg, (0.0, 20.0))
-    opts = _integration_options(cfg, t_span, cfg.get("samples", 2000))
-    traj = integrate(z0, t_span, params, fields, gauge, opts)
+    times = _sample_times(cfg, (0.0, 20.0), 2000)
+    traj = integrate(z0, times, params, fields, gauge, _integration_options(cfg))
 
     residual = float(np.max(second_order_residual(traj, params, fields)))
     deflection = float(traj.states[-1, 5] - traj.states[0, 5])
@@ -604,10 +623,10 @@ def run_gauge_compare(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajector
     gauge_a = _build_gauge(cfg, "gauge", default="1")
     gauge_b = _build_gauge(cfg, "gauge_alt", default="1 + 0.5*sin(2*t)")
     z0 = _build_initial(cfg, params)
-    t_span = _t_span(cfg, (0.0, 4.0 * np.pi))
-    opts = _integration_options(cfg, t_span, cfg.get("samples", 800))
-    traj_a = integrate(z0, t_span, params, fields, gauge_a, opts)
-    traj_b = integrate(z0, t_span, params, fields, gauge_b, opts)
+    times = _sample_times(cfg, (0.0, 4.0 * np.pi), 800)
+    opts = _integration_options(cfg)
+    traj_a = integrate(z0, times, params, fields, gauge_a, opts)
+    traj_b = integrate(z0, times, params, fields, gauge_b, opts)
 
     spin_gap = float(np.max(np.abs(traj_a.spin - traj_b.spin)))
     pos_gap = float(np.max(np.abs(traj_a.states[:, :3] - traj_b.states[:, :3])))
@@ -1015,8 +1034,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ConfigError(f"unknown verification suite {args.suite!r}")
             cfg = {"scenario": suite, "seed": args.seed}
             if args.tol is not None:
-                if args.tol <= 0:
-                    raise ConfigError("--tol must be positive")
+                if not 0 < args.tol < math.inf:
+                    raise ConfigError("--tol must be positive and finite")
                 cfg["checks"] = {"all": args.tol}
             validate_config(cfg)
     except ConfigError as exc:

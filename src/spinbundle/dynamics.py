@@ -13,8 +13,8 @@ The auxiliary gauge coordinate phi follows a user-supplied function of time
 and never influences gauge-invariant output.
 
 Integration uses an embedded Dormand-Prince 5(4) pair with proportional step
-control, cubic Hermite dense output, and optional Newton projection onto the
-spin constraint surface after accepted steps.
+control whose steps land on each requested sample time, and optional Newton
+projection onto the spin constraint surface after accepted steps.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -36,6 +36,7 @@ from .errors import (
     ProjectionError,
 )
 from .phasespace import (
+    CANONICAL_PARTICLE,
     DIM,
     OMEGA,
     P,
@@ -460,37 +461,26 @@ class IntegrationOptions:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     project_every: int = 0
-    t_eval: Optional[Array] = None
-    max_step: float = np.inf
-    first_step: Optional[float] = None
     max_steps: int = 1_000_000
-    projection_tol: float = 1e-13
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.project_every < 0:
             raise ValueError("project_every must be >= 0")
-        if self.t_eval is not None:
-            t_eval = np.asarray(self.t_eval, dtype=float)
-            if t_eval.ndim != 1 or t_eval.size < 1:
-                raise ValueError("t_eval must be a 1-d array of times")
-            if np.any(np.diff(t_eval) <= 0):
-                raise ValueError("t_eval must be strictly increasing")
-            object.__setattr__(self, "t_eval", t_eval)
+
+
+# Residual bound of every spin-surface projection in integrate
+_PROJECTION_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution with per-sample derived diagnostics.
-
-    states holds flat 14-vectors; derivatives holds the exact right-hand
-    side at each sample, which powers cubic Hermite interpolation.
-    """
+    """The solution at the requested sample times, with per-sample derived
+    diagnostics; states holds flat 14-vectors."""
 
     times: Array
     states: Array
-    derivatives: Array
     spin: Array
     h_phys: Array
     residuals: Array
@@ -499,35 +489,12 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def sample(self, ts) -> Array:
-        """Cubic Hermite interpolation of the states at the requested times."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if np.any(ts < self.times[0] - 1e-12) or np.any(ts > self.times[-1] + 1e-12):
-            raise ValueError("sample times fall outside the trajectory span")
-        idx = np.clip(np.searchsorted(self.times, ts, side="right") - 1,
-                      0, len(self.times) - 2)
-        t0 = self.times[idx]
-        h = self.times[idx + 1] - t0
-        s = ((ts - t0) / h)[:, None]
-        y0 = self.states[idx]
-        y1 = self.states[idx + 1]
-        f0 = self.derivatives[idx]
-        f1 = self.derivatives[idx + 1]
-        h = h[:, None]
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s ** 2 * (3 - 2 * s)
-        h11 = s ** 2 * (s - 1)
-        return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
 
-    def spin_at(self, ts) -> Array:
-        states = self.sample(ts)
-        return np.cross(states[:, OMEGA], states[:, PI])
-
-
-def _field_rows(fn, xs) -> Array:
-    """A field callable evaluated at each row of xs, stacked."""
-    return np.array([fn(x) for x in xs], dtype=float)
+def _field_rows(fields: FieldConfig, xs) -> Tuple[Array, ...]:
+    """(B, A, grad_A, grad_B) from the field kernel at each row of xs, each
+    stacked over the rows."""
+    rows = [fields._kernel(*x) for x in xs.tolist()]
+    return tuple(np.array(data, dtype=float) for data in zip(*rows))
 
 
 def _error_norm(err, y0, y1, rel_tol, abs_tol):
@@ -603,87 +570,73 @@ def _project_spin(y, a_sq: float, b_sq: float, tol: float,
     return out
 
 
-def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, span):
+def _initial_step(y0, f0, rel_tol, abs_tol, span):
     scale = abs_tol + rel_tol * np.abs(y0)
     d0 = np.linalg.norm(y0 / scale)
     d1 = np.linalg.norm(f0 / scale)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h = 1e-6
-    else:
-        h = 0.01 * d0 / d1
+    h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     return min(h, 0.1 * span)
 
 
-def integrate(z0, t_span, params: ModelParams, fields: FieldConfig,
+def _require_finite(values: Array, what: str, t: float) -> None:
+    """Raise IntegrationError naming the first non-finite component."""
+    for label, value in zip(CANONICAL_PARTICLE.labels, values.tolist()):
+        if not math.isfinite(value):
+            raise IntegrationError(
+                f"{what} is not finite at t = {t!r}: {label} = {value!r}")
+
+
+def integrate(z0, times, params: ModelParams, fields: FieldConfig,
               gauge: GaugeFunction,
               opts: Optional[IntegrationOptions] = None) -> Trajectory:
-    """Integrate the equations of motion over t_span = (t0, t1).
+    """Integrate the equations of motion over the sample grid times.
 
-    The initial phi is taken from the gauge function; a starting point with
-    visible spin-surface residuals is projected first (with a warning).
-    With project_every = k > 0 the state is projected back onto the surface
-    after every k-th accepted step.  When t_eval is given, steps land on the
-    requested times exactly and only those samples are recorded; otherwise
-    every accepted step is recorded.
+    times is a strictly increasing 1-d array of at least two times; the
+    span is (times[0], times[-1]), steps land on every sample time exactly,
+    and the trajectory holds the state at exactly these times.  The initial
+    phi is taken from the gauge function; a starting point with visible
+    spin-surface residuals is projected first (with a warning).  With
+    project_every = k > 0 the state is projected back onto the surface
+    after every k-th accepted step.
     """
     opts = opts or IntegrationOptions()
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError("t_span must satisfy t1 > t0")
+    times = np.array(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise ValueError("times must be a 1-d array of at least two times")
+    if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+        raise ValueError("times must be finite and strictly increasing")
+    t0, t1 = times[0].item(), times[-1].item()
     gauge.validate(t0, t1)
 
     surface = params.surface()
     a_sq, b_sq = surface.targets[:2].tolist()
     y = np.array(as_flat(z0), dtype=float)
     y[PHI] = gauge(t0)
+    _require_finite(y, "start state", t0)
     res0 = con.evaluate(surface, y)
     if np.max(np.abs(res0)) > 1e-9 * max(1.0, params.a ** 2, params.b ** 2):
         warnings.warn(
             f"integrate: initial point is off the spin surface (residuals {res0}); "
             "projecting before integration", OffSurfaceWarning, stacklevel=2)
-        y = _project_spin(y, a_sq, b_sq, opts.projection_tol)
+        y = _project_spin(y, a_sq, b_sq, _PROJECTION_TOL)
 
-    def rhs(t, state):
-        return eom(state, t, params, fields, gauge)
+    f = eom(y, t0, params, fields, gauge)
+    _require_finite(f, "derivative of the start state", t0)
+    h = _initial_step(y, f, opts.rel_tol, opts.abs_tol, t1 - t0)
 
-    t_eval = opts.t_eval
-    if t_eval is not None:
-        if t_eval[0] < t0 - 1e-12 or t_eval[-1] > t1 + 1e-12:
-            raise ValueError("t_eval must lie inside t_span")
-
-    f = rhs(t0, y)
-    h = opts.first_step or _initial_step(rhs, t0, y, f, opts.rel_tol,
-                                         opts.abs_tol, t1 - t0)
-    h = min(h, opts.max_step)
-
-    times, states, derivs = [], [], []
-
-    def record(t, state, deriv):
-        times.append(t)
-        states.append(state.copy())
-        derivs.append(deriv.copy())
-
-    next_eval = 0
-    if t_eval is None:
-        record(t0, y, f)
-    elif abs(t_eval[0] - t0) <= 1e-12 * max(1.0, abs(t0)):
-        record(t0, y, f)
-        next_eval = 1
-
+    states = np.empty((times.size, y.size))
+    states[0] = y
     t = t0
+    i = 1  # the next sample to land on
     accepted = 0
     attempts = 0
     k = np.empty((7, y.size))
-    while t < t1 - 1e-14 * max(1.0, abs(t1)):
+    while i < times.size:
         if attempts > opts.max_steps:
             raise IntegrationError(f"step budget {opts.max_steps} exhausted")
-        target = None
-        h_try = min(h, t1 - t, opts.max_step)
-        if t_eval is not None and next_eval < len(t_eval):
-            gap = t_eval[next_eval] - t
-            if gap <= h_try * (1 + 1e-12):
-                h_try = gap
-                target = t_eval[next_eval]
+        gap = times[i] - t
+        lands = gap <= h * (1 + 1e-12)
+        h_try = gap if lands else h
         if h_try < 1e-14 * max(1.0, abs(t)):
             name = f"gauge {gauge.label!r}" if gauge.label else "gauge"
             raise IntegrationError(f"step size underflow at t = {t:.6g} "
@@ -691,52 +644,42 @@ def integrate(z0, t_span, params: ModelParams, fields: FieldConfig,
 
         attempts += 1
         k[0] = f
-        for i in range(1, 7):
-            yi = y + h_try * (_DP_A[i] @ k[:i])
-            k[i] = rhs(t + _DP_C[i] * h_try, yi)
+        for j in range(1, 7):
+            yj = y + h_try * (_DP_A[j] @ k[:j])
+            k[j] = eom(yj, t + _DP_C[j] * h_try, params, fields, gauge)
         y_new = y + h_try * (_DP_B5 @ k)
         err = h_try * (_DP_ERR @ k)
         norm = _error_norm(err, y, y_new, opts.rel_tol, opts.abs_tol)
 
         if norm <= 1.0:
             accepted += 1
-            t = target if target is not None else t + h_try
+            t = times[i] if lands else t + h_try
             y = y_new
             f = k[6]  # the last stage is the derivative at (t, y_new)
             if opts.project_every and accepted % opts.project_every == 0:
-                y = _project_spin(y, a_sq, b_sq, opts.projection_tol)
-                f = rhs(t, y)
-            if t_eval is None:
-                record(t, y, f)
-            elif target is not None:
-                record(t, y, f)
-                next_eval += 1
+                y = _project_spin(y, a_sq, b_sq, _PROJECTION_TOL)
+                f = eom(y, t, params, fields, gauge)
+            if lands:
+                states[i] = y
+                i += 1
             factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
             h = h_try * factor
         else:
             h = h_try * min(1.0, max(0.2, 0.9 * norm ** -0.2))
 
-    if t_eval is not None and next_eval < len(t_eval):
-        raise IntegrationError("integration ended before exhausting t_eval")
-
-    times = np.asarray(times)
-    states = np.asarray(states)
-    derivs = np.asarray(derivs)
     spin = np.cross(states[:, OMEGA], states[:, PI])
-    xs = states[:, X]
-    kinetic = states[:, P] - (params.e / params.c) * _field_rows(fields.A, xs)
+    B, A, _, _ = _field_rows(fields, states[:, X])
+    kinetic = states[:, P] - (params.e / params.c) * A
     h_phys = (np.einsum("ij,ij->i", kinetic, kinetic) / (2.0 * params.m)
-              - params.moment_coupling
-              * np.einsum("ij,ij->i", _field_rows(fields.B, xs), spin))
+              - params.moment_coupling * np.einsum("ij,ij->i", B, spin))
     residuals = np.column_stack([
         np.einsum("ij,ij->i", states[:, OMEGA], states[:, OMEGA]) - params.a ** 2,
         np.einsum("ij,ij->i", states[:, PI], states[:, PI]) - params.b ** 2,
         np.einsum("ij,ij->i", states[:, OMEGA], states[:, PI]),
     ])
     lambda1 = _multiplier(states[:, OMEGA].T, states[:, PI].T, states[:, PHI])
-    return Trajectory(times=times, states=states, derivatives=derivs,
-                      spin=spin, h_phys=h_phys, residuals=residuals,
-                      lambda1=lambda1)
+    return Trajectory(times=times, states=states, spin=spin, h_phys=h_phys,
+                      residuals=residuals, lambda1=lambda1)
 
 
 # ---------------------------------------------------------------------------
@@ -752,16 +695,12 @@ def second_order_residual(traj: Trajectory, params: ModelParams,
     data rather than integration error.
     """
     e_over_c = params.e / params.c
-    xs = traj.states[:, X]
-    v = (traj.states[:, P] - e_over_c * _field_rows(fields.A, xs)) / params.m
-    dA = _field_rows(fields.grad_A, xs)
-    torque = params.moment_coupling * np.einsum(
-        "nij,nj->ni", _field_rows(fields.grad_B, xs), traj.spin)
+    B, A, dA, dB = _field_rows(fields, traj.states[:, X])
+    v = (traj.states[:, P] - e_over_c * A) / params.m
+    torque = params.moment_coupling * np.einsum("nij,nj->ni", dB, traj.spin)
     p_dot = e_over_c * np.einsum("nij,nj->ni", dA, v) + torque
     acc = (p_dot - e_over_c * np.einsum("nji,nj->ni", dA, v)) / params.m
-    residual = (params.m * acc
-                - e_over_c * np.cross(v, _field_rows(fields.B, xs))
-                - torque)
+    residual = params.m * acc - e_over_c * np.cross(v, B) - torque
     return np.linalg.norm(residual, axis=1)
 
 

@@ -246,9 +246,8 @@ def larmor_trajectory(project_every=0):
     z0 = PhasePoint(x=[0, 0, 0], p=[1, 0, 0],
                     omega=[params.a, 0, 0], pi=[0, 0, params.b])
     opts = IntegrationOptions(rel_tol=1e-10, abs_tol=1e-12,
-                              project_every=project_every,
-                              t_eval=np.linspace(0.0, LARMOR_END, 2000))
-    return params, integrate(z0, (0.0, LARMOR_END), params,
+                              project_every=project_every)
+    return params, integrate(z0, np.linspace(0.0, LARMOR_END, 2000), params,
                              FieldConfig.uniform((0.0, 0.0, 1.0)),
                              GaugeFunction.constant(1.0), opts)
 
@@ -295,13 +294,13 @@ def test_gauge_independence_of_observables():
     params = ModelParams()
     fields = FieldConfig.uniform((0.0, 0.0, 1.0))
     t_end = 4.0 * np.pi
-    opts = IntegrationOptions(rel_tol=1e-10, abs_tol=1e-12,
-                              t_eval=np.linspace(0.0, t_end, 800))
+    opts = IntegrationOptions(rel_tol=1e-10, abs_tol=1e-12)
+    times = np.linspace(0.0, t_end, 800)
     z0 = PhasePoint(x=[0, 0, 0], p=[1, 0, 0],
                     omega=[params.a, 0, 0], pi=[0, 0, params.b])
-    constant = integrate(z0, (0.0, t_end), params, fields,
+    constant = integrate(z0, times, params, fields,
                          GaugeFunction.constant(1.0), opts)
-    wobbling = integrate(z0, (0.0, t_end), params, fields,
+    wobbling = integrate(z0, times, params, fields,
                          GaugeFunction(phi=lambda t: 1.0 + 0.5 * np.sin(2 * t),
                                        phi_dot=lambda t: np.cos(2 * t)),
                          opts)

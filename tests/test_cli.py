@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from numpy.testing import assert_allclose
 
 import spinbundle
@@ -29,7 +30,6 @@ from spinbundle.cli import (
 from spinbundle.dynamics import (
     FieldConfig,
     GaugeFunction,
-    IntegrationOptions,
     ModelParams,
     integrate,
 )
@@ -251,9 +251,8 @@ def tiny_trajectory():
     params = ModelParams()
     z0 = PhasePoint(x=[0, 0, 0], p=[1, 0, 0],
                     omega=[params.a, 0, 0], pi=[0, 0, params.b])
-    opts = IntegrationOptions(t_eval=[0.0, 0.5, 1.0])
-    return integrate(z0, (0.0, 1.0), params, FieldConfig.uniform((0, 0, 1)),
-                     GaugeFunction.constant(1.0), opts)
+    return integrate(z0, [0.0, 0.5, 1.0], params, FieldConfig.uniform((0, 0, 1)),
+                     GaugeFunction.constant(1.0))
 
 
 def test_timeseries_layout(tiny_trajectory, tmp_path):
@@ -400,6 +399,8 @@ def test_main_config_error_exit_1(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.yaml")]) == 1
     assert main(["verify", "su2"]) == 1
     assert main(["verify", "so3", "--tol", "-1"]) == 1
+    assert main(["verify", "so3", "--tol", "nan"]) == 1
+    assert main(["verify", "so3", "--tol", "inf"]) == 1
 
 
 def test_main_runtime_error_exit_2(tmp_path, capsys, monkeypatch):
@@ -417,10 +418,49 @@ def test_main_runtime_error_exit_2(tmp_path, capsys, monkeypatch):
     assert "runtime error" in capsys.readouterr().err
 
 
+# schema-valid configs holding a number that is nan, infinite or too large
+# for a float, with the JSON path each one is rejected at
+NON_FINITE_PATHS = {
+    "scenario: free_spin\ninitial: {x: [.nan, 0, 0]}\n": "$.initial.x[0]",
+    "scenario: free_spin\ninitial: {omega: [.inf, 0, 0]}\n": "$.initial.omega[0]",
+    "scenario: free_spin\ninitial: {pi_phi: .nan}\n": "$.initial.pi_phi",
+    "scenario: verify_lorentz\nboost: {beta_max: .nan}\n": "$.boost.beta_max",
+    "scenario: free_spin\nparams: {m: .inf}\n": "$.params.m",
+    "scenario: verify_t4\nchecks: {all: .nan}\n": "$.checks.all",
+    "scenario: stern_gerlach\nfield: {kind: linear_gradient, gradient: .nan}\n":
+        "$.field.gradient",
+}
+NON_FINITE_CONFIGS = list(NON_FINITE_PATHS)
+
+# sample grids that overflow or repeat a time, with the key each one names
+BAD_GRID_PATHS = {
+    "scenario: larmor\nperiods: 1.0e+308\n": "$.periods",
+    "scenario: free_spin\nt_span: [-1.0e+308, 1.0e+308]\n": "$.t_span",
+    "scenario: free_spin\nt_span: [1.0, 1.0000000000000002]\nsamples: 8\n":
+        "$.samples",
+}
+BAD_GRID_CONFIGS = list(BAD_GRID_PATHS)
+
+
+@pytest.mark.parametrize("config, path", [
+    *NON_FINITE_PATHS.items(),
+    *BAD_GRID_PATHS.items(),
+    pytest.param("scenario: free_spin\nparams: {m: 1%s}\n" % ("0" * 400),
+                 "$.params.m", id="int-too-large-for-a-float"),
+])
+def test_bad_config_numbers_name_their_path(config, path, tmp_path):
+    with pytest.raises(ConfigError) as info:
+        run_config(yaml.safe_load(config), out_dir=tmp_path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("config", [
     "scenario: free_spin\nt_span: [1.0, 0.0]\n",
     "scenario: larmor\nparams: {e: 0.0}\n",
     "scenario: larmor\nparams: {mu: 0}\n",
+    *NON_FINITE_CONFIGS,
+    *BAD_GRID_CONFIGS,
 ])
 def test_main_rejects_degenerate_config_in_one_line(config, tmp_path):
     path = tmp_path / "cfg.yaml"

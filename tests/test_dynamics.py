@@ -44,10 +44,9 @@ def larmor_run():
     params = ModelParams()
     fields = FieldConfig.uniform((0.0, 0.0, 1.0))
     t_end = 10 * 2 * np.pi
-    opts = IntegrationOptions(rel_tol=1e-12, abs_tol=1e-14,
-                              t_eval=np.linspace(0.0, t_end, 2000))
-    traj = integrate(larmor_start(params), (0.0, t_end), params, fields,
-                     UNIT_GAUGE, opts)
+    opts = IntegrationOptions(rel_tol=1e-12, abs_tol=1e-14)
+    traj = integrate(larmor_start(params), np.linspace(0.0, t_end, 2000),
+                     params, fields, UNIT_GAUGE, opts)
     return params, fields, traj
 
 
@@ -298,9 +297,8 @@ def test_hamiltonian_conserved_over_ten_periods(larmor_run):
 
 def test_free_field_spin_constant():
     params = ModelParams()
-    opts = IntegrationOptions(rel_tol=1e-12, abs_tol=1e-14,
-                              t_eval=np.linspace(0.0, 10.0, 400))
-    traj = integrate(larmor_start(params), (0.0, 10.0), params,
+    opts = IntegrationOptions(rel_tol=1e-12, abs_tol=1e-14)
+    traj = integrate(larmor_start(params), np.linspace(0.0, 10.0, 400), params,
                      FieldConfig.free(), UNIT_GAUGE, opts)
     assert np.max(np.linalg.norm(traj.spin - traj.spin[0], axis=1)) < 1e-9
     # omega itself rotates in the gauge orbit, so this is not trivial
@@ -347,10 +345,9 @@ def test_projection_pins_residuals():
     params = ModelParams()
     fields = FieldConfig.uniform((0.0, 0.0, 1.0))
     t_end = 2 * 2 * np.pi
-    opts = IntegrationOptions(rel_tol=1e-10, abs_tol=1e-12, project_every=1,
-                              t_eval=np.linspace(0.0, t_end, 400))
-    traj = integrate(larmor_start(params), (0.0, t_end), params, fields,
-                     UNIT_GAUGE, opts)
+    opts = IntegrationOptions(rel_tol=1e-10, abs_tol=1e-12, project_every=1)
+    traj = integrate(larmor_start(params), np.linspace(0.0, t_end, 400),
+                     params, fields, UNIT_GAUGE, opts)
     assert np.max(np.abs(traj.residuals)) < 1e-10
 
 
@@ -358,14 +355,11 @@ def test_gauge_invariance_of_observables():
     params = ModelParams()
     fields = FieldConfig.uniform((0.0, 0.0, 1.0))
     t_end = 4 * np.pi
-    t_eval = np.linspace(0.0, t_end, 300)
-    opts = IntegrationOptions(t_eval=t_eval)
+    times = np.linspace(0.0, t_end, 300)
     wobble = GaugeFunction(phi=lambda t: 1.0 + 0.5 * np.sin(2 * t),
                            phi_dot=lambda t: np.cos(2 * t))
-    ref = integrate(larmor_start(params), (0.0, t_end), params, fields,
-                    UNIT_GAUGE, opts)
-    alt = integrate(larmor_start(params), (0.0, t_end), params, fields,
-                    wobble, opts)
+    ref = integrate(larmor_start(params), times, params, fields, UNIT_GAUGE)
+    alt = integrate(larmor_start(params), times, params, fields, wobble)
     assert np.max(np.abs(ref.spin - alt.spin)) < 1e-6
     assert np.max(np.abs(ref.states[:, :3] - alt.states[:, :3])) < 1e-6
     # the raw gauge-sector trajectories visibly separate
@@ -376,10 +370,9 @@ def test_integrate_projects_off_surface_start():
     params = ModelParams()
     z0 = PhasePoint(x=[0, 0, 0], p=[1, 0, 0],
                     omega=[params.a * 1.001, 0, 0], pi=[0, 0, params.b])
-    opts = IntegrationOptions(t_eval=np.linspace(0.0, 1.0, 10))
     with pytest.warns(OffSurfaceWarning):
-        traj = integrate(z0, (0.0, 1.0), params, FieldConfig.free(),
-                         UNIT_GAUGE, opts)
+        traj = integrate(z0, np.linspace(0.0, 1.0, 10), params,
+                         FieldConfig.free(), UNIT_GAUGE)
     assert np.max(np.abs(traj.residuals[0])) < 1e-12
 
 
@@ -389,12 +382,47 @@ def test_integrate_validates_inputs():
     with pytest.raises(ValueError):
         integrate(z0, (1.0, 0.0), params, FieldConfig.free(), UNIT_GAUGE)
     with pytest.raises(ValueError):
-        IntegrationOptions(t_eval=[0.0, 0.0, 1.0])
+        integrate(z0, [0.0, 0.0, 1.0], params, FieldConfig.free(), UNIT_GAUGE)
     with pytest.raises(ValueError):
         IntegrationOptions(rel_tol=0.0)
-    opts = IntegrationOptions(t_eval=[0.0, 2.0])
-    with pytest.raises(ValueError):
-        integrate(z0, (0.0, 1.0), params, FieldConfig.free(), UNIT_GAUGE, opts)
+
+
+def test_integrate_rejects_bad_sample_grids():
+    params = ModelParams()
+    z0 = larmor_start(params)
+    for times in ([0.0], [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="times must"):
+            integrate(z0, times, params, FieldConfig.free(), UNIT_GAUGE)
+
+
+def counting_gauge():
+    """A unit gauge whose phi_dot, read once per eom call, counts the calls."""
+    calls = []
+    return GaugeFunction(phi=lambda t: 1.0,
+                         phi_dot=lambda t: calls.append(t) or 0.0), calls
+
+
+def test_integrate_fails_at_once_on_non_finite_derivative():
+    params = ModelParams()
+    fields = FieldConfig.linear_gradient(gradient=float("nan"))
+    gauge, calls = counting_gauge()
+    with pytest.raises(IntegrationError,
+                       match=r"derivative of the start state is not finite "
+                             r"at t = 0\.0: x2 = nan"):
+        integrate(larmor_start(params), np.linspace(0.0, 1.0, 8), params,
+                  fields, gauge)
+    assert len(calls) == 1
+
+
+def test_integrate_fails_at_once_on_non_finite_start():
+    params = ModelParams()
+    z0 = larmor_start(params).as_array()
+    z0[4] = -np.inf
+    gauge, calls = counting_gauge()
+    with pytest.raises(IntegrationError,
+                       match=r"start state is not finite at t = 0\.5: p2 = -inf"):
+        integrate(z0, [0.5, 1.0], params, FieldConfig.free(), gauge)
+    assert calls == []
 
 
 def test_integrate_step_budget():
@@ -405,36 +433,14 @@ def test_integrate_step_budget():
                   FieldConfig.free(), UNIT_GAUGE, opts)
 
 
-def test_trajectory_dense_output(larmor_run):
-    params, _, traj = larmor_run
-    # interpolation reproduces stored samples exactly
-    mid = traj.times[::97]
-    assert_allclose(traj.sample(mid), traj.states[::97], atol=1e-12)
-    # and stays accurate between samples
-    ts = traj.times[:-1:200] + 0.4 * np.diff(traj.times)[::200]
-    spins = traj.spin_at(ts)
-    omega = params.moment_coupling
-    s0 = traj.spin[0]
-    want = np.column_stack([
-        s0[0] * np.cos(omega * ts) + s0[1] * np.sin(omega * ts),
-        -s0[0] * np.sin(omega * ts) + s0[1] * np.cos(omega * ts),
-        np.full_like(ts, s0[2]),
-    ])
-    # cubic Hermite error ~ h^4/384 * |d4 omega/dt4| ~ 2e-7 at this density
-    assert np.max(np.abs(spins - want)) < 1e-6
-    with pytest.raises(ValueError):
-        traj.sample([traj.times[-1] + 1.0])
-
-
 # ---------------------------------------------------------------------------
 # second-order residual and limits
 # ---------------------------------------------------------------------------
 
 def test_second_order_residual_free():
     params = ModelParams()
-    opts = IntegrationOptions(t_eval=np.linspace(0.0, 5.0, 100))
-    traj = integrate(larmor_start(params), (0.0, 5.0), params,
-                     FieldConfig.free(), UNIT_GAUGE, opts)
+    traj = integrate(larmor_start(params), np.linspace(0.0, 5.0, 100), params,
+                     FieldConfig.free(), UNIT_GAUGE)
     assert np.max(second_order_residual(traj, params, FieldConfig.free())) < 1e-10
 
 
@@ -451,32 +457,30 @@ def test_cyclotron_frequency_and_radius(larmor_run):
 def test_gradient_field_residual_and_deflection():
     params = ModelParams()
     fields = FieldConfig.linear_gradient(B0=1.0, gradient=0.1)
-    t_eval = np.linspace(0.0, 12.0, 400)
-    opts = IntegrationOptions(t_eval=t_eval)
+    times = np.linspace(0.0, 12.0, 400)
     z0 = PhasePoint(x=[0, 0, 0], p=[0.3, 0, 0],
                     omega=[params.a, 0, 0], pi=[0, params.b, 0])
-    traj = integrate(z0, (0.0, 12.0), params, fields, UNIT_GAUGE, opts)
+    traj = integrate(z0, times, params, fields, UNIT_GAUGE)
     assert np.max(second_order_residual(traj, params, fields)) < 1e-7
 
     # the spin-gradient force visibly deflects the orbit: switch the
     # magnetic moment off and compare
     null_params = ModelParams(mu=0.0)
-    null = integrate(z0, (0.0, 12.0), null_params, fields, UNIT_GAUGE, opts)
+    null = integrate(z0, times, null_params, fields, UNIT_GAUGE)
     gap = np.max(np.abs(traj.states[:, :3] - null.states[:, :3]))
     assert gap > 1e-2
 
 
 def test_classical_limit_scales_with_hbar():
     fields = FieldConfig.linear_gradient(B0=1.0, gradient=0.1)
-    opts = IntegrationOptions(rel_tol=1e-9, abs_tol=1e-11,
-                              t_eval=np.linspace(0.0, 6.0, 80))
+    opts = IntegrationOptions(rel_tol=1e-9, abs_tol=1e-11)
 
     def orbit(hbar, mu):
         params = ModelParams(mu=mu, hbar=hbar)
         z0 = PhasePoint(x=[0, 0, 0], p=[0.3, 0, 0],
                         omega=[params.a, 0, 0], pi=[0, params.b, 0])
-        return integrate(z0, (0.0, 6.0), params, fields, UNIT_GAUGE,
-                         opts).states[:, :3]
+        return integrate(z0, np.linspace(0.0, 6.0, 80), params, fields,
+                         UNIT_GAUGE, opts).states[:, :3]
 
     gaps = []
     for hbar in (0.4, 0.1):

@@ -29,6 +29,7 @@ from spinbundle.dynamics import (
     GaugeFunction,
     IntegrationOptions,
     ModelParams,
+    _PROJECTION_TOL as PROJECTION_TOL,
     _error_norm,
     _multiplier,
     _project_spin,
@@ -179,8 +180,7 @@ def test_eom_rejects_vanishing_pi():
 def test_batched_postprocessing_matches_per_row(kind, rng):
     fields = FIELDS[kind]
     z0 = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
-    opts = IntegrationOptions(t_eval=np.linspace(0.0, 2.0, 60))
-    traj = integrate(z0, (0.0, 2.0), PARAMS, fields, WOBBLE, opts)
+    traj = integrate(z0, np.linspace(0.0, 2.0, 60), PARAMS, fields, WOBBLE)
 
     ref_fields = _with_arrays(fields)
     h_rows = [physical_hamiltonian(s, PARAMS, fields) for s in traj.states]
@@ -226,8 +226,8 @@ def test_replaced_field_callables_replace_the_kernel(rng):
         for got, want in zip(fields._kernel(*x), tilted._kernel(*x)):
             assert np.array_equal(got, want)
     z0 = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
-    opts = IntegrationOptions(t_eval=np.linspace(0.0, 1.0, 20))
-    run = lambda f: integrate(z0, (0.0, 1.0), PARAMS, f, WOBBLE, opts).states
+    run = lambda f: integrate(z0, np.linspace(0.0, 1.0, 20), PARAMS, f,
+                              WOBBLE).states
     assert np.array_equal(run(fields), run(tilted))
     assert not np.array_equal(run(fields), run(base))
 
@@ -247,7 +247,6 @@ def test_error_norm_equals_np_mean_form(rng):
 # The float-level spin projection
 # ---------------------------------------------------------------------------
 
-PROJECTION_TOL = IntegrationOptions().projection_tol
 SURFACE = PARAMS.surface()
 A_SQ, B_SQ = SURFACE.targets[:2].tolist()
 
@@ -351,10 +350,10 @@ def test_projected_integration_never_calls_project(monkeypatch, rng):
     monkeypatch.setattr(con, "project", fail)
     z0 = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
     z0[6:9] *= 1.001
-    opts = IntegrationOptions(project_every=1, t_eval=np.linspace(0.0, 1.0, 20))
+    opts = IntegrationOptions(project_every=1)
     with pytest.warns(OffSurfaceWarning):
-        traj = integrate(z0, (0.0, 1.0), PARAMS, FIELDS["linear_gradient"],
-                         WOBBLE, opts)
+        traj = integrate(z0, np.linspace(0.0, 1.0, 20), PARAMS,
+                         FIELDS["linear_gradient"], WOBBLE, opts)
     assert np.max(np.abs(traj.residuals)) < PROJECTION_TOL
 
 
