@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -89,79 +89,44 @@ class ModelParams:
         return con.spin_surface_set(self.a, self.b)
 
 
-def _fd_jacobian3(f: Callable[[Array], Array], step: float = 1e-6):
-    """Jacobian matrix G[i, j] = d f_j / d x_i by central differences."""
-
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty((3, 3))
-        for i in range(3):
-            h = step * max(1.0, abs(x[i]))
-            xp = x.copy()
-            xp[i] += h
-            xm = x.copy()
-            xm[i] -= h
-            out[i] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
-        return out
-
-    return jac
-
-
-def _floats(v):
-    """Field data as Python numbers: arrays become (nested) lists."""
-    return v.tolist() if isinstance(v, np.ndarray) else v
-
-
-def _callable_kernel(B, A, grad_B, grad_A):
-    """The field kernel of four public field callables."""
-
-    def kernel(x1, x2, x3):
-        x = np.array([x1, x2, x3])
-        return (_floats(B(x)), _floats(A(x)), _floats(grad_A(x)),
-                _floats(grad_B(x)))
-
-    return kernel
-
-
 _ZERO3 = (0.0, 0.0, 0.0)
 _ZERO33 = (_ZERO3, _ZERO3, _ZERO3)
 
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Magnetic field data: B, a vector potential A with curl A = B, and
-    their spatial derivative matrices G[i, j] = d_i (field_j).
+    """Magnetic field data as one kernel.
 
-    The private kernel maps x given as three floats to (B, A, grad_A,
-    grad_B) as (nested) sequences of Python floats; it is the form eom
-    reads field data in.  The built-in kinds write it in closed form;
-    otherwise it wraps the four public callables.
+    kernel(x1, x2, x3) maps a point given as three floats to (B, A, grad_A,
+    grad_B): the field, a vector potential with curl A = B, and their
+    spatial derivative matrices G[i, j] = d_i (field_j), as (nested)
+    sequences of Python floats.  eom reads the kernel directly; the methods
+    B, A, grad_A and grad_B return its entries at a point as float arrays.
     """
 
     kind: str
-    B: Callable[[Array], Array]
-    A: Callable[[Array], Array]
-    grad_B: Callable[[Array], Array]
-    grad_A: Callable[[Array], Array]
-    _kernel: Callable = field(init=False, compare=False, repr=False)
+    kernel: Callable[[float, float, float], tuple]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_kernel", _callable_kernel(
-            self.B, self.A, self.grad_B, self.grad_A))
+    def _entry(self, x, i: int) -> Array:
+        return np.array(self.kernel(*np.asarray(x, dtype=float).tolist())[i],
+                        dtype=float)
 
-    def _with_kernel(self, kernel: Callable) -> "FieldConfig":
-        """Swap in a closed-form kernel; only the built-in constructors,
-        which know their callables, use it."""
-        object.__setattr__(self, "_kernel", kernel)
-        return self
+    def B(self, x) -> Array:
+        return self._entry(x, 0)
+
+    def A(self, x) -> Array:
+        return self._entry(x, 1)
+
+    def grad_A(self, x) -> Array:
+        return self._entry(x, 2)
+
+    def grad_B(self, x) -> Array:
+        return self._entry(x, 3)
 
     @classmethod
     def free(cls) -> "FieldConfig":
-        zero3 = lambda x: np.zeros(3)
-        zero33 = lambda x: np.zeros((3, 3))
         data = (_ZERO3, _ZERO3, _ZERO33, _ZERO33)
-        return cls(kind="free", B=zero3, A=zero3, grad_B=zero33,
-                   grad_A=zero33)._with_kernel(lambda x1, x2, x3: data)
+        return cls("free", lambda x1, x2, x3: data)
 
     @classmethod
     def uniform(cls, B0) -> "FieldConfig":
@@ -169,36 +134,19 @@ class FieldConfig:
         B0 = np.asarray(B0, dtype=float)
         if B0.shape != (3,):
             raise ValueError("B0 must be a 3-vector")
-        # dA[i, j] = d_i A_j for A = (B0 x x)/2
-        dA = 0.5 * np.array([
-            [0.0, B0[2], -B0[1]],
-            [-B0[2], 0.0, B0[0]],
-            [B0[1], -B0[0], 0.0],
-        ])
-
         b1, b2, b3 = B0.tolist()
-
-        def potential(x):
-            x1, x2, x3 = x
-            return np.array([0.5 * (b2 * x3 - b3 * x2),
-                             0.5 * (b3 * x1 - b1 * x3),
-                             0.5 * (b1 * x2 - b2 * x1)])
-
-        B_data, dA_data = (b1, b2, b3), tuple(map(tuple, dA.tolist()))
+        h1, h2, h3 = 0.5 * b1, 0.5 * b2, 0.5 * b3
+        B_data = (b1, b2, b3)
+        # dA[i, j] = d_i A_j
+        dA = ((0.0, h3, -h2), (-h3, 0.0, h1), (h2, -h1, 0.0))
 
         def kernel(x1, x2, x3):
             return (B_data,
                     (0.5 * (b2 * x3 - b3 * x2), 0.5 * (b3 * x1 - b1 * x3),
                      0.5 * (b1 * x2 - b2 * x1)),
-                    dA_data, _ZERO33)
+                    dA, _ZERO33)
 
-        return cls(
-            kind="uniform",
-            B=lambda x: B0.copy(),
-            A=potential,
-            grad_B=lambda x: np.zeros((3, 3)),
-            grad_A=lambda x: dA.copy(),
-        )._with_kernel(kernel)
+        return cls("uniform", kernel)
 
     @classmethod
     def linear_gradient(cls, B0: float = 1.0, gradient: float = 0.1) -> "FieldConfig":
@@ -206,25 +154,6 @@ class FieldConfig:
         potential A = (0, x (B0 + g z), 0)."""
         B0 = float(B0)
         g = float(gradient)
-
-        def field(x):
-            return np.array([-g * x[0], 0.0, B0 + g * x[2]])
-
-        def potential(x):
-            return np.array([0.0, x[0] * (B0 + g * x[2]), 0.0])
-
-        def grad_field(x):
-            out = np.zeros((3, 3))
-            out[0, 0] = -g
-            out[2, 2] = g
-            return out
-
-        def grad_potential(x):
-            out = np.zeros((3, 3))
-            out[0, 1] = B0 + g * x[2]
-            out[2, 1] = g * x[0]
-            return out
-
         dB = ((-g, 0.0, 0.0), _ZERO3, (0.0, 0.0, g))
 
         def kernel(x1, x2, x3):
@@ -232,28 +161,26 @@ class FieldConfig:
             return ((-g * x1, 0.0, bz), (0.0, x1 * bz, 0.0),
                     ((0.0, bz, 0.0), _ZERO3, (0.0, g * x1, 0.0)), dB)
 
-        return cls(kind="linear_gradient", B=field, A=potential,
-                   grad_B=grad_field, grad_A=grad_potential)._with_kernel(kernel)
+        return cls("linear_gradient", kernel)
 
     @classmethod
-    def custom(cls, B, A, grad_B=None, grad_A=None) -> "FieldConfig":
-        """User-supplied callables; derivative matrices fall back to central
-        finite differences."""
-        return cls(
-            kind="custom",
-            B=B,
-            A=A,
-            grad_B=grad_B if grad_B is not None else _fd_jacobian3(B),
-            grad_A=grad_A if grad_A is not None else _fd_jacobian3(A),
-        )
+    def custom(cls, B, A, grad_B, grad_A) -> "FieldConfig":
+        """Four user callables of a point x (a float array), each returning
+        an array or (nested) list, wrapped into one kernel."""
+        fns = (B, A, grad_A, grad_B)
+
+        def kernel(x1, x2, x3):
+            x = np.array([x1, x2, x3])
+            return tuple(np.asarray(fn(x), dtype=float).tolist() for fn in fns)
+
+        return cls("custom", kernel)
 
     def check_consistency(self, points, tol: float = 1e-6) -> float:
         """Largest |curl A - B| over the sample points; raises DomainError
         beyond tol."""
         worst = 0.0
         for x in points:
-            x = np.asarray(x, dtype=float)
-            dA = np.asarray(self.grad_A(x), dtype=float)
+            dA = self.grad_A(x)
             curl = np.array([
                 dA[1, 2] - dA[2, 1],
                 dA[2, 0] - dA[0, 2],
@@ -401,7 +328,7 @@ def eom(z, t: float, params: ModelParams, fields: FieldConfig,
     e_over_c = params.e / params.c
     coupling = params.moment_coupling
     m = params.m
-    (b1, b2, b3), (a1, a2, a3), dA, dB = fields._kernel(x1, x2, x3)
+    (b1, b2, b3), (a1, a2, a3), dA, dB = fields.kernel(x1, x2, x3)
     s1 = w2 * q3 - w3 * q2
     s2 = w3 * q1 - w1 * q3
     s3 = w1 * q2 - w2 * q1
@@ -429,8 +356,8 @@ def eom(z, t: float, params: ModelParams, fields: FieldConfig,
 def physical_hamiltonian(z, params: ModelParams, fields: FieldConfig) -> float:
     """Gauge-invariant energy (p - (e/c) A)^2 / 2m - (mu e/m c) B.S."""
     zf = as_flat(z)
-    kinetic = zf[P] - (params.e / params.c) * np.asarray(fields.A(zf[X]))
-    B = np.asarray(fields.B(zf[X]))
+    kinetic = zf[P] - (params.e / params.c) * fields.A(zf[X])
+    B = fields.B(zf[X])
     spin = np.cross(zf[OMEGA], zf[PI])
     return float(np.dot(kinetic, kinetic) / (2.0 * params.m)
                  - params.moment_coupling * np.dot(B, spin))
@@ -493,7 +420,7 @@ class Trajectory:
 def _field_rows(fields: FieldConfig, xs) -> Tuple[Array, ...]:
     """(B, A, grad_A, grad_B) from the field kernel at each row of xs, each
     stacked over the rows."""
-    rows = [fields._kernel(*x) for x in xs.tolist()]
+    rows = [fields.kernel(*x) for x in xs.tolist()]
     return tuple(np.array(data, dtype=float) for data in zip(*rows))
 
 

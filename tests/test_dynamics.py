@@ -92,20 +92,11 @@ def test_field_consistency_linear_gradient(rng):
 
 def test_field_consistency_detects_mismatch(rng):
     bad = FieldConfig.custom(B=lambda x: np.array([0.0, 0.0, 1.0]),
-                             A=lambda x: np.zeros(3))
+                             A=lambda x: np.zeros(3),
+                             grad_B=lambda x: np.zeros((3, 3)),
+                             grad_A=lambda x: np.zeros((3, 3)))
     with pytest.raises(DomainError):
         bad.check_consistency(rng.standard_normal((5, 3)))
-
-
-def test_custom_field_fd_jacobians():
-    fields = FieldConfig.custom(
-        B=lambda x: np.array([0.0, 0.0, 1.0 + 0.1 * x[2]]),
-        A=lambda x: np.array([0.0, x[0] * (1.0 + 0.1 * x[2]), 0.0]),
-    )
-    x = np.array([0.4, -0.2, 0.7])
-    dA = fields.grad_A(x)
-    assert_allclose(dA[0, 1], 1.0 + 0.1 * x[2], atol=1e-6)
-    assert_allclose(dA[2, 1], 0.1 * x[0], atol=1e-6)
 
 
 def test_gauge_constant_and_derivative():

@@ -1,16 +1,17 @@
 """The closed-form kernels pinned to their references: the multiplier to
 the Poisson-engine solve, the right-hand side to the np.cross formulation,
 the batched trajectory post-processing to the per-sample functions, the
-field kernels to the public field callables, the float-level spin
-projection to constraints.project, the error norm to its np.mean form, the
-written-out 3-vector cross product to np.cross, and the gradient-once Dirac
-brackets to the same brackets built from public Poisson-bracket calls."""
+field kernels to formulas written out here and to central differences, the
+float-level spin projection to constraints.project, the error norm to its
+np.mean form, the written-out 3-vector cross product to np.cross, and the
+gradient-once Dirac brackets to the same brackets built from public
+Poisson-bracket calls."""
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from spinbundle.constraints import (
     Constraint,
@@ -84,14 +85,6 @@ def _list_field(B0=0.9, g=0.2):
     )
 
 
-def _with_arrays(fields):
-    """The same field with every callable returning a float array, as the
-    per-sample reference functions expect."""
-    wrap = lambda fn: (lambda x: np.asarray(fn(x), dtype=float))
-    return FieldConfig(kind=fields.kind, B=wrap(fields.B), A=wrap(fields.A),
-                       grad_B=wrap(fields.grad_B), grad_A=wrap(fields.grad_A))
-
-
 FIELDS = {
     "free": FieldConfig.free(),
     "uniform_tilted": FieldConfig.uniform((0.2, -0.5, 1.0)),
@@ -101,8 +94,7 @@ FIELDS = {
 
 
 def reference_eom(z, t, params, fields, gauge):
-    """The right-hand side with the engine-solved multiplier and np.cross;
-    fields must return arrays."""
+    """The right-hand side with the engine-solved multiplier and np.cross."""
     lam1 = solve_multiplier(z, params, fields=fields, check_surface=False)
     x, w, q = z[X], z[OMEGA], z[PI]
     e_over_c = params.e / params.c
@@ -121,8 +113,7 @@ def reference_eom(z, t, params, fields, gauge):
 
 
 def reference_second_order_residual(traj, params, fields):
-    """Per-row norm of m x'' - (e/c) x' x B - (mu e/m c) (grad B) S;
-    fields must return arrays."""
+    """Per-row norm of m x'' - (e/c) x' x B - (mu e/m c) (grad B) S."""
     e_over_c = params.e / params.c
     coupling = params.moment_coupling
     out = np.empty(len(traj))
@@ -158,14 +149,13 @@ def test_multiplier_matches_engine(kind, rng):
 @pytest.mark.parametrize("kind", sorted(FIELDS))
 def test_eom_matches_reference(kind, rng):
     fields = FIELDS[kind]
-    ref_fields = _with_arrays(fields)
     worst = 0.0
     for _ in range(N_STATES):
         z = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
         t = rng.uniform(0.0, 10.0)
         got = eom(z, t, PARAMS, fields, WOBBLE)
         worst = max(worst, float(np.max(np.abs(
-            got - reference_eom(z, t, PARAMS, ref_fields, WOBBLE)))))
+            got - reference_eom(z, t, PARAMS, fields, WOBBLE)))))
     assert worst <= ATOL
 
 
@@ -182,7 +172,6 @@ def test_batched_postprocessing_matches_per_row(kind, rng):
     z0 = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
     traj = integrate(z0, np.linspace(0.0, 2.0, 60), PARAMS, fields, WOBBLE)
 
-    ref_fields = _with_arrays(fields)
     h_rows = [physical_hamiltonian(s, PARAMS, fields) for s in traj.states]
     lam_rows = [solve_multiplier(s, PARAMS, fields=fields, check_surface=False)
                 for s in traj.states]
@@ -190,46 +179,56 @@ def test_batched_postprocessing_matches_per_row(kind, rng):
     assert np.max(np.abs(traj.lambda1 - lam_rows)) <= ATOL
     assert np.max(np.abs(
         second_order_residual(traj, PARAMS, fields)
-        - reference_second_order_residual(traj, PARAMS, ref_fields))) <= ATOL
+        - reference_second_order_residual(traj, PARAMS, fields))) <= ATOL
+
+
+# B and A of each field in FIELDS, written out from its docstring
+FIELD_FORMULAS = {
+    "free": (lambda x: np.zeros(3), lambda x: np.zeros(3)),
+    "uniform_tilted": (lambda x: np.array([0.2, -0.5, 1.0]),
+                       lambda x: 0.5 * np.cross([0.2, -0.5, 1.0], x)),
+    "linear_gradient": (
+        lambda x: np.array([-0.1 * x[0], 0.0, 1.0 + 0.1 * x[2]]),
+        lambda x: np.array([0.0, x[0] * (1.0 + 0.1 * x[2]), 0.0])),
+    "custom_lists": (
+        lambda x: np.array([0.0, -0.2 * x[1], 0.9 + 0.2 * x[2]]),
+        lambda x: np.array([-x[1] * (0.9 + 0.2 * x[2]), 0.0, 0.0])),
+}
+
+
+def central_jacobian(f, x, h=1e-5):
+    """G[i, j] = d_i f_j by central differences."""
+    return np.array([(f(x + h * e) - f(x - h * e)) / (2.0 * h)
+                     for e in np.eye(3)])
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_field_kernel_matches_its_formulas(kind, rng):
+    fields = FIELDS[kind]
+    B_of, A_of = FIELD_FORMULAS[kind]
+    points = rng.standard_normal((50, 3)) * 3.0
+    for x in points:
+        B, A, dA, dB = fields.kernel(*x.tolist())
+        entries = [*B, *A, *(v for row in (*dA, *dB) for v in row)]
+        assert len(entries) == 24
+        assert all(type(v) is float for v in entries)
+        assert_allclose(B, B_of(x), rtol=0, atol=1e-14)
+        assert_allclose(A, A_of(x), rtol=0, atol=1e-13)
+        assert_allclose(dA, central_jacobian(A_of, x), rtol=0, atol=1e-8)
+        assert_allclose(dB, central_jacobian(B_of, x), rtol=0, atol=1e-8)
+        assert abs(np.trace(dB)) <= 1e-15
+    fields.check_consistency(points, tol=1e-12)
 
 
 @pytest.mark.parametrize("kind", sorted(FIELDS))
 def test_field_kernel_equals_public_callables(kind, rng):
     fields = FIELDS[kind]
-    for x in rng.standard_normal((N_STATES, 3)) * 3.0:
-        B, A, dA, dB = fields._kernel(*x.tolist())
-        for got, public in ((B, fields.B), (A, fields.A),
-                            (dA, fields.grad_A), (dB, fields.grad_B)):
-            want = public(x)
-            if kind != "custom_lists":
-                assert isinstance(want, np.ndarray)
-            assert np.array_equal(np.array(got, dtype=float), want)
-            assert all(type(v) is float for v in np.ravel(got).tolist())
-
-
-def test_directly_constructed_field_wraps_its_callables(rng):
-    ref = FIELDS["linear_gradient"]
-    fields = FieldConfig(kind=ref.kind, B=ref.B, A=ref.A,
-                         grad_B=ref.grad_B, grad_A=ref.grad_A)
-    assert fields == ref
-    assert "_kernel" not in repr(fields)
+    public = (fields.B, fields.A, fields.grad_A, fields.grad_B)
     for x in rng.standard_normal((20, 3)):
-        for got, want in zip(fields._kernel(*x), ref._kernel(*x)):
-            assert np.array_equal(got, want)
-
-
-def test_replaced_field_callables_replace_the_kernel(rng):
-    base = FieldConfig.uniform((0.0, 0.0, 1.0))
-    tilted = FieldConfig.uniform((0.2, -0.5, 1.0))
-    fields = replace(base, B=tilted.B, A=tilted.A, grad_A=tilted.grad_A)
-    for x in rng.standard_normal((20, 3)):
-        for got, want in zip(fields._kernel(*x), tilted._kernel(*x)):
-            assert np.array_equal(got, want)
-    z0 = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
-    run = lambda f: integrate(z0, np.linspace(0.0, 1.0, 20), PARAMS, f,
-                              WOBBLE).states
-    assert np.array_equal(run(fields), run(tilted))
-    assert not np.array_equal(run(fields), run(base))
+        for got, method in zip(fields.kernel(*x.tolist()), public):
+            want = method(x)
+            assert want.dtype == float
+            assert np.array_equal(np.array(got), want)
 
 
 def test_error_norm_equals_np_mean_form(rng):
