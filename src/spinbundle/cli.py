@@ -963,6 +963,11 @@ def run_config(cfg: dict, out_dir: Optional[Path] = None) -> Tuple[int, dict]:
     prefix = cfg.get("output", {}).get("prefix", scenario)
 
     checks, metrics, trajectories = runner(cfg)
+    produced = {c.name for c in checks}
+    for name in cfg.get("checks", {}):
+        if name != "all" and name not in produced:
+            raise ConfigError(
+                f"$.checks.{name}: {scenario} has no check named {name!r}")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}
@@ -1050,7 +1055,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except SpinBundleError as exc:
+    except (SpinBundleError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -582,7 +582,7 @@ def integrate(z0, times, params: ModelParams, fields: FieldConfig,
             accepted += 1
             t = times[i] if lands else t + h_try
             y = y_new
-            f = k[6]  # the last stage is the derivative at (t, y_new)
+            f = k[6].copy()  # the derivative at (t, y_new); k is reused
             if opts.project_every and accepted % opts.project_every == 0:
                 y = _project_spin(y, a_sq, b_sq, _PROJECTION_TOL)
                 f = eom(y, t, params, fields, gauge)

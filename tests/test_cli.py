@@ -418,6 +418,19 @@ def test_main_runtime_error_exit_2(tmp_path, capsys, monkeypatch):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_main_out_of_memory_is_one_line_runtime_error(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setenv("SPINBUNDLE_OUTPUT_DIR", str(tmp_path))
+    path = tmp_path / "cfg.yaml"
+    # schema-valid, but the grid alone would take about 700 PiB: numpy
+    # refuses it before allocating anything
+    path.write_text("scenario: larmor\nsamples: 100000000000000000\n")
+    assert main(["run", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("runtime error: ")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # schema-valid configs holding a number that is nan, infinite or too large
 # for a float, with the JSON path each one is rejected at
 NON_FINITE_PATHS = {
@@ -441,12 +454,16 @@ BAD_GRID_PATHS = {
 }
 BAD_GRID_CONFIGS = list(BAD_GRID_PATHS)
 
+# a check name the scenario does not produce
+UNKNOWN_CHECK = "scenario: free_spin\nsamples: 16\nchecks: {energy_drft: 1.0e-30}\n"
+
 
 @pytest.mark.parametrize("config, path", [
     *NON_FINITE_PATHS.items(),
     *BAD_GRID_PATHS.items(),
     pytest.param("scenario: free_spin\nparams: {m: 1%s}\n" % ("0" * 400),
                  "$.params.m", id="int-too-large-for-a-float"),
+    (UNKNOWN_CHECK, "$.checks.energy_drft"),
 ])
 def test_bad_config_numbers_name_their_path(config, path, tmp_path):
     with pytest.raises(ConfigError) as info:
@@ -461,6 +478,7 @@ def test_bad_config_numbers_name_their_path(config, path, tmp_path):
     "scenario: larmor\nparams: {mu: 0}\n",
     *NON_FINITE_CONFIGS,
     *BAD_GRID_CONFIGS,
+    UNKNOWN_CHECK,
 ])
 def test_main_rejects_degenerate_config_in_one_line(config, tmp_path):
     path = tmp_path / "cfg.yaml"

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spinbundle import dynamics
 from spinbundle.constraints import evaluate
 from spinbundle.dynamics import (
     FieldConfig,
     GaugeFunction,
     IntegrationOptions,
     ModelParams,
+    _error_norm,
     eom,
     fit_rotation_frequency,
     integrate,
@@ -422,6 +424,38 @@ def test_integrate_step_budget():
     with pytest.raises(IntegrationError):
         integrate(larmor_start(params), (0.0, 10.0), params,
                   FieldConfig.free(), UNIT_GAUGE, opts)
+
+
+def test_retried_step_starts_from_the_derivative_at_its_base(monkeypatch):
+    """After a rejected attempt the retry must start from f(t, y), not from
+    the rejected trial's last stage.  Each attempt's k[0] is recovered from
+    its first stage point y + (h/5) k[0], with h from the last stage time."""
+    params = ModelParams()
+    fields = FieldConfig.uniform((0.0, 0.0, 1.0))
+    calls, attempts = [], []
+
+    def spy_eom(y, t, *args):
+        calls.append((np.array(y), t))
+        return eom(y, t, *args)
+
+    def spy_norm(err, y0, y1, rel_tol, abs_tol):
+        norm = _error_norm(err, y0, y1, rel_tol, abs_tol)
+        (stage1, t1), (_, t6) = calls[-6], calls[-1]
+        attempts.append((y0.copy(), stage1, (t6 - t1) / 0.8, norm))
+        return norm
+
+    monkeypatch.setattr(dynamics, "eom", spy_eom)
+    monkeypatch.setattr(dynamics, "_error_norm", spy_norm)
+    integrate(larmor_start(params), np.linspace(0.0, 4 * np.pi, 200), params,
+              fields, UNIT_GAUGE)
+
+    retries = [after for before, after in zip(attempts, attempts[1:])
+               if before[3] > 1.0]
+    assert retries
+    for y, stage1, h, _ in retries:
+        want = eom(y, 0.0, params, fields, UNIT_GAUGE)
+        assert_allclose((stage1 - y) / (0.2 * h), want, rtol=0,
+                        atol=1e-9 * np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
