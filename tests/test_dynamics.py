@@ -453,6 +453,7 @@ def test_retried_step_starts_from_the_derivative_at_its_base(monkeypatch):
                if before[3] > 1.0]
     assert retries
     for y, stage1, h, _ in retries:
+        # a constant gauge makes eom independent of t
         want = eom(y, 0.0, params, fields, UNIT_GAUGE)
         assert_allclose((stage1 - y) / (0.2 * h), want, rtol=0,
                         atol=1e-9 * np.max(np.abs(want)))
