@@ -60,6 +60,7 @@ __all__ = [
     "run_config",
     "write_timeseries",
     "SCENARIOS",
+    "SCENARIO_CHECKS",
     "TIMESERIES_COLUMNS",
 ]
 
@@ -76,15 +77,29 @@ _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _VEC3 = {"type": "array", "items": _NUM, "minItems": 3, "maxItems": 3}
 
-SCENARIO_NAMES = (
-    "free_spin",
-    "larmor",
-    "stern_gerlach",
-    "gauge_compare",
-    "verify_so3",
-    "verify_lorentz",
-    "verify_t4",
-)
+# The checks each scenario's runner reports, in its order; a config's
+# `checks` keys are validated against these before anything runs.
+SCENARIO_CHECKS: Dict[str, Tuple[str, ...]] = {
+    "free_spin": ("spin_deviation", "constraint_drift", "energy_drift"),
+    "larmor": ("spin_frequency", "cyclotron_frequency", "constraint_drift",
+               "energy_drift"),
+    "stern_gerlach": ("second_order_residual", "constraint_drift",
+                      "energy_drift"),
+    "gauge_compare": ("spin_agreement", "position_agreement",
+                      "omega_separation"),
+    "verify_so3": ("spin_algebra_poisson", "spin_algebra_dirac",
+                   "dirac_omega_pi", "dirac_annihilation",
+                   "rotation_orthogonality", "so2_invariance",
+                   "casimir_identity", "spin_normalization", "so3_rank_ratio",
+                   "gauge_group_law"),
+    "verify_lorentz": ("t3_boost_residual", "casimir_deviation",
+                       "frenkel_residual", "ellipsoid_residual",
+                       "tetrad_identity", "bmt_round_trip",
+                       "bmt_orthogonality", "so13_rank_ratio"),
+    "verify_t4": ("first_class_misclassified", "constraint_bracket_residual",
+                  "t4_boost_residual", "structure_action_spin",
+                  "structure_action_surface"),
+}
 
 _GAUGE_SCHEMA = {
     "type": "object",
@@ -101,7 +116,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "required": ["scenario"],
     "properties": {
-        "scenario": {"enum": list(SCENARIO_NAMES)},
+        "scenario": {"enum": list(SCENARIO_CHECKS)},
         "seed": {"type": "integer", "minimum": 0},
         "params": {
             "type": "object",
@@ -194,6 +209,11 @@ def validate_config(cfg) -> dict:
         first = errors[0]
         raise ConfigError(f"{first.json_path}: {first.message}")
     _check_finite(cfg, "$")
+    scenario = cfg["scenario"]
+    for name in cfg.get("checks", {}):
+        if name != "all" and name not in SCENARIO_CHECKS[scenario]:
+            raise ConfigError(
+                f"$.checks.{name}: {scenario} has no check named {name!r}")
     return cfg
 
 
@@ -963,12 +983,6 @@ def run_config(cfg: dict, out_dir: Optional[Path] = None) -> Tuple[int, dict]:
     prefix = cfg.get("output", {}).get("prefix", scenario)
 
     checks, metrics, trajectories = runner(cfg)
-    produced = {c.name for c in checks}
-    for name in cfg.get("checks", {}):
-        if name != "all" and name not in produced:
-            raise ConfigError(
-                f"$.checks.{name}: {scenario} has no check named {name!r}")
-
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}
     for tag, traj in trajectories.items():
@@ -1025,7 +1039,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-scenarios":
-        for name in SCENARIO_NAMES:
+        for name in SCENARIO_CHECKS:
             print(f"{name}: {SCENARIOS[name][1]}")
         return 0
 

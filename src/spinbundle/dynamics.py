@@ -12,8 +12,14 @@ bracket-engine derivation as the reference the kernels are tested against.
 The auxiliary gauge coordinate phi follows a user-supplied function of time
 and never influences gauge-invariant output.
 
-Integration uses an embedded Dormand-Prince 5(4) pair with proportional step
-control whose steps land on each requested sample time, and optional Newton
+In a free or uniform field the flow is known in closed form: the gradient
+force vanishes, the particle moves on a helix, and (omega, pi) precess about
+B composed with the unobservable fiber rotation by an angle theta(t), which
+commutes with the precession.  integrate evaluates that flow at the sample
+times and steps only the two-dimensional gauge sector (theta, phi).  Any
+other field steps the full 14-dimensional state.  Both use one embedded
+Dormand-Prince 5(4) stepper with proportional step control whose steps land
+on each requested sample time; the full-state path can add Newton
 projection onto the spin constraint surface after accepted steps.
 """
 
@@ -25,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from . import constraints as con
 from .errors import (
@@ -42,6 +47,7 @@ from .phasespace import (
     P,
     PHI,
     PI,
+    PI_PHI,
     X,
     Observable,
     as_flat,
@@ -102,6 +108,8 @@ class FieldConfig:
     spatial derivative matrices G[i, j] = d_i (field_j), as (nested)
     sequences of Python floats.  eom reads the kernel directly; the methods
     B, A, grad_A and grad_B return its entries at a point as float arrays.
+    kind names the family: integrate takes the closed-form flow for "free"
+    and "uniform", so only a field uniform in x may carry those kinds.
     """
 
     kind: str
@@ -385,6 +393,14 @@ _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 
 @dataclass(frozen=True)
 class IntegrationOptions:
+    """Step control of integrate: the error tolerances, the projection
+    period project_every (0 for never) and the step budget max_steps.
+
+    project_every has no effect for free and uniform fields: their
+    closed-form flow keeps the constraint residuals at round-off by
+    construction.
+    """
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     project_every: int = 0
@@ -513,18 +529,167 @@ def _require_finite(values: Array, what: str, t: float) -> None:
                 f"{what} is not finite at t = {t!r}: {label} = {value!r}")
 
 
+def _dp5(rhs, y, f, times, opts: IntegrationOptions, gauge: GaugeFunction,
+         project: Optional[Callable[[Array], Array]] = None) -> Array:
+    """Step y' = rhs(y, t) from (times[0], y), with f = rhs(y, times[0]), and
+    return the states at the sample times, one row each.
+
+    Steps land on every sample time.  With project_every = k > 0 and a
+    project callable, the state is projected after every k-th accepted step
+    and its derivative taken again.
+    """
+    t = times[0].item()
+    h = _initial_step(y, f, opts.rel_tol, opts.abs_tol, times[-1].item() - t)
+    states = np.empty((times.size, y.size))
+    states[0] = y
+    i = 1  # the next sample to land on
+    accepted = 0
+    attempts = 0
+    k = np.empty((7, y.size))
+    while i < times.size:
+        if attempts > opts.max_steps:
+            raise IntegrationError(f"step budget {opts.max_steps} exhausted")
+        gap = times[i] - t
+        lands = gap <= h * (1 + 1e-12)
+        h_try = gap if lands else h
+        if h_try < 1e-14 * max(1.0, abs(t)):
+            name = f"gauge {gauge.label!r}" if gauge.label else "gauge"
+            raise IntegrationError(f"step size underflow at t = {t:.6g} "
+                                   f"({name} = {gauge(t):.6g} there)")
+
+        attempts += 1
+        k[0] = f
+        for j in range(1, 7):
+            yj = y + h_try * (_DP_A[j] @ k[:j])
+            k[j] = rhs(yj, t + _DP_C[j] * h_try)
+        y_new = y + h_try * (_DP_B5 @ k)
+        err = h_try * (_DP_ERR @ k)
+        norm = _error_norm(err, y, y_new, opts.rel_tol, opts.abs_tol)
+
+        if norm <= 1.0:
+            accepted += 1
+            t = times[i] if lands else t + h_try
+            y = y_new
+            f = k[6].copy()  # the derivative at (t, y_new); k is reused
+            if project and opts.project_every and accepted % opts.project_every == 0:
+                y = project(y)
+                f = rhs(y, t)
+            if lands:
+                states[i] = y
+                i += 1
+            factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
+            h = h_try * factor
+        else:
+            h = h_try * min(1.0, max(0.2, 0.9 * norm ** -0.2))
+    return states
+
+
+def _rotate(axis, angle, u) -> Array:
+    """The 3-vector u rotated about the unit 3-vector axis by each entry of
+    angle, one row per angle (Rodrigues, with 1 - cos written as 2 sin^2 of
+    the half angle)."""
+    angle = angle[:, None]
+    return (np.cos(angle) * u + np.sin(angle) * np.cross(axis, u)
+            + 2.0 * np.sin(0.5 * angle) ** 2 * ((u @ axis) * axis))
+
+
+def _exact_flow(y, f, times, params: ModelParams, fields: FieldConfig,
+                gauge: GaugeFunction, opts: IntegrationOptions) -> Array:
+    """States at the sample times in a free or uniform field, from the
+    closed-form flow; y is the start state and f its derivative.
+
+    The gradient force vanishes, so the sectors decouple.  The spin block is
+    (omega, pi)(t) = R_B(-kappa |B| tau) F(theta(t)) (omega_0, pi_0) with
+    tau = t - t0 and kappa = mu e/(m c): F turns omega -> cos theta omega +
+    r sin theta pi and pi -> -(sin theta / r) omega + cos theta pi within
+    their plane, r = |omega_0| / |pi_0|, and commutes with the precession
+    R_B.  The velocity turns about B by -(e |B|/m c) tau, x is the matching
+    helix (a line where e |B| = 0) and p = m v + (e/c) A(x).  Only the gauge
+    sector theta' = 2 r / phi, phi' = phi_dot(t) is stepped.
+    """
+    w0, q0 = y[OMEGA], y[PI]
+    r = math.sqrt((w0 @ w0) / (q0 @ q0))
+
+    def rhs(g, t):
+        phi = g[1].item()
+        if abs(phi) < 1e-9:
+            raise GaugeError(f"equations of motion are singular at phi = {phi!r}")
+        return np.array([2.0 * r / phi, gauge.derivative(t)])
+
+    sector = _dp5(rhs, np.array([0.0, y[PHI]]), np.array([2.0 * r / y[PHI], f[PHI]]),
+                  times, opts, gauge)
+    cos_t, sin_t = np.cos(sector[:, :1]), np.sin(sector[:, :1])
+
+    tau = times - times[0]
+    e_over_c = params.e / params.c
+    B = fields.B(y[X])
+    b_norm = float(np.linalg.norm(B))
+    v0 = (y[P] - e_over_c * fields.A(y[X])) / params.m
+    w, q, v = w0, q0, v0
+    x = y[X] + np.outer(tau, v0)
+    if b_norm > 0.0:
+        axis = B / b_norm
+        precession = -params.moment_coupling * b_norm * tau
+        w, q = _rotate(axis, precession, w0), _rotate(axis, precession, q0)
+        cyclotron = e_over_c * b_norm / params.m
+        if cyclotron != 0.0:
+            turn = cyclotron * tau[:, None]
+            along = (v0 @ axis) * axis
+            across = np.cross(axis, v0)
+            v = along + np.cos(turn) * (v0 - along) - np.sin(turn) * across
+            x = (y[X] + np.outer(tau, along)
+                 + (np.sin(turn) * (v0 - along)
+                    - 2.0 * np.sin(0.5 * turn) ** 2 * across) / cyclotron)
+
+    states = np.empty((times.size, y.size))
+    states[:, X] = x
+    states[:, P] = params.m * v + e_over_c * _field_rows(fields, x)[1]
+    states[:, OMEGA] = cos_t * w + (r * sin_t) * q
+    states[:, PI] = cos_t * q - (sin_t / r) * w
+    states[:, PHI] = sector[:, 1]
+    states[:, PI_PHI] = y[PI_PHI]
+    states[0] = y
+    return states
+
+
+def _trajectory(times, states, params: ModelParams,
+                fields: FieldConfig) -> Trajectory:
+    """The trajectory of the sampled states with its derived diagnostics."""
+    spin = np.cross(states[:, OMEGA], states[:, PI])
+    B, A, _, _ = _field_rows(fields, states[:, X])
+    kinetic = states[:, P] - (params.e / params.c) * A
+    h_phys = (np.einsum("ij,ij->i", kinetic, kinetic) / (2.0 * params.m)
+              - params.moment_coupling * np.einsum("ij,ij->i", B, spin))
+    residuals = np.column_stack([
+        np.einsum("ij,ij->i", states[:, OMEGA], states[:, OMEGA]) - params.a ** 2,
+        np.einsum("ij,ij->i", states[:, PI], states[:, PI]) - params.b ** 2,
+        np.einsum("ij,ij->i", states[:, OMEGA], states[:, PI]),
+    ])
+    lambda1 = _multiplier(states[:, OMEGA].T, states[:, PI].T, states[:, PHI])
+    return Trajectory(times=times, states=states, spin=spin, h_phys=h_phys,
+                      residuals=residuals, lambda1=lambda1)
+
+
+# Field kinds whose flow integrate takes in closed form
+_EXACT_KINDS = ("free", "uniform")
+
+
 def integrate(z0, times, params: ModelParams, fields: FieldConfig,
               gauge: GaugeFunction,
               opts: Optional[IntegrationOptions] = None) -> Trajectory:
     """Integrate the equations of motion over the sample grid times.
 
     times is a strictly increasing 1-d array of at least two times; the
-    span is (times[0], times[-1]), steps land on every sample time exactly,
-    and the trajectory holds the state at exactly these times.  The initial
-    phi is taken from the gauge function; a starting point with visible
-    spin-surface residuals is projected first (with a warning).  With
-    project_every = k > 0 the state is projected back onto the surface
-    after every k-th accepted step.
+    span is (times[0], times[-1]), and the trajectory holds the state at
+    exactly these times.  The initial phi is taken from the gauge function;
+    a starting point with visible spin-surface residuals is projected first
+    (with a warning).
+
+    A field of kind free or uniform takes the closed-form flow, which steps
+    only the gauge sector (theta, phi); any other field steps the full
+    state.  Both use the same Dormand-Prince stepper, whose steps land on
+    every sample time.  With project_every = k > 0 the full state is
+    projected back onto the surface after every k-th accepted step.
     """
     opts = opts or IntegrationOptions()
     times = np.array(times, dtype=float)
@@ -549,64 +714,13 @@ def integrate(z0, times, params: ModelParams, fields: FieldConfig,
 
     f = eom(y, t0, params, fields, gauge)
     _require_finite(f, "derivative of the start state", t0)
-    h = _initial_step(y, f, opts.rel_tol, opts.abs_tol, t1 - t0)
-
-    states = np.empty((times.size, y.size))
-    states[0] = y
-    t = t0
-    i = 1  # the next sample to land on
-    accepted = 0
-    attempts = 0
-    k = np.empty((7, y.size))
-    while i < times.size:
-        if attempts > opts.max_steps:
-            raise IntegrationError(f"step budget {opts.max_steps} exhausted")
-        gap = times[i] - t
-        lands = gap <= h * (1 + 1e-12)
-        h_try = gap if lands else h
-        if h_try < 1e-14 * max(1.0, abs(t)):
-            name = f"gauge {gauge.label!r}" if gauge.label else "gauge"
-            raise IntegrationError(f"step size underflow at t = {t:.6g} "
-                                   f"({name} = {gauge(t):.6g} there)")
-
-        attempts += 1
-        k[0] = f
-        for j in range(1, 7):
-            yj = y + h_try * (_DP_A[j] @ k[:j])
-            k[j] = eom(yj, t + _DP_C[j] * h_try, params, fields, gauge)
-        y_new = y + h_try * (_DP_B5 @ k)
-        err = h_try * (_DP_ERR @ k)
-        norm = _error_norm(err, y, y_new, opts.rel_tol, opts.abs_tol)
-
-        if norm <= 1.0:
-            accepted += 1
-            t = times[i] if lands else t + h_try
-            y = y_new
-            f = k[6].copy()  # the derivative at (t, y_new); k is reused
-            if opts.project_every and accepted % opts.project_every == 0:
-                y = _project_spin(y, a_sq, b_sq, _PROJECTION_TOL)
-                f = eom(y, t, params, fields, gauge)
-            if lands:
-                states[i] = y
-                i += 1
-            factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
-            h = h_try * factor
-        else:
-            h = h_try * min(1.0, max(0.2, 0.9 * norm ** -0.2))
-
-    spin = np.cross(states[:, OMEGA], states[:, PI])
-    B, A, _, _ = _field_rows(fields, states[:, X])
-    kinetic = states[:, P] - (params.e / params.c) * A
-    h_phys = (np.einsum("ij,ij->i", kinetic, kinetic) / (2.0 * params.m)
-              - params.moment_coupling * np.einsum("ij,ij->i", B, spin))
-    residuals = np.column_stack([
-        np.einsum("ij,ij->i", states[:, OMEGA], states[:, OMEGA]) - params.a ** 2,
-        np.einsum("ij,ij->i", states[:, PI], states[:, PI]) - params.b ** 2,
-        np.einsum("ij,ij->i", states[:, OMEGA], states[:, PI]),
-    ])
-    lambda1 = _multiplier(states[:, OMEGA].T, states[:, PI].T, states[:, PHI])
-    return Trajectory(times=times, states=states, spin=spin, h_phys=h_phys,
-                      residuals=residuals, lambda1=lambda1)
+    if fields.kind in _EXACT_KINDS:
+        states = _exact_flow(y, f, times, params, fields, gauge, opts)
+    else:
+        states = _dp5(lambda u, t: eom(u, t, params, fields, gauge), y, f,
+                      times, opts, gauge,
+                      lambda u: _project_spin(u, a_sq, b_sq, _PROJECTION_TOL))
+    return _trajectory(times, states, params, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +753,26 @@ class FrequencyFit:
     amplitude: float
     phase: float
     rms_residual: float
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(fn, lo: float, hi: float, xatol: float) -> float:
+    """Minimizer of fn on [lo, hi] by golden-section search (Kiefer 1953),
+    narrowed until the bracket is at most xatol wide."""
+    c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+    fc, fd = fn(c), fn(d)
+    while hi - lo > xatol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_GOLDEN * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_GOLDEN * (hi - lo)
+            fd = fn(d)
+    return c if fc < fd else d
 
 
 def fit_rotation_frequency(times, values) -> FrequencyFit:
@@ -675,10 +809,7 @@ def fit_rotation_frequency(times, values) -> FrequencyFit:
 
     lo = max(seed - 1.5 * bin_width, 0.25 * bin_width)
     hi = seed + 1.5 * bin_width
-    best = optimize.minimize_scalar(
-        projected_residual, bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-13 * max(1.0, seed)})
-    omega = float(best.x)
+    omega = _golden_section(projected_residual, lo, hi, 1e-13 * max(1.0, seed))
     design = np.column_stack([
         np.cos(omega * times), np.sin(omega * times), np.ones_like(times)])
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)

@@ -17,6 +17,7 @@ import spinbundle
 from spinbundle.cli import (
     Check,
     ConfigError,
+    SCENARIO_CHECKS,
     SCENARIOS,
     TIMESERIES_COLUMNS,
     load_config,
@@ -352,6 +353,42 @@ def test_run_config_output_prefix_and_env(tmp_path, monkeypatch):
     assert (env_dir / "demo_summary.json").exists()
     assert (env_dir / "demo_timeseries.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+# the shortest run of each scenario that still reports every check
+SMALL_RUNS = {
+    "free_spin": FAST_FREE_SPIN,
+    "larmor": {"scenario": "larmor", "periods": 1.0, "samples": 16},
+    "stern_gerlach": {"scenario": "stern_gerlach", "t_span": [0.0, 0.5],
+                      "samples": 10},
+    "gauge_compare": {"scenario": "gauge_compare", "t_span": [0.0, 1.0],
+                      "samples": 16},
+    **{name: {"scenario": name, "n_points": 3, "n_boosts": 5}
+       for name in ("verify_so3", "verify_lorentz", "verify_t4")},
+}
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_scenario_checks_are_the_checks_the_runner_reports(scenario):
+    runner, _ = SCENARIOS[scenario]
+    checks, _, _ = runner(dict(SMALL_RUNS[scenario]))
+    assert tuple(c.name for c in checks) == SCENARIO_CHECKS[scenario]
+
+
+def test_unknown_check_is_rejected_before_the_runner(monkeypatch, tmp_path):
+    def never(cfg):
+        raise AssertionError("the runner ran")
+
+    monkeypatch.setitem(SCENARIOS, "larmor", (never, "unused"))
+    cfg = {"scenario": "larmor", "checks": {"energy_drft": 1e-6}}
+    message = "$.checks.energy_drft: larmor has no check named 'energy_drft'"
+    with pytest.raises(ConfigError) as info:
+        validate_config(cfg)
+    assert str(info.value) == message
+    with pytest.raises(ConfigError) as info:
+        run_config(cfg, out_dir=tmp_path)
+    assert str(info.value) == message
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("suite", ["verify_so3", "verify_lorentz", "verify_t4"])

@@ -13,6 +13,7 @@ from spinbundle.dynamics import (
     IntegrationOptions,
     ModelParams,
     _error_norm,
+    _golden_section,
     eom,
     fit_rotation_frequency,
     integrate,
@@ -429,9 +430,11 @@ def test_integrate_step_budget():
 def test_retried_step_starts_from_the_derivative_at_its_base(monkeypatch):
     """After a rejected attempt the retry must start from f(t, y), not from
     the rejected trial's last stage.  Each attempt's k[0] is recovered from
-    its first stage point y + (h/5) k[0], with h from the last stage time."""
+    its first stage point y + (h/5) k[0], with h from the last stage time.
+    The uniform kernel is wrapped as a custom field, so that integrate
+    steps the full state rather than taking the closed-form flow."""
     params = ModelParams()
-    fields = FieldConfig.uniform((0.0, 0.0, 1.0))
+    fields = FieldConfig("custom", FieldConfig.uniform((0.0, 0.0, 1.0)).kernel)
     calls, attempts = [], []
 
     def spy_eom(y, t, *args):
@@ -531,6 +534,18 @@ def test_fit_recovers_synthetic_frequency(rng):
     assert abs(fit.omega - omega) < 1e-7
     assert abs(fit.amplitude - 0.8) < 1e-7
     assert fit.rms_residual < 1e-6
+
+
+def test_golden_section_narrows_to_xatol():
+    calls = []
+
+    def kink(x):
+        calls.append(x)
+        return abs(x - 0.3)
+
+    assert abs(_golden_section(kink, 0.0, 1.0, 1e-12) - 0.3) <= 1e-12
+    # the bracket shrinks by 1/golden ratio per evaluation after the first two
+    assert len(calls) == 2 + int(np.ceil(np.log(1e12) / np.log((1 + 5 ** 0.5) / 2)))
 
 
 def test_fit_requires_uniform_sampling():
