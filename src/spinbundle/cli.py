@@ -317,16 +317,17 @@ def _gauge_derivative(node: ast.AST) -> Optional[ast.AST]:
 
 
 def _gauge_evaluator(body: ast.AST, what: str) -> Callable[[float], float]:
-    """Compile one expression over t; a result that overflows, divides by
-    zero or is not finite raises GaugeError naming what and t."""
-    tree = ast.fix_missing_locations(ast.Expression(body))
-    code = compile(tree, "<gauge>", "eval")
-    env = {"__builtins__": {}, **_GAUGE_FUNCS}
+    """Compile one expression into a function of t; a result that overflows,
+    divides by zero or is not finite raises GaugeError naming what and t."""
+    tree = ast.parse("lambda t: 0", mode="eval")
+    tree.body.body = body
+    fn = eval(compile(ast.fix_missing_locations(tree), "<gauge>", "eval"),
+              {"__builtins__": {}, **_GAUGE_FUNCS})
 
     def evaluate(t: float) -> float:
         t = float(t)
         try:
-            value = float(eval(code, env, {"t": t}))
+            value = float(fn(t))
         except (OverflowError, ZeroDivisionError) as exc:
             raise GaugeError(
                 f"{what} cannot be evaluated at t = {t!r}: {exc}") from None

@@ -20,7 +20,9 @@ times and steps only the two-dimensional gauge sector (theta, phi).  Any
 other field steps the full 14-dimensional state.  Both use one embedded
 Dormand-Prince 5(4) stepper with proportional step control whose steps land
 on each requested sample time; the full-state path can add Newton
-projection onto the spin constraint surface after accepted steps.
+projection onto the spin constraint surface after accepted steps.  The
+stepper, its right-hand sides (built once per integrate) and the projection
+work on lists of Python floats; arrays are formed once, from the samples.
 """
 
 from __future__ import annotations
@@ -106,10 +108,11 @@ class FieldConfig:
     kernel(x1, x2, x3) maps a point given as three floats to (B, A, grad_A,
     grad_B): the field, a vector potential with curl A = B, and their
     spatial derivative matrices G[i, j] = d_i (field_j), as (nested)
-    sequences of Python floats.  eom reads the kernel directly; the methods
-    B, A, grad_A and grad_B return its entries at a point as float arrays.
-    kind names the family: integrate takes the closed-form flow for "free"
-    and "uniform", so only a field uniform in x may carry those kinds.
+    sequences of Python floats.  The right-hand side reads the kernel
+    directly; the methods B, A, grad_A and grad_B return its entries at a
+    point as float arrays.  kind names the family: integrate takes the
+    closed-form flow for "free" and "uniform", so only a field uniform in x
+    may carry those kinds.
     """
 
     kind: str
@@ -323,42 +326,56 @@ def _multiplier(w, p, phi):
     return 2.0 * w_sq / (phi * p_sq)
 
 
+def _rhs_kernel(params: ModelParams, fields: FieldConfig,
+                gauge: GaugeFunction) -> Callable[[list, float], list]:
+    """The flat time derivative as rhs(y, t), which maps a list of 14 floats
+    to a list of 14 floats; the constants are taken once, here."""
+    e_over_c = float(params.e / params.c)
+    coupling = float(params.moment_coupling)
+    m = float(params.m)
+    pi_sq_floor = 1e-12 * max(1.0, params.b ** 2)
+    kernel = fields.kernel
+    phi_dot = gauge.phi_dot or gauge.derivative
+
+    def rhs(y, t):
+        x1, x2, x3, p1, p2, p3, w1, w2, w3, q1, q2, q3, phi, _ = y
+        if abs(phi) < 1e-9:
+            raise GaugeError(f"equations of motion are singular at phi = {phi!r}")
+        q_sq = q1 * q1 + q2 * q2 + q3 * q3
+        if q_sq < pi_sq_floor:
+            raise DomainError("multiplier is undefined where pi^2 ~ 0")
+        # _multiplier, written out
+        lam1 = 2.0 * (w1 * w1 + w2 * w2 + w3 * w3) / (phi * q_sq)
+        (b1, b2, b3), (a1, a2, a3), dA, dB = kernel(x1, x2, x3)
+        s1 = w2 * q3 - w3 * q2
+        s2 = w3 * q1 - w1 * q3
+        s3 = w1 * q2 - w2 * q1
+        v1 = (p1 - e_over_c * a1) / m
+        v2 = (p2 - e_over_c * a2) / m
+        v3 = (p3 - e_over_c * a3) / m
+        k = -2.0 / phi
+        return [
+            v1, v2, v3,
+            *[e_over_c * (r[0] * v1 + r[1] * v2 + r[2] * v3)
+              + coupling * (g[0] * s1 + g[1] * s2 + g[2] * s3)
+              for r, g in zip(dA, dB)],
+            lam1 * q1 + coupling * (w2 * b3 - w3 * b2),
+            lam1 * q2 + coupling * (w3 * b1 - w1 * b3),
+            lam1 * q3 + coupling * (w1 * b2 - w2 * b1),
+            k * w1 + coupling * (q2 * b3 - q3 * b2),
+            k * w2 + coupling * (q3 * b1 - q1 * b3),
+            k * w3 + coupling * (q1 * b2 - q2 * b1),
+            float(phi_dot(t)),
+            0.0,
+        ]
+
+    return rhs
+
+
 def eom(z, t: float, params: ModelParams, fields: FieldConfig,
         gauge: GaugeFunction) -> Array:
     """Flat time derivative of the state at time t."""
-    x1, x2, x3, p1, p2, p3, w1, w2, w3, q1, q2, q3, phi, _ = as_flat(z).tolist()
-    if abs(phi) < 1e-9:
-        raise GaugeError(f"equations of motion are singular at phi = {phi!r}")
-    if q1 * q1 + q2 * q2 + q3 * q3 < 1e-12 * max(1.0, params.b ** 2):
-        raise DomainError("multiplier is undefined where pi^2 ~ 0")
-    lam1 = _multiplier((w1, w2, w3), (q1, q2, q3), phi)
-
-    e_over_c = params.e / params.c
-    coupling = params.moment_coupling
-    m = params.m
-    (b1, b2, b3), (a1, a2, a3), dA, dB = fields.kernel(x1, x2, x3)
-    s1 = w2 * q3 - w3 * q2
-    s2 = w3 * q1 - w1 * q3
-    s3 = w1 * q2 - w2 * q1
-    v1 = (p1 - e_over_c * a1) / m
-    v2 = (p2 - e_over_c * a2) / m
-    v3 = (p3 - e_over_c * a3) / m
-    force = [e_over_c * (r[0] * v1 + r[1] * v2 + r[2] * v3)
-             + coupling * (g[0] * s1 + g[1] * s2 + g[2] * s3)
-             for r, g in zip(dA, dB)]
-    k = -2.0 / phi
-    return np.array([
-        v1, v2, v3,
-        *force,
-        lam1 * q1 + coupling * (w2 * b3 - w3 * b2),
-        lam1 * q2 + coupling * (w3 * b1 - w1 * b3),
-        lam1 * q3 + coupling * (w1 * b2 - w2 * b1),
-        k * w1 + coupling * (q2 * b3 - q3 * b2),
-        k * w2 + coupling * (q3 * b1 - q1 * b3),
-        k * w3 + coupling * (q1 * b2 - q2 * b1),
-        gauge.derivative(t),
-        0.0,
-    ])
+    return np.array(_rhs_kernel(params, fields, gauge)(as_flat(z).tolist(), t))
 
 
 def physical_hamiltonian(z, params: ModelParams, fields: FieldConfig) -> float:
@@ -374,22 +391,6 @@ def physical_hamiltonian(z, params: ModelParams, fields: FieldConfig) -> float:
 # ---------------------------------------------------------------------------
 # Embedded Dormand-Prince 5(4) integration with constraint projection
 # ---------------------------------------------------------------------------
-
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = tuple(np.array(row) for row in (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-))
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# Difference between the 5th- and embedded 4th-order weights.
-_DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                    -17253 / 339200, 22 / 525, -1 / 40])
-
 
 @dataclass(frozen=True)
 class IntegrationOptions:
@@ -441,22 +442,23 @@ def _field_rows(fields: FieldConfig, xs) -> Tuple[Array, ...]:
 
 
 def _error_norm(err, y0, y1, rel_tol, abs_tol):
-    """RMS of err scaled by abs_tol + rel_tol * max(|y0|, |y1|); the same
-    reduction as np.mean, without its dispatch."""
-    q = err / (abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1)))
-    return math.sqrt(np.add.reduce(q * q) / q.size)
+    """RMS of the float sequence err scaled by abs_tol + rel_tol *
+    max(|y0|, |y1|), summed exactly with math.fsum."""
+    q = [e / (abs_tol + rel_tol * max(abs(a), abs(b)))
+         for e, a, b in zip(err, y0, y1)]
+    return math.sqrt(math.fsum([v * v for v in q]) / len(q))
 
 
 _SPIN = slice(OMEGA.start, PI.stop)
 # sin^2 of the angle below which omega and pi count as parallel: the square
 # of lstsq's default relative cutoff for a 3 x 6 Jacobian, 6 eps
-_PARALLEL_SIN_SQ = (6.0 * np.finfo(float).eps) ** 2
+_PARALLEL_SIN_SQ = (6.0 * float(np.finfo(float).eps)) ** 2
 
 
 def _project_spin(y, a_sq: float, b_sq: float, tol: float,
-                  max_iter: int = 25) -> Array:
-    """Newton projection of the spin block of the flat state y onto
-    omega^2 = a_sq, pi^2 = b_sq, omega.pi = 0; returns a new array.
+                  max_iter: int = 25) -> list:
+    """Newton projection of the spin block of the flat state y (14 floats)
+    onto omega^2 = a_sq, pi^2 = b_sq, omega.pi = 0; returns a new list.
 
     The same minimum-norm iteration as constraints.project, on Python
     floats.  The Jacobian rows are (2 omega, 0), (0, 2 pi), (pi, omega), so
@@ -467,8 +469,8 @@ def _project_spin(y, a_sq: float, b_sq: float, tol: float,
     are parallel or one of them vanishes; there, as where lstsq's default
     cutoff drops a singular value, ProjectionError is raised.
     """
-    out = np.array(y, dtype=float)
-    w1, w2, w3, q1, q2, q3 = out[_SPIN].tolist()
+    out = list(y)
+    w1, w2, w3, q1, q2, q3 = out[_SPIN]
     W = w1 * w1 + w2 * w2 + w3 * w3
     Q = q1 * q1 + q2 * q2 + q3 * q3
     D = w1 * q1 + w2 * q2 + w3 * q3
@@ -509,79 +511,103 @@ def _project_spin(y, a_sq: float, b_sq: float, tol: float,
         r1, r2, r3 = W - a_sq, Q - b_sq, D
     if not (abs(r1) < tol and abs(r2) < tol and abs(r3) < tol):
         raise ProjectionError(np.array([r1, r2, r3]), max_iter)
-    out[_SPIN] = (w1, w2, w3, q1, q2, q3)
+    out[_SPIN] = w1, w2, w3, q1, q2, q3
     return out
 
 
-def _initial_step(y0, f0, rel_tol, abs_tol, span):
+def _initial_step(y0, f0, rel_tol, abs_tol, span) -> float:
     scale = abs_tol + rel_tol * np.abs(y0)
     d0 = np.linalg.norm(y0 / scale)
     d1 = np.linalg.norm(f0 / scale)
     h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    return min(h, 0.1 * span)
+    return float(min(h, 0.1 * span))
 
 
-def _require_finite(values: Array, what: str, t: float) -> None:
-    """Raise IntegrationError naming the first non-finite component."""
-    for label, value in zip(CANONICAL_PARTICLE.labels, values.tolist()):
+def _require_finite(values, what: str, t: float,
+                    labels=CANONICAL_PARTICLE.labels) -> None:
+    """Raise IntegrationError naming the first non-finite entry of values."""
+    for label, value in zip(labels, values):
         if not math.isfinite(value):
             raise IntegrationError(
                 f"{what} is not finite at t = {t!r}: {label} = {value!r}")
 
 
 def _dp5(rhs, y, f, times, opts: IntegrationOptions, gauge: GaugeFunction,
-         project: Optional[Callable[[Array], Array]] = None) -> Array:
+         labels=CANONICAL_PARTICLE.labels,
+         project: Optional[Callable[[list], list]] = None) -> Array:
     """Step y' = rhs(y, t) from (times[0], y), with f = rhs(y, times[0]), and
     return the states at the sample times, one row each.
 
-    Steps land on every sample time.  With project_every = k > 0 and a
-    project callable, the state is projected after every k-th accepted step
-    and its derivative taken again.
+    y, f and every stage are lists of Python floats, and the tableau is
+    written out as float constants.  Steps land on every sample time.  With
+    project_every = k > 0 and a project callable, the state is projected
+    after every k-th accepted step and its derivative taken again.  A step
+    size underflow after a non-finite trial names its first non-finite entry.
     """
-    t = times[0].item()
-    h = _initial_step(y, f, opts.rel_tol, opts.abs_tol, times[-1].item() - t)
-    states = np.empty((times.size, y.size))
-    states[0] = y
+    grid = times.tolist()
+    t = grid[0]
+    h = _initial_step(y, f, opts.rel_tol, opts.abs_tol, grid[-1] - t)
+    rows = [y]
+    y_new = y
     i = 1  # the next sample to land on
     accepted = 0
     attempts = 0
-    k = np.empty((7, y.size))
-    while i < times.size:
+    while i < len(grid):
         if attempts > opts.max_steps:
             raise IntegrationError(f"step budget {opts.max_steps} exhausted")
-        gap = times[i] - t
+        gap = grid[i] - t
         lands = gap <= h * (1 + 1e-12)
         h_try = gap if lands else h
         if h_try < 1e-14 * max(1.0, abs(t)):
+            _require_finite(y_new, "step size underflow: the last trial state",
+                            t, labels)
             name = f"gauge {gauge.label!r}" if gauge.label else "gauge"
             raise IntegrationError(f"step size underflow at t = {t:.6g} "
                                    f"({name} = {gauge(t):.6g} there)")
 
         attempts += 1
-        k[0] = f
-        for j in range(1, 7):
-            yj = y + h_try * (_DP_A[j] @ k[:j])
-            k[j] = rhs(yj, t + _DP_C[j] * h_try)
-        y_new = y + h_try * (_DP_B5 @ k)
-        err = h_try * (_DP_ERR @ k)
+        k1 = f
+        k2 = rhs([a + h_try * (1 / 5 * b1) for a, b1 in zip(y, k1)],
+                 t + 1 / 5 * h_try)
+        k3 = rhs([a + h_try * (3 / 40 * b1 + 9 / 40 * b2)
+                  for a, b1, b2 in zip(y, k1, k2)], t + 3 / 10 * h_try)
+        k4 = rhs([a + h_try * (44 / 45 * b1 - 56 / 15 * b2 + 32 / 9 * b3)
+                  for a, b1, b2, b3 in zip(y, k1, k2, k3)], t + 4 / 5 * h_try)
+        k5 = rhs([a + h_try * (19372 / 6561 * b1 - 25360 / 2187 * b2
+                               + 64448 / 6561 * b3 - 212 / 729 * b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)],
+                 t + 8 / 9 * h_try)
+        k6 = rhs([a + h_try * (9017 / 3168 * b1 - 355 / 33 * b2
+                               + 46732 / 5247 * b3 + 49 / 176 * b4
+                               - 5103 / 18656 * b5)
+                  for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)],
+                 t + h_try)
+        # the fifth-order solution, which is also the last stage's point
+        y_new = [a + h_try * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4
+                              - 2187 / 6784 * b5 + 11 / 84 * b6)
+                 for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)]
+        k7 = rhs(y_new, t + h_try)
+        # the fifth- minus the embedded fourth-order solution
+        err = [h_try * (71 / 57600 * b1 - 71 / 16695 * b3 + 71 / 1920 * b4
+                        - 17253 / 339200 * b5 + 22 / 525 * b6 - 1 / 40 * b7)
+               for b1, b3, b4, b5, b6, b7 in zip(k1, k3, k4, k5, k6, k7)]
         norm = _error_norm(err, y, y_new, opts.rel_tol, opts.abs_tol)
 
         if norm <= 1.0:
             accepted += 1
-            t = times[i] if lands else t + h_try
-            y = y_new
-            f = k[6].copy()  # the derivative at (t, y_new); k is reused
+            t = grid[i] if lands else t + h_try
+            y, f = y_new, k7
             if project and opts.project_every and accepted % opts.project_every == 0:
                 y = project(y)
                 f = rhs(y, t)
             if lands:
-                states[i] = y
+                rows.append(y)
                 i += 1
             factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
             h = h_try * factor
         else:
             h = h_try * min(1.0, max(0.2, 0.9 * norm ** -0.2))
-    return states
+    return np.array(rows)
 
 
 def _rotate(axis, angle, u) -> Array:
@@ -596,7 +622,7 @@ def _rotate(axis, angle, u) -> Array:
 def _exact_flow(y, f, times, params: ModelParams, fields: FieldConfig,
                 gauge: GaugeFunction, opts: IntegrationOptions) -> Array:
     """States at the sample times in a free or uniform field, from the
-    closed-form flow; y is the start state and f its derivative.
+    closed-form flow; y is the start state and f its derivative, as lists.
 
     The gradient force vanishes, so the sectors decouple.  The spin block is
     (omega, pi)(t) = R_B(-kappa |B| tau) F(theta(t)) (omega_0, pi_0) with
@@ -607,17 +633,19 @@ def _exact_flow(y, f, times, params: ModelParams, fields: FieldConfig,
     helix (a line where e |B| = 0) and p = m v + (e/c) A(x).  Only the gauge
     sector theta' = 2 r / phi, phi' = phi_dot(t) is stepped.
     """
+    phi0, y = y[PHI], np.array(y)
     w0, q0 = y[OMEGA], y[PI]
     r = math.sqrt((w0 @ w0) / (q0 @ q0))
+    phi_dot = gauge.phi_dot or gauge.derivative
 
     def rhs(g, t):
-        phi = g[1].item()
+        phi = g[1]
         if abs(phi) < 1e-9:
             raise GaugeError(f"equations of motion are singular at phi = {phi!r}")
-        return np.array([2.0 * r / phi, gauge.derivative(t)])
+        return [2.0 * r / phi, float(phi_dot(t))]
 
-    sector = _dp5(rhs, np.array([0.0, y[PHI]]), np.array([2.0 * r / y[PHI], f[PHI]]),
-                  times, opts, gauge)
+    sector = _dp5(rhs, [0.0, phi0], [2.0 * r / phi0, f[PHI]], times, opts, gauge,
+                  ("theta", "phi"))
     cos_t, sin_t = np.cos(sector[:, :1]), np.sin(sector[:, :1])
 
     tau = times - times[0]
@@ -702,24 +730,25 @@ def integrate(z0, times, params: ModelParams, fields: FieldConfig,
 
     surface = params.surface()
     a_sq, b_sq = surface.targets[:2].tolist()
-    y = np.array(as_flat(z0), dtype=float)
-    y[PHI] = gauge(t0)
+    z = np.array(as_flat(z0), dtype=float)
+    z[PHI] = gauge(t0)
+    y = z.tolist()
     _require_finite(y, "start state", t0)
-    res0 = con.evaluate(surface, y)
+    res0 = con.evaluate(surface, z)
     if np.max(np.abs(res0)) > 1e-9 * max(1.0, params.a ** 2, params.b ** 2):
         warnings.warn(
             f"integrate: initial point is off the spin surface (residuals {res0}); "
             "projecting before integration", OffSurfaceWarning, stacklevel=2)
         y = _project_spin(y, a_sq, b_sq, _PROJECTION_TOL)
 
-    f = eom(y, t0, params, fields, gauge)
+    rhs = _rhs_kernel(params, fields, gauge)
+    f = rhs(y, t0)
     _require_finite(f, "derivative of the start state", t0)
     if fields.kind in _EXACT_KINDS:
         states = _exact_flow(y, f, times, params, fields, gauge, opts)
     else:
-        states = _dp5(lambda u, t: eom(u, t, params, fields, gauge), y, f,
-                      times, opts, gauge,
-                      lambda u: _project_spin(u, a_sq, b_sq, _PROJECTION_TOL))
+        states = _dp5(rhs, y, f, times, opts, gauge,
+                      project=lambda u: _project_spin(u, a_sq, b_sq, _PROJECTION_TOL))
     return _trajectory(times, states, params, fields)
 
 

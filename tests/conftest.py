@@ -23,3 +23,26 @@ def random_phase_state(rng, a=1.0, b=None, phi_low=0.5, phi_high=2.0):
     z[9:12] = p
     z[12] = rng.uniform(phi_low, phi_high)
     return z
+
+
+@pytest.fixture
+def rhs_calls(monkeypatch):
+    """Records (y, t) of every call of each right-hand side closure that
+    dynamics._rhs_kernel builds while the test runs, in call order.  Every
+    call is kept, so a run that may take many steps needs a step budget."""
+    from spinbundle import dynamics
+
+    calls = []
+    build = dynamics._rhs_kernel
+
+    def spy_kernel(*args):
+        rhs = build(*args)
+
+        def spy(y, t):
+            calls.append((y, t))
+            return rhs(y, t)
+
+        return spy
+
+    monkeypatch.setattr(dynamics, "_rhs_kernel", spy_kernel)
+    return calls

@@ -1,6 +1,8 @@
 """Equations of motion, multiplier consistency, adaptive integration,
 and the physical-limit checks for the spinning particle in a magnetic field."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -427,7 +429,8 @@ def test_integrate_step_budget():
                   FieldConfig.free(), UNIT_GAUGE, opts)
 
 
-def test_retried_step_starts_from_the_derivative_at_its_base(monkeypatch):
+def test_retried_step_starts_from_the_derivative_at_its_base(monkeypatch,
+                                                              rhs_calls):
     """After a rejected attempt the retry must start from f(t, y), not from
     the rejected trial's last stage.  Each attempt's k[0] is recovered from
     its first stage point y + (h/5) k[0], with h from the last stage time.
@@ -435,19 +438,14 @@ def test_retried_step_starts_from_the_derivative_at_its_base(monkeypatch):
     steps the full state rather than taking the closed-form flow."""
     params = ModelParams()
     fields = FieldConfig("custom", FieldConfig.uniform((0.0, 0.0, 1.0)).kernel)
-    calls, attempts = [], []
-
-    def spy_eom(y, t, *args):
-        calls.append((np.array(y), t))
-        return eom(y, t, *args)
+    attempts = []
 
     def spy_norm(err, y0, y1, rel_tol, abs_tol):
         norm = _error_norm(err, y0, y1, rel_tol, abs_tol)
-        (stage1, t1), (_, t6) = calls[-6], calls[-1]
-        attempts.append((y0.copy(), stage1, (t6 - t1) / 0.8, norm))
+        (stage1, t1), (_, t6) = rhs_calls[-6], rhs_calls[-1]
+        attempts.append((np.array(y0), np.array(stage1), (t6 - t1) / 0.8, norm))
         return norm
 
-    monkeypatch.setattr(dynamics, "eom", spy_eom)
     monkeypatch.setattr(dynamics, "_error_norm", spy_norm)
     integrate(larmor_start(params), np.linspace(0.0, 4 * np.pi, 200), params,
               fields, UNIT_GAUGE)
@@ -460,6 +458,57 @@ def test_retried_step_starts_from_the_derivative_at_its_base(monkeypatch):
         want = eom(y, 0.0, params, fields, UNIT_GAUGE)
         assert_allclose((stage1 - y) / (0.2 * h), want, rtol=0,
                         atol=1e-9 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("fields", [
+    FieldConfig.linear_gradient(),
+    FieldConfig.uniform((0.3, -0.4, 1.1)),
+], ids=["full_state", "exact_path"])
+def test_stepper_sees_only_python_floats(monkeypatch, rng, fields):
+    """One numpy scalar in a state makes every later stage numpy-scalar
+    arithmetic, several times slower.  The start and the grid are arrays,
+    and the parameters and phi_dot's values are numpy scalars, yet every
+    time, state entry and derivative entry the stepper hands to or gets
+    from its right-hand side is a Python float, also after a projection."""
+    seen = []
+    step = dynamics._dp5
+
+    def spy_dp5(rhs, y, f, *args, **kwargs):
+        def spy(u, t):
+            out = rhs(u, t)
+            seen.append((t, *u, *out))
+            return out
+
+        seen.append((*y, *f))
+        return step(spy, y, f, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_dp5", spy_dp5)
+    params = ModelParams(m=np.float64(1.2), e=np.float64(0.8))
+    gauge = GaugeFunction(phi=lambda t: 1.0 + 0.5 * np.sin(2.0 * t),
+                          phi_dot=lambda t: np.cos(2.0 * t))
+    integrate(random_phase_state(rng, a=params.a, b=params.b),
+              np.linspace(0.0, 2.0, 50), params, fields, gauge,
+              IntegrationOptions(project_every=1))
+    assert len(seen) > 50
+    assert {type(v) for row in seen for v in row} == {float}
+
+
+def test_underflow_after_non_finite_trial_names_the_component():
+    """B becomes infinite at x1 >= 0.5: every trial across x1 = 0.5 holds
+    NaNs, the step size underflows, and the error names the first
+    non-finite component and t, with no numpy RuntimeWarning on the way."""
+    params = ModelParams()
+    fields = FieldConfig.custom(
+        lambda x: [0.0, 0.0, np.inf if x[0] >= 0.5 else 1.0],
+        lambda x: [0.0, 0.0, 0.0], lambda x: np.zeros((3, 3)),
+        lambda x: np.zeros((3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError,
+                           match=r"^step size underflow: the last trial state "
+                                 r"is not finite at t = 0\.5: x1 = nan$"):
+            integrate(larmor_start(params), np.linspace(0.0, 1.0, 11), params,
+                      fields, UNIT_GAUGE)
 
 
 # ---------------------------------------------------------------------------

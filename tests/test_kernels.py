@@ -3,16 +3,18 @@ the Poisson-engine solve, the right-hand side to the np.cross formulation,
 the batched trajectory post-processing to the per-sample functions, the
 field kernels to formulas written out here and to central differences, the
 float-level spin projection to constraints.project, the error norm to its
-np.mean form, the written-out 3-vector cross product to np.cross, and the
+numpy form, the written-out 3-vector cross product to np.cross, and the
 gradient-once Dirac brackets to the same brackets built from public
 Poisson-bracket calls."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spinbundle import dynamics
 from spinbundle.constraints import (
     Constraint,
     ConstraintSet,
@@ -236,10 +238,70 @@ def test_error_norm_equals_np_mean_form(rng):
         n = int(rng.integers(1, 30))
         scale = 10.0 ** rng.uniform(-12, 3, size=(3, n))
         err, y0, y1 = rng.standard_normal((3, n)) * scale
-        rel_tol, abs_tol = 10.0 ** rng.uniform(-13, -3, size=2)
-        old = float(np.sqrt(np.mean(
-            (err / (abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1)))) ** 2)))
-        assert _error_norm(err, y0, y1, rel_tol, abs_tol) == old
+        rel_tol, abs_tol = (10.0 ** rng.uniform(-13, -3, size=2)).tolist()
+        q = err / (abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1)))
+        # math.fsum rounds the exact sum once, so the two sides agree to the
+        # bit whatever order their terms come in
+        old = math.sqrt(math.fsum((q * q).tolist()) / n)
+        assert _error_norm(err.tolist(), y0.tolist(), y1.tolist(),
+                           rel_tol, abs_tol) == old
+
+
+# The Dormand-Prince 5(4) tableau (Dormand & Prince 1980; Hairer, Norsett &
+# Wanner, Solving ODEs I, §II.5) as arrays; the stepper writes it out as floats.
+DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+DP_A = [np.array(row) for row in (
+    (), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))]
+DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                   22 / 525, -1 / 40])
+
+
+def test_dp5_stages_are_the_tableau_products(monkeypatch, rhs_calls, rng):
+    """Every attempt's stage times, stage points, new state and error
+    estimate equal the tableau products of its stages k1..k7, re-derived
+    from the points the stepper passed to the right-hand side.  The two
+    sides sum in different orders; each lies within (n + 3) eps / 2 of the
+    exact value of y + h sum_j c_j k_j, relative to |y| + h sum_j |c_j k_j|,
+    for n <= 7 terms, so they may differ by 10 eps of that.  h itself is
+    recovered from two rounded stage times, to within dh = 2.5 eps max |t|,
+    which adds dh sum_j |c_j k_j|."""
+    params = ModelParams()
+    fields = FieldConfig.linear_gradient(B0=1.0, gradient=0.1)
+    gauge = GaugeFunction.constant(1.3)  # the right-hand side ignores t
+    attempts = []
+
+    def spy_norm(err, y0, y1, rel_tol, abs_tol):
+        attempts.append((np.array(err), np.array(y0), np.array(y1),
+                         rhs_calls[-6:]))
+        return _error_norm(err, y0, y1, rel_tol, abs_tol)
+
+    monkeypatch.setattr(dynamics, "_error_norm", spy_norm)
+    z0 = random_phase_state(rng, a=params.a, b=params.b)
+    integrate(z0, np.linspace(0.0, 3.0, 30), params, fields, gauge,
+              IntegrationOptions(max_steps=1000))
+    assert len(attempts) > 30
+
+    rhs = dynamics._rhs_kernel(params, fields, gauge)
+    tol = 10 * np.finfo(float).eps
+    for err, y0, y1, stages in attempts:
+        points = [y0] + [np.array(u) for u, _ in stages]
+        times = np.array([t for _, t in stages])
+        h = (times[-1] - times[0]) / (1.0 - DP_C[1])
+        dh = 2.5 * np.finfo(float).eps * np.max(np.abs(times))
+        k = np.array([rhs(u.tolist(), 0.0) for u in points])
+        assert_allclose(times - times[0], (DP_C[1:] - DP_C[1]) * h, rtol=0,
+                        atol=tol * np.max(np.abs(times)))
+        assert np.array_equal(points[6], y1)
+        for j in range(1, 7):
+            want = y0 + h * (DP_A[j] @ k[:j])
+            terms = np.abs(DP_A[j]) @ np.abs(k[:j])
+            bound = tol * (np.abs(y0) + h * terms) + dh * terms
+            assert np.all(np.abs(points[j] - want) <= bound), j
+        terms = np.abs(DP_ERR) @ np.abs(k)
+        assert np.all(np.abs(err - h * (DP_ERR @ k)) <= (tol * h + dh) * terms)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +334,7 @@ def test_project_spin_matches_project_near_the_surface(rng):
         states.append(z)
     borderline = 0
     for z in states + [ONE_STEP_APART]:
-        got = _project_spin(z, A_SQ, B_SQ, PROJECTION_TOL)
+        got = np.asarray(_project_spin(z, A_SQ, B_SQ, PROJECTION_TOL))
         want = project(z, SURFACE, tol=PROJECTION_TOL)
         assert max(residual(got), residual(want)) < PROJECTION_TOL
         assert np.array_equal(np.delete(got, range(6, 12)),
@@ -284,8 +346,8 @@ def test_project_spin_matches_project_near_the_surface(rng):
         if np.max(np.abs(got - want)) > 1e-15:
             borderline += 1
             late, other = sorted((got, want), key=residual, reverse=True)
-            late = _project_spin(late, A_SQ, B_SQ, 0.5 * residual(late),
-                                 max_iter=1)
+            late = np.asarray(_project_spin(late, A_SQ, B_SQ,
+                                            0.5 * residual(late), max_iter=1))
             assert np.max(np.abs(late - other)) <= 1e-15
     # about 1 seeded state in 50,000 is borderline
     assert borderline <= 2
