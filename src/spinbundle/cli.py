@@ -347,9 +347,10 @@ def parse_gauge_expression(expression: str, label: str = "") -> GaugeFunction:
         raise ConfigError(f"gauge expression does not parse: {exc.msg}") from None
     _check_gauge_node(tree)
     name = f"gauge expression {expression!r}"
-    derivative = _gauge_derivative(tree.body) or ast.Constant(0.0)
-    return GaugeFunction(phi=_gauge_evaluator(tree.body, name),
-                         phi_dot=_gauge_evaluator(derivative, f"derivative of {name}"),
+    derivative = _gauge_derivative(tree.body)
+    phi_dot = (GaugeFunction.zero_rate if derivative is None
+               else _gauge_evaluator(derivative, f"derivative of {name}"))
+    return GaugeFunction(phi=_gauge_evaluator(tree.body, name), phi_dot=phi_dot,
                          label=label or expression)
 
 
@@ -427,10 +428,13 @@ def read_timeseries(path) -> Tuple[Tuple[str, ...], np.ndarray]:
         lines = path.read_text().splitlines()
     except OSError as exc:
         raise SpinBundleError(f"cannot read time series from {path}: {exc}") from None
-    if not lines:
-        raise SpinBundleError(f"{path} is empty")
+    if len(lines) < 2:
+        raise SpinBundleError(f"{path} holds no samples")
     names = tuple(lines[0].split(","))
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise SpinBundleError(f"{path} is not a table of numbers: {exc}") from None
     return names, data
 
 

@@ -12,17 +12,21 @@ bracket-engine derivation as the reference the kernels are tested against.
 The auxiliary gauge coordinate phi follows a user-supplied function of time
 and never influences gauge-invariant output.
 
-In a free or uniform field the flow is known in closed form: the gradient
-force vanishes, the particle moves on a helix, and (omega, pi) precess about
-B composed with the unobservable fiber rotation by an angle theta(t), which
-commutes with the precession.  integrate evaluates that flow at the sample
-times and steps only the two-dimensional gauge sector (theta, phi).  Any
-other field steps the full 14-dimensional state.  Both use one embedded
-Dormand-Prince 5(4) stepper with proportional step control whose steps land
-on each requested sample time; the full-state path can add Newton
-projection onto the spin constraint surface after accepted steps.  The
-stepper, its right-hand sides (built once per integrate) and the projection
-work on lists of Python floats; arrays are formed once, from the samples.
+The fiber rotation of (omega, pi), by an angle theta with theta' = 2 r / phi
+and r = |omega| / |pi|, commutes with every common rotation of omega and pi
+and leaves S unchanged.  integrate therefore factors it out: the physical
+sector (x, p, omega~, pi~), in which omega~ and pi~ precess rigidly about
+B(x), never sees phi, and the gauge sector (theta, phi) never sees the field.
+In a free or uniform field the physical sector is known in closed form (the
+gradient force vanishes and the particle moves on a helix), and under a
+constant gauge theta is linear in t.  What is not closed form is stepped by
+one embedded Dormand-Prince 5(4) stepper with proportional step control
+whose steps land on each requested sample time; a stepped physical sector
+can add Newton projection onto the spin constraint surface after accepted
+steps.  The stepper, its right-hand sides (built once per integrate) and the
+projection work on lists of Python floats; arrays are formed once, from the
+samples.  fit_rotation_frequency refines a spectral peak by golden-section
+search with parabolic steps (Brent).
 """
 
 from __future__ import annotations
@@ -216,12 +220,18 @@ class GaugeFunction:
     phi_dot: Optional[Callable[[float], float]] = None
     label: str = ""
 
+    @staticmethod
+    def zero_rate(t: float) -> float:
+        """phi_dot of a gauge built as constant in t; integrate recognises
+        it by identity and takes the gauge sector in closed form."""
+        return 0.0
+
     @classmethod
     def constant(cls, value: float = 1.0) -> "GaugeFunction":
         value = float(value)
         if value == 0.0:
             raise GaugeError("constant gauge function must be nonzero")
-        return cls(phi=lambda t: value, phi_dot=lambda t: 0.0, label=repr(value))
+        return cls(phi=lambda t: value, phi_dot=cls.zero_rate, label=repr(value))
 
     def __call__(self, t: float) -> float:
         return float(self.phi(t))
@@ -326,26 +336,23 @@ def _multiplier(w, p, phi):
     return 2.0 * w_sq / (phi * p_sq)
 
 
-def _rhs_kernel(params: ModelParams, fields: FieldConfig,
-                gauge: GaugeFunction) -> Callable[[list, float], list]:
-    """The flat time derivative as rhs(y, t), which maps a list of 14 floats
-    to a list of 14 floats; the constants are taken once, here."""
+def _physical_kernel(params: ModelParams,
+                     fields: FieldConfig) -> Callable[[list, float], list]:
+    """The gauge-blind physical sector as rhs(u, t), which maps the 12 floats
+    u = (x, p, omega~, pi~) to their rates; the constants are taken once,
+    here, and t is not read, since the field is static.
+
+    omega~ and pi~ turn about B(x) as one rigid pair, omega~' = kappa omega~
+    x B(x) and pi~' = kappa pi~ x B(x) with kappa = mu e/(m c), so their
+    composed moment is S and drives p through the gradient force.
+    """
     e_over_c = float(params.e / params.c)
     coupling = float(params.moment_coupling)
     m = float(params.m)
-    pi_sq_floor = 1e-12 * max(1.0, params.b ** 2)
     kernel = fields.kernel
-    phi_dot = gauge.phi_dot or gauge.derivative
 
-    def rhs(y, t):
-        x1, x2, x3, p1, p2, p3, w1, w2, w3, q1, q2, q3, phi, _ = y
-        if abs(phi) < 1e-9:
-            raise GaugeError(f"equations of motion are singular at phi = {phi!r}")
-        q_sq = q1 * q1 + q2 * q2 + q3 * q3
-        if q_sq < pi_sq_floor:
-            raise DomainError("multiplier is undefined where pi^2 ~ 0")
-        # _multiplier, written out
-        lam1 = 2.0 * (w1 * w1 + w2 * w2 + w3 * w3) / (phi * q_sq)
+    def rhs(u, t):
+        x1, x2, x3, p1, p2, p3, w1, w2, w3, q1, q2, q3 = u
         (b1, b2, b3), (a1, a2, a3), dA, dB = kernel(x1, x2, x3)
         s1 = w2 * q3 - w3 * q2
         s2 = w3 * q1 - w1 * q3
@@ -353,20 +360,17 @@ def _rhs_kernel(params: ModelParams, fields: FieldConfig,
         v1 = (p1 - e_over_c * a1) / m
         v2 = (p2 - e_over_c * a2) / m
         v3 = (p3 - e_over_c * a3) / m
-        k = -2.0 / phi
         return [
             v1, v2, v3,
             *[e_over_c * (r[0] * v1 + r[1] * v2 + r[2] * v3)
               + coupling * (g[0] * s1 + g[1] * s2 + g[2] * s3)
               for r, g in zip(dA, dB)],
-            lam1 * q1 + coupling * (w2 * b3 - w3 * b2),
-            lam1 * q2 + coupling * (w3 * b1 - w1 * b3),
-            lam1 * q3 + coupling * (w1 * b2 - w2 * b1),
-            k * w1 + coupling * (q2 * b3 - q3 * b2),
-            k * w2 + coupling * (q3 * b1 - q1 * b3),
-            k * w3 + coupling * (q1 * b2 - q2 * b1),
-            float(phi_dot(t)),
-            0.0,
+            coupling * (w2 * b3 - w3 * b2),
+            coupling * (w3 * b1 - w1 * b3),
+            coupling * (w1 * b2 - w2 * b1),
+            coupling * (q2 * b3 - q3 * b2),
+            coupling * (q3 * b1 - q1 * b3),
+            coupling * (q1 * b2 - q2 * b1),
         ]
 
     return rhs
@@ -374,8 +378,27 @@ def _rhs_kernel(params: ModelParams, fields: FieldConfig,
 
 def eom(z, t: float, params: ModelParams, fields: FieldConfig,
         gauge: GaugeFunction) -> Array:
-    """Flat time derivative of the state at time t."""
-    return np.array(_rhs_kernel(params, fields, gauge)(as_flat(z).tolist(), t))
+    """Flat time derivative of the state at time t: the physical kernel plus
+    the fiber term, (lambda_1 pi, -(2/phi) omega) on the spin block and
+    (phi_dot(t), 0) on (phi, pi_phi)."""
+    y = as_flat(z).tolist()
+    w1, w2, w3, q1, q2, q3, phi = y[OMEGA.start:PHI + 1]
+    if abs(phi) < 1e-9:
+        raise GaugeError(f"equations of motion are singular at phi = {phi!r}")
+    q_sq = q1 * q1 + q2 * q2 + q3 * q3
+    if q_sq < 1e-12 * max(1.0, params.b ** 2):
+        raise DomainError("multiplier is undefined where pi^2 ~ 0")
+    # _multiplier, written out
+    lam1 = 2.0 * (w1 * w1 + w2 * w2 + w3 * w3) / (phi * q_sq)
+    k = -2.0 / phi
+    rate = _physical_kernel(params, fields)(y[:PHI], t)
+    return np.array([
+        *rate[:6],
+        rate[6] + lam1 * q1, rate[7] + lam1 * q2, rate[8] + lam1 * q3,
+        rate[9] + k * w1, rate[10] + k * w2, rate[11] + k * w3,
+        gauge.derivative(t),
+        0.0,
+    ])
 
 
 def physical_hamiltonian(z, params: ModelParams, fields: FieldConfig) -> float:
@@ -457,8 +480,9 @@ _PARALLEL_SIN_SQ = (6.0 * float(np.finfo(float).eps)) ** 2
 
 def _project_spin(y, a_sq: float, b_sq: float, tol: float,
                   max_iter: int = 25) -> list:
-    """Newton projection of the spin block of the flat state y (14 floats)
-    onto omega^2 = a_sq, pi^2 = b_sq, omega.pi = 0; returns a new list.
+    """Newton projection of the spin block y[6:12] of the float list y (the
+    flat state, or the physical sector alone) onto omega^2 = a_sq, pi^2 =
+    b_sq, omega.pi = 0; returns a new list.
 
     The same minimum-norm iteration as constraints.project, on Python
     floats.  The Jacobian rows are (2 omega, 0), (0, 2 pi), (pi, omega), so
@@ -532,8 +556,8 @@ def _require_finite(values, what: str, t: float,
                 f"{what} is not finite at t = {t!r}: {label} = {value!r}")
 
 
-def _dp5(rhs, y, f, times, opts: IntegrationOptions, gauge: GaugeFunction,
-         labels=CANONICAL_PARTICLE.labels,
+def _dp5(rhs, y, f, times, opts: IntegrationOptions,
+         sector: Callable[[float], str], labels=CANONICAL_PARTICLE.labels,
          project: Optional[Callable[[list], list]] = None) -> Array:
     """Step y' = rhs(y, t) from (times[0], y), with f = rhs(y, times[0]), and
     return the states at the sample times, one row each.
@@ -542,7 +566,8 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions, gauge: GaugeFunction,
     written out as float constants.  Steps land on every sample time.  With
     project_every = k > 0 and a project callable, the state is projected
     after every k-th accepted step and its derivative taken again.  A step
-    size underflow after a non-finite trial names its first non-finite entry.
+    size underflow after a non-finite trial names its first non-finite
+    entry; any other names sector(t), which describes the stepped sector.
     """
     grid = times.tolist()
     t = grid[0]
@@ -561,9 +586,8 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions, gauge: GaugeFunction,
         if h_try < 1e-14 * max(1.0, abs(t)):
             _require_finite(y_new, "step size underflow: the last trial state",
                             t, labels)
-            name = f"gauge {gauge.label!r}" if gauge.label else "gauge"
-            raise IntegrationError(f"step size underflow at t = {t:.6g} "
-                                   f"({name} = {gauge(t):.6g} there)")
+            raise IntegrationError(
+                f"step size underflow at t = {t:.6g} ({sector(t)})")
 
         attempts += 1
         k1 = f
@@ -619,23 +643,54 @@ def _rotate(axis, angle, u) -> Array:
             + 2.0 * np.sin(0.5 * angle) ** 2 * ((u @ axis) * axis))
 
 
-def _exact_flow(y, f, times, params: ModelParams, fields: FieldConfig,
-                gauge: GaugeFunction, opts: IntegrationOptions) -> Array:
-    """States at the sample times in a free or uniform field, from the
-    closed-form flow; y is the start state and f its derivative, as lists.
+def _exact_physical(u, times, params: ModelParams, fields: FieldConfig) -> Array:
+    """The physical sector (x, p, omega~, pi~) at the sample times in a free
+    or uniform field, from the closed-form flow; u is the start, 12 floats.
 
-    The gradient force vanishes, so the sectors decouple.  The spin block is
-    (omega, pi)(t) = R_B(-kappa |B| tau) F(theta(t)) (omega_0, pi_0) with
-    tau = t - t0 and kappa = mu e/(m c): F turns omega -> cos theta omega +
-    r sin theta pi and pi -> -(sin theta / r) omega + cos theta pi within
-    their plane, r = |omega_0| / |pi_0|, and commutes with the precession
-    R_B.  The velocity turns about B by -(e |B|/m c) tau, x is the matching
-    helix (a line where e |B| = 0) and p = m v + (e/c) A(x).  Only the gauge
-    sector theta' = 2 r / phi, phi' = phi_dot(t) is stepped.
+    The gradient force vanishes, so (omega~, pi~) precess about B by
+    R_B(-kappa |B| tau) with tau = t - t0 and kappa = mu e/(m c), the
+    velocity turns about B by -(e |B|/m c) tau, x is the matching helix (a
+    line where e |B| = 0) and p = m v + (e/c) A(x).
     """
-    phi0, y = y[PHI], np.array(y)
-    w0, q0 = y[OMEGA], y[PI]
-    r = math.sqrt((w0 @ w0) / (q0 @ q0))
+    u = np.array(u)
+    tau = times - times[0]
+    e_over_c = params.e / params.c
+    B = fields.B(u[X])
+    b_norm = float(np.linalg.norm(B))
+    v0 = (u[P] - e_over_c * fields.A(u[X])) / params.m
+    w, q, v = u[OMEGA], u[PI], v0
+    x = u[X] + np.outer(tau, v0)
+    if b_norm > 0.0:
+        axis = B / b_norm
+        precession = -params.moment_coupling * b_norm * tau
+        w, q = _rotate(axis, precession, w), _rotate(axis, precession, q)
+        cyclotron = e_over_c * b_norm / params.m
+        if cyclotron != 0.0:
+            turn = cyclotron * tau[:, None]
+            along = (v0 @ axis) * axis
+            across = np.cross(axis, v0)
+            v = along + np.cos(turn) * (v0 - along) - np.sin(turn) * across
+            x = (u[X] + np.outer(tau, along)
+                 + (np.sin(turn) * (v0 - along)
+                    - 2.0 * np.sin(0.5 * turn) ** 2 * across) / cyclotron)
+
+    out = np.empty((times.size, u.size))
+    out[:, X] = x
+    out[:, P] = params.m * v + e_over_c * _field_rows(fields, x)[1]
+    out[:, OMEGA] = w
+    out[:, PI] = q
+    return out
+
+
+def _gauge_sector(r: float, phi0: float, rate0: float, times,
+                  gauge: GaugeFunction, opts: IntegrationOptions) -> Array:
+    """The fiber angle theta and phi at the sample times, one (theta, phi)
+    row each, from theta' = 2 r / phi, phi' = phi_dot(t) with theta(t0) = 0,
+    phi(t0) = phi0 and phi_dot(t0) = rate0.  A constant gauge has theta =
+    2 r (t - t0) / phi0 in closed form; any other is stepped."""
+    if gauge.phi_dot is GaugeFunction.zero_rate:
+        return np.column_stack((2.0 * r * (times - times[0]) / phi0,
+                                np.full(times.size, phi0)))
     phi_dot = gauge.phi_dot or gauge.derivative
 
     def rhs(g, t):
@@ -644,40 +699,9 @@ def _exact_flow(y, f, times, params: ModelParams, fields: FieldConfig,
             raise GaugeError(f"equations of motion are singular at phi = {phi!r}")
         return [2.0 * r / phi, float(phi_dot(t))]
 
-    sector = _dp5(rhs, [0.0, phi0], [2.0 * r / phi0, f[PHI]], times, opts, gauge,
-                  ("theta", "phi"))
-    cos_t, sin_t = np.cos(sector[:, :1]), np.sin(sector[:, :1])
-
-    tau = times - times[0]
-    e_over_c = params.e / params.c
-    B = fields.B(y[X])
-    b_norm = float(np.linalg.norm(B))
-    v0 = (y[P] - e_over_c * fields.A(y[X])) / params.m
-    w, q, v = w0, q0, v0
-    x = y[X] + np.outer(tau, v0)
-    if b_norm > 0.0:
-        axis = B / b_norm
-        precession = -params.moment_coupling * b_norm * tau
-        w, q = _rotate(axis, precession, w0), _rotate(axis, precession, q0)
-        cyclotron = e_over_c * b_norm / params.m
-        if cyclotron != 0.0:
-            turn = cyclotron * tau[:, None]
-            along = (v0 @ axis) * axis
-            across = np.cross(axis, v0)
-            v = along + np.cos(turn) * (v0 - along) - np.sin(turn) * across
-            x = (y[X] + np.outer(tau, along)
-                 + (np.sin(turn) * (v0 - along)
-                    - 2.0 * np.sin(0.5 * turn) ** 2 * across) / cyclotron)
-
-    states = np.empty((times.size, y.size))
-    states[:, X] = x
-    states[:, P] = params.m * v + e_over_c * _field_rows(fields, x)[1]
-    states[:, OMEGA] = cos_t * w + (r * sin_t) * q
-    states[:, PI] = cos_t * q - (sin_t / r) * w
-    states[:, PHI] = sector[:, 1]
-    states[:, PI_PHI] = y[PI_PHI]
-    states[0] = y
-    return states
+    name = f"gauge {gauge.label!r}" if gauge.label else "gauge"
+    return _dp5(rhs, [0.0, phi0], [2.0 * r / phi0, rate0], times, opts,
+                lambda t: f"{name} = {gauge(t):.6g} there", ("theta", "phi"))
 
 
 def _trajectory(times, states, params: ModelParams,
@@ -713,11 +737,16 @@ def integrate(z0, times, params: ModelParams, fields: FieldConfig,
     a starting point with visible spin-surface residuals is projected first
     (with a warning).
 
-    A field of kind free or uniform takes the closed-form flow, which steps
-    only the gauge sector (theta, phi); any other field steps the full
-    state.  Both use the same Dormand-Prince stepper, whose steps land on
-    every sample time.  With project_every = k > 0 the full state is
-    projected back onto the surface after every k-th accepted step.
+    The fiber rotation of (omega, pi) is factored out of the flow: the
+    physical sector (x, p, omega~, pi~) never sees phi, and the state is
+    its composition with the fiber angle theta of the gauge sector,
+    omega = cos theta omega~ + r sin theta pi~, pi = cos theta pi~ -
+    (sin theta / r) omega~ with r = |omega| / |pi| at the start.  A field
+    of kind free or uniform has the physical sector in closed form and a
+    constant gauge the gauge sector; the rest is stepped by the same
+    Dormand-Prince stepper, whose steps land on every sample time.  With
+    project_every = k > 0 a stepped physical sector is projected back onto
+    the surface after every k-th accepted step.
     """
     opts = opts or IntegrationOptions()
     times = np.array(times, dtype=float)
@@ -741,14 +770,35 @@ def integrate(z0, times, params: ModelParams, fields: FieldConfig,
             "projecting before integration", OffSurfaceWarning, stacklevel=2)
         y = _project_spin(y, a_sq, b_sq, _PROJECTION_TOL)
 
-    rhs = _rhs_kernel(params, fields, gauge)
-    f = rhs(y, t0)
+    f = eom(y, t0, params, fields, gauge).tolist()
     _require_finite(f, "derivative of the start state", t0)
+    # at t0 the fiber angle is zero, so the physical sector starts at y[:12]
+    u = y[:PHI]
     if fields.kind in _EXACT_KINDS:
-        states = _exact_flow(y, f, times, params, fields, gauge, opts)
+        physical = _exact_physical(u, times, params, fields)
     else:
-        states = _dp5(rhs, y, f, times, opts, gauge,
-                      project=lambda u: _project_spin(u, a_sq, b_sq, _PROJECTION_TOL))
+        physical_rhs = _physical_kernel(params, fields)
+        physical = _dp5(physical_rhs, u, physical_rhs(u, t0), times, opts,
+                        lambda t: f"field {fields.kind!r}",
+                        project=lambda v: _project_spin(v, a_sq, b_sq,
+                                                        _PROJECTION_TOL))
+    w0, q0 = np.array(y[OMEGA]), np.array(y[PI])
+    if opts.project_every and fields.kind not in _EXACT_KINDS:
+        # the projected omega~, pi~ lie on the surface, where r = a / b
+        r = math.sqrt(a_sq / b_sq)
+    else:
+        r = math.sqrt((w0 @ w0) / (q0 @ q0))
+    sector = _gauge_sector(r, y[PHI], f[PHI], times, gauge, opts)
+
+    cos_t, sin_t = np.cos(sector[:, :1]), np.sin(sector[:, :1])
+    w, q = physical[:, OMEGA], physical[:, PI]
+    states = np.empty((times.size, DIM))
+    states[:, :PHI] = physical
+    states[:, OMEGA] = cos_t * w + (r * sin_t) * q
+    states[:, PI] = cos_t * q - (sin_t / r) * w
+    states[:, PHI] = sector[:, 1]
+    states[:, PI_PHI] = y[PI_PHI]
+    states[0] = y
     return _trajectory(times, states, params, fields)
 
 
@@ -784,24 +834,53 @@ class FrequencyFit:
     rms_residual: float
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# (3 - sqrt 5) / 2: the golden-section fraction of a bracket
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def _golden_section(fn, lo: float, hi: float, xatol: float) -> float:
-    """Minimizer of fn on [lo, hi] by golden-section search (Kiefer 1953),
-    narrowed until the bracket is at most xatol wide."""
-    c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    while hi - lo > xatol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLDEN * (hi - lo)
-            fc = fn(c)
+    """Minimizer of fn on [lo, hi] by golden-section search with parabolic
+    steps (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 5), narrowed until the bracket is at most xatol wide.
+
+    x is the best point so far, w the second best and v the previous w.  A
+    parabola through them proposes the next point; it is taken when it lies
+    inside the bracket and moves less than half the step before last, and a
+    golden-section step into the larger part is taken otherwise.  No point
+    is taken within tol = xatol / 4 of x, and the search stops when the
+    bracket around x is at most 4 tol wide.
+    """
+    tol = xatol / 4.0
+    x = w = v = lo + _GOLDEN * (hi - lo)
+    fx = fw = fv = fn(x)
+    d = e = 0.0
+    while abs(x - 0.5 * (lo + hi)) > 2.0 * tol - 0.5 * (hi - lo):
+        p = q = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+        if abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
+            e, d = d, p / q
+            if min(x + d - lo, hi - x - d) < 2.0 * tol:
+                d = tol if x < 0.5 * (lo + hi) else -tol
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLDEN * (hi - lo)
-            fd = fn(d)
-    return c if fc < fd else d
+            e = (hi if x < 0.5 * (lo + hi) else lo) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = fn(u)
+        if fu <= fx:
+            lo, hi = (lo, x) if u < x else (x, hi)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            lo, hi = (u, hi) if u < x else (lo, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
 
 
 def fit_rotation_frequency(times, values) -> FrequencyFit:

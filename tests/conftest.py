@@ -27,13 +27,14 @@ def random_phase_state(rng, a=1.0, b=None, phi_low=0.5, phi_high=2.0):
 
 @pytest.fixture
 def rhs_calls(monkeypatch):
-    """Records (y, t) of every call of each right-hand side closure that
-    dynamics._rhs_kernel builds while the test runs, in call order.  Every
-    call is kept, so a run that may take many steps needs a step budget."""
+    """Records (u, t) of every call of each physical-sector right-hand side
+    that dynamics._physical_kernel builds while the test runs, in call
+    order.  Every call is kept, so a run that may take many steps needs a
+    step budget."""
     from spinbundle import dynamics
 
     calls = []
-    build = dynamics._rhs_kernel
+    build = dynamics._physical_kernel
 
     def spy_kernel(*args):
         rhs = build(*args)
@@ -44,5 +45,5 @@ def rhs_calls(monkeypatch):
 
         return spy
 
-    monkeypatch.setattr(dynamics, "_rhs_kernel", spy_kernel)
+    monkeypatch.setattr(dynamics, "_physical_kernel", spy_kernel)
     return calls

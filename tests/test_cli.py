@@ -304,6 +304,25 @@ def test_read_timeseries_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(SpinBundleError):
         read_timeseries(empty)
+    header = ",".join(TIMESERIES_COLUMNS)
+    headed = tmp_path / "headed.csv"
+    headed.write_text(header + "\n")
+    with pytest.raises(SpinBundleError, match="headed.csv holds no samples"):
+        read_timeseries(headed)
+    row = ",".join(["0.5"] * 21)
+    # 20 + 22 cells: the total still fills two rows of 21
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text(f"{header}\n{row[4:]}\n{row},0.5\n")
+    with pytest.raises(SpinBundleError,
+                       match=r"ragged\.csv is not a table of numbers: "
+                             r"the number of columns changed from 20 to 22"):
+        read_timeseries(ragged)
+    text = tmp_path / "text.csv"
+    text.write_text(f"{header}\n{row}\n{row.replace('0.5', 'abc', 1)}\n")
+    with pytest.raises(SpinBundleError,
+                       match=r"text\.csv is not a table of numbers: "
+                             r"could not convert string 'abc'"):
+        read_timeseries(text)
 
 
 # ---------------------------------------------------------------------------

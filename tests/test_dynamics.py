@@ -1,6 +1,7 @@
 """Equations of motion, multiplier consistency, adaptive integration,
 and the physical-limit checks for the spinning particle in a magnetic field."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinbundle import dynamics
+from spinbundle.cli import parse_gauge_expression
 from spinbundle.constraints import evaluate
 from spinbundle.dynamics import (
     FieldConfig,
@@ -347,6 +349,22 @@ def test_projection_pins_residuals():
     assert np.max(np.abs(traj.residuals)) < 1e-10
 
 
+def test_projection_pins_a_start_just_off_the_surface():
+    """A start 4e-10 off the surface is not projected before integration,
+    but projection after every step pins every later sample to the
+    surface, whatever the gauge does to omega and pi."""
+    params = ModelParams()
+    z0 = PhasePoint(x=[0, 0, 0], p=[0.3, 0, 0],
+                    omega=[params.a * (1 + 2e-10), 0, 0], pi=[0, params.b, 0])
+    wobble = GaugeFunction(phi=lambda t: 1.0 + 0.5 * np.sin(2 * t),
+                           phi_dot=lambda t: np.cos(2 * t))
+    traj = integrate(z0, np.linspace(0.0, 6.0, 200), params,
+                     FieldConfig.linear_gradient(), wobble,
+                     IntegrationOptions(project_every=1))
+    assert np.max(np.abs(traj.residuals[0])) > 1e-10
+    assert np.max(np.abs(traj.residuals[1:])) < 1e-12
+
+
 def test_gauge_invariance_of_observables():
     params = ModelParams()
     fields = FieldConfig.uniform((0.0, 0.0, 1.0))
@@ -359,6 +377,24 @@ def test_gauge_invariance_of_observables():
     assert np.max(np.abs(ref.spin - alt.spin)) < 1e-6
     assert np.max(np.abs(ref.states[:, :3] - alt.states[:, :3])) < 1e-6
     # the raw gauge-sector trajectories visibly separate
+    assert np.max(np.abs(ref.states[:, OMEGA] - alt.states[:, OMEGA])) > 0.1
+
+
+def test_physical_sector_is_gauge_blind():
+    """With projection after every step in a gradient field, x and p do not
+    depend on the gauge at all and S only through round-off in the fiber
+    rotation, while omega itself moves with the gauge."""
+    params = ModelParams()
+    fields = FieldConfig.linear_gradient()
+    z0 = PhasePoint(x=[0, 0, 0], p=[0.3, 0, 0], omega=[params.a, 0, 0],
+                    pi=[0, params.b, 0])
+    times = np.linspace(0.0, 6.0, 200)
+    opts = IntegrationOptions(project_every=1)
+    ref, alt = (integrate(z0, times, params, fields,
+                          parse_gauge_expression(expression), opts)
+                for expression in ("1", "1 + 0.5*sin(2*t)"))
+    assert np.array_equal(ref.states[:, :6], alt.states[:, :6])
+    assert np.max(np.abs(ref.spin - alt.spin)) < 1e-14
     assert np.max(np.abs(ref.states[:, OMEGA] - alt.states[:, OMEGA])) > 0.1
 
 
@@ -422,11 +458,17 @@ def test_integrate_fails_at_once_on_non_finite_start():
 
 
 def test_integrate_step_budget():
+    """The budget holds in each stepped sector: the physical sector of a
+    gradient field and the gauge sector of a gauge that moves."""
     params = ModelParams()
     opts = IntegrationOptions(max_steps=3)
-    with pytest.raises(IntegrationError):
-        integrate(larmor_start(params), (0.0, 10.0), params,
-                  FieldConfig.free(), UNIT_GAUGE, opts)
+    wobble = GaugeFunction(phi=lambda t: 1.0 + 0.5 * np.sin(2 * t),
+                           phi_dot=lambda t: np.cos(2 * t))
+    for fields, gauge in ((FieldConfig.linear_gradient(), UNIT_GAUGE),
+                          (FieldConfig.free(), wobble)):
+        with pytest.raises(IntegrationError, match="step budget 3 exhausted"):
+            integrate(larmor_start(params), (0.0, 10.0), params, fields,
+                      gauge, opts)
 
 
 def test_retried_step_starts_from_the_derivative_at_its_base(monkeypatch,
@@ -435,7 +477,7 @@ def test_retried_step_starts_from_the_derivative_at_its_base(monkeypatch,
     the rejected trial's last stage.  Each attempt's k[0] is recovered from
     its first stage point y + (h/5) k[0], with h from the last stage time.
     The uniform kernel is wrapped as a custom field, so that integrate
-    steps the full state rather than taking the closed-form flow."""
+    steps the physical sector rather than taking the closed-form flow."""
     params = ModelParams()
     fields = FieldConfig("custom", FieldConfig.uniform((0.0, 0.0, 1.0)).kernel)
     attempts = []
@@ -454,8 +496,7 @@ def test_retried_step_starts_from_the_derivative_at_its_base(monkeypatch,
                if before[3] > 1.0]
     assert retries
     for y, stage1, h, _ in retries:
-        # a constant gauge makes eom independent of t
-        want = eom(y, 0.0, params, fields, UNIT_GAUGE)
+        want = np.array(dynamics._physical_kernel(params, fields)(y.tolist(), 0.0))
         assert_allclose((stage1 - y) / (0.2 * h), want, rtol=0,
                         atol=1e-9 * np.max(np.abs(want)))
 
@@ -509,6 +550,31 @@ def test_underflow_after_non_finite_trial_names_the_component():
                                  r"is not finite at t = 0\.5: x1 = nan$"):
             integrate(larmor_start(params), np.linspace(0.0, 1.0, 11), params,
                       fields, UNIT_GAUGE)
+
+
+def test_underflow_in_the_physical_sector_names_the_field():
+    """B = 1e18 asks for steps far below 1e-14; the gauge does not enter the
+    physical sector, so the message names the field kind."""
+    params = ModelParams()
+    fields = FieldConfig("custom", FieldConfig.uniform((0.0, 0.0, 1e18)).kernel)
+    with pytest.raises(IntegrationError,
+                       match=r"^step size underflow at t = 0 \(field 'custom'\)$"):
+        integrate(larmor_start(params), np.linspace(0.0, 1.0, 11), params,
+                  fields, UNIT_GAUGE)
+
+
+def test_underflow_in_the_gauge_sector_names_the_gauge():
+    """phi oscillates at 1e15 per unit time: the gauge sector underflows and
+    the message names the gauge and its value there."""
+    params = ModelParams()
+    gauge = GaugeFunction(phi=lambda t: 1.0 + 0.5 * math.sin(1e15 * t),
+                          phi_dot=lambda t: 0.5e15 * math.cos(1e15 * t),
+                          label="fast")
+    with pytest.raises(IntegrationError,
+                       match=r"^step size underflow at t = 0 "
+                             r"\(gauge 'fast' = 1 there\)$"):
+        integrate(larmor_start(params), np.linspace(0.0, 1.0, 11), params,
+                  FieldConfig.free(), gauge)
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +641,17 @@ def test_classical_limit_scales_with_hbar():
 # frequency fit
 # ---------------------------------------------------------------------------
 
-def test_fit_recovers_synthetic_frequency(rng):
+def test_fit_recovers_synthetic_frequency(monkeypatch, rng):
+    lstsq = np.linalg.lstsq
+    calls = []
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
     t = np.linspace(0.0, 40.0, 1500)
     omega = 1.37
     y = 0.8 * np.cos(omega * t + 0.4) + 0.05
     fit = fit_rotation_frequency(t, y)
+    # golden section alone took 63 least-squares solves here
+    assert len(calls) <= 20
     assert abs(fit.omega - omega) < 1e-7
     assert abs(fit.amplitude - 0.8) < 1e-7
     assert fit.rms_residual < 1e-6
@@ -593,8 +665,21 @@ def test_golden_section_narrows_to_xatol():
         return abs(x - 0.3)
 
     assert abs(_golden_section(kink, 0.0, 1.0, 1e-12) - 0.3) <= 1e-12
-    # the bracket shrinks by 1/golden ratio per evaluation after the first two
-    assert len(calls) == 2 + int(np.ceil(np.log(1e12) / np.log((1 + 5 ** 0.5) / 2)))
+    # parabolas fit a kink badly, yet the search takes no more evaluations
+    # than golden section alone, whose bracket shrinks by 1/golden ratio per
+    # evaluation after the first two
+    assert len(calls) <= 2 + int(np.ceil(np.log(1e12) / np.log((1 + 5 ** 0.5) / 2)))
+
+
+def test_golden_section_takes_the_parabola_through_a_parabola():
+    calls = []
+
+    def bowl(x):
+        calls.append(x)
+        return (x - 0.3) ** 2
+
+    assert _golden_section(bowl, 0.0, 1.0, 1e-12) == 0.3
+    assert len(calls) <= 6
 
 
 def test_fit_requires_uniform_sampling():

@@ -5,6 +5,8 @@ Dormand-Prince path where no closed form exists."""
 import numpy as np
 import pytest
 
+from spinbundle import dynamics
+from spinbundle.cli import parse_gauge_expression
 from spinbundle.dynamics import (
     FieldConfig,
     GaugeFunction,
@@ -12,7 +14,7 @@ from spinbundle.dynamics import (
     ModelParams,
     integrate,
 )
-from spinbundle.phasespace import OMEGA, PI, P, PhasePoint, X
+from spinbundle.phasespace import OMEGA, PHI, PI, P, PhasePoint, X
 
 from conftest import random_phase_state
 
@@ -20,6 +22,9 @@ B_TILTED = (0.3, -0.4, 1.1)
 WOBBLE = GaugeFunction(phi=lambda t: 1.0 + 0.5 * np.sin(2.0 * t),
                        phi_dot=lambda t: np.cos(2.0 * t), label="1 + 0.5 sin 2t")
 TIMES = np.linspace(0.0, 4.0 * np.pi, 400)
+# On 400 samples every step at loose tolerances ends on a sample, so the
+# grid sets the error there; on 40 samples the tolerance sets it.
+COARSE_TIMES = np.linspace(0.0, 4.0 * np.pi, 40)
 BLOCKS = {"omega": OMEGA, "pi": PI, "x": X, "p": P}
 TOLERANCES = (1e-8, 1e-10, 1e-12)
 
@@ -42,27 +47,35 @@ def block_errors(traj, ref):
             for name, block in BLOCKS.items()}
 
 
-def errors_by_tolerance(z0, params, fields, reference):
-    return [block_errors(integrate(z0, TIMES, params, fields, WOBBLE, loose(tol)),
+def errors_by_tolerance(z0, params, fields, reference_fields, times):
+    reference = integrate(z0, times, params, reference_fields, WOBBLE, tight())
+    return [block_errors(integrate(z0, times, params, fields, WOBBLE, loose(tol)),
                          reference)
             for tol in TOLERANCES]
 
 
-def test_exact_flow_is_the_limit_of_the_stepped_flow(rng):
-    """Per-sample error of the Dormand-Prince path on a tilted uniform field
-    against the closed-form path, which steps only theta and phi and is run
-    tight: below 100 rel_tol and falling at least tenfold per hundredfold
-    tighter rel_tol, on omega, pi, x and p alike."""
-    params = ModelParams()
-    z0 = random_phase_state(rng, a=params.a, b=params.b)
-    fields = FieldConfig.uniform(B_TILTED)
-    exact = integrate(z0, TIMES, params, fields, WOBBLE, tight())
-    errors = errors_by_tolerance(z0, params, stepped(fields), exact)
-    for tol, err in zip(TOLERANCES, errors):
+def assert_converges(z0, params, fields, reference_fields):
+    """The per-sample error of fields at each rel_tol in TOLERANCES against
+    reference_fields run tight, on omega, pi, x and p alike: below 100
+    rel_tol on TIMES, and falling at least tenfold per hundredfold tighter
+    rel_tol on COARSE_TIMES."""
+    for tol, err in zip(TOLERANCES, errors_by_tolerance(
+            z0, params, fields, reference_fields, TIMES)):
         assert max(err.values()) < 100.0 * tol, (tol, err)
+    errors = errors_by_tolerance(z0, params, fields, reference_fields,
+                                 COARSE_TIMES)
     for coarse, fine in zip(errors, errors[1:]):
         for name in BLOCKS:
             assert fine[name] < 0.1 * coarse[name], (name, coarse, fine)
+
+
+def test_exact_flow_is_the_limit_of_the_stepped_flow(rng):
+    """The Dormand-Prince path on a tilted uniform field converges to the
+    closed-form path, which steps only theta and phi and is run tight."""
+    params = ModelParams()
+    z0 = random_phase_state(rng, a=params.a, b=params.b)
+    fields = FieldConfig.uniform(B_TILTED)
+    assert_converges(z0, params, stepped(fields), fields)
 
 
 @pytest.mark.parametrize("params, B0", [
@@ -108,12 +121,45 @@ def test_exact_spin_is_the_precessed_start_spin(rng):
 
 
 def test_exact_flow_evaluates_eom_once(rhs_calls, rng):
-    """The full right-hand side is taken only at the start, for its
-    finiteness check; the stepper sees the gauge sector alone."""
+    """The physical kernel is taken only at the start, for the finiteness
+    check of the start derivative; the stepper sees the gauge sector alone."""
     params = ModelParams()
     z0 = random_phase_state(rng, a=params.a, b=params.b)
     integrate(z0, TIMES, params, FieldConfig.uniform(B_TILTED), WOBBLE)
     assert [t for _, t in rhs_calls] == [0.0]
+
+
+@pytest.mark.parametrize("gauge", [GaugeFunction.constant(1.3),
+                                   parse_gauge_expression("2.6 / 2")],
+                         ids=["constant", "parsed"])
+def test_constant_gauge_on_a_uniform_field_takes_no_step(monkeypatch, rhs_calls,
+                                                        rng, gauge):
+    """A gauge built constant, by GaugeFunction.constant or as an
+    expression without t, has the fiber angle theta = 2 r tau / phi0 in
+    closed form, so nothing is stepped.  theta is read back from omega
+    against the precessed start pair (omega~, pi~)."""
+    steps = []
+    monkeypatch.setattr(dynamics, "_dp5", lambda *args, **kw: steps.append(args))
+    params = ModelParams(mu=1.3)
+    z0 = random_phase_state(rng, a=params.a, b=params.b)
+    traj = integrate(z0, TIMES, params, FieldConfig.uniform(B_TILTED), gauge)
+    assert steps == []
+    assert [t for _, t in rhs_calls] == [0.0]
+
+    b_norm = np.linalg.norm(B_TILTED)
+    axis = np.array(B_TILTED) / b_norm
+    w0, q0 = z0[OMEGA], z0[PI]
+    r = np.linalg.norm(w0) / np.linalg.norm(q0)
+    turns = [rotation_matrix(axis, -params.moment_coupling * b_norm * t)
+             for t in TIMES]
+    w_tilde = np.array([R @ w0 for R in turns])
+    q_tilde = np.array([R @ q0 for R in turns])
+    w = traj.states[:, OMEGA]
+    cos_theta = np.einsum("ij,ij->i", w, w_tilde) / (w0 @ w0)
+    sin_theta = np.einsum("ij,ij->i", w, q_tilde) / (r * (q0 @ q0))
+    theta = np.unwrap(np.arctan2(sin_theta, cos_theta))
+    assert np.max(np.abs(theta - 2.0 * r * TIMES / 1.3)) < 1e-12
+    assert np.all(traj.states[:, PHI] == 1.3)
 
 
 def test_exact_flow_ignores_project_every(rng):
@@ -127,16 +173,9 @@ def test_exact_flow_ignores_project_every(rng):
 
 
 def test_stepped_flow_converges_in_a_gradient_field():
-    """No closed form: the error against a rel_tol = 1e-13 run falls at
-    least tenfold per hundredfold tighter rel_tol."""
+    """No closed form: the reference is the same field at rel_tol = 1e-13."""
     params = ModelParams()
     fields = FieldConfig.linear_gradient(B0=1.0, gradient=0.1)
     z0 = PhasePoint(x=[0, 0, 0], p=[0.3, 0, 0], omega=[params.a, 0, 0],
                     pi=[0, params.b, 0])
-    reference = integrate(z0, TIMES, params, fields, WOBBLE, tight())
-    errors = errors_by_tolerance(z0, params, fields, reference)
-    for tol, err in zip(TOLERANCES, errors):
-        assert max(err.values()) < 100.0 * tol, (tol, err)
-    for coarse, fine in zip(errors, errors[1:]):
-        for name in BLOCKS:
-            assert fine[name] < 0.1 * coarse[name], (name, coarse, fine)
+    assert_converges(z0, params, fields, fields)
