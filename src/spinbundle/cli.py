@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
 import json
 import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -24,9 +22,6 @@ import numpy as np
 import yaml
 from jsonschema import Draft202012Validator
 
-from . import bundle_so3 as so3
-from . import constraints as con
-from . import lorentz as lor
 from .dynamics import (
     FieldConfig,
     GaugeFunction,
@@ -35,20 +30,13 @@ from .dynamics import (
     Trajectory,
     fit_rotation_frequency,
     integrate,
-    physical_hamiltonian,
     second_order_residual,
 )
 from .errors import GaugeError, SpinBundleError
-from .phasespace import (
-    OMEGA,
-    PI,
-    PhasePoint,
-    _cross3,
-    coordinate,
-    poisson_bracket,
-    quadratic,
-    spin_component,
-)
+# poisson_bracket is not called here: the benchmark harness self-test checks
+# that tracing rebinds it in this module too
+from .phasespace import OMEGA, PhasePoint, poisson_bracket
+from .verify import Check, _threshold, verify_lorentz, verify_so3, verify_t4
 
 __all__ = [
     "Check",
@@ -355,44 +343,8 @@ def parse_gauge_expression(expression: str, label: str = "") -> GaugeFunction:
 
 
 # ---------------------------------------------------------------------------
-# Checks and artifacts
+# Time-series artifacts
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Check:
-    """A named scalar compared against a threshold.
-
-    comparison "max" passes when value < threshold, "min" when value >
-    threshold (used for quantities that must stay large, like gauge-orbit
-    separation).
-    """
-
-    name: str
-    value: float
-    threshold: float
-    comparison: str = "max"
-
-    def __post_init__(self):
-        if self.comparison not in ("max", "min"):
-            raise ValueError("comparison must be 'max' or 'min'")
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "threshold", float(self.threshold))
-
-    @property
-    def passed(self) -> bool:
-        if self.comparison == "max":
-            return self.value < self.threshold
-        return self.value > self.threshold
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "threshold": self.threshold,
-            "comparison": self.comparison,
-            "passed": self.passed,
-        }
-
 
 TIMESERIES_COLUMNS = (
     "t",
@@ -492,16 +444,6 @@ def _integration_options(cfg: dict, rel_default: float = 1e-10,
         abs_tol=tol.get("abs_tol", abs_default),
         project_every=tol.get("project_every", 0),
     )
-
-
-def _threshold(cfg: dict, name: str, default: float,
-               comparison: str = "max") -> float:
-    checks = cfg.get("checks", {})
-    if name in checks:
-        return float(checks[name])
-    if comparison == "max" and "all" in checks:
-        return float(checks["all"])
-    return default
 
 
 def _sample_times(cfg: dict, default_span, default_samples: int,
@@ -673,281 +615,6 @@ def run_gauge_compare(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajector
         "gauge_b": gauge_b.label,
     }
     return checks, metrics, {"timeseries_a": traj_a, "timeseries_b": traj_b}
-
-
-# ---------------------------------------------------------------------------
-# Verification suites (random-point property checks)
-# ---------------------------------------------------------------------------
-
-def _random_quadratic(rng, dim: int = 14):
-    A = rng.standard_normal((dim, dim))
-    return quadratic(0.5 * (A + A.T), rng.standard_normal(dim),
-                     float(rng.standard_normal()), name="random quadratic")
-
-
-def verify_so3(cfg: dict) -> Tuple[List[Check], dict, dict]:
-    """Euclidean-sector suite: spin bracket algebra, Dirac annihilation,
-    bundle identification, Casimir normalization, rank, gauge group law."""
-    rng = np.random.default_rng(cfg.get("seed", 0))
-    params = _build_params(cfg)
-    a, b = params.a, params.b
-    pair = con.second_class_pair(a)
-    S = [spin_component(i) for i in range(3)]
-
-    def sample_state():
-        w, p = so3.sample_surface_point(rng, a=a, b=b)
-        z = np.zeros(14)
-        z[:6] = rng.standard_normal(6)
-        z[OMEGA], z[PI] = w, p
-        z[12] = 1.0 + rng.uniform(0.0, 1.0)
-        return z
-
-    # spin algebra under both brackets
-    n_alg = cfg.get("n_points", 100)
-    alg_poisson = 0.0
-    alg_dirac = 0.0
-    omega_pi_err = 0.0
-    for _ in range(n_alg):
-        z = sample_state()
-        for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            want = float(_cross3(z[OMEGA], z[PI])[k])
-            alg_poisson = max(alg_poisson, abs(
-                poisson_bracket(S[i], S[j], z) - want))
-            alg_dirac = max(alg_dirac, abs(
-                con.dirac_bracket(S[i], S[j], pair, z) - want))
-        w = z[OMEGA]
-        for i in range(3):
-            for j in range(3):
-                want = (1.0 if i == j else 0.0) - w[i] * w[j] / (a * a)
-                got = con.dirac_bracket(coordinate(6 + i), coordinate(9 + j),
-                                        pair, z)
-                omega_pi_err = max(omega_pi_err, abs(got - want))
-
-    # Dirac bracket annihilates the second-class pair
-    observables = [_random_quadratic(rng) for _ in range(20)]
-    annihilation = 0.0
-    for _ in range(50):
-        z = sample_state()
-        for obs in observables:
-            for phi_c in pair.constraints:
-                annihilation = max(annihilation, abs(
-                    con.dirac_bracket(phi_c.func, obs, pair, z)))
-
-    # bundle identification (normalized chart) and structure-group invariance
-    rot_err = 0.0
-    inv_err = 0.0
-    for _ in range(cfg.get("n_boosts", 1000)):
-        wn, pn = so3.sample_surface_point(rng, a=1.0, b=1.0)
-        R = so3.rotation_matrix(wn, pn)
-        rot_err = max(rot_err,
-                      float(np.max(np.abs(R @ R.T - np.eye(3)))),
-                      abs(np.linalg.det(R) - 1.0))
-        w, p = so3.sample_surface_point(rng, a=a, b=b)
-        beta = rng.uniform(0.0, 2.0 * np.pi)
-        w2, p2 = so3.so2_action(w, p, beta)
-        inv_err = max(inv_err, float(np.max(np.abs(
-            so3.spin_map(w2, p2) - so3.spin_map(w, p)))))
-
-    # Casimir identity at generic points; normalization on-surface
-    casimir_err = 0.0
-    for _ in range(n_alg):
-        w = rng.standard_normal(3)
-        p = rng.standard_normal(3)
-        s2 = float(np.dot(_cross3(w, p), _cross3(w, p)))
-        casimir_err = max(casimir_err, abs(
-            s2 - (np.dot(w, w) * np.dot(p, p) - np.dot(w, p) ** 2)))
-    norm_err = 0.0
-    for _ in range(n_alg):
-        w, p = so3.sample_surface_point(rng, a=a, b=b)
-        norm_err = max(norm_err, abs(
-            float(np.dot(_cross3(w, p), _cross3(w, p))) - params.spin_norm_sq))
-
-    # rank of the bundle projection: worst ratio past the expected rank,
-    # with the numerical floor standing in when the Jacobian has no further
-    # singular values (a 3 x 6 map has exactly three)
-    eps = float(np.finfo(float).eps)
-    rank_ratio = 0.0
-    for _ in range(n_alg):
-        w, p = so3.sample_surface_point(rng, a=a, b=b)
-        sv = so3.jacobian_singular_values(w, p, kind="so3")
-        if so3.jacobian_rank(w, p, kind="so3") != 3:
-            rank_ratio = max(rank_ratio, 1.0)
-        rank_ratio = max(rank_ratio, eps * float(sv[0] / sv[2]))
-
-    # gauge-matrix group law
-    group_err = 0.0
-    for _ in range(n_alg):
-        g = so3.GaugeMatrix.from_multipliers(
-            phi=1.0 + rng.uniform(0.0, 2.0),
-            lambda1=rng.standard_normal(),
-            lambda3=rng.standard_normal(),
-        )
-        b1, b2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        d1, d2 = rng.standard_normal(2)
-        two_step = so3.gauge_matrix_transform(
-            so3.gauge_matrix_transform(g, b1, d1), b2, d2)
-        one_step = so3.gauge_matrix_transform(g, b1 + b2, d1 + d2)
-        group_err = max(group_err, float(np.max(np.abs(
-            two_step.matrix - one_step.matrix))))
-
-    checks = [
-        Check("spin_algebra_poisson", alg_poisson,
-              _threshold(cfg, "spin_algebra_poisson", 1e-8)),
-        Check("spin_algebra_dirac", alg_dirac,
-              _threshold(cfg, "spin_algebra_dirac", 1e-8)),
-        Check("dirac_omega_pi", omega_pi_err,
-              _threshold(cfg, "dirac_omega_pi", 1e-8)),
-        Check("dirac_annihilation", annihilation,
-              _threshold(cfg, "dirac_annihilation", 1e-8)),
-        Check("rotation_orthogonality", rot_err,
-              _threshold(cfg, "rotation_orthogonality", 1e-10)),
-        Check("so2_invariance", inv_err, _threshold(cfg, "so2_invariance", 1e-12)),
-        Check("casimir_identity", casimir_err,
-              _threshold(cfg, "casimir_identity", 1e-10)),
-        Check("spin_normalization", norm_err,
-              _threshold(cfg, "spin_normalization", 1e-10)),
-        Check("so3_rank_ratio", rank_ratio,
-              _threshold(cfg, "so3_rank_ratio", 1e-6)),
-        Check("gauge_group_law", group_err,
-              _threshold(cfg, "gauge_group_law", 1e-12)),
-    ]
-    return checks, {"points": float(n_alg)}, {}
-
-
-def verify_lorentz(cfg: dict) -> Tuple[List[Check], dict, dict]:
-    """Covariant suite: boost invariance of both surfaces, Casimir, Frenkel
-    condition, base ellipsoid, tetrad pseudo-orthogonality, BMT round trip."""
-    rng = np.random.default_rng(cfg.get("seed", 0))
-    beta_max = cfg.get("boost", {}).get("beta_max", 0.99)
-    a3 = a4 = lor.DEFAULT_SURFACE_SCALE
-
-    t3_err = casimir_err = frenkel_err = ellipsoid_err = 0.0
-    casimir_target = 8.0 * a3 * a4
-    for _ in range(cfg.get("n_boosts", 1000)):
-        w, p, P = lor.sample_t3_rest_point(rng, a3=a3, a4=a4,
-                                           mass=rng.uniform(0.5, 2.0))
-        L = lor.boost_matrix(lor.sample_beta(rng, beta_max))
-        w, p, P = L @ w, L @ p, L @ P
-        t3_err = max(t3_err, float(np.max(np.abs(
-            lor.t3_constraints(w, p, P, a3=a3, a4=a4)))))
-        J = lor.spin_tensor(w, p)
-        casimir_err = max(casimir_err, abs(lor.casimir(J) - casimir_target))
-        frenkel_err = max(frenkel_err, float(np.linalg.norm(
-            lor.frenkel_residual(J, P))))
-        _, j = lor.decompose_spin_tensor(J)
-        ellipsoid_err = max(ellipsoid_err, abs(
-            lor.base_ellipsoid_residual(j, P)))
-
-    tetrad_err = 0.0
-    for _ in range(cfg.get("n_points", 200)):
-        w, p, P = lor.sample_t3_rest_point(rng, a3=a3, a4=a4,
-                                           mass=rng.uniform(0.5, 2.0))
-        L = lor.boost_matrix(lor.sample_beta(rng, beta_max))
-        w, p, P = L @ w, L @ p, L @ P
-        lam = lor.tetrad(P, w, p, a3=a3, a4=a4)
-        tetrad_err = max(tetrad_err, float(np.max(np.abs(
-            lam @ lor.METRIC @ lam.T - lor.METRIC))))
-
-    bmt_err = orth_err = 0.0
-    for _ in range(cfg.get("n_points", 200)):
-        w, p, P = lor.sample_t3_rest_point(rng, a3=a3, a4=a4,
-                                           mass=rng.uniform(0.5, 2.0))
-        L = lor.boost_matrix(lor.sample_beta(rng, beta_max))
-        w, p, P = L @ w, L @ p, L @ P
-        _, j = lor.decompose_spin_tensor(lor.spin_tensor(w, p))
-        S = lor.j_to_bmt(j, P)
-        bmt_err = max(bmt_err, float(np.max(np.abs(lor.bmt_to_j(S, P) - j))))
-        orth_err = max(orth_err, abs(lor.minkowski_dot(S, P)))
-
-    rank_ratio = 0.0
-    for _ in range(cfg.get("n_points", 200) // 2):
-        w, p, P = lor.sample_t3_rest_point(rng, a3=a3, a4=a4)
-        L = lor.boost_matrix(lor.sample_beta(rng, beta_max))
-        sv = so3.jacobian_singular_values(L @ w, L @ p, kind="so13")
-        if so3.jacobian_rank(L @ w, L @ p, kind="so13") != 5:
-            rank_ratio = max(rank_ratio, 1.0)
-        rank_ratio = max(rank_ratio, float(sv[5] / sv[4]))
-
-    checks = [
-        Check("t3_boost_residual", t3_err, _threshold(cfg, "t3_boost_residual", 1e-9)),
-        Check("casimir_deviation", casimir_err,
-              _threshold(cfg, "casimir_deviation", 1e-9)),
-        Check("frenkel_residual", frenkel_err,
-              _threshold(cfg, "frenkel_residual", 1e-9)),
-        Check("ellipsoid_residual", ellipsoid_err,
-              _threshold(cfg, "ellipsoid_residual", 1e-9)),
-        Check("tetrad_identity", tetrad_err,
-              _threshold(cfg, "tetrad_identity", 1e-9)),
-        Check("bmt_round_trip", bmt_err, _threshold(cfg, "bmt_round_trip", 1e-10)),
-        Check("bmt_orthogonality", orth_err,
-              _threshold(cfg, "bmt_orthogonality", 1e-12)),
-        Check("so13_rank_ratio", rank_ratio,
-              _threshold(cfg, "so13_rank_ratio", 1e-6)),
-    ]
-    return checks, {"boosts": float(cfg.get("n_boosts", 1000))}, {}
-
-
-def verify_t4(cfg: dict) -> Tuple[List[Check], dict, dict]:
-    """Scale-free-surface suite: first-class pair, boost invariance, and the
-    two-parameter structure-group action leaving the spin fixed."""
-    rng = np.random.default_rng(cfg.get("seed", 0))
-    beta_max = cfg.get("boost", {}).get("beta_max", 0.99)
-    a = cfg.get("params", {}).get("a", 0.75)
-    tset = con.t4_surface_set(a)
-
-    n_pts = cfg.get("n_points", 100)
-    bracket_err = 0.0
-    first_class_ok = 0
-    for _ in range(n_pts):
-        radius = rng.uniform(0.7, 1.5)
-        w, p = so3.sample_surface_point(rng, a=radius, b=np.sqrt(a) / radius)
-        z = np.zeros(14)
-        z[OMEGA], z[PI] = w, p
-        z[12] = 1.0
-        result = con.classify(tset, z)
-        if len(result.first_class) == len(tset.constraints):
-            first_class_ok += 1
-        bracket_err = max(bracket_err, float(np.max(np.abs(
-            result.bracket.delta))))
-    misclassified = float(n_pts - first_class_ok)
-
-    boost_err = 0.0
-    for _ in range(cfg.get("n_boosts", 1000)):
-        w4, p4, P = lor.sample_t4_rest_point(rng, a=a,
-                                             mass=rng.uniform(0.5, 2.0))
-        L = lor.boost_matrix(lor.sample_beta(rng, beta_max))
-        boost_err = max(boost_err, float(np.max(np.abs(
-            lor.t4_constraints(L @ w4, L @ p4, L @ P, a=a)))))
-
-    action_spin_err = 0.0
-    action_surface_err = 0.0
-    for _ in range(cfg.get("n_boosts", 1000)):
-        radius = rng.uniform(0.7, 1.5)
-        w, p = so3.sample_surface_point(rng, a=radius, b=np.sqrt(a) / radius)
-        k = np.exp(rng.uniform(-1.0, 1.0))
-        beta = rng.uniform(0.0, 2.0 * np.pi)
-        w2, p2 = lor.t4_structure_action(w, p, k, beta)
-        action_spin_err = max(action_spin_err, float(np.max(np.abs(
-            _cross3(w2, p2) - _cross3(w, p)))))
-        action_surface_err = max(
-            action_surface_err,
-            abs(float(np.dot(w2, p2))),
-            abs(float(np.dot(p2, p2) - a / np.dot(w2, w2))),
-        )
-
-    checks = [
-        Check("first_class_misclassified", misclassified,
-              _threshold(cfg, "first_class_misclassified", 0.5)),
-        Check("constraint_bracket_residual", bracket_err,
-              _threshold(cfg, "constraint_bracket_residual", 1e-8)),
-        Check("t4_boost_residual", boost_err,
-              _threshold(cfg, "t4_boost_residual", 1e-9)),
-        Check("structure_action_spin", action_spin_err,
-              _threshold(cfg, "structure_action_spin", 1e-12)),
-        Check("structure_action_surface", action_surface_err,
-              _threshold(cfg, "structure_action_surface", 1e-12)),
-    ]
-    return checks, {"points": float(n_pts)}, {}
 
 
 SCENARIOS: Dict[str, Tuple[Callable, str]] = {
