@@ -41,6 +41,7 @@ from .constraints import (
     classify,
     constraint_matrix,
     dirac_bracket,
+    dirac_brackets,
     evaluate,
     pauli_model_set,
     project,

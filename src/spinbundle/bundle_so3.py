@@ -8,6 +8,7 @@ of the auxiliary sector is tracked by a symmetric 2x2 matrix of multipliers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,7 +213,7 @@ def sample_surface_point(rng, a: float = 1.0, b: float = 1.0):
     while True:
         raw = _random_unit(rng)
         perp = raw - np.dot(raw, w) * w
-        norm = np.linalg.norm(perp)
+        norm = math.sqrt(perp.dot(perp))
         if norm > 1e-6:
             break
     return a * w, b * perp / norm
@@ -221,6 +222,6 @@ def sample_surface_point(rng, a: float = 1.0, b: float = 1.0):
 def _random_unit(rng) -> Array:
     while True:
         v = rng.normal(size=3)
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(v.dot(v))
         if norm > 1e-12:
             return v / norm

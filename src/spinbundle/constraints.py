@@ -4,6 +4,7 @@ the constraint surface."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -176,29 +177,64 @@ def classify(cset: ConstraintSet, z, tol: float = 1e-8,
                           bracket=bm, second_class_condition=condition)
 
 
-def dirac_bracket(f, g, second_class: ConstraintSet, z,
-                  rel_step: float = 1e-6, max_condition: float = 1e12) -> float:
-    """Dirac bracket {f, g}* = {f, g} - {f, Phi_a} (delta^-1)_ab {Phi_b, g}.
+def _condition(delta: np.ndarray) -> float:
+    """Condition number of the constraint bracket matrix.
 
-    Every gradient (each constraint's, then f's and g's) is taken once and
-    shared between the brackets that need it.
+    A pair's delta is antisymmetric with a zero diagonal, so both singular
+    values are |delta_01|: the number is 1 when delta_01 is finite and
+    nonzero and infinite otherwise.  Larger sets take the SVD.
+    """
+    if len(delta) == 2:
+        d = float(delta[0, 1])
+        return 1.0 if d != 0.0 and math.isfinite(d) else math.inf
+    return float(np.linalg.cond(delta)) if len(delta) else 1.0
+
+
+def dirac_brackets(fs, gs, second_class: ConstraintSet, z,
+                   rel_step: float = 1e-6,
+                   max_condition: float = 1e12) -> np.ndarray:
+    """Dirac brackets {f, g}* = {f, g} - {f, Phi_a} (delta^-1)_ab {Phi_b, g}
+    at one point for every f in fs and g in gs, as a (len(fs), len(gs))
+    array.
+
+    The constraint gradients, delta and its condition number are taken once,
+    and a degenerate delta raises before any f or g is looked at.  Then each
+    distinct observable's gradient is taken once (one that is also a
+    constraint reuses the constraint's), and delta is solved once per g.
     """
     structure = second_class.structure
     zf = as_flat(z)
     grads, delta = _constraint_brackets(second_class, zf, rel_step)
-    condition = float(np.linalg.cond(delta)) if len(second_class) else 1.0
+    condition = _condition(delta)
     if not np.isfinite(condition) or condition > max_condition:
         raise DegenerateConstraintError(condition)
     zf = _checked_point(zf, structure)
-    df = _checked_gradient(f, zf, structure, rel_step)
-    dg = _checked_gradient(g, zf, structure, rel_step)
-    plain = _bracket(df, dg, structure)
-    if not len(second_class):
-        return plain
-    bf = np.array([_bracket(df, dc, structure) for dc in grads])
-    bg = np.array([_bracket(dc, dg, structure) for dc in grads])
-    correction = bf @ np.linalg.solve(delta, bg)
-    return float(plain - correction)
+    taken = {id(c.func): dc for c, dc in zip(second_class, grads)}
+
+    def gradient_of(obs):
+        if id(obs) not in taken:
+            taken[id(obs)] = _checked_gradient(obs, zf, structure, rel_step)
+        return taken[id(obs)]
+
+    dfs = [gradient_of(f) for f in fs]
+    dgs = [gradient_of(g) for g in gs]
+    bfs = [np.array([_bracket(df, dc, structure) for dc in grads])
+           for df in dfs]
+    out = np.empty((len(dfs), len(dgs)))
+    for j, dg in enumerate(dgs):
+        x = np.linalg.solve(
+            delta, np.array([_bracket(dc, dg, structure) for dc in grads]))
+        for i, (df, bf) in enumerate(zip(dfs, bfs)):
+            out[i, j] = _bracket(df, dg, structure) - bf @ x
+    return out
+
+
+def dirac_bracket(f, g, second_class: ConstraintSet, z,
+                  rel_step: float = 1e-6, max_condition: float = 1e12) -> float:
+    """Dirac bracket {f, g}* = {f, g} - {f, Phi_a} (delta^-1)_ab {Phi_b, g},
+    the 1 x 1 case of dirac_brackets."""
+    return float(dirac_brackets((f,), (g,), second_class, z, rel_step,
+                                max_condition)[0, 0])
 
 
 def project(z, cset: ConstraintSet, max_iter: int = 25, tol: float = 1e-12):

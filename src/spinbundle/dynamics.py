@@ -354,6 +354,8 @@ def _physical_kernel(params: ModelParams,
     def rhs(u, t):
         x1, x2, x3, p1, p2, p3, w1, w2, w3, q1, q2, q3 = u
         (b1, b2, b3), (a1, a2, a3), dA, dB = kernel(x1, x2, x3)
+        (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = dA
+        (g11, g12, g13), (g21, g22, g23), (g31, g32, g33) = dB
         s1 = w2 * q3 - w3 * q2
         s2 = w3 * q1 - w1 * q3
         s3 = w1 * q2 - w2 * q1
@@ -362,9 +364,12 @@ def _physical_kernel(params: ModelParams,
         v3 = (p3 - e_over_c * a3) / m
         return [
             v1, v2, v3,
-            *[e_over_c * (r[0] * v1 + r[1] * v2 + r[2] * v3)
-              + coupling * (g[0] * s1 + g[1] * s2 + g[2] * s3)
-              for r, g in zip(dA, dB)],
+            e_over_c * (r11 * v1 + r12 * v2 + r13 * v3)
+            + coupling * (g11 * s1 + g12 * s2 + g13 * s3),
+            e_over_c * (r21 * v1 + r22 * v2 + r23 * v3)
+            + coupling * (g21 * s1 + g22 * s2 + g23 * s3),
+            e_over_c * (r31 * v1 + r32 * v2 + r33 * v3)
+            + coupling * (g31 * s1 + g32 * s2 + g33 * s3),
             coupling * (w2 * b3 - w3 * b2),
             coupling * (w3 * b1 - w1 * b3),
             coupling * (w1 * b2 - w2 * b1),

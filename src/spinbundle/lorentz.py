@@ -10,6 +10,8 @@ is exogenous data: a fixed timelike four-vector, not a dynamical variable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .constraints import Constraint, ConstraintSet
@@ -385,10 +387,10 @@ def sample_beta(rng, beta_max: float = 0.99) -> Array:
     if not 0.0 <= beta_max < 1.0:
         raise ValueError("beta_max must lie in [0, 1)")
     direction = rng.normal(size=3)
-    norm = np.linalg.norm(direction)
+    norm = math.sqrt(direction.dot(direction))
     while norm < 1e-12:
         direction = rng.normal(size=3)
-        norm = np.linalg.norm(direction)
+        norm = math.sqrt(direction.dot(direction))
     return (rng.uniform(0.0, beta_max) / norm) * direction
 
 

@@ -3,9 +3,11 @@ the Poisson-engine solve, the right-hand side to the np.cross formulation,
 the batched trajectory post-processing to the per-sample functions, the
 field kernels to formulas written out here and to central differences, the
 float-level spin projection to constraints.project, the error norm to its
-numpy form, the written-out 3-vector cross product to np.cross, and the
+numpy form, the written-out 3-vector cross product to np.cross, the
 gradient-once Dirac brackets to the same brackets built from public
-Poisson-bracket calls."""
+Poisson-bracket calls, a block of Dirac brackets at one point to the single
+brackets, the pair's closed-form condition number to the SVD, and the
+samplers' vector norms to np.linalg.norm."""
 
 import math
 import warnings
@@ -15,11 +17,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinbundle import dynamics
+from spinbundle.bundle_so3 import sample_surface_point
 from spinbundle.constraints import (
     Constraint,
     ConstraintSet,
+    _condition,
     constraint_matrix,
     dirac_bracket,
+    dirac_brackets,
     evaluate,
     omega_norm_sq,
     pauli_model_set,
@@ -49,6 +54,7 @@ from spinbundle.errors import (
     OffSurfaceWarning,
     ProjectionError,
 )
+from spinbundle.lorentz import sample_beta
 from spinbundle.phasespace import (
     OMEGA,
     P,
@@ -585,3 +591,114 @@ def test_degenerate_delta_raises_before_f_and_g(rng):
     with pytest.raises(DegenerateConstraintError):
         dirac_bracket(f, g, cset, z)
     assert counts == {}
+
+
+# ---------------------------------------------------------------------------
+# A block of Dirac brackets at one point
+# ---------------------------------------------------------------------------
+
+def _block_cases(rng, cset):
+    cases = _dirac_cases(rng, cset)
+    return [f for f, _ in cases], [g for _, g in cases]
+
+
+def test_dirac_brackets_equal_single_brackets_and_reference(rng):
+    pair = second_class_pair(PARAMS.a)
+    t4 = t4_surface_set(0.75)
+    for _ in range(N_STATES // 4):
+        z = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
+        zt = random_phase_state(rng, a=rng.uniform(0.7, 1.5),
+                                b=rng.uniform(0.7, 1.5))
+        for cset, point in ((pair, z), (t4, zt)):
+            fs, gs = _block_cases(rng, cset)
+            block = dirac_brackets(fs, gs, cset, point)
+            assert block.shape == (len(fs), len(gs))
+            for i, f in enumerate(fs):
+                for j, g in enumerate(gs):
+                    assert block[i, j] == dirac_bracket(f, g, cset, point)
+                    assert block[i, j] == \
+                        reference_dirac_bracket(f, g, cset, point)
+
+
+def test_dirac_brackets_take_each_gradient_once(rng):
+    counts = {}
+    pair = _counted_set(second_class_pair(PARAMS.a), counts)
+    spins = [_counted(spin_component(k), counts, f"S{k}") for k in range(3)]
+    omega = _counted(coordinate(6), counts, "omega1")
+    fs = [c.func for c in pair] + spins
+    gs = spins + [omega]
+    z = random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)
+    block = dirac_brackets(fs, gs, pair, z)
+    assert block.shape == (5, 4)
+    assert counts == {"omega_sq": 1, "omega_pi": 1, "S0": 1, "S1": 1, "S2": 1,
+                      "omega1": 1}
+
+
+def test_dirac_brackets_degenerate_delta_raises_before_f_and_g(rng):
+    counts = {}
+    cset = ConstraintSet(constraints=(
+        Constraint("omega_sq", omega_norm_sq(), 1.0),
+        Constraint("omega_sq_again", 2.0 * omega_norm_sq(), 2.0),
+    ))
+    fs = [_counted(spin_component(k), counts, f"f{k}") for k in range(3)]
+    gs = [_counted(coordinate(9 + k), counts, f"g{k}") for k in range(3)]
+    z = random_phase_state(rng, a=1.0)
+    with pytest.raises(DegenerateConstraintError) as info:
+        dirac_brackets(fs, gs, cset, z)
+    assert info.value.condition_number == math.inf
+    assert counts == {}
+
+
+@pytest.mark.parametrize("d", [3.7, -2.5, 1e-300, 5e-324, 1e300])
+def test_pair_condition_is_the_svd_condition(d):
+    delta = np.array([[0.0, d], [-d, 0.0]])
+    assert _condition(delta) == 1.0
+    assert abs(np.linalg.cond(delta) - 1.0) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("d", [0.0, -0.0, math.inf, math.nan])
+def test_pair_condition_is_infinite_where_delta_does_not_invert(d):
+    assert _condition(np.array([[0.0, d], [-d, 0.0]])) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# Samplers: the same draws as with np.linalg.norm
+# ---------------------------------------------------------------------------
+
+def reference_random_unit(rng):
+    while True:
+        v = rng.normal(size=3)
+        norm = np.linalg.norm(v)
+        if norm > 1e-12:
+            return v / norm
+
+
+def reference_sample_surface_point(rng, a, b):
+    w = reference_random_unit(rng)
+    while True:
+        raw = reference_random_unit(rng)
+        perp = raw - np.dot(raw, w) * w
+        norm = np.linalg.norm(perp)
+        if norm > 1e-6:
+            break
+    return a * w, b * perp / norm
+
+
+def reference_sample_beta(rng, beta_max):
+    direction = rng.normal(size=3)
+    norm = np.linalg.norm(direction)
+    while norm < 1e-12:
+        direction = rng.normal(size=3)
+        norm = np.linalg.norm(direction)
+    return (rng.uniform(0.0, beta_max) / norm) * direction
+
+
+def test_samplers_match_np_linalg_norm_draws():
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(500):
+        w, p = sample_surface_point(rng, a=0.8, b=1.3)
+        w_ref, p_ref = reference_sample_surface_point(ref, 0.8, 1.3)
+        assert np.array_equal(w, w_ref) and np.array_equal(p, p_ref)
+        assert np.array_equal(sample_beta(rng, 0.9),
+                              reference_sample_beta(ref, 0.9))
+    assert rng.bit_generator.state == ref.bit_generator.state
