@@ -255,64 +255,27 @@ def _check_gauge_node(node: ast.AST) -> None:
             f"unsupported syntax in gauge expression: {type(node).__name__}")
 
 
-def _product(a: ast.AST, b: ast.AST) -> ast.AST:
-    return ast.BinOp(a, ast.Mult(), b)
-
-
-def _negated(node: ast.AST) -> ast.AST:
-    return ast.UnaryOp(ast.USub(), node)
-
-
-def _combined(a: Optional[ast.AST], b: Optional[ast.AST],
-              op: ast.operator) -> Optional[ast.AST]:
-    """a + b or a - b, where None stands for zero."""
-    if b is None:
-        return a
-    if a is None:
-        return b if isinstance(op, ast.Add) else _negated(b)
-    return ast.BinOp(a, op, b)
-
-
-def _gauge_derivative(node: ast.AST) -> Optional[ast.AST]:
-    """d/dt of a checked gauge expression node; None where it is zero."""
-    if isinstance(node, ast.Name):
-        return ast.Constant(1.0)
-    if isinstance(node, ast.Constant):
-        return None
-    if isinstance(node, ast.UnaryOp):
-        d = _gauge_derivative(node.operand)
-        return d if d is None or isinstance(node.op, ast.UAdd) else _negated(d)
-    if isinstance(node, ast.Call):
-        (u,) = node.args
-        du = _gauge_derivative(u)
-        if du is None:
-            return None
-        sin, cos = (ast.Call(ast.Name(f, ast.Load()), [u], []) for f in ("sin", "cos"))
-        outer = {"sin": cos, "cos": _negated(sin), "exp": node}[node.func.id]
-        return _product(outer, du)
-    left, right = node.left, node.right
-    dl, dr = _gauge_derivative(left), _gauge_derivative(right)
-    if isinstance(node.op, (ast.Add, ast.Sub)):
-        return _combined(dl, dr, node.op)
-    if isinstance(node.op, ast.Mult):
-        return _combined(dl and _product(dl, right), dr and _product(left, dr),
-                         ast.Add())
-    # quotient rule: d(l/r) = dl/r - l dr / (r r)
-    return _combined(dl and ast.BinOp(dl, ast.Div(), right),
-                     dr and ast.BinOp(_product(left, dr), ast.Div(),
-                                      _product(right, right)),
-                     ast.Sub())
-
-
-def _gauge_evaluator(body: ast.AST, what: str) -> Callable[[float], float]:
-    """Compile one expression into a function of t; a result that overflows,
-    divides by zero or is not finite raises GaugeError naming what and t."""
-    tree = ast.parse("lambda t: 0", mode="eval")
-    tree.body.body = body
-    fn = eval(compile(ast.fix_missing_locations(tree), "<gauge>", "eval"),
+def parse_gauge_expression(expression: str, label: str = "") -> GaugeFunction:
+    """Compile a gauge expression over t from the fixed small grammar; a
+    value that overflows, divides by zero or is not finite raises GaugeError
+    naming the expression and t.  An expression without t is a constant
+    gauge, with phi_dot = GaugeFunction.zero_rate; any other has no phi_dot,
+    so its derivative is a central difference."""
+    try:
+        tree = ast.parse(expression, mode="eval")
+    except SyntaxError as exc:
+        raise ConfigError(f"gauge expression does not parse: {exc.msg}") from None
+    _check_gauge_node(tree)
+    # t is the only name in a checked tree besides the called functions
+    moves = any(isinstance(node, ast.Name) and node.id == "t"
+                for node in ast.walk(tree))
+    what = f"gauge expression {expression!r}"
+    source = ast.parse("lambda t: 0", mode="eval")
+    source.body.body = tree.body
+    fn = eval(compile(ast.fix_missing_locations(source), "<gauge>", "eval"),
               {"__builtins__": {}, **_GAUGE_FUNCS})
 
-    def evaluate(t: float) -> float:
+    def phi(t: float) -> float:
         t = float(t)
         try:
             value = float(fn(t))
@@ -323,22 +286,7 @@ def _gauge_evaluator(body: ast.AST, what: str) -> Callable[[float], float]:
             raise GaugeError(f"{what} is {value!r} at t = {t!r}")
         return value
 
-    return evaluate
-
-
-def parse_gauge_expression(expression: str, label: str = "") -> GaugeFunction:
-    """Compile a gauge expression over t from the fixed small grammar, with
-    its exact derivative taken on the syntax tree."""
-    try:
-        tree = ast.parse(expression, mode="eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"gauge expression does not parse: {exc.msg}") from None
-    _check_gauge_node(tree)
-    name = f"gauge expression {expression!r}"
-    derivative = _gauge_derivative(tree.body)
-    phi_dot = (GaugeFunction.zero_rate if derivative is None
-               else _gauge_evaluator(derivative, f"derivative of {name}"))
-    return GaugeFunction(phi=_gauge_evaluator(tree.body, name), phi_dot=phi_dot,
+    return GaugeFunction(phi=phi, phi_dot=None if moves else GaugeFunction.zero_rate,
                          label=label or expression)
 
 

@@ -16,8 +16,8 @@ The fiber rotation of (omega, pi), by an angle theta with theta' = 2 r / phi
 and r = |omega| / |pi|, commutes with every common rotation of omega and pi
 and leaves S unchanged.  integrate therefore factors it out: the physical
 sector (x, p, omega~, pi~), in which omega~ and pi~ precess rigidly about
-B(x), never sees phi, and the gauge sector (theta, phi) never sees the field.
-In a free or uniform field the physical sector is known in closed form (the
+B(x), never sees phi, and theta never sees the field; phi is gauge(t).  In a
+free or uniform field the physical sector is known in closed form (the
 gradient force vanishes and the particle moves on a helix), and under a
 constant gauge theta is linear in t.  What is not closed form is stepped by
 one embedded Dormand-Prince 5(4) stepper with proportional step control
@@ -212,8 +212,9 @@ class FieldConfig:
 class GaugeFunction:
     """The auxiliary gauge coordinate phi as a function of time.
 
-    phi must stay away from zero on the integration span; the derivative is
-    taken analytically when supplied and by central differences otherwise.
+    phi must stay away from zero on the integration span.  integrate reads
+    phi alone; eom reads phi_dot, or a central difference where it is None.
+    A phi_dot of zero_rate marks a constant gauge.
     """
 
     phi: Callable[[float], float]
@@ -236,10 +237,10 @@ class GaugeFunction:
     def __call__(self, t: float) -> float:
         return float(self.phi(t))
 
-    def derivative(self, t: float, step: float = 1e-6) -> float:
+    def derivative(self, t: float) -> float:
         if self.phi_dot is not None:
             return float(self.phi_dot(t))
-        h = step * max(1.0, abs(t))
+        h = 1e-6 * max(1.0, abs(t))
         return (float(self.phi(t + h)) - float(self.phi(t - h))) / (2.0 * h)
 
     def validate(self, t0: float, t1: float, samples: int = 1000,
@@ -385,7 +386,7 @@ def eom(z, t: float, params: ModelParams, fields: FieldConfig,
         gauge: GaugeFunction) -> Array:
     """Flat time derivative of the state at time t: the physical kernel plus
     the fiber term, (lambda_1 pi, -(2/phi) omega) on the spin block and
-    (phi_dot(t), 0) on (phi, pi_phi)."""
+    (gauge.derivative(t), 0) on (phi, pi_phi)."""
     y = as_flat(z).tolist()
     w1, w2, w3, q1, q2, q3, phi = y[OMEGA.start:PHI + 1]
     if abs(phi) < 1e-9:
@@ -572,7 +573,8 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions,
     project_every = k > 0 and a project callable, the state is projected
     after every k-th accepted step and its derivative taken again.  A step
     size underflow after a non-finite trial names its first non-finite
-    entry; any other names sector(t), which describes the stepped sector.
+    entry of labels; any other, and an exhausted step budget, name t and
+    sector(t), which describes the stepped sector.
     """
     grid = times.tolist()
     t = grid[0]
@@ -584,7 +586,8 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions,
     attempts = 0
     while i < len(grid):
         if attempts > opts.max_steps:
-            raise IntegrationError(f"step budget {opts.max_steps} exhausted")
+            raise IntegrationError(
+                f"step budget {opts.max_steps} exhausted at t = {t:.6g} ({sector(t)})")
         gap = grid[i] - t
         lands = gap <= h * (1 + 1e-12)
         h_try = gap if lands else h
@@ -687,26 +690,26 @@ def _exact_physical(u, times, params: ModelParams, fields: FieldConfig) -> Array
     return out
 
 
-def _gauge_sector(r: float, phi0: float, rate0: float, times,
-                  gauge: GaugeFunction, opts: IntegrationOptions) -> Array:
-    """The fiber angle theta and phi at the sample times, one (theta, phi)
-    row each, from theta' = 2 r / phi, phi' = phi_dot(t) with theta(t0) = 0,
-    phi(t0) = phi0 and phi_dot(t0) = rate0.  A constant gauge has theta =
-    2 r (t - t0) / phi0 in closed form; any other is stepped."""
+def _gauge_sector(r: float, times, gauge: GaugeFunction,
+                  opts: IntegrationOptions) -> Tuple[Array, Array]:
+    """The fiber angle theta, one single-entry row per sample, and phi at
+    the sample times.  phi is gauge(t) itself; theta solves theta' = 2 r /
+    gauge(t) with theta(t0) = 0, in closed form, 2 r (t - t0) / phi0, under
+    a constant gauge, and stepped as a single float under any other."""
+    phi = np.array([gauge(t) for t in times.tolist()])
     if gauge.phi_dot is GaugeFunction.zero_rate:
-        return np.column_stack((2.0 * r * (times - times[0]) / phi0,
-                                np.full(times.size, phi0)))
-    phi_dot = gauge.phi_dot or gauge.derivative
+        return (2.0 * r * (times - times[0]) / phi[0])[:, None], phi
 
-    def rhs(g, t):
-        phi = g[1]
-        if abs(phi) < 1e-9:
-            raise GaugeError(f"equations of motion are singular at phi = {phi!r}")
-        return [2.0 * r / phi, float(phi_dot(t))]
+    def rhs(theta, t):
+        value = gauge(t)
+        if abs(value) < 1e-9:
+            raise GaugeError(f"equations of motion are singular at phi = {value!r}")
+        return [2.0 * r / value]
 
     name = f"gauge {gauge.label!r}" if gauge.label else "gauge"
-    return _dp5(rhs, [0.0, phi0], [2.0 * r / phi0, rate0], times, opts,
-                lambda t: f"{name} = {gauge(t):.6g} there", ("theta", "phi"))
+    theta = _dp5(rhs, [0.0], rhs([0.0], times[0].item()), times, opts,
+                 lambda t: f"{name} = {gauge(t):.6g} there", ("theta",))
+    return theta, phi
 
 
 def _trajectory(times, states, params: ModelParams,
@@ -738,20 +741,20 @@ def integrate(z0, times, params: ModelParams, fields: FieldConfig,
 
     times is a strictly increasing 1-d array of at least two times; the
     span is (times[0], times[-1]), and the trajectory holds the state at
-    exactly these times.  The initial phi is taken from the gauge function;
-    a starting point with visible spin-surface residuals is projected first
-    (with a warning).
+    exactly these times, with phi = gauge(t).  A starting point with visible
+    spin-surface residuals is projected first (with a warning).
 
     The fiber rotation of (omega, pi) is factored out of the flow: the
     physical sector (x, p, omega~, pi~) never sees phi, and the state is
     its composition with the fiber angle theta of the gauge sector,
     omega = cos theta omega~ + r sin theta pi~, pi = cos theta pi~ -
     (sin theta / r) omega~ with r = |omega| / |pi| at the start.  A field
-    of kind free or uniform has the physical sector in closed form and a
-    constant gauge the gauge sector; the rest is stepped by the same
-    Dormand-Prince stepper, whose steps land on every sample time.  With
-    project_every = k > 0 a stepped physical sector is projected back onto
-    the surface after every k-th accepted step.
+    of kind free or uniform has the physical sector in closed form, and a
+    constant gauge has theta; the rest is stepped by the same
+    Dormand-Prince stepper, whose steps land on every sample time: the 12
+    floats of the physical sector, and theta alone, from theta' = 2 r /
+    gauge(t).  With project_every = k > 0 a stepped physical sector is
+    projected back onto the surface after every k-th accepted step.
     """
     opts = opts or IntegrationOptions()
     times = np.array(times, dtype=float)
@@ -793,15 +796,15 @@ def integrate(z0, times, params: ModelParams, fields: FieldConfig,
         r = math.sqrt(a_sq / b_sq)
     else:
         r = math.sqrt((w0 @ w0) / (q0 @ q0))
-    sector = _gauge_sector(r, y[PHI], f[PHI], times, gauge, opts)
+    theta, phi = _gauge_sector(r, times, gauge, opts)
 
-    cos_t, sin_t = np.cos(sector[:, :1]), np.sin(sector[:, :1])
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
     w, q = physical[:, OMEGA], physical[:, PI]
     states = np.empty((times.size, DIM))
     states[:, :PHI] = physical
     states[:, OMEGA] = cos_t * w + (r * sin_t) * q
     states[:, PI] = cos_t * q - (sin_t / r) * w
-    states[:, PHI] = sector[:, 1]
+    states[:, PHI] = phi
     states[:, PI_PHI] = y[PI_PHI]
     states[0] = y
     return _trajectory(times, states, params, fields)

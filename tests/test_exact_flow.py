@@ -129,6 +129,23 @@ def test_exact_flow_evaluates_eom_once(rhs_calls, rng):
     assert [t for _, t in rhs_calls] == [0.0]
 
 
+def fiber_angle(traj, z0, params, times):
+    """theta at each sample of traj on the B_TILTED field, read back from
+    omega against the precessed start pair (omega~, pi~)."""
+    b_norm = np.linalg.norm(B_TILTED)
+    axis = np.array(B_TILTED) / b_norm
+    w0, q0 = z0[OMEGA], z0[PI]
+    r = np.linalg.norm(w0) / np.linalg.norm(q0)
+    turns = [rotation_matrix(axis, -params.moment_coupling * b_norm * t)
+             for t in times]
+    w_tilde = np.array([R @ w0 for R in turns])
+    q_tilde = np.array([R @ q0 for R in turns])
+    w = traj.states[:, OMEGA]
+    cos_theta = np.einsum("ij,ij->i", w, w_tilde) / (w0 @ w0)
+    sin_theta = np.einsum("ij,ij->i", w, q_tilde) / (r * (q0 @ q0))
+    return np.unwrap(np.arctan2(sin_theta, cos_theta))
+
+
 @pytest.mark.parametrize("gauge", [GaugeFunction.constant(1.3),
                                    parse_gauge_expression("2.6 / 2")],
                          ids=["constant", "parsed"])
@@ -136,8 +153,7 @@ def test_constant_gauge_on_a_uniform_field_takes_no_step(monkeypatch, rhs_calls,
                                                         rng, gauge):
     """A gauge built constant, by GaugeFunction.constant or as an
     expression without t, has the fiber angle theta = 2 r tau / phi0 in
-    closed form, so nothing is stepped.  theta is read back from omega
-    against the precessed start pair (omega~, pi~)."""
+    closed form, so nothing is stepped."""
     steps = []
     monkeypatch.setattr(dynamics, "_dp5", lambda *args, **kw: steps.append(args))
     params = ModelParams(mu=1.3)
@@ -146,20 +162,55 @@ def test_constant_gauge_on_a_uniform_field_takes_no_step(monkeypatch, rhs_calls,
     assert steps == []
     assert [t for _, t in rhs_calls] == [0.0]
 
-    b_norm = np.linalg.norm(B_TILTED)
-    axis = np.array(B_TILTED) / b_norm
-    w0, q0 = z0[OMEGA], z0[PI]
-    r = np.linalg.norm(w0) / np.linalg.norm(q0)
-    turns = [rotation_matrix(axis, -params.moment_coupling * b_norm * t)
-             for t in TIMES]
-    w_tilde = np.array([R @ w0 for R in turns])
-    q_tilde = np.array([R @ q0 for R in turns])
-    w = traj.states[:, OMEGA]
-    cos_theta = np.einsum("ij,ij->i", w, w_tilde) / (w0 @ w0)
-    sin_theta = np.einsum("ij,ij->i", w, q_tilde) / (r * (q0 @ q0))
-    theta = np.unwrap(np.arctan2(sin_theta, cos_theta))
+    r = np.linalg.norm(z0[OMEGA]) / np.linalg.norm(z0[PI])
+    theta = fiber_angle(traj, z0, params, TIMES)
     assert np.max(np.abs(theta - 2.0 * r * TIMES / 1.3)) < 1e-12
     assert np.all(traj.states[:, PHI] == 1.3)
+
+
+def wobble_integral(t, eps, omega):
+    """The integral of 1 / (1 + eps sin(omega s)) over [0, t], |eps| < 1,
+    with the arctan branch advanced by pi at every pole of tan(omega t / 2)."""
+    root = np.sqrt(1.0 - eps * eps)
+    branch = np.pi * np.floor(omega * t / (2.0 * np.pi) + 0.5)
+    return (2.0 / (omega * root)) * (
+        np.arctan((np.tan(0.5 * omega * t) + eps) / root) + branch
+        - np.arctan(eps / root))
+
+
+def moving_gauge_errors(z0, params, times, options):
+    """The theta error of each integration under WOBBLE (phi = 1 + 0.5 sin
+    2t) on the B_TILTED field against theta = 2 r times the closed-form
+    integral of 1 / phi; the phi column must be WOBBLE(t) exactly."""
+    r = np.linalg.norm(z0[OMEGA]) / np.linalg.norm(z0[PI])
+    want = 2.0 * r * wobble_integral(times - times[0], 0.5, 2.0)
+    errors = []
+    for opts in options:
+        traj = integrate(z0, times, params, FieldConfig.uniform(B_TILTED),
+                         WOBBLE, opts)
+        assert np.array_equal(traj.states[:, PHI], [WOBBLE(t) for t in times])
+        errors.append(float(np.max(np.abs(
+            fiber_angle(traj, z0, params, times) - want))))
+    return errors
+
+
+def test_moving_gauge_on_a_uniform_field_is_exact(rng):
+    """phi = 1 + eps sin(omega t) has the integral of 1 / phi in closed
+    form, so in a uniform field the whole state is known: theta is below
+    100 rel_tol on COARSE_TIMES and falls at least tenfold per hundredfold
+    tighter rel_tol, and on gauge_compare's 800-sample grid at the default
+    tolerances it is within 1e-11."""
+    params = ModelParams(mu=1.3)
+    z0 = random_phase_state(rng, a=params.a, b=params.b)
+    errors = moving_gauge_errors(z0, params, COARSE_TIMES,
+                                 [loose(tol) for tol in TOLERANCES])
+    for tol, err in zip(TOLERANCES, errors):
+        assert err < 100.0 * tol, (tol, errors)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine < 0.1 * coarse, errors
+    (err,) = moving_gauge_errors(z0, params, np.linspace(0.0, 4.0 * np.pi, 800),
+                                 [IntegrationOptions()])
+    assert err <= 1e-11, err
 
 
 def test_exact_flow_ignores_project_every(rng):
