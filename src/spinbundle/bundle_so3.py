@@ -4,6 +4,10 @@ Points (omega, pi) with |omega| = |pi| = 1 and omega.pi = 0 form a copy of
 the rotation group; the spin map omega x pi projects them onto the sphere,
 and rotations in the (omega, pi) plane move along the fiber.  Gauge freedom
 of the auxiliary sector is tracked by a symmetric 2x2 matrix of multipliers.
+
+The spin map, its Jacobian, the rotation identification and the fiber
+rotation take stacks: leading axes are points, so (n, 3) inputs are n
+points, each mapped as a call on it alone would map it.
 """
 
 from __future__ import annotations
@@ -13,27 +17,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDomainError, DomainError, SurfaceError
-from .phasespace import _cross3
+from .errors import ChartDomainError, DomainError, SurfaceError, failing_point
+from .phasespace import _dot
 
 Array = np.ndarray
 
 
-def spin_map(omega, pi) -> Array:
-    """Bundle projection: the composed spin vector S = omega x pi."""
+def _three_pair(omega, pi, message):
     omega = np.asarray(omega, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    if omega.shape != (3,) or pi.shape != (3,):
-        raise ValueError("spin_map expects two 3-vectors")
-    return _cross3(omega, pi)
+    if omega.shape[-1:] != (3,) or pi.shape[-1:] != (3,):
+        raise ValueError(message)
+    return omega, pi
+
+
+def spin_map(omega, pi) -> Array:
+    """Bundle projection: the composed spin vector S = omega x pi."""
+    omega, pi = _three_pair(omega, pi, "spin_map expects two 3-vectors")
+    return np.cross(omega, pi)
 
 
 def _skew(a: Array) -> Array:
-    return np.array([
-        [0.0, -a[2], a[1]],
-        [a[2], 0.0, -a[0]],
-        [-a[1], a[0], 0.0],
-    ])
+    out = np.zeros(a.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = -a[..., 2], a[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = a[..., 2], -a[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -a[..., 1], a[..., 0]
+    return out
 
 
 def map_jacobian(omega, pi, kind: str = "so3") -> Array:
@@ -42,29 +51,39 @@ def map_jacobian(omega, pi, kind: str = "so3") -> Array:
     kind="so3": S = omega x pi as a map R^6 -> R^3 (3-vectors in, rows S_i).
     kind="so13": the antisymmetric tensor 2(omega^mu pi^nu - omega^nu pi^mu)
     as a map R^8 -> R^6 (four-vectors in, rows ordered k1 k2 k3 j1 j2 j3).
+    Leading axes are points: (n, 3) inputs give an (n, 3, 6) stack.
     """
     omega = np.asarray(omega, dtype=float)
     pi = np.asarray(pi, dtype=float)
     if kind == "so3":
-        if omega.shape != (3,) or pi.shape != (3,):
+        if omega.shape[-1:] != (3,) or pi.shape[-1:] != (3,):
             raise ValueError("so3 map expects 3-vectors")
-        return np.hstack([-_skew(pi), _skew(omega)])
+        omega, pi = np.broadcast_arrays(omega, pi)
+        return np.concatenate([-_skew(pi), _skew(omega)], axis=-1)
     if kind == "so13":
-        if omega.shape != (4,) or pi.shape != (4,):
+        if omega.shape[-1:] != (4,) or pi.shape[-1:] != (4,):
             raise ValueError("so13 map expects four-vectors")
+        omega, pi = np.broadcast_arrays(omega, pi)
         rows = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
-        jac = np.zeros((6, 8))
+        jac = np.zeros(omega.shape[:-1] + (6, 8))
         for r, (mu, nu) in enumerate(rows):
-            jac[r, mu] += 2.0 * pi[nu]
-            jac[r, nu] -= 2.0 * pi[mu]
-            jac[r, 4 + nu] += 2.0 * omega[mu]
-            jac[r, 4 + mu] -= 2.0 * omega[nu]
+            jac[..., r, mu] += 2.0 * pi[..., nu]
+            jac[..., r, nu] -= 2.0 * pi[..., mu]
+            jac[..., r, 4 + nu] += 2.0 * omega[..., mu]
+            jac[..., r, 4 + mu] -= 2.0 * omega[..., nu]
         return jac
     raise ValueError(f"unknown map kind {kind!r}")
 
 
 def jacobian_singular_values(omega, pi, kind: str = "so3") -> Array:
+    """Singular values of map_jacobian, largest first, per point."""
     return np.linalg.svd(map_jacobian(omega, pi, kind), compute_uv=False)
+
+
+def _numerical_rank(sv: Array, threshold: float = 1e-8) -> Array:
+    """Per point, the count of singular values above threshold * the
+    largest; zero where the largest is zero."""
+    return np.count_nonzero(sv > threshold * sv[..., :1], axis=-1)
 
 
 def jacobian_rank(omega, pi, kind: str = "so3", threshold: float = 1e-8) -> int:
@@ -72,21 +91,20 @@ def jacobian_rank(omega, pi, kind: str = "so3", threshold: float = 1e-8) -> int:
 
     Singular values below threshold * (largest singular value) count as zero.
     """
-    sv = jacobian_singular_values(omega, pi, kind)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > threshold * sv[0]))
+    return int(_numerical_rank(jacobian_singular_values(omega, pi, kind),
+                               threshold))
 
 
 def surface_residuals(omega, pi) -> Array:
-    """Residuals (omega^2 - 1, pi^2 - 1, omega.pi) of the normalized surface."""
+    """Residuals (omega^2 - 1, pi^2 - 1, omega.pi) of the normalized surface,
+    along the last axis."""
     omega = np.asarray(omega, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    return np.array([
-        float(np.dot(omega, omega)) - 1.0,
-        float(np.dot(pi, pi)) - 1.0,
-        float(np.dot(omega, pi)),
-    ])
+    return np.stack(np.broadcast_arrays(
+        _dot(omega, omega) - 1.0,
+        _dot(pi, pi) - 1.0,
+        _dot(omega, pi),
+    ), axis=-1)
 
 
 def normalize_to_surface(omega, pi):
@@ -106,25 +124,30 @@ def normalize_to_surface(omega, pi):
 
 
 def rotation_matrix(omega, pi, tol: float = 1e-9) -> Array:
-    """Rotation matrix with rows (omega, pi, omega x pi).
+    """Rotation matrix with rows (omega, pi, omega x pi); stacked pairs give
+    an (n, 3, 3) stack.
 
     Requires a point of the normalized surface; use normalize_to_surface
     first for raw input.
     """
-    omega = np.asarray(omega, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+    omega, pi = _three_pair(omega, pi, "rotation_matrix expects 3-vectors")
     residuals = surface_residuals(omega, pi)
-    if np.max(np.abs(residuals)) > tol:
-        raise SurfaceError(residuals,
-                           "rotation_matrix needs a normalized surface point")
-    return np.vstack([omega, pi, _cross3(omega, pi)])
+    bad = failing_point(np.max(np.abs(residuals), axis=-1) > tol)
+    if bad:
+        i, where = bad
+        raise SurfaceError(
+            residuals[i],
+            f"rotation_matrix needs a normalized surface point{where}")
+    return np.stack(np.broadcast_arrays(omega, pi, np.cross(omega, pi)),
+                    axis=-2)
 
 
-def so2_action(omega, pi, beta: float):
-    """Structure-group rotation in the (omega, pi) plane by the angle beta."""
+def so2_action(omega, pi, beta):
+    """Structure-group rotation in the (omega, pi) plane by the angle beta;
+    for stacked pairs, beta holds one angle per point or one for all."""
     omega = np.asarray(omega, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    c, s = np.cos(beta), np.sin(beta)
+    c, s = np.cos(beta)[..., None], np.sin(beta)[..., None]
     return c * omega + s * pi, -s * omega + c * pi
 
 
@@ -140,7 +163,7 @@ def local_coords(omega, pi, surface_tol: float = 1e-9,
     if abs(omega[2]) <= chart_tol:
         raise ChartDomainError(
             "point lies outside the chart omega3 != 0")
-    spin = _cross3(omega, pi)
+    spin = np.cross(omega, pi)
     return np.array([spin[0], spin[1], omega[2]])
 
 

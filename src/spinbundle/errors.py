@@ -1,5 +1,7 @@
 """Exception and warning types shared across the library."""
 
+import numpy as np
+
 
 class SpinBundleError(Exception):
     """Base class for all library-specific errors."""
@@ -72,3 +74,21 @@ class IntegrationError(SpinBundleError):
 class OffSurfaceWarning(UserWarning):
     """Emitted when an operation expecting on-surface input gets a point
     with visible constraint residuals."""
+
+
+def failing_point(failed):
+    """Locate the first point of a stack at which a guard fails.
+
+    `failed` is the guard's boolean mask over the leading axes of its input,
+    0-d for a single point. Returns None when no point fails; otherwise the
+    index of the first failing point, to pick its values for the message,
+    and a suffix that names it: "" for a single point, " (row i)" in a stack.
+    """
+    failed = np.asarray(failed)
+    if not failed.any():
+        return None
+    index = tuple(int(i) for i in
+                  np.unravel_index(int(np.argmax(failed)), failed.shape))
+    if not index:
+        return index, ""
+    return index, f" (row {index[0] if len(index) == 1 else index})"

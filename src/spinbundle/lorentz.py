@@ -6,6 +6,12 @@ Four-vectors use the metric diag(-1, +1, +1, +1) and index order
 constraint surfaces, Casimir, base-space quadric, and the covariant spin
 four-vector with its round-trip maps all live here.  The total momentum P
 is exogenous data: a fixed timelike four-vector, not a dynamical variable.
+
+The pointwise maps take stacks: leading axes are points, so an (n, 4)
+four-vector, (n, 3) three-vector or (n, 4, 4) tensor is n points, and a
+point's result is the one a call on that point alone gives.  Inputs
+broadcast against each other over the leading axes.  A guard that fails at
+any point raises as a call on that point would, naming its row.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ import math
 import numpy as np
 
 from .constraints import Constraint, ConstraintSet
-from .errors import DomainError, SuperluminalError, SurfaceError
-from .phasespace import MINKOWSKI_SPIN, Observable, _cross3
+from .errors import DomainError, SuperluminalError, SurfaceError, failing_point
+from .phasespace import MINKOWSKI_SPIN, Observable, _dot
 
 Array = np.ndarray
 
@@ -33,68 +39,95 @@ DEFAULT_SURFACE_SCALE = float(np.sqrt(3.0) / 2.0)
 
 def _four(u, name="four-vector") -> Array:
     u = np.asarray(u, dtype=float)
-    if u.shape != (4,):
-        raise ValueError(f"{name} must have shape (4,), got {u.shape}")
+    if u.shape[-1:] != (4,):
+        raise ValueError(f"{name} must have shape (4,) or (n, 4), got {u.shape}")
     return u
 
 
-def minkowski_dot(u, v) -> float:
-    """Metric contraction u_mu v^mu with signature (-, +, +, +)."""
-    u = _four(u)
-    v = _four(v)
-    return float(np.dot(u[1:], v[1:]) - u[0] * v[0])
+def _three(u, message) -> Array:
+    u = np.asarray(u, dtype=float)
+    if u.shape[-1:] != (3,):
+        raise ValueError(message)
+    return u
 
 
-def minkowski_sq(u) -> float:
+def _scalar(x):
+    """A float for a single point, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _last_axis(*parts) -> Array:
+    """Per-point values side by side along a new last axis."""
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
+def _mdot(u: Array, v: Array) -> Array:
+    return _dot(u[..., 1:], v[..., 1:]) - u[..., 0] * v[..., 0]
+
+
+def minkowski_dot(u, v):
+    """Metric contraction u_mu v^mu with signature (-, +, +, +): a float for
+    two four-vectors, one value per point for stacks."""
+    return _scalar(_mdot(_four(u), _four(v)))
+
+
+def minkowski_sq(u):
     return minkowski_dot(u, u)
 
 
-def effective_mass(P) -> float:
-    """Invariant scale sqrt(P0^2 - |Pvec|^2) of a timelike momentum."""
-    P = _four(P, "momentum")
-    msq = -minkowski_sq(P)
-    if msq <= 0.0:
+def _mass(P: Array) -> Array:
+    msq = -_mdot(P, P)
+    bad = failing_point(msq <= 0.0)
+    if bad:
+        i, where = bad
         raise DomainError(
-            f"momentum must be timelike; got P.P = {-msq:.6g} >= 0")
-    return float(np.sqrt(msq))
+            f"momentum must be timelike; got P.P = {-msq[i]:.6g} >= 0{where}")
+    return np.sqrt(msq)
 
 
-def gamma_factor(P) -> float:
+def effective_mass(P):
+    """Invariant scale sqrt(P0^2 - |Pvec|^2) of a timelike momentum."""
+    return _scalar(_mass(_four(P, "momentum")))
+
+
+def gamma_factor(P):
     """|P^0| / sqrt(P0^2 - |Pvec|^2) of a timelike momentum."""
     P = _four(P, "momentum")
-    return abs(P[0]) / effective_mass(P)
+    return abs(P[..., 0]) / _mass(P)
 
 
 def beta_vector(P) -> Array:
     """Velocity Pvec / P^0 of a timelike momentum."""
     P = _four(P, "momentum")
-    effective_mass(P)  # timelike check; also guarantees P[0] != 0
-    return P[1:] / P[0]
+    _mass(P)  # timelike check; also guarantees P[0] != 0
+    return P[..., 1:] / P[..., :1]
 
 
 def boost_matrix(beta) -> Array:
-    """Symmetric pure-boost matrix for velocity beta (|beta| < 1).
+    """Symmetric pure-boost matrix for velocity beta (|beta| < 1); an
+    (n, 3) stack of velocities gives an (n, 4, 4) stack of boosts.
 
     The (gamma - 1)/beta^2 coefficient switches to its series limit 1/2 for
     |beta| < 1e-8 to stay finite through beta -> 0.
     """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (3,):
-        raise ValueError("beta must be a 3-vector")
-    bsq = float(np.dot(beta, beta))
-    if bsq >= 1.0:
+    beta = _three(beta, "beta must be a 3-vector")
+    bsq = _dot(beta, beta)
+    bad = failing_point(bsq >= 1.0)
+    if bad:
+        i, where = bad
         raise SuperluminalError(
-            f"|beta| = {np.sqrt(bsq):.6g} is not below 1")
+            f"|beta| = {np.sqrt(bsq[i]):.6g} is not below 1{where}")
     gamma = 1.0 / np.sqrt(1.0 - bsq)
-    if bsq < 1e-16:
-        coef = 0.5 + 3.0 * bsq / 8.0
-    else:
-        coef = (gamma - 1.0) / bsq
-    out = np.empty((4, 4))
-    out[0, 0] = gamma
-    out[0, 1:] = gamma * beta
-    out[1:, 0] = gamma * beta
-    out[1:, 1:] = np.eye(3) + coef * np.outer(beta, beta)
+    series = bsq < 1e-16
+    # both arms are formed, so the division skips the points on the series
+    coef = np.where(series, 0.5 + 3.0 * bsq / 8.0,
+                    (gamma - 1.0) / np.where(series, 1.0, bsq))
+    out = np.empty(bsq.shape + (4, 4))
+    out[..., 0, 0] = gamma
+    out[..., 0, 1:] = gamma[..., None] * beta
+    out[..., 1:, 0] = gamma[..., None] * beta
+    out[..., 1:, 1:] = np.eye(3) + coef[..., None, None] * (
+        beta[..., :, None] * beta[..., None, :])
     return out
 
 
@@ -102,17 +135,19 @@ def spin_tensor(omega, pi) -> Array:
     """Antisymmetric tensor 2 (omega^mu pi^nu - omega^nu pi^mu)."""
     omega = _four(omega, "omega")
     pi = _four(pi, "pi")
-    outer = np.outer(omega, pi)
-    return 2.0 * (outer - outer.T)
+    outer = omega[..., :, None] * pi[..., None, :]
+    return 2.0 * (outer - np.swapaxes(outer, -1, -2))
 
 
 def _require_antisymmetric(J) -> Array:
     J = np.asarray(J, dtype=float)
-    if J.shape != (4, 4):
+    if J.shape[-2:] != (4, 4):
         raise ValueError("spin tensor must be 4x4")
-    scale = max(1.0, float(np.max(np.abs(J))))
-    if np.max(np.abs(J + J.T)) > 1e-12 * scale:
-        raise ValueError("spin tensor must be antisymmetric")
+    scale = np.maximum(1.0, np.max(np.abs(J), axis=(-2, -1)))
+    skew = np.max(np.abs(J + np.swapaxes(J, -1, -2)), axis=(-2, -1))
+    bad = failing_point(skew > 1e-12 * scale)
+    if bad:
+        raise ValueError(f"spin tensor must be antisymmetric{bad[1]}")
     return J
 
 
@@ -120,8 +155,8 @@ def decompose_spin_tensor(J):
     """Boost/rotation split: k_i = J^{0i} and (j1, j2, j3) from the spatial
     block with J^{23} = j1, J^{31} = j2, J^{12} = j3."""
     J = _require_antisymmetric(J)
-    k = np.array([J[0, 1], J[0, 2], J[0, 3]])
-    j = np.array([J[2, 3], J[3, 1], J[1, 2]])
+    k = J[..., 0, 1:].copy()
+    j = np.stack([J[..., 2, 3], J[..., 3, 1], J[..., 1, 2]], axis=-1)
     return k, j
 
 
@@ -146,60 +181,62 @@ def compose_spin_tensor(k, j) -> Array:
 def t3_constraints(omega, pi, P, a3: float = DEFAULT_SURFACE_SCALE,
                    a4: float = DEFAULT_SURFACE_SCALE) -> Array:
     """Residuals of the five-constraint covariant spin surface:
-    (pi.pi - a3, omega.omega - a4, omega.pi, P.omega, P.pi)."""
+    (pi.pi - a3, omega.omega - a4, omega.pi, P.omega, P.pi), along the last
+    axis."""
     omega = _four(omega, "omega")
     pi = _four(pi, "pi")
     P = _four(P, "momentum")
-    return np.array([
-        minkowski_sq(pi) - float(a3),
-        minkowski_sq(omega) - float(a4),
-        minkowski_dot(omega, pi),
-        minkowski_dot(P, omega),
-        minkowski_dot(P, pi),
-    ])
+    return _last_axis(
+        _mdot(pi, pi) - float(a3),
+        _mdot(omega, omega) - float(a4),
+        _mdot(omega, pi),
+        _mdot(P, omega),
+        _mdot(P, pi),
+    )
 
 
 def t4_constraints(omega, pi, P, a: float = 0.75) -> Array:
     """Residuals of the scale-free covariant surface:
-    (P.omega, P.pi, omega.pi, pi.pi - a / omega.omega)."""
+    (P.omega, P.pi, omega.pi, pi.pi - a / omega.omega), along the last
+    axis."""
     omega = _four(omega, "omega")
     pi = _four(pi, "pi")
     P = _four(P, "momentum")
-    wsq = minkowski_sq(omega)
-    if abs(wsq) < 1e-12:
-        raise DomainError("omega.omega ~ 0: the scale-free surface is singular")
-    return np.array([
-        minkowski_dot(P, omega),
-        minkowski_dot(P, pi),
-        minkowski_dot(omega, pi),
-        minkowski_sq(pi) - float(a) / wsq,
-    ])
+    wsq = _mdot(omega, omega)
+    bad = failing_point(abs(wsq) < 1e-12)
+    if bad:
+        raise DomainError(
+            f"omega.omega ~ 0: the scale-free surface is singular{bad[1]}")
+    return _last_axis(
+        _mdot(P, omega),
+        _mdot(P, pi),
+        _mdot(omega, pi),
+        _mdot(pi, pi) - float(a) / wsq,
+    )
 
 
 def frenkel_residual(J, P) -> Array:
     """The four-vector J^{mu nu} P_nu; zero on the covariant spin surface."""
     J = _require_antisymmetric(J)
     P = _four(P, "momentum")
-    return J @ (METRIC @ P)
+    return np.matmul(J, METRIC @ P[..., None])[..., 0]
 
 
-def casimir(J) -> float:
+def casimir(J):
     """Full contraction J_{mu nu} J^{mu nu}."""
     J = _require_antisymmetric(J)
-    return float(np.sum(J * (METRIC @ J @ METRIC)))
+    return _scalar(np.sum(J * (METRIC @ J @ METRIC), axis=(-2, -1)))
 
 
-def base_ellipsoid_residual(j, P, hbar: float = 1.0) -> float:
+def base_ellipsoid_residual(j, P, hbar: float = 1.0):
     """Residual of the base-space quadric
     j.j - |j x Pvec|^2 / (P^0)^2 - 3 hbar^2."""
-    j = np.asarray(j, dtype=float)
-    if j.shape != (3,):
-        raise ValueError("j must be a 3-vector")
+    j = _three(j, "j must be a 3-vector")
     P = _four(P, "momentum")
-    effective_mass(P)  # timelike check
-    cross = _cross3(j, P[1:])
-    return float(np.dot(j, j) - np.dot(cross, cross) / P[0] ** 2
-                 - 3.0 * float(hbar) ** 2)
+    _mass(P)  # timelike check
+    cross = np.cross(j, P[..., 1:])
+    return _scalar(_dot(j, j) - _dot(cross, cross) / P[..., 0] ** 2
+                   - 3.0 * float(hbar) ** 2)
 
 
 def bmt_vector(omega, pi, P) -> Array:
@@ -209,12 +246,14 @@ def bmt_vector(omega, pi, P) -> Array:
     omega = _four(omega, "omega")
     pi = _four(pi, "pi")
     P = _four(P, "momentum")
-    scale = effective_mass(P)
-    wv, pv, Pv = omega[1:], pi[1:], P[1:]
-    wxp = _cross3(wv, pv)
-    s0 = np.dot(Pv, wxp)
-    sv = P[0] * wxp - omega[0] * _cross3(Pv, pv) + pi[0] * _cross3(Pv, wv)
-    return LEVI_CIVITA_SIGN * np.concatenate(([s0], sv)) / scale
+    scale = _mass(P)
+    wv, pv, Pv = omega[..., 1:], pi[..., 1:], P[..., 1:]
+    wxp = np.cross(wv, pv)
+    s0 = _dot(Pv, wxp)
+    sv = (P[..., :1] * wxp - omega[..., :1] * np.cross(Pv, pv)
+          + pi[..., :1] * np.cross(Pv, wv))
+    return (LEVI_CIVITA_SIGN * np.concatenate([s0[..., None], sv], axis=-1)
+            / scale[..., None])
 
 
 def bmt_to_j(S, P) -> Array:
@@ -223,8 +262,8 @@ def bmt_to_j(S, P) -> Array:
     S = _four(S, "spin four-vector")
     gamma = gamma_factor(P)
     beta = beta_vector(P)
-    sv = S[1:]
-    return 2.0 * gamma * (sv - beta * np.dot(beta, sv))
+    sv = S[..., 1:]
+    return (2.0 * gamma)[..., None] * (sv - beta * _dot(beta, sv)[..., None])
 
 
 def bmt_to_k(S, P) -> Array:
@@ -233,21 +272,20 @@ def bmt_to_k(S, P) -> Array:
     S = _four(S, "spin four-vector")
     gamma = gamma_factor(P)
     beta = beta_vector(P)
-    return 2.0 * gamma * _cross3(S[1:], beta)
+    return (2.0 * gamma)[..., None] * np.cross(S[..., 1:], beta)
 
 
 def j_to_bmt(j, P) -> Array:
     """Covariant spin vector from the rotation part of the spin tensor:
     S^0 = (gamma/2) beta.j, Svec = (j/gamma + gamma beta (beta.j)) / 2."""
-    j = np.asarray(j, dtype=float)
-    if j.shape != (3,):
-        raise ValueError("j must be a 3-vector")
+    j = _three(j, "j must be a 3-vector")
     gamma = gamma_factor(P)
     beta = beta_vector(P)
-    bj = np.dot(beta, j)
+    bj = _dot(beta, j)
     s0 = 0.5 * gamma * bj
-    sv = 0.5 * (j / gamma + gamma * beta * bj)
-    return np.concatenate(([s0], sv))
+    g = gamma[..., None]
+    sv = 0.5 * (j / g + g * beta * bj[..., None])
+    return np.concatenate([s0[..., None], sv], axis=-1)
 
 
 def tetrad(P, omega, pi, a3: float = DEFAULT_SURFACE_SCALE,
@@ -255,43 +293,50 @@ def tetrad(P, omega, pi, a3: float = DEFAULT_SURFACE_SCALE,
     """Pseudo-orthogonal frame carried by a covariant spin-surface point.
 
     Rows are P, omega, pi, and the covariant spin vector, each normalized to
-    unit Minkowski length, so Lambda eta Lambda^T = eta.
+    unit Minkowski length, so Lambda eta Lambda^T = eta.  Stacked points
+    give an (n, 4, 4) stack of frames.
     """
     P = _four(P, "momentum")
     omega = _four(omega, "omega")
     pi = _four(pi, "pi")
     residuals = t3_constraints(omega, pi, P, a3, a4)
-    if np.max(np.abs(residuals)) > tol:
-        raise SurfaceError(residuals,
-                           "tetrad needs a covariant spin-surface point")
-    scale = effective_mass(P)
+    bad = failing_point(np.max(np.abs(residuals), axis=-1) > tol)
+    if bad:
+        i, where = bad
+        raise SurfaceError(residuals[i],
+                           f"tetrad needs a covariant spin-surface point{where}")
+    scale = _mass(P)
     S = bmt_vector(omega, pi, P)
-    return np.vstack([
-        P / scale,
+    return np.stack(np.broadcast_arrays(
+        P / scale[..., None],
         omega / np.sqrt(a4),
         pi / np.sqrt(a3),
         S / np.sqrt(a3 * a4),
-    ])
+    ), axis=-2)
 
 
-def t4_structure_action(omega, pi, scale: float, beta: float):
+def t4_structure_action(omega, pi, scale, beta):
     """Two-parameter structure group of the scale-free surface: rescale the
     (omega, pi) pair by scale > 0 and rotate their plane by beta, leaving
-    omega x pi unchanged."""
-    omega = np.asarray(omega, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if omega.shape != (3,) or pi.shape != (3,):
-        raise ValueError("t4_structure_action expects 3-vectors")
-    scale = float(scale)
-    if scale <= 0.0:
-        raise DomainError("structure-group scale must be positive")
-    wn = np.linalg.norm(omega)
-    pn = np.linalg.norm(pi)
-    if wn < 1e-12 or pn < 1e-12:
-        raise DomainError("structure-group action is singular at omega = 0 or pi = 0")
+    omega x pi unchanged.  For stacked 3-vectors, scale and beta hold one
+    value per point or one for all."""
+    omega = _three(omega, "t4_structure_action expects 3-vectors")
+    pi = _three(pi, "t4_structure_action expects 3-vectors")
+    scale = np.asarray(scale, dtype=float)
+    bad = failing_point(scale <= 0.0)
+    if bad:
+        raise DomainError(f"structure-group scale must be positive{bad[1]}")
+    wn = np.sqrt(_dot(omega, omega))
+    pn = np.sqrt(_dot(pi, pi))
+    bad = failing_point((wn < 1e-12) | (pn < 1e-12))
+    if bad:
+        raise DomainError("structure-group action is singular at omega = 0 "
+                          f"or pi = 0{bad[1]}")
     c, s = np.cos(beta), np.sin(beta)
-    new_omega = scale * c * omega + (scale * wn / pn) * s * pi
-    new_pi = -(pn / (scale * wn)) * s * omega + (c / scale) * pi
+    new_omega = ((scale * c)[..., None] * omega
+                 + ((scale * wn / pn) * s)[..., None] * pi)
+    new_pi = ((-(pn / (scale * wn)) * s)[..., None] * omega
+              + (c / scale)[..., None] * pi)
     return new_omega, new_pi
 
 

@@ -107,6 +107,15 @@ def _cross3(a: Array, b: Array) -> Array:
     return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
 
 
+def _dot(u: Array, v: Array) -> Array:
+    """u . v over the last axis, one value per point of the leading axes.
+
+    Each point takes the products and sums np.dot takes for a single pair of
+    vectors, so a stack matches its rows computed one at a time exactly.
+    """
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+
+
 def as_flat(z) -> Array:
     """Flatten a PhasePoint (or pass through a plain coordinate vector)."""
     if isinstance(z, PhasePoint):

@@ -10,6 +10,7 @@ returns (checks, metrics, {}).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Tuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from .phasespace import (
     OMEGA,
     PI,
     _cross3,
+    _dot,
     coordinate,
     poisson_bracket,
     quadratic,
@@ -78,6 +80,31 @@ def _threshold(cfg: dict, name: str, default: float,
 # ---------------------------------------------------------------------------
 # Verification suites (random-point property checks)
 # ---------------------------------------------------------------------------
+#
+# The geometry blocks draw their points one at a time, in a short loop that
+# keeps each suite's RNG stream, and then check them as one stack per map.
+# The bracket blocks stay one point at a time: they check the engine itself.
+
+def _worst(values) -> float:
+    """Largest absolute value over a stack of check values; 0.0 when the
+    stack is empty."""
+    return float(np.max(np.abs(values), initial=0.0))
+
+
+def _boosted_points(rng, n: int, beta_max: float, rest_point,
+                    draw_mass: bool = True):
+    """n boosted points (omega, pi, P), as three (n, 4) stacks. Each point
+    draws its mass in [0.5, 2) (or takes unit mass), then its rest point
+    rest_point(rng, mass=mass) and then its velocity."""
+    rest = np.empty((3, n, 4))
+    beta = np.empty((n, 3))
+    for i in range(n):
+        mass = rng.uniform(0.5, 2.0) if draw_mass else 1.0
+        rest[:, i] = rest_point(rng, mass=mass)
+        beta[i] = lor.sample_beta(rng, beta_max)
+    # each boost applied to its own point's three four-vectors
+    return tuple(np.matmul(lor.boost_matrix(beta), rest[..., None])[..., 0])
+
 
 def _random_quadratic(rng, dim: int = 14):
     A = rng.standard_normal((dim, dim))
@@ -137,45 +164,41 @@ def verify_so3(cfg: dict) -> Tuple[List[Check], dict, dict]:
                 annihilation = max(annihilation, abs(block[i, j]))
 
     # bundle identification (normalized chart) and structure-group invariance
-    rot_err = 0.0
-    inv_err = 0.0
-    for _ in range(cfg.get("n_boosts", 1000)):
-        wn, pn = so3.sample_surface_point(rng, a=1.0, b=1.0)
-        R = so3.rotation_matrix(wn, pn)
-        rot_err = max(rot_err,
-                      float(np.max(np.abs(R @ R.T - np.eye(3)))),
-                      abs(np.linalg.det(R) - 1.0))
-        w, p = so3.sample_surface_point(rng, a=a, b=b)
-        beta = rng.uniform(0.0, 2.0 * np.pi)
-        w2, p2 = so3.so2_action(w, p, beta)
-        inv_err = max(inv_err, float(np.max(np.abs(
-            so3.spin_map(w2, p2) - so3.spin_map(w, p)))))
+    n_bundle = cfg.get("n_boosts", 1000)
+    wn, pn, w, p = np.empty((4, n_bundle, 3))
+    beta = np.empty(n_bundle)
+    for i in range(n_bundle):
+        wn[i], pn[i] = so3.sample_surface_point(rng, a=1.0, b=1.0)
+        w[i], p[i] = so3.sample_surface_point(rng, a=a, b=b)
+        beta[i] = rng.uniform(0.0, 2.0 * np.pi)
+    R = so3.rotation_matrix(wn, pn)
+    rot_err = max(_worst(R @ np.swapaxes(R, -1, -2) - np.eye(3)),
+                  _worst(np.linalg.det(R) - 1.0))
+    inv_err = _worst(so3.spin_map(*so3.so2_action(w, p, beta))
+                     - so3.spin_map(w, p))
 
     # Casimir identity at generic points; normalization on-surface
-    casimir_err = 0.0
-    for _ in range(n_alg):
-        w = rng.standard_normal(3)
-        p = rng.standard_normal(3)
-        s2 = float(np.dot(_cross3(w, p), _cross3(w, p)))
-        casimir_err = max(casimir_err, abs(
-            s2 - (np.dot(w, w) * np.dot(p, p) - np.dot(w, p) ** 2)))
-    norm_err = 0.0
-    for _ in range(n_alg):
-        w, p = so3.sample_surface_point(rng, a=a, b=b)
-        norm_err = max(norm_err, abs(
-            float(np.dot(_cross3(w, p), _cross3(w, p))) - params.spin_norm_sq))
+    w, p = np.empty((2, n_alg, 3))
+    for i in range(n_alg):
+        w[i] = rng.standard_normal(3)
+        p[i] = rng.standard_normal(3)
+    spin = so3.spin_map(w, p)
+    casimir_err = _worst(_dot(spin, spin)
+                         - (_dot(w, w) * _dot(p, p) - _dot(w, p) ** 2))
+    for i in range(n_alg):
+        w[i], p[i] = so3.sample_surface_point(rng, a=a, b=b)
+    spin = so3.spin_map(w, p)
+    norm_err = _worst(_dot(spin, spin) - params.spin_norm_sq)
 
     # rank of the bundle projection: worst ratio past the expected rank,
     # with the numerical floor standing in when the Jacobian has no further
     # singular values (a 3 x 6 map has exactly three)
     eps = float(np.finfo(float).eps)
-    rank_ratio = 0.0
-    for _ in range(n_alg):
-        w, p = so3.sample_surface_point(rng, a=a, b=b)
-        sv = so3.jacobian_singular_values(w, p, kind="so3")
-        if so3.jacobian_rank(w, p, kind="so3") != 3:
-            rank_ratio = max(rank_ratio, 1.0)
-        rank_ratio = max(rank_ratio, eps * float(sv[0] / sv[2]))
+    for i in range(n_alg):
+        w[i], p[i] = so3.sample_surface_point(rng, a=a, b=b)
+    sv = so3.jacobian_singular_values(w, p, kind="so3")
+    rank_ratio = max(float(np.any(so3._numerical_rank(sv) != 3)),
+                     _worst(eps * (sv[:, 0] / sv[:, 2])))
 
     # gauge-matrix group law
     group_err = 0.0
@@ -224,52 +247,35 @@ def verify_lorentz(cfg: dict) -> Tuple[List[Check], dict, dict]:
     beta_max = cfg.get("boost", {}).get("beta_max", 0.99)
     a3 = a4 = lor.DEFAULT_SURFACE_SCALE
 
-    t3_err = casimir_err = frenkel_err = ellipsoid_err = 0.0
+    n_points = cfg.get("n_points", 200)
+    rest_point = partial(lor.sample_t3_rest_point, a3=a3, a4=a4)
     casimir_target = 8.0 * a3 * a4
-    for _ in range(cfg.get("n_boosts", 1000)):
-        w, p, P = lor.sample_t3_rest_point(rng, a3=a3, a4=a4,
-                                           mass=rng.uniform(0.5, 2.0))
-        L = lor.boost_matrix(lor.sample_beta(rng, beta_max))
-        w, p, P = L @ w, L @ p, L @ P
-        t3_err = max(t3_err, float(np.max(np.abs(
-            lor.t3_constraints(w, p, P, a3=a3, a4=a4)))))
-        J = lor.spin_tensor(w, p)
-        casimir_err = max(casimir_err, abs(lor.casimir(J) - casimir_target))
-        frenkel_err = max(frenkel_err, float(np.linalg.norm(
-            lor.frenkel_residual(J, P))))
-        _, j = lor.decompose_spin_tensor(J)
-        ellipsoid_err = max(ellipsoid_err, abs(
-            lor.base_ellipsoid_residual(j, P)))
+    w, p, P = _boosted_points(rng, cfg.get("n_boosts", 1000), beta_max,
+                              rest_point)
+    t3_err = _worst(lor.t3_constraints(w, p, P, a3=a3, a4=a4))
+    J = lor.spin_tensor(w, p)
+    casimir_err = _worst(lor.casimir(J) - casimir_target)
+    frenkel = lor.frenkel_residual(J, P)
+    frenkel_err = _worst(np.sqrt(_dot(frenkel, frenkel)))
+    _, j = lor.decompose_spin_tensor(J)
+    ellipsoid_err = _worst(lor.base_ellipsoid_residual(j, P))
 
-    tetrad_err = 0.0
-    for _ in range(cfg.get("n_points", 200)):
-        w, p, P = lor.sample_t3_rest_point(rng, a3=a3, a4=a4,
-                                           mass=rng.uniform(0.5, 2.0))
-        L = lor.boost_matrix(lor.sample_beta(rng, beta_max))
-        w, p, P = L @ w, L @ p, L @ P
-        lam = lor.tetrad(P, w, p, a3=a3, a4=a4)
-        tetrad_err = max(tetrad_err, float(np.max(np.abs(
-            lam @ lor.METRIC @ lam.T - lor.METRIC))))
+    w, p, P = _boosted_points(rng, n_points, beta_max, rest_point)
+    lam = lor.tetrad(P, w, p, a3=a3, a4=a4)
+    tetrad_err = _worst(lam @ lor.METRIC @ np.swapaxes(lam, -1, -2)
+                        - lor.METRIC)
 
-    bmt_err = orth_err = 0.0
-    for _ in range(cfg.get("n_points", 200)):
-        w, p, P = lor.sample_t3_rest_point(rng, a3=a3, a4=a4,
-                                           mass=rng.uniform(0.5, 2.0))
-        L = lor.boost_matrix(lor.sample_beta(rng, beta_max))
-        w, p, P = L @ w, L @ p, L @ P
-        _, j = lor.decompose_spin_tensor(lor.spin_tensor(w, p))
-        S = lor.j_to_bmt(j, P)
-        bmt_err = max(bmt_err, float(np.max(np.abs(lor.bmt_to_j(S, P) - j))))
-        orth_err = max(orth_err, abs(lor.minkowski_dot(S, P)))
+    w, p, P = _boosted_points(rng, n_points, beta_max, rest_point)
+    _, j = lor.decompose_spin_tensor(lor.spin_tensor(w, p))
+    S = lor.j_to_bmt(j, P)
+    bmt_err = _worst(lor.bmt_to_j(S, P) - j)
+    orth_err = _worst(lor.minkowski_dot(S, P))
 
-    rank_ratio = 0.0
-    for _ in range(cfg.get("n_points", 200) // 2):
-        w, p, P = lor.sample_t3_rest_point(rng, a3=a3, a4=a4)
-        L = lor.boost_matrix(lor.sample_beta(rng, beta_max))
-        sv = so3.jacobian_singular_values(L @ w, L @ p, kind="so13")
-        if so3.jacobian_rank(L @ w, L @ p, kind="so13") != 5:
-            rank_ratio = max(rank_ratio, 1.0)
-        rank_ratio = max(rank_ratio, float(sv[5] / sv[4]))
+    w, p, _ = _boosted_points(rng, n_points // 2, beta_max, rest_point,
+                              draw_mass=False)
+    sv = so3.jacobian_singular_values(w, p, kind="so13")
+    rank_ratio = max(float(np.any(so3._numerical_rank(sv) != 5)),
+                     _worst(sv[:, 5] / sv[:, 4]))
 
     checks = [
         Check("t3_boost_residual", t3_err, _threshold(cfg, "t3_boost_residual", 1e-9)),
@@ -314,29 +320,23 @@ def verify_t4(cfg: dict) -> Tuple[List[Check], dict, dict]:
             result.bracket.delta))))
     misclassified = float(n_pts - first_class_ok)
 
-    boost_err = 0.0
-    for _ in range(cfg.get("n_boosts", 1000)):
-        w4, p4, P = lor.sample_t4_rest_point(rng, a=a,
-                                             mass=rng.uniform(0.5, 2.0))
-        L = lor.boost_matrix(lor.sample_beta(rng, beta_max))
-        boost_err = max(boost_err, float(np.max(np.abs(
-            lor.t4_constraints(L @ w4, L @ p4, L @ P, a=a)))))
+    n_boosts = cfg.get("n_boosts", 1000)
+    boost_err = _worst(lor.t4_constraints(
+        *_boosted_points(rng, n_boosts, beta_max,
+                         partial(lor.sample_t4_rest_point, a=a)), a=a))
 
-    action_spin_err = 0.0
-    action_surface_err = 0.0
-    for _ in range(cfg.get("n_boosts", 1000)):
+    w, p = np.empty((2, n_boosts, 3))
+    k, beta = np.empty((2, n_boosts))
+    for i in range(n_boosts):
         radius = rng.uniform(0.7, 1.5)
-        w, p = so3.sample_surface_point(rng, a=radius, b=np.sqrt(a) / radius)
-        k = np.exp(rng.uniform(-1.0, 1.0))
-        beta = rng.uniform(0.0, 2.0 * np.pi)
-        w2, p2 = lor.t4_structure_action(w, p, k, beta)
-        action_spin_err = max(action_spin_err, float(np.max(np.abs(
-            _cross3(w2, p2) - _cross3(w, p)))))
-        action_surface_err = max(
-            action_surface_err,
-            abs(float(np.dot(w2, p2))),
-            abs(float(np.dot(p2, p2) - a / np.dot(w2, w2))),
-        )
+        w[i], p[i] = so3.sample_surface_point(rng, a=radius,
+                                              b=np.sqrt(a) / radius)
+        k[i] = np.exp(rng.uniform(-1.0, 1.0))
+        beta[i] = rng.uniform(0.0, 2.0 * np.pi)
+    w2, p2 = lor.t4_structure_action(w, p, k, beta)
+    action_spin_err = _worst(so3.spin_map(w2, p2) - so3.spin_map(w, p))
+    action_surface_err = max(_worst(_dot(w2, p2)),
+                             _worst(_dot(p2, p2) - a / _dot(w2, w2)))
 
     checks = [
         Check("first_class_misclassified", misclassified,
