@@ -1,9 +1,9 @@
 """Scenario runner: loads configurations, runs simulations and verification
 suites, and writes machine-readable summaries plus plot-ready time series.
 
-Configs are YAML (JSON works too, it is a YAML subset) validated against a
-schema that rejects unknown keys. Exit codes: 0 ok, 1 bad config, 2 runtime
-failure, 3 one or more declared checks failed.
+Configs are YAML (JSON works too, it is a YAML subset) checked against one
+table of keys, which rejects unknown ones. Exit codes: 0 ok, 1 bad config,
+2 runtime failure, 3 one or more declared checks failed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
-from jsonschema import Draft202012Validator
 
 from .dynamics import (
     FieldConfig,
@@ -58,12 +57,8 @@ class ConfigError(SpinBundleError):
 
 
 # ---------------------------------------------------------------------------
-# Config schema
+# Config table
 # ---------------------------------------------------------------------------
-
-_NUM = {"type": "number"}
-_POS = {"type": "number", "exclusiveMinimum": 0}
-_VEC3 = {"type": "array", "items": _NUM, "minItems": 3, "maxItems": 3}
 
 # The checks each scenario's runner reports, in its order; a config's
 # `checks` keys are validated against these before anything runs.
@@ -89,114 +84,105 @@ SCENARIO_CHECKS: Dict[str, Tuple[str, ...]] = {
                   "structure_action_surface"),
 }
 
-_GAUGE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["expression"],
-    "properties": {
-        "expression": {"type": "string", "minLength": 1},
-        "label": {"type": "string"},
-    },
-}
+# A spec is a tuple headed by what it accepts:
+#   ("number", gt, lt)              a finite int or float, gt < value < lt
+#                                   (a bound of None is no bound)
+#   ("integer", ge)                 an int, not a bool, at least ge
+#   ("string", min_length)
+#   ("enum", choices)               one of the choices
+#   ("list", n, item)               a list of n items, each matching item
+#   ("either", spec, list_spec)     list_spec for a list, spec for the rest
+#   ("mapping", keys, required)     a dict whose keys are in keys, a dict of
+#                                   specs ("*" matches any key), holding
+#                                   every key in required
+_NUM = ("number", None, None)
+_POS = ("number", 0, None)
+_VEC3 = ("list", 3, _NUM)
+_GAUGE = ("mapping", {"expression": ("string", 1), "label": ("string", 0)},
+          ("expression",))
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["scenario"],
-    "properties": {
-        "scenario": {"enum": list(SCENARIO_CHECKS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "params": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "m": _POS, "e": _NUM, "mu": _NUM, "c": _POS,
-                "a": _POS, "b": _POS, "hbar": _POS,
-            },
-        },
-        "field": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["free", "uniform", "linear_gradient"]},
-                "B0": {"oneOf": [_NUM, _VEC3]},
-                "gradient": _NUM,
-            },
-        },
-        "gauge": _GAUGE_SCHEMA,
-        "gauge_alt": _GAUGE_SCHEMA,
-        "initial": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "x": _VEC3, "p": _VEC3, "omega": _VEC3, "pi": _VEC3,
-                "pi_phi": _NUM,
-            },
-        },
-        "t_span": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-        "periods": _POS,
-        "samples": {"type": "integer", "minimum": 8},
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "rel_tol": _POS,
-                "abs_tol": _POS,
-                "project_every": {"type": "integer", "minimum": 0},
-            },
-        },
-        "checks": {"type": "object", "additionalProperties": _POS},
-        "boost": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "beta_max": {
-                    "type": "number",
-                    "exclusiveMinimum": 0,
-                    "exclusiveMaximum": 1,
-                },
-            },
-        },
-        "n_points": {"type": "integer", "minimum": 1},
-        "n_boosts": {"type": "integer", "minimum": 1},
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dir": {"type": "string", "minLength": 1},
-                "prefix": {"type": "string", "minLength": 1},
-            },
-        },
-    },
-}
-
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+CONFIG_TABLE = ("mapping", {
+    "scenario": ("enum", tuple(SCENARIO_CHECKS)),
+    "seed": ("integer", 0),
+    "params": ("mapping", {"m": _POS, "e": _NUM, "mu": _NUM, "c": _POS,
+                           "a": _POS, "b": _POS, "hbar": _POS}, ()),
+    "field": ("mapping", {
+        "kind": ("enum", ("free", "uniform", "linear_gradient")),
+        "B0": ("either", _NUM, _VEC3),
+        "gradient": _NUM,
+    }, ("kind",)),
+    "gauge": _GAUGE,
+    "gauge_alt": _GAUGE,
+    "initial": ("mapping", {"x": _VEC3, "p": _VEC3, "omega": _VEC3,
+                            "pi": _VEC3, "pi_phi": _NUM}, ()),
+    "t_span": ("list", 2, _NUM),
+    "periods": _POS,
+    "samples": ("integer", 8),
+    "tolerances": ("mapping", {"rel_tol": _POS, "abs_tol": _POS,
+                               "project_every": ("integer", 0)}, ()),
+    "checks": ("mapping", {"*": _POS}, ()),
+    "boost": ("mapping", {"beta_max": ("number", 0, 1)}, ()),
+    "n_points": ("integer", 1),
+    "n_boosts": ("integer", 1),
+    "output": ("mapping", {"dir": ("string", 1), "prefix": ("string", 1)}, ()),
+}, ("scenario",))
 
 
-def _check_finite(value, path: str) -> None:
-    """Raise ConfigError naming the first number under value that is nan,
-    infinite or too large for a float."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{path}.{key}")
-    elif isinstance(value, list):
+def _walk(value, spec, path: str) -> None:
+    """Raise ConfigError for the first fault in value at or under path.
+    Faults of a mapping or list come before those of its items, and mapping
+    keys are visited in sorted order, so the error is the one at the
+    smallest path."""
+    kind = spec[0]
+    if kind == "mapping":
+        keys, required = spec[1], spec[2]
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: {value!r} is not a mapping")
+        for key in required:
+            if key not in value:
+                raise ConfigError(f"{path}: missing required key {key!r}")
+        order = sorted(value, key=str)
+        for key in order:
+            if key not in keys and "*" not in keys:
+                raise ConfigError(f"{path}: unknown key {key!r}")
+        for key in order:
+            _walk(value[key], keys.get(key, keys.get("*")), f"{path}.{key}")
+    elif kind == "list":
+        if not isinstance(value, list) or len(value) != spec[1]:
+            raise ConfigError(
+                f"{path}: {value!r} is not a list of {spec[1]} items")
         for i, item in enumerate(value):
-            _check_finite(item, f"{path}[{i}]")
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            _walk(item, spec[2], f"{path}[{i}]")
+    elif kind == "either":
+        _walk(value, spec[2] if isinstance(value, list) else spec[1], path)
+    elif kind == "enum":
+        if value not in spec[1]:
+            raise ConfigError(
+                f"{path}: {value!r} is not one of {', '.join(spec[1])}")
+    elif kind == "string":
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: {value!r} is not a string")
+        if len(value) < spec[1]:
+            raise ConfigError(f"{path}: must not be empty")
+    else:
+        integer = kind == "integer"
+        if isinstance(value, bool) or not isinstance(
+                value, int if integer else (int, float)):
+            what = "an integer" if integer else "a number"
+            raise ConfigError(f"{path}: {value!r} is not {what}")
         # exact for ints of any size; false for nan
         if not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{path}: {value!r} is not a finite number")
+        if integer and value < spec[1]:
+            raise ConfigError(f"{path}: {value!r} must be at least {spec[1]}")
+        if not integer and spec[1] is not None and not value > spec[1]:
+            raise ConfigError(f"{path}: {value!r} must be greater than {spec[1]}")
+        if not integer and spec[2] is not None and not value < spec[2]:
+            raise ConfigError(f"{path}: {value!r} must be less than {spec[2]}")
 
 
 def validate_config(cfg) -> dict:
-    if not isinstance(cfg, dict):
-        raise ConfigError("top level must be a mapping")
-    errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: e.json_path)
-    if errors:
-        first = errors[0]
-        raise ConfigError(f"{first.json_path}: {first.message}")
-    _check_finite(cfg, "$")
+    _walk(cfg, CONFIG_TABLE, "$")
     scenario = cfg["scenario"]
     for name in cfg.get("checks", {}):
         if name != "all" and name not in SCENARIO_CHECKS[scenario]:
@@ -206,7 +192,7 @@ def validate_config(cfg) -> dict:
 
 
 def load_config(path) -> dict:
-    """Parse and schema-validate a YAML or JSON config file."""
+    """Parse and validate a YAML or JSON config file."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -676,7 +662,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if not 0 < args.tol < math.inf:
                     raise ConfigError("--tol must be positive and finite")
                 cfg["checks"] = {"all": args.tol}
-            validate_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -14,8 +14,10 @@ import yaml
 from numpy.testing import assert_allclose
 
 import spinbundle
+from spinbundle.bundle_so3 import sample_surface_point
 from spinbundle.cli import (
     Check,
+    CONFIG_TABLE,
     ConfigError,
     SCENARIO_CHECKS,
     SCENARIOS,
@@ -126,6 +128,142 @@ def test_load_config_reports_yaml_line(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "nope.yaml")
+
+
+# The config table, read as data: every key path it declares, a value each
+# spec accepts, and values it must reject at that path.
+
+def table_paths(spec, path=()):
+    """(path, spec) for every key of the table and the first item of every
+    list; a path is a tuple of keys and list indices, "*" taken as "all"."""
+    yield path, spec
+    if spec[0] == "mapping":
+        for key, sub in spec[1].items():
+            yield from table_paths(sub, path + ("all" if key == "*" else key,))
+    elif spec[0] == "list":
+        yield from table_paths(spec[2], path + (0,))
+
+
+def json_path(path):
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def accepted(spec):
+    kind = spec[0]
+    if kind == "mapping":
+        return {key: accepted(spec[1][key]) for key in spec[2]}
+    if kind == "list":
+        return [accepted(spec[2])] * spec[1]
+    if kind == "integer":
+        return spec[1]
+    if kind == "enum":
+        return spec[1][0]
+    return "1" if kind == "string" else 0.5
+
+
+def rejected(spec):
+    """A value of the wrong type and, where spec has a range, values out of
+    it; each must be named at the spec's own path."""
+    kind = spec[0]
+    if kind == "mapping":
+        return [[]]
+    if kind == "list":
+        return ["x", [accepted(spec[2])] * (spec[1] + 1)]
+    if kind == "either":
+        return ["x", [0.5, 0.5], float("nan")]
+    if kind == "number":
+        return ["x", True, float("nan"), float("inf"),
+                *(bound for bound in spec[1:] if bound is not None)]
+    if kind == "integer":
+        return ["x", True, float(spec[1]), spec[1] - 1]
+    if kind == "string":
+        return [5] + ([""] if spec[1] else [])
+    return [5, "nope"]
+
+
+def config_with(path, value):
+    """A config the table accepts except for value at path."""
+    cfg = dict(scenario="free_spin")
+    node, spec = cfg, CONFIG_TABLE
+    for key in path[:-1]:
+        spec = spec[1].get(key, spec[1].get("*"))
+        node = node.setdefault(key, accepted(spec))
+    node[path[-1]] = value
+    return cfg
+
+
+TABLE_CASES = [
+    pytest.param(path, value, id=f"{json_path(path)}={value!r}")
+    for path, spec in table_paths(CONFIG_TABLE) if path
+    for value in rejected(spec)
+]
+
+
+@pytest.mark.parametrize("path, value", TABLE_CASES)
+def test_table_rejects_each_key_at_its_path(path, value):
+    with pytest.raises(ConfigError) as info:
+        validate_config(config_with(path, value))
+    message = str(info.value)
+    assert message.startswith(f"{json_path(path)}: ")
+    assert "\n" not in message
+
+
+@pytest.mark.parametrize("path, spec", [
+    pytest.param(path, spec, id=json_path(path))
+    for path, spec in table_paths(CONFIG_TABLE) if spec[0] == "mapping"
+])
+def test_table_rejects_an_unknown_key_at_each_mapping(path, spec):
+    mapping = {**accepted(spec), "bogus": 1}
+    cfg = config_with(path, mapping) if path else mapping
+    with pytest.raises(ConfigError) as info:
+        validate_config(cfg)
+    # a key is unknown to a mapping of fixed keys, and to the checks mapping
+    # when the scenario has no check of that name
+    where = f"{json_path(path)}.bogus" if "*" in spec[1] else json_path(path)
+    message = str(info.value)
+    assert message.startswith(f"{where}: ") and "'bogus'" in message
+    assert "\n" not in message
+
+
+def test_validation_names_the_smallest_bad_path():
+    cfg = {"scenario": "free_spin", "samples": 4, "params": {"m": -1}}
+    with pytest.raises(ConfigError) as info:
+        validate_config(cfg)
+    assert str(info.value).startswith("$.params.m: ")
+
+
+def traffic_configs():
+    """The configs users and the command line feed the validator."""
+    root = Path(__file__).resolve().parents[1]
+    configs = [yaml.safe_load(path.read_text())
+               for path in sorted((root / "configs").glob("*.yaml"))]
+    assert len(configs) == 4
+    for suite in ("verify_so3", "verify_lorentz", "verify_t4"):
+        for seed in range(8):
+            configs.append({"scenario": suite, "seed": seed})
+            configs.append({"scenario": suite, "seed": seed,
+                            "checks": {"all": 1e-6}})
+    stern_gerlach = configs[3]
+    assert stern_gerlach["scenario"] == "stern_gerlach"
+    params = ModelParams()
+    omega, pi = sample_surface_point(np.random.default_rng(0), a=params.a,
+                                     b=params.b)
+    configs.append({
+        **stern_gerlach,
+        "initial": {**stern_gerlach["initial"],
+                    "omega": omega.tolist(), "pi": pi.tolist()},
+        "gauge": {"expression": "1 + 0.5*sin(2*t)"},
+        "tolerances": {"project_every": 1},
+        "output": {"prefix": "projected_0"},
+    })
+    return configs
+
+
+def test_table_accepts_the_configs_in_use_unchanged():
+    for cfg in traffic_configs():
+        before = json.dumps(cfg, sort_keys=True)
+        assert validate_config(cfg) is cfg
+        assert json.dumps(cfg, sort_keys=True) == before
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +605,15 @@ NON_FINITE_PATHS = {
 }
 NON_FINITE_CONFIGS = list(NON_FINITE_PATHS)
 
+# an integral float where the key takes an int: the values go to
+# np.linspace, SeedSequence and range, which take ints only
+FLOAT_FOR_INT_PATHS = {
+    "scenario: free_spin\nsamples: 16.0\n": "$.samples",
+    "scenario: verify_so3\nseed: 1.0\n": "$.seed",
+    "scenario: verify_t4\nn_points: 2.0\n": "$.n_points",
+}
+FLOAT_FOR_INT_CONFIGS = list(FLOAT_FOR_INT_PATHS)
+
 # sample grids that overflow or repeat a time, with the key each one names
 BAD_GRID_PATHS = {
     "scenario: larmor\nperiods: 1.0e+308\n": "$.periods",
@@ -482,6 +629,7 @@ UNKNOWN_CHECK = "scenario: free_spin\nsamples: 16\nchecks: {energy_drft: 1.0e-30
 
 @pytest.mark.parametrize("config, path", [
     *NON_FINITE_PATHS.items(),
+    *FLOAT_FOR_INT_PATHS.items(),
     *BAD_GRID_PATHS.items(),
     pytest.param("scenario: free_spin\nparams: {m: 1%s}\n" % ("0" * 400),
                  "$.params.m", id="int-too-large-for-a-float"),
@@ -499,6 +647,7 @@ def test_bad_config_numbers_name_their_path(config, path, tmp_path):
     "scenario: larmor\nparams: {e: 0.0}\n",
     "scenario: larmor\nparams: {mu: 0}\n",
     *NON_FINITE_CONFIGS,
+    *FLOAT_FOR_INT_CONFIGS,
     *BAD_GRID_CONFIGS,
     UNKNOWN_CHECK,
 ])
