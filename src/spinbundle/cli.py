@@ -9,7 +9,6 @@ table of keys, which rejects unknown ones. Exit codes: 0 ok, 1 bad config,
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import math
 import os
@@ -29,9 +28,10 @@ from .dynamics import (
     Trajectory,
     fit_rotation_frequency,
     integrate,
+    parse_gauge_expression,
     second_order_residual,
 )
-from .errors import GaugeError, SpinBundleError
+from .errors import ConfigError, SpinBundleError
 # poisson_bracket is not called here: the benchmark harness self-test checks
 # that tracing rebinds it in this module too
 from .phasespace import OMEGA, PhasePoint, poisson_bracket
@@ -50,10 +50,6 @@ __all__ = [
     "SCENARIO_CHECKS",
     "TIMESERIES_COLUMNS",
 ]
-
-
-class ConfigError(SpinBundleError):
-    """Configuration file rejected before any computation ran."""
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +124,15 @@ CONFIG_TABLE = ("mapping", {
 }, ("scenario",))
 
 
+def _shown(value) -> str:
+    """repr of a config value, or a stand-in where the value holds an int
+    past Python's int-to-string digit limit, which a hex literal can be."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _walk(value, spec, path: str) -> None:
     """Raise ConfigError for the first fault in value at or under path.
     Faults of a mapping or list come before those of its items, and mapping
@@ -137,7 +142,7 @@ def _walk(value, spec, path: str) -> None:
     if kind == "mapping":
         keys, required = spec[1], spec[2]
         if not isinstance(value, dict):
-            raise ConfigError(f"{path}: {value!r} is not a mapping")
+            raise ConfigError(f"{path}: {_shown(value)} is not a mapping")
         for key in required:
             if key not in value:
                 raise ConfigError(f"{path}: missing required key {key!r}")
@@ -150,7 +155,7 @@ def _walk(value, spec, path: str) -> None:
     elif kind == "list":
         if not isinstance(value, list) or len(value) != spec[1]:
             raise ConfigError(
-                f"{path}: {value!r} is not a list of {spec[1]} items")
+                f"{path}: {_shown(value)} is not a list of {spec[1]} items")
         for i, item in enumerate(value):
             _walk(item, spec[2], f"{path}[{i}]")
     elif kind == "either":
@@ -158,10 +163,10 @@ def _walk(value, spec, path: str) -> None:
     elif kind == "enum":
         if value not in spec[1]:
             raise ConfigError(
-                f"{path}: {value!r} is not one of {', '.join(spec[1])}")
+                f"{path}: {_shown(value)} is not one of {', '.join(spec[1])}")
     elif kind == "string":
         if not isinstance(value, str):
-            raise ConfigError(f"{path}: {value!r} is not a string")
+            raise ConfigError(f"{path}: {_shown(value)} is not a string")
         if len(value) < spec[1]:
             raise ConfigError(f"{path}: must not be empty")
     else:
@@ -169,10 +174,10 @@ def _walk(value, spec, path: str) -> None:
         if isinstance(value, bool) or not isinstance(
                 value, int if integer else (int, float)):
             what = "an integer" if integer else "a number"
-            raise ConfigError(f"{path}: {value!r} is not {what}")
+            raise ConfigError(f"{path}: {_shown(value)} is not {what}")
         # exact for ints of any size; false for nan
         if not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{path}: {value!r} is not a finite number")
+            raise ConfigError(f"{path}: {_shown(value)} is not a finite number")
         if integer and value < spec[1]:
             raise ConfigError(f"{path}: {value!r} must be at least {spec[1]}")
         if not integer and spec[1] is not None and not value > spec[1]:
@@ -199,81 +204,14 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     try:
+        # an integer literal over Python's int-to-string digit limit makes
+        # PyYAML raise ValueError
         cfg = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError(f"{path}{where}: {exc}") from None
     return validate_config(cfg)
-
-
-# ---------------------------------------------------------------------------
-# Gauge expressions: t, numbers, + - * /, sin, cos, exp
-# ---------------------------------------------------------------------------
-
-_GAUGE_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
-_GAUGE_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
-
-
-def _check_gauge_node(node: ast.AST) -> None:
-    if isinstance(node, ast.Expression):
-        _check_gauge_node(node.body)
-    elif isinstance(node, ast.BinOp) and isinstance(node.op, _GAUGE_OPS):
-        _check_gauge_node(node.left)
-        _check_gauge_node(node.right)
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        _check_gauge_node(node.operand)
-    elif isinstance(node, ast.Call):
-        if (not isinstance(node.func, ast.Name)
-                or node.func.id not in _GAUGE_FUNCS
-                or node.keywords or len(node.args) != 1):
-            raise ConfigError(
-                "gauge expression may only call sin, cos, exp with one argument")
-        _check_gauge_node(node.args[0])
-    elif isinstance(node, ast.Name):
-        if node.id != "t":
-            raise ConfigError(f"unknown name {node.id!r} in gauge expression")
-    elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
-            raise ConfigError("gauge expression constants must be numbers")
-    else:
-        raise ConfigError(
-            f"unsupported syntax in gauge expression: {type(node).__name__}")
-
-
-def parse_gauge_expression(expression: str, label: str = "") -> GaugeFunction:
-    """Compile a gauge expression over t from the fixed small grammar; a
-    value that overflows, divides by zero or is not finite raises GaugeError
-    naming the expression and t.  An expression without t is a constant
-    gauge, with phi_dot = GaugeFunction.zero_rate; any other has no phi_dot,
-    so its derivative is a central difference."""
-    try:
-        tree = ast.parse(expression, mode="eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"gauge expression does not parse: {exc.msg}") from None
-    _check_gauge_node(tree)
-    # t is the only name in a checked tree besides the called functions
-    moves = any(isinstance(node, ast.Name) and node.id == "t"
-                for node in ast.walk(tree))
-    what = f"gauge expression {expression!r}"
-    source = ast.parse("lambda t: 0", mode="eval")
-    source.body.body = tree.body
-    fn = eval(compile(ast.fix_missing_locations(source), "<gauge>", "eval"),
-              {"__builtins__": {}, **_GAUGE_FUNCS})
-
-    def phi(t: float) -> float:
-        t = float(t)
-        try:
-            value = float(fn(t))
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise GaugeError(
-                f"{what} cannot be evaluated at t = {t!r}: {exc}") from None
-        if not math.isfinite(value):
-            raise GaugeError(f"{what} is {value!r} at t = {t!r}")
-        return value
-
-    return GaugeFunction(phi=phi, phi_dot=None if moves else GaugeFunction.zero_rate,
-                         label=label or expression)
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,19 @@ whose steps land on each requested sample time; a stepped physical sector
 can add Newton projection onto the spin constraint surface after accepted
 steps.  The stepper, its right-hand sides (built once per integrate) and the
 projection work on lists of Python floats; arrays are formed once, from the
-samples.  fit_rotation_frequency refines a spectral peak by golden-section
-search with parabolic steps (Brent).
+samples.  theta' = 2 r / phi(t) does not read theta, so under a moving gauge
+the stepper's landing steps are first taken as one array pass over the
+grid, kept up to the first gap the stepper would step otherwise, and the
+stepper resumes there (_gauge_sector).  The per-sample diagnostics call the
+field kernel once, on the coordinates of all samples.
+fit_rotation_frequency refines a spectral peak by golden-section search
+with parabolic steps (Brent).
 """
 
 from __future__ import annotations
 
+import ast
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,6 +47,7 @@ import numpy as np
 
 from . import constraints as con
 from .errors import (
+    ConfigError,
     DomainError,
     GaugeError,
     IntegrationError,
@@ -112,11 +120,14 @@ class FieldConfig:
     kernel(x1, x2, x3) maps a point given as three floats to (B, A, grad_A,
     grad_B): the field, a vector potential with curl A = B, and their
     spatial derivative matrices G[i, j] = d_i (field_j), as (nested)
-    sequences of Python floats.  The right-hand side reads the kernel
-    directly; the methods B, A, grad_A and grad_B return its entries at a
-    point as float arrays.  kind names the family: integrate takes the
-    closed-form flow for "free" and "uniform", so only a field uniform in x
-    may carry those kinds.
+    sequences of Python floats.  Given three 1-d float arrays, the
+    coordinates of many points, it returns the same nesting with each
+    component an array over the points, or one float where the component
+    does not depend on x.  The right-hand side reads the kernel on floats,
+    and the per-sample diagnostics read it once on arrays; the methods B, A,
+    grad_A and grad_B return its entries at a point as float arrays.  kind
+    names the family: integrate takes the closed-form flow for "free" and
+    "uniform", so only a field uniform in x may carry those kinds.
     """
 
     kind: str
@@ -181,10 +192,17 @@ class FieldConfig:
     @classmethod
     def custom(cls, B, A, grad_B, grad_A) -> "FieldConfig":
         """Four user callables of a point x (a float array), each returning
-        an array or (nested) list, wrapped into one kernel."""
+        an array or (nested) list, wrapped into one kernel; on arrays of
+        points the kernel calls them once per point."""
         fns = (B, A, grad_A, grad_B)
 
         def kernel(x1, x2, x3):
+            if np.ndim(x1):
+                points = np.column_stack((x1, x2, x3))
+                # components first and points last, as in the nesting of floats
+                return tuple(np.moveaxis(np.array([np.asarray(fn(x), dtype=float)
+                                                   for x in points]), 0, -1)
+                             for fn in fns)
             x = np.array([x1, x2, x3])
             return tuple(np.asarray(fn(x), dtype=float).tolist() for fn in fns)
 
@@ -212,6 +230,11 @@ class FieldConfig:
 class GaugeFunction:
     """The auxiliary gauge coordinate phi as a function of time.
 
+    phi takes a float, or a 1-d float array of times, for which it returns
+    the array of its values there (or one float, where phi does not depend
+    on t); each entry must equal the value phi gives for that time alone,
+    since integrate evaluates the gauge sector over the whole sample grid
+    at once and takes that result only where it equals the stepper's.
     phi must stay away from zero on the integration span.  integrate reads
     phi alone; eom reads phi_dot, or a central difference where it is None.
     A phi_dot of zero_rate marks a constant gauge.
@@ -258,6 +281,116 @@ class GaugeFunction:
                     f"gauge function changes sign between t = {prev_t:.6g} "
                     f"and t = {t:.6g}")
             prev_t, prev = t, value
+
+
+# ---------------------------------------------------------------------------
+# Gauge expressions: t, numbers, + - * /, sin, cos, exp
+# ---------------------------------------------------------------------------
+
+_GAUGE_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+_GAUGE_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+
+
+def _entrywise(fn: Callable[[float], float]) -> Callable:
+    """fn of one float, applied to each entry of a 1-d float array."""
+    def apply(x):
+        if isinstance(x, np.ndarray):
+            return np.fromiter(map(fn, x.tolist()), float, x.size)
+        return fn(x)
+
+    return apply
+
+
+# math's functions rather than numpy's: np.exp differs from math.exp in the
+# last bit for a few percent of arguments, and numpy may take vectorised sin
+# and cos that differ too, so only these keep an array call equal to the
+# scalar calls it stands for
+_GAUGE_ARRAY_FUNCS = {name: _entrywise(fn) for name, fn in _GAUGE_FUNCS.items()}
+
+
+def _check_gauge_node(node: ast.AST) -> None:
+    if isinstance(node, ast.Expression):
+        _check_gauge_node(node.body)
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, _GAUGE_OPS):
+        _check_gauge_node(node.left)
+        _check_gauge_node(node.right)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        _check_gauge_node(node.operand)
+    elif isinstance(node, ast.Call):
+        if (not isinstance(node.func, ast.Name)
+                or node.func.id not in _GAUGE_FUNCS
+                or node.keywords or len(node.args) != 1):
+            raise ConfigError(
+                "gauge expression may only call sin, cos, exp with one argument")
+        _check_gauge_node(node.args[0])
+    elif isinstance(node, ast.Name):
+        if node.id != "t":
+            raise ConfigError(f"unknown name {node.id!r} in gauge expression")
+    elif isinstance(node, ast.Constant):
+        if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
+            raise ConfigError("gauge expression constants must be numbers")
+    else:
+        raise ConfigError(
+            f"unsupported syntax in gauge expression: {type(node).__name__}")
+
+
+def parse_gauge_expression(expression: str, label: str = "") -> GaugeFunction:
+    """Compile a gauge expression over t from the fixed small grammar; a
+    value that overflows, divides by zero, takes sin or cos of an infinity
+    or is not finite raises GaugeError naming the expression and t.  An
+    expression without t is a constant gauge, with phi_dot =
+    GaugeFunction.zero_rate; any other has no phi_dot, so its derivative is
+    a central difference.
+
+    Over an array of times the arithmetic runs in numpy, with floating-point
+    errors raised, and sin, cos and exp are math's, entry by entry, so each
+    value equals the scalar call's.  Where any entry fails (an overflow, a
+    division by zero, a value that is not finite), each time is evaluated
+    alone instead, which raises the scalar call's error at the first time
+    that fails."""
+    try:
+        tree = ast.parse(expression, mode="eval")
+    except SyntaxError as exc:
+        raise ConfigError(f"gauge expression does not parse: {exc.msg}") from None
+    _check_gauge_node(tree)
+    # t is the only name in a checked tree besides the called functions
+    moves = any(isinstance(node, ast.Name) and node.id == "t"
+                for node in ast.walk(tree))
+    what = f"gauge expression {expression!r}"
+    source = ast.parse("lambda t: 0", mode="eval")
+    source.body.body = tree.body
+    code = compile(ast.fix_missing_locations(source), "<gauge>", "eval")
+    fn = eval(code, {"__builtins__": {}, **_GAUGE_FUNCS})
+    fn_array = eval(code, {"__builtins__": {}, **_GAUGE_ARRAY_FUNCS})
+
+    def value_at(t: float) -> float:
+        t = float(t)
+        # math.sin and math.cos raise ValueError for an infinite argument
+        try:
+            value = float(fn(t))
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
+            raise GaugeError(
+                f"{what} cannot be evaluated at t = {t!r}: {exc}") from None
+        if not math.isfinite(value):
+            raise GaugeError(f"{what} is {value!r} at t = {t!r}")
+        return value
+
+    def phi(t):
+        if not np.ndim(t):
+            return value_at(t)
+        ts = np.asarray(t, dtype=float)
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                values = np.array(np.broadcast_to(fn_array(ts), ts.shape),
+                                  dtype=float)
+            if np.isfinite(values).all():
+                return values
+        except (ArithmeticError, ValueError):
+            pass
+        return np.array([value_at(v) for v in ts.tolist()])
+
+    return GaugeFunction(phi=phi, phi_dot=None if moves else GaugeFunction.zero_rate,
+                         label=label or expression)
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +598,24 @@ class Trajectory:
 
 def _field_rows(fields: FieldConfig, xs) -> Tuple[Array, ...]:
     """(B, A, grad_A, grad_B) from the field kernel at each row of xs, each
-    stacked over the rows."""
-    rows = [fields.kernel(*x) for x in xs.tolist()]
-    return tuple(np.array(data, dtype=float) for data in zip(*rows))
+    stacked over the rows: one kernel call on the three coordinate columns,
+    with every component that does not depend on x repeated on each row."""
+    n = len(xs)
+
+    def stack(entry):
+        if isinstance(entry, (tuple, list)) or np.ndim(entry) > 1:
+            return np.stack([stack(e) for e in entry], axis=1)
+        return np.broadcast_to(np.asarray(entry, dtype=float), (n,))
+
+    return tuple(stack(entry) for entry in fields.kernel(*xs.T))
 
 
 def _error_norm(err, y0, y1, rel_tol, abs_tol):
     """RMS of the float sequence err scaled by abs_tol + rel_tol *
     max(|y0|, |y1|), summed exactly with math.fsum."""
-    q = [e / (abs_tol + rel_tol * max(abs(a), abs(b)))
-         for e, a, b in zip(err, y0, y1)]
+    # b if b > a else a is max(a, b), nan included, without the call
+    q = [e / (abs_tol + rel_tol * (b if b > a else a))
+         for e, a, b in zip(err, map(abs, y0), map(abs, y1))]
     return math.sqrt(math.fsum([v * v for v in q]) / len(q))
 
 
@@ -562,11 +703,23 @@ def _require_finite(values, what: str, t: float,
                 f"{what} is not finite at t = {t!r}: {label} = {value!r}")
 
 
+def _growth(norm: float) -> float:
+    """The factor on the step size after a step accepted with error norm
+    norm <= 1."""
+    return 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
+
+
 def _dp5(rhs, y, f, times, opts: IntegrationOptions,
          sector: Callable[[float], str], labels=CANONICAL_PARTICLE.labels,
-         project: Optional[Callable[[list], list]] = None) -> Array:
+         project: Optional[Callable[[list], list]] = None,
+         h: Optional[float] = None, attempts: int = 0) -> Tuple[Array, tuple]:
     """Step y' = rhs(y, t) from (times[0], y), with f = rhs(y, times[0]), and
-    return the states at the sample times, one row each.
+    return the states at the sample times, one row each, with the stepper's
+    state after the last one, (f, h, attempts): the derivative there, the
+    next step size to try and the attempts spent against max_steps.  Given
+    h and attempts, a run without projection resumes another that ended
+    at times[0] with that state; h defaults to _initial_step's over the
+    whole grid.
 
     y, f and every stage are lists of Python floats, and the tableau is
     written out as float constants.  Steps land on every sample time.  With
@@ -578,12 +731,12 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions,
     """
     grid = times.tolist()
     t = grid[0]
-    h = _initial_step(y, f, opts.rel_tol, opts.abs_tol, grid[-1] - t)
+    if h is None:
+        h = _initial_step(y, f, opts.rel_tol, opts.abs_tol, grid[-1] - t)
     rows = [y]
     y_new = y
     i = 1  # the next sample to land on
     accepted = 0
-    attempts = 0
     while i < len(grid):
         if attempts > opts.max_steps:
             raise IntegrationError(
@@ -635,11 +788,10 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions,
             if lands:
                 rows.append(y)
                 i += 1
-            factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
-            h = h_try * factor
+            h = h_try * _growth(norm)
         else:
             h = h_try * min(1.0, max(0.2, 0.9 * norm ** -0.2))
-    return np.array(rows)
+    return np.array(rows), (f, h, attempts)
 
 
 def _rotate(axis, angle, u) -> Array:
@@ -690,13 +842,34 @@ def _exact_physical(u, times, params: ModelParams, fields: FieldConfig) -> Array
     return out
 
 
+# The stage times of a Dormand-Prince step from t, as t + c h: the second to
+# fifth stages; the sixth and the derivative at the new state share t + h
+_DP_NODES = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
+
+
 def _gauge_sector(r: float, times, gauge: GaugeFunction,
                   opts: IntegrationOptions) -> Tuple[Array, Array]:
     """The fiber angle theta, one single-entry row per sample, and phi at
     the sample times.  phi is gauge(t) itself; theta solves theta' = 2 r /
     gauge(t) with theta(t0) = 0, in closed form, 2 r (t - t0) / phi0, under
-    a constant gauge, and stepped as a single float under any other."""
-    phi = np.array([gauge(t) for t in times.tolist()])
+    a constant gauge, and stepped as a single float under any other.
+
+    theta' does not read theta, so a step that lands on the next sample
+    reads the gauge only at times the grid fixes.  The stepper takes the
+    first gap, which it enters with a short trial step; every later gap is
+    then taken as that one landing step at once over the grid, from one
+    call of the gauge on all stage times and with the stepper's float
+    operations.  The result stands up to the first gap where the stepper
+    would do otherwise: its error norm is above 1, it is longer than the
+    step the controller proposes, a stage value of phi is singular, or the
+    step budget is spent.  The stepper resumes there, from that sample's
+    theta, derivative, proposed step and attempts, so a gauge that fails
+    at once costs one array pass more than stepping alone.
+    """
+    def phi_at(ts):
+        return np.broadcast_to(np.asarray(gauge.phi(ts), dtype=float), ts.shape)
+
+    phi = phi_at(times)
     if gauge.phi_dot is GaugeFunction.zero_rate:
         return (2.0 * r * (times - times[0]) / phi[0])[:, None], phi
 
@@ -707,9 +880,58 @@ def _gauge_sector(r: float, times, gauge: GaugeFunction,
         return [2.0 * r / value]
 
     name = f"gauge {gauge.label!r}" if gauge.label else "gauge"
-    theta = _dp5(rhs, [0.0], rhs([0.0], times[0].item()), times, opts,
-                 lambda t: f"{name} = {gauge(t):.6g} there", ("theta",))
-    return theta, phi
+
+    def step(theta, f, grid, h, attempts):
+        rows, state = _dp5(rhs, [theta], f, grid, opts,
+                           lambda t: f"{name} = {gauge(t):.6g} there", ("theta",),
+                           h=h, attempts=attempts)
+        return rows[:, 0].tolist(), state
+
+    f = rhs([0.0], times[0].item())
+    span = (times[-1] - times[0]).item()
+    theta, (f, h, attempts) = step(0.0, f, times[:2], _initial_step(
+        [0.0], f, opts.rel_tol, opts.abs_tol, span), 0)
+    t, gap = times[1:-1], np.diff(times[1:])  # the second gap on
+    try:
+        values = phi_at(np.concatenate([t + c * gap for c in _DP_NODES]
+                                       + [t + gap]))
+    except GaugeError:
+        # a failing stage time: the stepper finds the error in its own order
+        values = np.zeros(5 * gap.size)
+    values = values.reshape(5, gap.size)
+    singular = (np.abs(values) < 1e-9).any(axis=0)
+    # inf and nan follow IEEE here as in the stepper's Python floats, which
+    # warn of nothing; a gap whose norm is nan is left to the stepper
+    with np.errstate(all="ignore"):
+        k2, k3, k4, k5, k7 = 2.0 * r / values
+        k1 = np.concatenate((f, k7[:-1]))
+        increment = gap * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                           - 2187 / 6784 * k5 + 11 / 84 * k7)
+        err = gap * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
+                     - 17253 / 339200 * k5 + 22 / 525 * k7 - 1 / 40 * k7)
+        landed = np.array(list(itertools.accumulate(increment.tolist(),
+                                                    initial=theta[1])))
+        # _error_norm of one entry: fsum and the mean over one square are
+        # exact, and both square roots are correctly rounded
+        q = err / (opts.abs_tol + opts.rel_tol * np.maximum(np.abs(landed[:-1]),
+                                                            np.abs(landed[1:])))
+        norm = np.sqrt(q * q)
+
+    taken = 0
+    for g, t_k, n, bad in zip(gap.tolist(), t.tolist(), norm.tolist(),
+                              singular.tolist()):
+        if (attempts > opts.max_steps or bad or not g <= h * (1 + 1e-12)
+                or g < 1e-14 * max(1.0, abs(t_k)) or not n <= 1.0):
+            break
+        attempts += 1
+        taken += 1
+        h = g * _growth(n)
+    theta += landed[1:taken + 1].tolist()
+    if taken < gap.size:
+        f = [k7[taken - 1].item()] if taken else f
+        resumed, _ = step(theta[-1], f, times[1 + taken:], h, attempts)
+        theta += resumed[1:]
+    return np.array(theta)[:, None], phi
 
 
 def _trajectory(times, states, params: ModelParams,
@@ -786,10 +1008,10 @@ def integrate(z0, times, params: ModelParams, fields: FieldConfig,
         physical = _exact_physical(u, times, params, fields)
     else:
         physical_rhs = _physical_kernel(params, fields)
-        physical = _dp5(physical_rhs, u, physical_rhs(u, t0), times, opts,
-                        lambda t: f"field {fields.kind!r}",
-                        project=lambda v: _project_spin(v, a_sq, b_sq,
-                                                        _PROJECTION_TOL))
+        physical, _ = _dp5(physical_rhs, u, physical_rhs(u, t0), times, opts,
+                           lambda t: f"field {fields.kind!r}",
+                           project=lambda v: _project_spin(v, a_sq, b_sq,
+                                                           _PROJECTION_TOL))
     w0, q0 = np.array(y[OMEGA]), np.array(y[PI])
     if opts.project_every and fields.kind not in _EXACT_KINDS:
         # the projected omega~, pi~ lie on the surface, where r = a / b

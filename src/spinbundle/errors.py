@@ -63,6 +63,10 @@ class ChartDomainError(SpinBundleError):
     """A point lies outside the domain of the requested coordinate chart."""
 
 
+class ConfigError(SpinBundleError):
+    """Configuration file rejected before any computation ran."""
+
+
 class GaugeError(SpinBundleError):
     """The gauge function vanishes (or nearly vanishes) where it must not."""
 

@@ -125,6 +125,18 @@ def test_load_config_reports_yaml_line(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("literal", ["1" * 5000, "0x" + "f" * 5000],
+                         ids=["decimal", "hex"])
+def test_main_rejects_an_integer_past_the_digit_limit(literal, tmp_path, capsys):
+    """PyYAML cannot convert a 5,000-digit decimal literal, and a hex one
+    converts but has no decimal repr: either is a one-line config error."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"scenario: free_spin\nseed: {literal}\n")
+    assert main(["run", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "nope.yaml")
@@ -686,6 +698,8 @@ GAUGE_FAILURES = [
      "gauge expression '1/((t-0.5)*(t-0.5))' cannot be evaluated at t = 0.5"),
     ("exp(708)*(2 + sin(1000*t))", 16,
      "derivative of the start state is not finite at t = 0.0: phi = inf"),
+    ("2 + sin(1e308*10*(t + 1))", 16,
+     "cannot be evaluated at t = 0.0: math domain error"),
 ]
 
 
@@ -725,6 +739,36 @@ def test_main_prints_each_warning_on_one_line(initial, tmp_path):
     *warned, last = proc.stderr.splitlines()
     assert warned and all(line.startswith("warning: ") for line in warned)
     assert last.startswith("runtime error: projection did not converge")
+
+
+@pytest.mark.parametrize("expression", [
+    "1 + 0.5*sin(2*t)",
+    "2 - cos(3*t + 1)*sin(t/7) + 0.25*cos(40*t)",
+    "exp(-t/10)*cos(t) + 2",
+    "1.5 + 0.5*exp(-t/5)*sin(40*t)",
+    "-exp(1)",
+])
+def test_gauge_expression_array_call_equals_scalar_calls(expression, rng):
+    times = np.concatenate([np.linspace(0.0, 20.0, 2001),
+                            rng.uniform(-50.0, 50.0, 2000)])
+    values = parse_gauge_expression(expression).phi(times)
+    assert values.dtype == float and values.shape == times.shape
+    assert np.array_equal(values, [parse_gauge_expression(expression)(t)
+                                   for t in times.tolist()])
+
+
+@pytest.mark.parametrize("expression, message", [
+    ("exp(1000*t)", r"cannot be evaluated at t = 1\.0: math range error"),
+    ("1/(t - 0.5)", r"cannot be evaluated at t = 0\.5: float division by zero"),
+    ("2 + 1/(1/(t - 0.5))", r"cannot be evaluated at t = 0\.5"),
+    ("1e308*10*t", r"is nan at t = 0\.0"),
+])
+def test_gauge_expression_array_call_raises_the_scalar_error(expression, message):
+    """numpy turns these into inf or nan, or into a finite value through an
+    infinite one; the array call raises what the first failing time
+    raises alone."""
+    with pytest.raises(GaugeError, match=message):
+        parse_gauge_expression(expression).phi(np.array([0.0, 0.5, 1.0, 1.5]))
 
 
 def test_gauge_expression_overflow_names_t():

@@ -1,7 +1,6 @@
 """Equations of motion, multiplier consistency, adaptive integration,
 and the physical-limit checks for the spinning particle in a magnetic field."""
 
-import math
 import warnings
 
 import numpy as np
@@ -567,7 +566,7 @@ def test_step_budget_in_the_gauge_sector_names_the_gauge():
     """phi oscillates at 1e15 per unit time: stepping theta alone spends the
     step budget, and the message names t, the gauge and its value there."""
     params = ModelParams()
-    gauge = GaugeFunction(phi=lambda t: 1.0 + 0.5 * math.sin(1e15 * t),
+    gauge = GaugeFunction(phi=lambda t: 1.0 + 0.5 * np.sin(1e15 * t),
                           label="fast")
     with pytest.raises(IntegrationError,
                        match=r"^step budget 1000 exhausted at t = \S+ "

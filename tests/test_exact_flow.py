@@ -1,11 +1,13 @@
 """The closed-form flow integrate takes in free and uniform fields, pinned
-to the Dormand-Prince path on the same field, and the convergence of the
-Dormand-Prince path where no closed form exists."""
+to the Dormand-Prince path on the same field, the convergence of the
+Dormand-Prince path where no closed form exists, and the gauge sector's
+pass over the whole grid, pinned to the stepper."""
 
 import numpy as np
 import pytest
 
 from spinbundle import dynamics
+from spinbundle.bundle_so3 import sample_surface_point
 from spinbundle.cli import parse_gauge_expression
 from spinbundle.dynamics import (
     FieldConfig,
@@ -14,6 +16,7 @@ from spinbundle.dynamics import (
     ModelParams,
     integrate,
 )
+from spinbundle.errors import GaugeError, IntegrationError
 from spinbundle.phasespace import OMEGA, PHI, PI, P, PhasePoint, X
 
 from conftest import random_phase_state
@@ -230,3 +233,128 @@ def test_stepped_flow_converges_in_a_gradient_field():
     z0 = PhasePoint(x=[0, 0, 0], p=[0.3, 0, 0], omega=[params.a, 0, 0],
                     pi=[0, params.b, 0])
     assert_converges(z0, params, fields, fields)
+
+
+def stepped_gauge_sector(r, times, gauge, opts):
+    """The gauge sector as the stepper alone takes it, the reference of the
+    array pass: theta stepped over the whole grid, phi one call a sample."""
+    def rhs(theta, t):
+        return [2.0 * r / gauge(t)]
+
+    theta, _ = dynamics._dp5(rhs, [0.0], rhs([0.0], times[0].item()), times,
+                             opts, lambda t: "", ("theta",))
+    return theta, np.array([gauge(t) for t in times.tolist()])
+
+
+def resumed_at(monkeypatch):
+    """The start time of every stepper run after the first gap's."""
+    starts = []
+    step = dynamics._dp5
+
+    def spy(rhs, y, f, times, *args, **kwargs):
+        if kwargs.get("attempts"):
+            starts.append(times[0])
+        return step(rhs, y, f, times, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_dp5", spy)
+    return starts
+
+
+WOBBLE_TEXT = "1 + 0.5*sin(2*t)"
+# a bump of width 0.01 at t = 7: across it the stepper splits the gaps
+SHARP_TEXT = "1 + 0.5*sin(2*t) + 0.5*exp(-10000*(t - 7)*(t - 7))"
+GAUGE_COMPARE_TIMES = np.linspace(0.0, 4.0 * np.pi, 800)
+STERN_GERLACH_TIMES = np.linspace(0.0, 20.0, 2000)
+
+
+@pytest.mark.parametrize("gauge, times, opts, resumes_in", [
+    (parse_gauge_expression(WOBBLE_TEXT), GAUGE_COMPARE_TIMES,
+     IntegrationOptions(), None),
+    (WOBBLE, TIMES, tight(), (TIMES[1], TIMES[2])),
+    *((WOBBLE, grid, loose(tol), ...)
+      for grid in (TIMES, COARSE_TIMES) for tol in TOLERANCES),
+    (parse_gauge_expression(WOBBLE_TEXT), STERN_GERLACH_TIMES,
+     IntegrationOptions(project_every=1), None),
+    (parse_gauge_expression(SHARP_TEXT), STERN_GERLACH_TIMES,
+     IntegrationOptions(), (6.9, 7.0)),
+    # not marked constant, and one float for an array of times
+    (GaugeFunction(phi=lambda t: 1.3), TIMES, IntegrationOptions(), None),
+], ids=["gauge_compare", "wobble_tight",
+        *(f"wobble_{n}_{tol:g}" for n in (400, 40) for tol in TOLERANCES),
+        "projected", "sharp", "float_for_array"])
+def test_gauge_sector_equals_the_stepper(monkeypatch, gauge, times, opts,
+                                         resumes_in):
+    """theta and phi of the array pass equal, with ==, those of the stepper
+    run over the whole grid.  resumes_in bounds the sample where the
+    stepper takes over: None where the array pass takes every gap after
+    the first, ... where either may happen."""
+    r = 2.0 / np.sqrt(3.0)
+    want = stepped_gauge_sector(r, times, gauge, opts)
+    starts = resumed_at(monkeypatch)
+    theta, phi = dynamics._gauge_sector(r, times, gauge, opts)
+    assert np.array_equal(theta, want[0])
+    assert np.array_equal(phi, want[1])
+    if resumes_in is None:
+        assert starts == []
+    elif resumes_in is not ...:
+        assert len(starts) == 1 and resumes_in[0] <= starts[0] < resumes_in[1]
+
+
+def test_gauge_sector_equals_the_stepper_near_its_thresholds():
+    """Error norms and proposed steps at every distance from the stepper's
+    thresholds (norm <= 1, gap <= proposed step): rel_tol swept over six
+    decades under WOBBLE, and a bump of width 0.01 swept in height, which
+    hands over at the first gap across 1 in norm or in step ratio."""
+    r = 2.0 / np.sqrt(3.0)
+    cases = [(WOBBLE, grid, loose(float(tol)))
+             for grid in (TIMES, COARSE_TIMES)
+             for tol in np.geomspace(1e-13, 1e-7, 49)]
+    cases += [(parse_gauge_expression(
+        f"1 + 0.5*sin(2*t) + {float(height)!r}*exp(-10000*(t - 7)*(t - 7))"),
+        np.linspace(6.0, 8.0, 201), IntegrationOptions())
+        for height in np.geomspace(1e-3, 0.5, 48)]
+    for gauge, times, opts in cases:
+        want, _ = stepped_gauge_sector(r, times, gauge, opts)
+        theta, _ = dynamics._gauge_sector(r, times, gauge, opts)
+        assert np.array_equal(theta, want), (gauge.label, opts)
+
+
+def test_gauge_sector_raises_the_stepper_errors():
+    """The array pass takes no gap where the stepper would raise: a stage
+    value of phi below 1e-9 (the second stage, whose value no sum reads),
+    a gap too short to step and a step budget spent in mid-grid stop the
+    run where the stepper stops."""
+    stage = TIMES[3] + 1 / 5 * (TIMES[4] - TIMES[3])
+    gauge = GaugeFunction(phi=lambda t: np.where(t == stage, 1e-10, 1.0))
+    with pytest.raises(GaugeError, match=r"singular at phi = 1e-10$"):
+        dynamics._gauge_sector(1.0, TIMES, gauge, IntegrationOptions())
+    r = 2.0 / np.sqrt(3.0)
+    tiny_gap = np.append(TIMES, np.nextafter(TIMES[-1], np.inf))
+    with pytest.raises(IntegrationError,
+                       match=r"^step size underflow at t = 12\.5664 "):
+        dynamics._gauge_sector(r, tiny_gap, WOBBLE, IntegrationOptions())
+    opts = IntegrationOptions(max_steps=50)
+    with pytest.raises(IntegrationError) as want:
+        stepped_gauge_sector(r, TIMES, WOBBLE, opts)
+    with pytest.raises(IntegrationError) as got:
+        dynamics._gauge_sector(r, TIMES, WOBBLE, opts)
+    assert str(got.value).split(" (")[0] == str(want.value).split(" (")[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_projected_run_equals_the_stepped_gauge_sector(monkeypatch, seed):
+    """The projected benchmark draw at each seed: stern_gerlach's grid and
+    field, a start drawn on the surface, a moving gauge and projection
+    after every step, integrated with the array pass and with the gauge
+    sector stepped alone, gives the same states."""
+    params = ModelParams()
+    omega, pi = sample_surface_point(np.random.default_rng(seed), a=params.a,
+                                     b=params.b)
+    z0 = PhasePoint(x=[0, 0, 0], p=[0.3, 0, 0], omega=omega, pi=pi)
+    fields = FieldConfig.linear_gradient(B0=1.0, gradient=0.05)
+    gauge = parse_gauge_expression(WOBBLE_TEXT)
+    opts = IntegrationOptions(project_every=1)
+    traj = integrate(z0, STERN_GERLACH_TIMES, params, fields, gauge, opts)
+    monkeypatch.setattr(dynamics, "_gauge_sector", stepped_gauge_sector)
+    want = integrate(z0, STERN_GERLACH_TIMES, params, fields, gauge, opts)
+    assert np.array_equal(traj.states, want.states)

@@ -239,6 +239,19 @@ def test_field_kernel_equals_public_callables(kind, rng):
             assert np.array_equal(np.array(got), want)
 
 
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_field_rows_equal_per_row_kernel_calls(kind, rng):
+    """One kernel call on the coordinate columns gives each row exactly
+    what the kernel gives that point alone, and the constant entries are
+    repeated on every row."""
+    fields = FIELDS[kind]
+    points = rng.standard_normal((50, 3)) * 3.0
+    rows = [fields.kernel(*x) for x in points.tolist()]
+    for got, want in zip(dynamics._field_rows(fields, points), zip(*rows)):
+        assert got.dtype == float
+        assert np.array_equal(got, np.array(want))
+
+
 def test_error_norm_equals_np_mean_form(rng):
     for _ in range(2000):
         n = int(rng.integers(1, 30))
