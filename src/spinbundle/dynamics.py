@@ -37,6 +37,7 @@ with parabolic steps (Brent).
 from __future__ import annotations
 
 import ast
+import bisect
 import itertools
 import math
 import warnings
@@ -687,11 +688,16 @@ def _project_spin(y, a_sq: float, b_sq: float, tol: float,
 
 
 def _initial_step(y0, f0, rel_tol, abs_tol, span) -> float:
-    scale = abs_tol + rel_tol * np.abs(y0)
-    d0 = np.linalg.norm(y0 / scale)
-    d1 = np.linalg.norm(f0 / scale)
-    h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    return float(min(h, 0.1 * span))
+    """A first trial step: 0.01 |y0| / |f0|, both scaled by the tolerances,
+    or 1e-6 where either is tiny, and at most a tenth of the span.  Scaled
+    norms that overflow give inf or nan, and so a step that no underflow
+    guard passes, without a numpy warning."""
+    with np.errstate(all="ignore"):
+        scale = abs_tol + rel_tol * np.abs(y0)
+        d0 = np.linalg.norm(y0 / scale)
+        d1 = np.linalg.norm(f0 / scale)
+        h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    return min(float(h), 0.1 * span)
 
 
 def _require_finite(values, what: str, t: float,
@@ -703,6 +709,12 @@ def _require_finite(values, what: str, t: float,
                 f"{what} is not finite at t = {t!r}: {label} = {value!r}")
 
 
+def _min_step(t: float) -> float:
+    """The shortest step either stepper tries at t; a shorter one, or a nan
+    or infinite one, is a step size underflow."""
+    return 1e-14 * max(1.0, abs(t))
+
+
 def _growth(norm: float) -> float:
     """The factor on the step size after a step accepted with error norm
     norm <= 1."""
@@ -710,24 +722,21 @@ def _growth(norm: float) -> float:
 
 
 def _dp5(rhs, y, f, times, opts: IntegrationOptions,
-         sector: Callable[[float], str], labels=CANONICAL_PARTICLE.labels,
-         project: Optional[Callable[[list], list]] = None,
+         sector: Callable[[float], str], labels,
          h: Optional[float] = None, attempts: int = 0) -> Tuple[Array, tuple]:
     """Step y' = rhs(y, t) from (times[0], y), with f = rhs(y, times[0]), and
     return the states at the sample times, one row each, with the stepper's
     state after the last one, (f, h, attempts): the derivative there, the
     next step size to try and the attempts spent against max_steps.  Given
-    h and attempts, a run without projection resumes another that ended
-    at times[0] with that state; h defaults to _initial_step's over the
-    whole grid.
+    h and attempts, a run resumes another that ended at times[0] with that
+    state; h defaults to _initial_step's over the whole grid.  This is the
+    gauge sector's stepper (_gauge_sector).
 
     y, f and every stage are lists of Python floats, and the tableau is
-    written out as float constants.  Steps land on every sample time.  With
-    project_every = k > 0 and a project callable, the state is projected
-    after every k-th accepted step and its derivative taken again.  A step
-    size underflow after a non-finite trial names its first non-finite
-    entry of labels; any other, and an exhausted step budget, name t and
-    sector(t), which describes the stepped sector.
+    written out as float constants.  Steps land on every sample time.  A
+    step size underflow after a non-finite trial names its first
+    non-finite entry of labels; any other, and an exhausted step budget,
+    name t and sector(t), which describes the stepped sector.
     """
     grid = times.tolist()
     t = grid[0]
@@ -736,7 +745,6 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions,
     rows = [y]
     y_new = y
     i = 1  # the next sample to land on
-    accepted = 0
     while i < len(grid):
         if attempts > opts.max_steps:
             raise IntegrationError(
@@ -744,7 +752,7 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions,
         gap = grid[i] - t
         lands = gap <= h * (1 + 1e-12)
         h_try = gap if lands else h
-        if h_try < 1e-14 * max(1.0, abs(t)):
+        if not h_try >= _min_step(t):
             _require_finite(y_new, "step size underflow: the last trial state",
                             t, labels)
             raise IntegrationError(
@@ -779,12 +787,8 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions,
         norm = _error_norm(err, y, y_new, opts.rel_tol, opts.abs_tol)
 
         if norm <= 1.0:
-            accepted += 1
             t = grid[i] if lands else t + h_try
             y, f = y_new, k7
-            if project and opts.project_every and accepted % opts.project_every == 0:
-                y = project(y)
-                f = rhs(y, t)
             if lands:
                 rows.append(y)
                 i += 1
@@ -792,6 +796,299 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions,
         else:
             h = h_try * min(1.0, max(0.2, 0.9 * norm ** -0.2))
     return np.array(rows), (f, h, attempts)
+
+
+# The Dormand-Prince 8(5,3) pair with its dense output of order 7, DOP853
+# (Hairer, Norsett & Wanner, Solving Ordinary Differential Equations I, 2nd
+# ed., §II.5-II.6, and the book's code dop853.f).  Stages 1-12 make a step;
+# stage 13 is the derivative at the new state (the weights B are its row),
+# and stages 14-16 serve the dense output only.  _DOP853_A holds one tuple
+# per stage, the stage's row of A, and _DOP853_C the stage times as
+# fractions of the step.
+_DOP853_C = (
+    0.0,
+    0.526001519587677318785587544488e-1,
+    0.789002279381515978178381316732e-1,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+    1.0,
+    0.1,
+    0.2,
+    0.777777777777777777777777777778,
+)
+_DOP853_A = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0,
+     8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0,
+     -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0,
+     1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0,
+     1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+     -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0,
+     -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+     2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+     -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0,
+     -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+     2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+     -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0,
+     5.18637242884406370830023853209, 1.09143734899672957818500254654,
+     -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+     2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+     -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0,
+     -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+     -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+     -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+     1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1),
+    (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+     4.45031289275240888144113950566, 1.89151789931450038304281599044,
+     -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+     4.47106157277725905176885569043e-2),
+    (5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0,
+     2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
+     -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
+     8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3,
+     -8.298e-3),
+    (3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0,
+     2.83009096723667755288322961402e-2, 5.35419883074385676223797384372e-2,
+     -5.49237485713909884646569340306e-2, 0.0, 0.0,
+     -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+     -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1),
+    (-4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0,
+     -4.69762141536116384314449447206, 7.68342119606259904184240953878,
+     4.06898981839711007970213554331, 3.56727187455281109270669543021e-1,
+     0.0, 0.0, 0.0, -1.39902416515901462129418009734e-3,
+     2.9475147891527723389556272149, -9.15095847217987001081870187138),
+)
+_DOP853_B = _DOP853_A[12]
+# The weights of the fifth-order error estimate, and of the embedded
+# third-order solution, on stages 1-12
+_DOP853_E5 = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+)
+_DOP853_BHH = (
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0,
+    0.220588235294117647058823529412e-1,
+)
+_DOP853_E3 = tuple(b - bhh for b, bhh in zip(_DOP853_B, _DOP853_BHH))
+# The interpolant's coefficients of order 4 to 7 on stages 1-16
+_DOP853_D = (
+    (-0.84289382761090128651353491142e1, 0.0, 0.0, 0.0, 0.0,
+     0.56671495351937776962531783590, -0.30689499459498916912797304727e1,
+     0.23846676565120698287728149680e1, 0.21170345824450282767155149946e1,
+     -0.87139158377797299206789907490, 0.22404374302607882758541771650e1,
+     0.63157877876946881815570249290, -0.88990336451333310820698117400e-1,
+     0.18148505520854727256656404962e2, -0.91946323924783554000451984436e1,
+     -0.44360363875948939664310572000e1),
+    (0.10427508642579134603413151009e2, 0.0, 0.0, 0.0, 0.0,
+     0.24228349177525818288430175319e3, 0.16520045171727028198505394887e3,
+     -0.37454675472269020279518312152e3, -0.22113666853125306036270938578e2,
+     0.77334326684722638389603898808e1, -0.30674084731089398182061213626e2,
+     -0.93321305264302278729567221706e1, 0.15697238121770843886131091075e2,
+     -0.31139403219565177677282850411e2, -0.93529243588444783865713862664e1,
+     0.35816841486394083752465898540e2),
+    (0.19985053242002433820987653617e2, 0.0, 0.0, 0.0, 0.0,
+     -0.38703730874935176555105901742e3, -0.18917813819516756882830838328e3,
+     0.52780815920542364900561016686e3, -0.11573902539959630126141871134e2,
+     0.68812326946963000169666922661e1, -0.10006050966910838403183860980e1,
+     0.77771377980534432092869265740, -0.27782057523535084065932004339e1,
+     -0.60196695231264120758267380846e2, 0.84320405506677161018159903784e2,
+     0.11992291136182789328035130030e2),
+    (-0.25693933462703749003312586129e2, 0.0, 0.0, 0.0, 0.0,
+     -0.15418974869023643374053993627e3, -0.23152937917604549567536039109e3,
+     0.35763911791061412378285349910e3, 0.93405324183624310003907691704e2,
+     -0.37458323136451633156875139351e2, 0.10409964950896230045147246184e3,
+     0.29840293426660503123344363579e2, -0.43533456590011143754432175058e2,
+     0.96324553959188282948394950600e2, -0.39177261675615439165231486172e2,
+     -0.14972683625798562581422125276e3),
+)
+# The physical sector's error tolerances relative to IntegrationOptions'.
+# Its samples come from the dense output, whose error follows the
+# tolerance, while the gauge sector's landing steps err far below theirs.
+_PHYSICAL_TOL_SCALE = 1e-3
+
+
+def _compiled_sum(weights, point: bool) -> Callable:
+    """sum_j weights[j] ks[j] over the stage lists ks as one list
+    comprehension on Python floats, where stepping spends most of its
+    time: as f(ks), or, for a point, f(y, h, ks) = y + h sum_j weights[j]
+    ks[j].  It is written out over the nonzero weights as W ks[0] + sum_j
+    weights[j] (ks[j] - ks[0]), with W the sum of the weights (exact, then
+    rounded once): the stages of a step differ by O(h), so DOP853's large
+    weights, up to 527, round at the scale of those differences and not of
+    the stages, which keeps the round-off that steps pile up near that of
+    one addition.  Each weight is written by repr, so it is the tableau's
+    float itself."""
+    index = [0] + [j for j, w in enumerate(weights) if w and j]
+    names = ", ".join(f"k{j}" for j in index)
+    total = " + ".join([f"{math.fsum(weights)!r} * k0"]
+                       + [f"{weights[j]!r} * (k{j} - k0)" for j in index[1:]])
+    columns = ", ".join(f"ks[{j}]" for j in index)
+    if point:
+        source = (f"lambda y, h, ks: [v + h * ({total}) "
+                  f"for v, {names} in zip(y, {columns})]")
+    else:
+        source = f"lambda ks: [{total} for ({names},) in zip({columns})]"
+    return eval(source, {"zip": zip})
+
+
+# The point of each stage s >= 2 as _DOP853_POINT[s](y, h, ks), the sums
+# of the fifth- and third-order error estimates over k1..k12 and those of
+# the interpolant's coefficients of order 4 to 7 over k1..k16
+_DOP853_POINT = (None,) + tuple(_compiled_sum(row, True) for row in _DOP853_A[1:])
+_DOP853_ERR5 = _compiled_sum(_DOP853_E5, False)
+_DOP853_ERR3 = _compiled_sum(_DOP853_E3, False)
+_DOP853_DENSE = tuple(_compiled_sum(row, False) for row in _DOP853_D)
+
+
+def _dop853_stages(rhs, t: float, y, f, h: float) -> list:
+    """The stages k1..k12 of a DOP853 step of size h from (t, y), k1 = f;
+    the step's new state is _DOP853_POINT[12](y, h, stages)."""
+    ks = [f]
+    for s in range(1, 12):
+        ks.append(rhs(_DOP853_POINT[s](y, h, ks), t + _DOP853_C[s] * h))
+    return ks
+
+
+def _dop853_dense(rhs, t: float, y, h: float, y_new, ks, ts) -> Array:
+    """The states at the times ts in [t, t + h], one row each, from the
+    order-7 interpolant of the step of size h from (t, y) to y_new.  ks
+    holds the step's stages k1..k13, k13 the derivative at y_new, and
+    gains the three stages that only the interpolant reads.
+
+    With x = (ts - t) / h and x' = 1 - x the interpolant is y + x (F0 +
+    x' (F1 + x (F2 + x' (F3 + x (F4 + x' (F5 + x F6)))))), with F0 = y_new
+    - y, F1 = h k1 - F0, F2 = 2 F0 - h (k1 + k13) and F3..F6 h times the
+    sums of the stages by the rows of _DOP853_D.  The coefficients are
+    Python floats and the evaluation is entry by entry, as the steps are,
+    with no reduction whose order a numpy build may choose."""
+    for s in range(13, 16):
+        ks.append(rhs(_DOP853_POINT[s](y, h, ks), t + _DOP853_C[s] * h))
+    dy = [b - a for a, b in zip(y, y_new)]
+    hk1 = [h * k for k in ks[0]]
+    f0, f1, f2 = np.array((
+        dy, [a - b for a, b in zip(hk1, dy)],
+        [2.0 * a - b - h * c for a, b, c in zip(dy, hk1, ks[12])]))
+    f3, f4, f5, f6 = h * np.array([row(ks) for row in _DOP853_DENSE])
+    x = ((np.asarray(ts) - t) / h)[:, None]
+    x1 = 1.0 - x
+    return np.array(y) + x * (f0 + x1 * (f1 + x * (f2 + x1 * (
+        f3 + x * (f4 + x1 * (f5 + x * f6))))))
+
+
+def _dop853_error_norm(err5, err3, y0, y1, h, rel_tol, abs_tol) -> float:
+    """DOP853's error norm of a step of size h from y0 to y1: with each
+    entry of the fifth- and third-order estimates err5 and err3 (sums over
+    the stages, without the factor h) scaled by abs_tol + rel_tol *
+    max(|y0|, |y1|), and s5, s3 the sums of their squares, h s5 / sqrt(n
+    (s5 + s3 / 100)), or 0 where both sums are 0."""
+    s5 = s3 = 0.0
+    for e5, e3, a, b in zip(err5, err3, map(abs, y0), map(abs, y1)):
+        scale = abs_tol + rel_tol * (b if b > a else a)
+        q5, q3 = e5 / scale, e3 / scale
+        s5 += q5 * q5
+        s3 += q3 * q3
+    if s5 == 0.0 and s3 == 0.0:
+        return 0.0
+    return h * s5 / math.sqrt((s5 + 0.01 * s3) * len(y0))
+
+
+def _dop853(rhs, y, f, times, opts: IntegrationOptions, sector: str,
+            project: Optional[Callable[[list], list]] = None) -> Array:
+    """Step y' = rhs(y, t) from (times[0], y), with f = rhs(y, times[0]), by
+    DOP853 and return the states at the sample times, one row each: the
+    physical sector's stepper.
+
+    The error is measured against the tolerances of opts times
+    _PHYSICAL_TOL_SCALE.  Steps run at the controller's own size (factor
+    0.9 norm^(-1/8), kept in [0.2, 10], and no growth right after a
+    rejection), and the last one is clipped, or stretched by at most 1%,
+    to end at times[-1].  The
+    samples inside an accepted step are read off the order-7 dense output,
+    which takes three stages more, in one array expression; a sample at a
+    step's end is the step's state.  With project_every = k > 0 and a
+    project callable, the state is projected after every k-th accepted
+    step and its derivative taken again, and every sample row is projected
+    too.  y, f and every stage are lists of Python floats.  A step size
+    underflow after a non-finite trial names the first non-finite entry
+    of the state; any other, and an exhausted step budget, name t and the
+    sector.
+    """
+    grid = times.tolist()
+    t, t_end = grid[0], grid[-1]
+    h = _initial_step(y, f, opts.rel_tol * _PHYSICAL_TOL_SCALE,
+                      opts.abs_tol * _PHYSICAL_TOL_SCALE, t_end - t)
+    rows = [y]
+    y_new = y
+    i = 1  # the next sample to record
+    accepted = attempts = 0
+    rejected = False
+    while i < len(grid):
+        if attempts > opts.max_steps:
+            raise IntegrationError(
+                f"step budget {opts.max_steps} exhausted at t = {t:.6g} ({sector})")
+        # a step that would end within 1% of t_end ends there
+        last = t_end - t <= 1.01 * h
+        h_try = t_end - t if last else h
+        if not h_try >= _min_step(t):
+            _require_finite(y_new, "step size underflow: the last trial state", t)
+            raise IntegrationError(f"step size underflow at t = {t:.6g} ({sector})")
+
+        attempts += 1
+        ks = _dop853_stages(rhs, t, y, f, h_try)
+        y_new = _DOP853_POINT[12](y, h_try, ks)
+        norm = _dop853_error_norm(_DOP853_ERR5(ks), _DOP853_ERR3(ks), y, y_new,
+                                  h_try, opts.rel_tol,
+                                  opts.abs_tol) / _PHYSICAL_TOL_SCALE
+        factor = 0.9 * norm ** -0.125 if norm else 10.0
+        if not norm <= 1.0:
+            h = h_try * max(0.2, factor)
+            rejected = True
+            continue
+
+        accepted += 1
+        t_new = t_end if last else t + h_try
+        f_new = rhs(y_new, t_new)
+        stop = bisect.bisect_left(grid, t_new, i)
+        if stop > i:
+            ks.append(f_new)
+            rows += _dop853_dense(rhs, t, y, h_try, y_new, ks,
+                                  grid[i:stop]).tolist()
+        t, y, f = t_new, y_new, f_new
+        if project and accepted % opts.project_every == 0:
+            y = project(y)
+            f = rhs(y, t)
+        if stop < len(grid) and grid[stop] == t:
+            rows.append(y)
+            stop += 1
+        if project:
+            rows[i:stop] = map(project, rows[i:stop])
+        i = stop
+        h = h_try * min(1.0 if rejected else 10.0, factor)
+        rejected = False
+    return np.array(rows)
 
 
 def _rotate(axis, angle, u) -> Array:
@@ -921,7 +1218,7 @@ def _gauge_sector(r: float, times, gauge: GaugeFunction,
     for g, t_k, n, bad in zip(gap.tolist(), t.tolist(), norm.tolist(),
                               singular.tolist()):
         if (attempts > opts.max_steps or bad or not g <= h * (1 + 1e-12)
-                or g < 1e-14 * max(1.0, abs(t_k)) or not n <= 1.0):
+                or not g >= _min_step(t_k) or not n <= 1.0):
             break
         attempts += 1
         taken += 1
@@ -1008,10 +1305,12 @@ def integrate(z0, times, params: ModelParams, fields: FieldConfig,
         physical = _exact_physical(u, times, params, fields)
     else:
         physical_rhs = _physical_kernel(params, fields)
-        physical, _ = _dp5(physical_rhs, u, physical_rhs(u, t0), times, opts,
-                           lambda t: f"field {fields.kind!r}",
-                           project=lambda v: _project_spin(v, a_sq, b_sq,
-                                                           _PROJECTION_TOL))
+        project = None
+        if opts.project_every:
+            def project(v):
+                return _project_spin(v, a_sq, b_sq, _PROJECTION_TOL)
+        physical = _dop853(physical_rhs, u, physical_rhs(u, t0), times, opts,
+                           f"field {fields.kind!r}", project)
     w0, q0 = np.array(y[OMEGA]), np.array(y[PI])
     if opts.project_every and fields.kind not in _EXACT_KINDS:
         # the projected omega~, pi~ lie on the surface, where r = a / b

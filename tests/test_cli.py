@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -600,6 +601,23 @@ def test_main_out_of_memory_is_one_line_runtime_error(tmp_path, capsys,
     assert main(["run", str(path)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("runtime error: ")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_main_tiny_tolerances_fail_at_once_in_one_line(tmp_path, capsys,
+                                                       monkeypatch):
+    """rel_tol = abs_tol = 1e-300 on stern_gerlach: the scaled norms of the
+    first trial step overflow, without a numpy warning, into a nan step that
+    the underflow guard rejects before any step is taken."""
+    monkeypatch.setenv("SPINBUNDLE_OUTPUT_DIR", str(tmp_path))
+    path = tmp_path / "cfg.yaml"
+    path.write_text("scenario: stern_gerlach\n"
+                    "tolerances: {rel_tol: 1.0e-300, abs_tol: 1.0e-300}\n")
+    start = time.perf_counter()
+    assert main(["run", str(path)]) == 2
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().err.splitlines() == [
+        "runtime error: step size underflow at t = 0 (field 'linear_gradient')"]
     assert list(tmp_path.iterdir()) == [path]
 
 

@@ -15,7 +15,7 @@ from spinbundle.dynamics import (
     GaugeFunction,
     IntegrationOptions,
     ModelParams,
-    _error_norm,
+    _dop853_error_norm,
     _golden_section,
     eom,
     fit_rotation_frequency,
@@ -30,7 +30,14 @@ from spinbundle.errors import (
     IntegrationError,
     OffSurfaceWarning,
 )
-from spinbundle.phasespace import OMEGA, PHI, PI, PI_PHI, PhasePoint
+from spinbundle.phasespace import (
+    CANONICAL_PARTICLE,
+    OMEGA,
+    PHI,
+    PI,
+    PI_PHI,
+    PhasePoint,
+)
 
 from conftest import random_phase_state
 
@@ -474,29 +481,32 @@ def test_retried_step_starts_from_the_derivative_at_its_base(monkeypatch,
                                                               rhs_calls):
     """After a rejected attempt the retry must start from f(t, y), not from
     the rejected trial's last stage.  Each attempt's k[0] is recovered from
-    its first stage point y + (h/5) k[0], with h from the last stage time.
-    The uniform kernel is wrapped as a custom field, so that integrate
-    steps the physical sector rather than taking the closed-form flow."""
+    its second stage point y + h a21 k[0], with h from the stage times of
+    the second and the twelfth stage, t + c2 h and t + h.  The uniform
+    kernel is wrapped as a custom field, so that integrate steps the
+    physical sector rather than taking the closed-form flow."""
     params = ModelParams()
     fields = FieldConfig("custom", FieldConfig.uniform((0.0, 0.0, 1.0)).kernel)
+    c2, (a21,) = dynamics._DOP853_C[1], dynamics._DOP853_A[1]
     attempts = []
 
-    def spy_norm(err, y0, y1, rel_tol, abs_tol):
-        norm = _error_norm(err, y0, y1, rel_tol, abs_tol)
-        (stage1, t1), (_, t6) = rhs_calls[-6], rhs_calls[-1]
-        attempts.append((np.array(y0), np.array(stage1), (t6 - t1) / 0.8, norm))
+    def spy_norm(err5, err3, y0, y1, h, rel_tol, abs_tol):
+        norm = _dop853_error_norm(err5, err3, y0, y1, h, rel_tol, abs_tol)
+        (stage2, t2), (_, t12) = rhs_calls[-11], rhs_calls[-1]
+        attempts.append((np.array(y0), np.array(stage2), (t12 - t2) / (1 - c2),
+                         norm / dynamics._PHYSICAL_TOL_SCALE))
         return norm
 
-    monkeypatch.setattr(dynamics, "_error_norm", spy_norm)
+    monkeypatch.setattr(dynamics, "_dop853_error_norm", spy_norm)
     integrate(larmor_start(params), np.linspace(0.0, 4 * np.pi, 200), params,
-              fields, UNIT_GAUGE)
+              fields, UNIT_GAUGE, IntegrationOptions(rel_tol=1e-6, abs_tol=1e-8))
 
     retries = [after for before, after in zip(attempts, attempts[1:])
                if before[3] > 1.0]
     assert retries
-    for y, stage1, h, _ in retries:
+    for y, stage2, h, _ in retries:
         want = np.array(dynamics._physical_kernel(params, fields)(y.tolist(), 0.0))
-        assert_allclose((stage1 - y) / (0.2 * h), want, rtol=0,
+        assert_allclose((stage2 - y) / (a21 * h), want, rtol=0,
                         atol=1e-9 * np.max(np.abs(want)))
 
 
@@ -508,47 +518,71 @@ def test_stepper_sees_only_python_floats(monkeypatch, rng, fields):
     """One numpy scalar in a state makes every later stage numpy-scalar
     arithmetic, several times slower.  The start and the grid are arrays,
     and the parameters and phi_dot's values are numpy scalars, yet every
-    time, state entry and derivative entry the stepper hands to or gets
-    from its right-hand side is a Python float, also after a projection."""
-    seen = []
-    step = dynamics._dp5
+    time, state entry and derivative entry either stepper hands to or gets
+    from its right-hand side is a Python float, also after a projection.
+    The physical sector is stepped only in the gradient field."""
+    seen = {"_dp5": [], "_dop853": []}
 
-    def spy_dp5(rhs, y, f, *args, **kwargs):
-        def spy(u, t):
-            out = rhs(u, t)
-            seen.append((t, *u, *out))
-            return out
+    def spy_on(name):
+        step = getattr(dynamics, name)
 
-        seen.append((*y, *f))
-        return step(spy, y, f, *args, **kwargs)
+        def spy_stepper(rhs, y, f, *args, **kwargs):
+            def spy(u, t):
+                out = rhs(u, t)
+                seen[name].append((t, *u, *out))
+                return out
 
-    monkeypatch.setattr(dynamics, "_dp5", spy_dp5)
+            seen[name].append((*y, *f))
+            return step(spy, y, f, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, spy_stepper)
+
+    spy_on("_dp5")
+    spy_on("_dop853")
     params = ModelParams(m=np.float64(1.2), e=np.float64(0.8))
     gauge = GaugeFunction(phi=lambda t: 1.0 + 0.5 * np.sin(2.0 * t),
                           phi_dot=lambda t: np.cos(2.0 * t))
     integrate(random_phase_state(rng, a=params.a, b=params.b),
               np.linspace(0.0, 2.0, 50), params, fields, gauge,
               IntegrationOptions(project_every=1))
-    assert len(seen) > 50
-    assert {type(v) for row in seen for v in row} == {float}
+    assert len(seen["_dp5"]) > 1
+    assert (len(seen["_dop853"]) > 50) == (fields.kind == "linear_gradient")
+    rows = seen["_dp5"] + seen["_dop853"]
+    assert {type(v) for row in rows for v in row} == {float}
 
 
-def test_underflow_after_non_finite_trial_names_the_component():
-    """B becomes infinite at x1 >= 0.5: every trial across x1 = 0.5 holds
-    NaNs, the step size underflows, and the error names the first
-    non-finite component and t, with no numpy RuntimeWarning on the way."""
+def test_underflow_after_non_finite_trial_names_the_component(monkeypatch):
+    """A = 0 and p = (1, 0, 0) move x1 = t, and B becomes infinite at x1 >=
+    0.5: every trial across t = 0.5 holds NaNs, the step size underflows
+    within a few shortest steps of t = 0.5, and the error names that t and
+    the first non-finite component of the last trial state, read from the
+    error norm's arguments, with no numpy RuntimeWarning on the way."""
     params = ModelParams()
     fields = FieldConfig.custom(
         lambda x: [0.0, 0.0, np.inf if x[0] >= 0.5 else 1.0],
         lambda x: [0.0, 0.0, 0.0], lambda x: np.zeros((3, 3)),
         lambda x: np.zeros((3, 3)))
+    trials = []
+
+    def spy_norm(err5, err3, y0, y1, *args):
+        trials.append(y1)
+        return _dop853_error_norm(err5, err3, y0, y1, *args)
+
+    monkeypatch.setattr(dynamics, "_dop853_error_norm", spy_norm)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError,
                            match=r"^step size underflow: the last trial state "
-                                 r"is not finite at t = 0\.5: x1 = nan$"):
+                                 r"is not finite at t = \S+: \w+ = \S+$") as err:
             integrate(larmor_start(params), np.linspace(0.0, 1.0, 11), params,
                       fields, UNIT_GAUGE)
+    label, value = next((label, value) for label, value in
+                        zip(CANONICAL_PARTICLE.labels, trials[-1])
+                        if not np.isfinite(value))
+    message = str(err.value)
+    assert message.endswith(f": {label} = {value!r}")
+    t = float(message.split("t = ")[1].split(":")[0])
+    assert 0.5 - 1e-13 <= t < 0.5
 
 
 def test_underflow_in_the_physical_sector_names_the_field():

@@ -11,12 +11,13 @@ samplers' vector norms to np.linalg.norm."""
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spinbundle import dynamics
+from spinbundle import cli, dynamics
 from spinbundle.bundle_so3 import sample_surface_point
 from spinbundle.constraints import (
     Constraint,
@@ -56,6 +57,7 @@ from spinbundle.errors import (
 )
 from spinbundle.lorentz import sample_beta
 from spinbundle.phasespace import (
+    CANONICAL_PARTICLE,
     OMEGA,
     P,
     PHI,
@@ -286,11 +288,11 @@ def test_dp5_stages_are_the_tableau_products(monkeypatch, rhs_calls, rng):
     exact value of y + h sum_j c_j k_j, relative to |y| + h sum_j |c_j k_j|,
     for n <= 7 terms, so they may differ by 10 eps of that.  h itself is
     recovered from two rounded stage times, to within dh = 2.5 eps max |t|,
-    which adds dh sum_j |c_j k_j|."""
+    which adds dh sum_j |c_j k_j|.  _dp5 is the gauge sector's stepper; it
+    is driven here on the 12 floats of the physical kernel of a gradient
+    field."""
     params = ModelParams()
     fields = FieldConfig.linear_gradient(B0=1.0, gradient=0.1)
-    # a constant gauge: only the physical sector is stepped
-    gauge = GaugeFunction.constant(1.3)
     attempts = []
 
     def spy_norm(err, y0, y1, rel_tol, abs_tol):
@@ -299,12 +301,13 @@ def test_dp5_stages_are_the_tableau_products(monkeypatch, rhs_calls, rng):
         return _error_norm(err, y0, y1, rel_tol, abs_tol)
 
     monkeypatch.setattr(dynamics, "_error_norm", spy_norm)
-    z0 = random_phase_state(rng, a=params.a, b=params.b)
-    integrate(z0, np.linspace(0.0, 3.0, 30), params, fields, gauge,
-              IntegrationOptions(max_steps=1000))
+    u = random_phase_state(rng, a=params.a, b=params.b)[:PHI].tolist()
+    rhs = dynamics._physical_kernel(params, fields)
+    dynamics._dp5(rhs, u, rhs(u, 0.0), np.linspace(0.0, 3.0, 30),
+                  IntegrationOptions(max_steps=1000), lambda t: "",
+                  CANONICAL_PARTICLE.labels)
     assert len(attempts) > 30
 
-    rhs = dynamics._physical_kernel(params, fields)
     tol = 10 * np.finfo(float).eps
     for err, y0, y1, stages in attempts:
         points = [y0] + [np.array(u) for u, _ in stages]
@@ -322,6 +325,108 @@ def test_dp5_stages_are_the_tableau_products(monkeypatch, rhs_calls, rng):
             assert np.all(np.abs(points[j] - want) <= bound), j
         terms = np.abs(DP_ERR) @ np.abs(k)
         assert np.all(np.abs(err - h * (DP_ERR @ k)) <= (tol * h + dh) * terms)
+
+
+# DOP853's tableau as arrays: row s of DOP853_A holds stage s's weights
+DOP853_C = np.array(dynamics._DOP853_C)
+DOP853_A = np.zeros((16, 16))
+for _s, _row in enumerate(dynamics._DOP853_A):
+    DOP853_A[_s, :len(_row)] = _row
+DOP853_E5 = np.array(dynamics._DOP853_E5)
+DOP853_E3 = np.array(dynamics._DOP853_E3)
+
+
+def test_dop853_tableau_meets_the_order_conditions():
+    """Each row of A sums to its stage time, the weights B (the row of the
+    thirteenth stage) sum to 1, and each error estimate's weights sum to 0,
+    to the rounding of the typed constants."""
+    for s in range(1, 16):
+        scale = max(1.0, float(np.max(np.abs(DOP853_A[s]))))
+        assert abs(math.fsum(DOP853_A[s]) - DOP853_C[s]) <= 4e-16 * scale, s
+    assert dynamics._DOP853_B == dynamics._DOP853_A[12]
+    assert abs(math.fsum(dynamics._DOP853_B) - 1.0) <= 4e-16 * 6.0
+    assert abs(math.fsum(DOP853_E5)) <= 4e-16 * 2.0
+    assert abs(math.fsum(DOP853_E3)) <= 4e-16 * 6.0
+
+
+def test_dop853_stages_are_the_tableau_products(monkeypatch, rhs_calls, rng):
+    """Every attempt's stage times, stage points, new state and error
+    estimates equal the tableau products of its stages k1..k12, re-derived
+    from the points the stepper passed to the right-hand side and the step
+    size it passed to the error norm.  Each side lies within (n + 3) eps /
+    2 of the exact y + h sum_j a_j k_j, relative to |y| + h sum_j |a_j
+    k_j|, for n <= 12 terms, so they may differ by 16 eps of that."""
+    params = ModelParams()
+    fields = FieldConfig.linear_gradient(B0=1.0, gradient=0.1)
+    # a constant gauge: only the physical sector is stepped
+    gauge = GaugeFunction.constant(1.3)
+    attempts = []
+
+    def spy_norm(err5, err3, y0, y1, h, rel_tol, abs_tol):
+        attempts.append((np.array(err5), np.array(err3), np.array(y0),
+                         np.array(y1), h, rhs_calls[-11:]))
+        return dynamics_error_norm(err5, err3, y0, y1, h, rel_tol, abs_tol)
+
+    dynamics_error_norm = dynamics._dop853_error_norm
+    monkeypatch.setattr(dynamics, "_dop853_error_norm", spy_norm)
+    z0 = random_phase_state(rng, a=params.a, b=params.b)
+    integrate(z0, np.linspace(0.0, 30.0, 30), params, fields, gauge,
+              IntegrationOptions(rel_tol=1e-6, abs_tol=1e-8, max_steps=1000))
+    assert len(attempts) > 30
+
+    rhs = dynamics._physical_kernel(params, fields)
+    tol = 16 * np.finfo(float).eps
+    for err5, err3, y0, y1, h, stages in attempts:
+        points = [y0] + [np.array(u) for u, _ in stages]
+        times = np.array([t for _, t in stages])
+        k = np.array([rhs(u.tolist(), 0.0) for u in points])
+        assert_allclose(times - times[0], (DOP853_C[1:12] - DOP853_C[1]) * h,
+                        rtol=0, atol=tol * np.max(np.abs(times)))
+        for j in range(1, 13):
+            want = y0 + h * (DOP853_A[j, :12] @ k)
+            terms = np.abs(DOP853_A[j, :12]) @ np.abs(k)
+            got = points[j] if j < 12 else y1
+            assert np.all(np.abs(got - want) <= tol * (np.abs(y0) + h * terms)), j
+        for err, weights in ((err5, DOP853_E5), (err3, DOP853_E3)):
+            assert np.all(np.abs(err - weights @ k) <= tol * (np.abs(weights) @ np.abs(k)))
+
+
+def one_dop853_step(h):
+    """One DOP853 step of size h from t = 0 on linear_gradient(1, 0.1),
+    with its state at h / 2 from the dense output, and the same two states
+    from _dp5 at rel_tol 1e-13, which errs far below either."""
+    params = ModelParams()
+    rhs = dynamics._physical_kernel(params,
+                                    FieldConfig.linear_gradient(1.0, 0.1))
+    y0 = [0.0, 0.0, 0.0, 0.3, 0.0, 0.0, params.a, 0.0, 0.0, 0.0, params.b, 0.0]
+    f0 = rhs(y0, 0.0)
+    ks = dynamics._dop853_stages(rhs, 0.0, y0, f0, h)
+    y1 = dynamics._DOP853_POINT[12](y0, h, ks)
+    ks.append(rhs(y1, h))
+    (mid,) = dynamics._dop853_dense(rhs, 0.0, y0, h, y1, ks, [0.5 * h])
+    want, _ = dynamics._dp5(rhs, y0, f0, np.array([0.0, 0.5 * h, h]),
+                            IntegrationOptions(rel_tol=1e-13, abs_tol=1e-15),
+                            lambda t: "", CANONICAL_PARTICLE.labels)
+    return (float(np.max(np.abs(np.array(y1) - want[2]))),
+            float(np.max(np.abs(mid - want[1]))))
+
+
+def test_dop853_local_and_dense_output_orders():
+    """Halving h divides the error of one step by about 2^9 (order 8) and
+    that of the interpolant at mid-step by about 2^8 (order 7)."""
+    errors = [one_dop853_step(h) for h in (0.8, 0.4, 0.2)]
+    for (step, mid), (half_step, half_mid) in zip(errors, errors[1:]):
+        assert math.log2(step / half_step) >= 8.5, errors
+        assert math.log2(mid / half_mid) >= 7.5, errors
+
+
+def test_stern_gerlach_takes_few_physical_evaluations(rhs_calls):
+    """The shipped stern_gerlach run evaluates the physical sector fewer
+    than 4,000 times for its 2,000 samples; the landing DP5 stepper took
+    12,013."""
+    root = Path(__file__).resolve().parents[1]
+    cli.run_stern_gerlach(cli.load_config(root / "configs" / "stern_gerlach.yaml"))
+    assert 100 < len(rhs_calls) < 4000
 
 
 # ---------------------------------------------------------------------------
