@@ -19,16 +19,19 @@ sector (x, p, omega~, pi~), in which omega~ and pi~ precess rigidly about
 B(x), never sees phi, and theta never sees the field; phi is gauge(t).  In a
 free or uniform field the physical sector is known in closed form (the
 gradient force vanishes and the particle moves on a helix), and under a
-constant gauge theta is linear in t.  What is not closed form is stepped by
-one embedded Dormand-Prince 5(4) stepper with proportional step control
-whose steps land on each requested sample time; a stepped physical sector
-can add Newton projection onto the spin constraint surface after accepted
-steps.  The stepper, its right-hand sides (built once per integrate) and the
-projection work on lists of Python floats; arrays are formed once, from the
-samples.  theta' = 2 r / phi(t) does not read theta, so under a moving gauge
-the stepper's landing steps are first taken as one array pass over the
-grid, kept up to the first gap the stepper would step otherwise, and the
-stepper resumes there (_gauge_sector).  The per-sample diagnostics call the
+constant gauge theta is linear in t.  What is not closed form is stepped,
+each sector by its own embedded Runge-Kutta pair.  The physical sector takes
+the Dormand-Prince 8(5,3) pair, DOP853, at 1e-3 times the configured
+tolerances, with steps of the controller's own size; the samples inside a
+step are read from its order-7 dense output, and with projection the step
+ends and the samples are projected onto the spin constraint surface by
+Newton iteration.  theta takes Dormand-Prince 5(4), whose steps land on each
+sample time.  The steppers, their right-hand sides (built once per
+integrate) and the projection work on lists of Python floats.  theta' = 2
+r / phi(t) does not read theta, so under a moving gauge the landing steps
+are first taken as one array pass over the grid, kept up to the first gap
+the stepper would step otherwise, and the stepper resumes there
+(_gauge_sector).  The per-sample diagnostics call the
 field kernel once, on the coordinates of all samples.
 fit_rotation_frequency refines a spectral peak by golden-section search
 with parabolic steps (Brent).
@@ -552,17 +555,22 @@ def physical_hamiltonian(z, params: ModelParams, fields: FieldConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Embedded Dormand-Prince 5(4) integration with constraint projection
+# Embedded Dormand-Prince integration with constraint projection
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class IntegrationOptions:
     """Step control of integrate: the error tolerances, the projection
-    period project_every (0 for never) and the step budget max_steps.
+    period project_every (0 for never) and the step budget max_steps of
+    each stepped sector.
 
-    project_every has no effect for free and uniform fields: their
-    closed-form flow keeps the constraint residuals at round-off by
-    construction.
+    rel_tol and abs_tol hold as given for theta; the stepped physical
+    sector runs at _PHYSICAL_TOL_SCALE (1e-3) times each, since its samples
+    come from a dense output whose error follows the tolerance.  With
+    project_every = k > 0 the physical sector's state is projected after
+    every k-th accepted step, and every sample too.  project_every has no
+    effect for free and uniform fields: their closed-form flow keeps the
+    constraint residuals at round-off by construction.
     """
 
     rel_tol: float = 1e-10
@@ -685,6 +693,23 @@ def _project_spin(y, a_sq: float, b_sq: float, tol: float,
         raise ProjectionError(np.array([r1, r2, r3]), max_iter)
     out[_SPIN] = w1, w2, w3, q1, q2, q3
     return out
+
+
+def _project_rows(rows: Array, a_sq: float, b_sq: float,
+                  tol: float = _PROJECTION_TOL) -> Array:
+    """The array rows of physical-sector states with each row projected by
+    _project_spin, in place.  The residuals of all rows are taken at once,
+    with _project_spin's float operations, and a row whose three residuals
+    are all below tol, which _project_spin would return as it is, is not
+    passed to it."""
+    w, q = rows[:, OMEGA], rows[:, PI]
+    r1 = w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2] - a_sq
+    r2 = q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2] - b_sq
+    r3 = w[:, 0] * q[:, 0] + w[:, 1] * q[:, 1] + w[:, 2] * q[:, 2]
+    kept = (np.abs(r1) < tol) & (np.abs(r2) < tol) & (np.abs(r3) < tol)
+    for j in np.flatnonzero(~kept).tolist():
+        rows[j] = _project_spin(rows[j].tolist(), a_sq, b_sq, tol)
+    return rows
 
 
 def _initial_step(y0, f0, rel_tol, abs_tol, span) -> float:
@@ -954,48 +979,43 @@ def _compiled_sum(weights, point: bool) -> Callable:
     return eval(source, {"zip": zip})
 
 
-# The point of each stage s >= 2 as _DOP853_POINT[s](y, h, ks), the sums
-# of the fifth- and third-order error estimates over k1..k12 and those of
-# the interpolant's coefficients of order 4 to 7 over k1..k16
+# The point of each stage s >= 2 as _DOP853_POINT[s](y, h, ks), and the
+# sums of the fifth- and third-order error estimates over k1..k12
 _DOP853_POINT = (None,) + tuple(_compiled_sum(row, True) for row in _DOP853_A[1:])
 _DOP853_ERR5 = _compiled_sum(_DOP853_E5, False)
 _DOP853_ERR3 = _compiled_sum(_DOP853_E3, False)
-_DOP853_DENSE = tuple(_compiled_sum(row, False) for row in _DOP853_D)
+_DOP853_D_ARRAY = np.array(_DOP853_D)
 
 
-def _dop853_stages(rhs, t: float, y, f, h: float) -> list:
-    """The stages k1..k12 of a DOP853 step of size h from (t, y), k1 = f;
-    the step's new state is _DOP853_POINT[12](y, h, stages)."""
-    ks = [f]
-    for s in range(1, 12):
+def _dop853_stages(rhs, t: float, y, h: float, ks: list, stop: int) -> list:
+    """ks, the first stages of a DOP853 step of size h from (t, y), with
+    the stages up to stage stop appended: stages 1-12 make the step, whose
+    new state is _DOP853_POINT[12](y, h, ks), stage 13 is the derivative
+    there, which the caller appends, and stages 14-16 serve only the
+    dense output."""
+    for s in range(len(ks), stop):
         ks.append(rhs(_DOP853_POINT[s](y, h, ks), t + _DOP853_C[s] * h))
     return ks
 
 
-def _dop853_dense(rhs, t: float, y, h: float, y_new, ks, ts) -> Array:
-    """The states at the times ts in [t, t + h], one row each, from the
-    order-7 interpolant of the step of size h from (t, y) to y_new.  ks
-    holds the step's stages k1..k13, k13 the derivative at y_new, and
-    gains the three stages that only the interpolant reads.
+def _dop853_dense(ts, step, t, h, y, y_new, k) -> Array:
+    """The states at the times ts, one row each, from the order-7
+    interpolants of the steps that hold them: sample i lies in step
+    step[i], which goes from (t, y) to y_new over h with the 16 stages k,
+    each of t, h, y, y_new and k stacked over the steps.
 
     With x = (ts - t) / h and x' = 1 - x the interpolant is y + x (F0 +
     x' (F1 + x (F2 + x' (F3 + x (F4 + x' (F5 + x F6)))))), with F0 = y_new
-    - y, F1 = h k1 - F0, F2 = 2 F0 - h (k1 + k13) and F3..F6 h times the
-    sums of the stages by the rows of _DOP853_D.  The coefficients are
-    Python floats and the evaluation is entry by entry, as the steps are,
-    with no reduction whose order a numpy build may choose."""
-    for s in range(13, 16):
-        ks.append(rhs(_DOP853_POINT[s](y, h, ks), t + _DOP853_C[s] * h))
-    dy = [b - a for a, b in zip(y, y_new)]
-    hk1 = [h * k for k in ks[0]]
-    f0, f1, f2 = np.array((
-        dy, [a - b for a, b in zip(hk1, dy)],
-        [2.0 * a - b - h * c for a, b, c in zip(dy, hk1, ks[12])]))
-    f3, f4, f5, f6 = h * np.array([row(ks) for row in _DOP853_DENSE])
-    x = ((np.asarray(ts) - t) / h)[:, None]
+    - y, F1 = h k1 - F0, F2 = 2 F0 - h (k1 + k13) and F3..F6 the rows of
+    _DOP853_D times h (k1..k16)."""
+    hk = h[:, None, None] * k
+    f0 = y_new - y
+    f1, f2 = hk[:, 0] - f0, 2.0 * f0 - hk[:, 0] - hk[:, 12]
+    f3, f4, f5, f6 = np.einsum("ds,nsj->dnj", _DOP853_D_ARRAY, hk)
+    x = ((ts - t[step]) / h[step])[:, None]
     x1 = 1.0 - x
-    return np.array(y) + x * (f0 + x1 * (f1 + x * (f2 + x1 * (
-        f3 + x * (f4 + x1 * (f5 + x * f6))))))
+    return y[step] + x * (f0[step] + x1 * (f1[step] + x * (f2[step] + x1 * (
+        f3[step] + x * (f4[step] + x1 * (f5[step] + x * f6[step]))))))
 
 
 def _dop853_error_norm(err5, err3, y0, y1, h, rel_tol, abs_tol) -> float:
@@ -1016,7 +1036,7 @@ def _dop853_error_norm(err5, err3, y0, y1, h, rel_tol, abs_tol) -> float:
 
 
 def _dop853(rhs, y, f, times, opts: IntegrationOptions, sector: str,
-            project: Optional[Callable[[list], list]] = None) -> Array:
+            targets: Optional[Tuple[float, float]] = None) -> Array:
     """Step y' = rhs(y, t) from (times[0], y), with f = rhs(y, times[0]), by
     DOP853 and return the states at the sample times, one row each: the
     physical sector's stepper.
@@ -1026,12 +1046,13 @@ def _dop853(rhs, y, f, times, opts: IntegrationOptions, sector: str,
     0.9 norm^(-1/8), kept in [0.2, 10], and no growth right after a
     rejection), and the last one is clipped, or stretched by at most 1%,
     to end at times[-1].  The
-    samples inside an accepted step are read off the order-7 dense output,
-    which takes three stages more, in one array expression; a sample at a
-    step's end is the step's state.  With project_every = k > 0 and a
-    project callable, the state is projected after every k-th accepted
-    step and its derivative taken again, and every sample row is projected
-    too.  y, f and every stage are lists of Python floats.  A step size
+    samples inside an accepted step are read off its order-7 dense output,
+    which takes three stages more; the interpolants of all steps are
+    evaluated after the last one, in one array expression.  A sample at a
+    step's end is the step's state.  With project_every = k > 0 and the
+    targets (a^2, b^2) of the spin surface, the state is projected after
+    every k-th accepted step and its derivative taken again, and every
+    sample row is projected too.  y, f and every stage are lists of Python floats.  A step size
     underflow after a non-finite trial names the first non-finite entry
     of the state; any other, and an exhausted step budget, name t and the
     sector.
@@ -1040,7 +1061,11 @@ def _dop853(rhs, y, f, times, opts: IntegrationOptions, sector: str,
     t, t_end = grid[0], grid[-1]
     h = _initial_step(y, f, opts.rel_tol * _PHYSICAL_TOL_SCALE,
                       opts.abs_tol * _PHYSICAL_TOL_SCALE, t_end - t)
-    rows = [y]
+    rows = np.empty((len(grid), len(y)))
+    rows[0] = y
+    # the samples inside steps, the steps that hold them as (t, h, y, y_new,
+    # stages) and, for each of those samples, its step's entry there
+    inside, held, owner = [], [], []
     y_new = y
     i = 1  # the next sample to record
     accepted = attempts = 0
@@ -1057,7 +1082,7 @@ def _dop853(rhs, y, f, times, opts: IntegrationOptions, sector: str,
             raise IntegrationError(f"step size underflow at t = {t:.6g} ({sector})")
 
         attempts += 1
-        ks = _dop853_stages(rhs, t, y, f, h_try)
+        ks = _dop853_stages(rhs, t, y, h_try, [f], 12)
         y_new = _DOP853_POINT[12](y, h_try, ks)
         norm = _dop853_error_norm(_DOP853_ERR5(ks), _DOP853_ERR3(ks), y, y_new,
                                   h_try, opts.rel_tol,
@@ -1074,21 +1099,25 @@ def _dop853(rhs, y, f, times, opts: IntegrationOptions, sector: str,
         stop = bisect.bisect_left(grid, t_new, i)
         if stop > i:
             ks.append(f_new)
-            rows += _dop853_dense(rhs, t, y, h_try, y_new, ks,
-                                  grid[i:stop]).tolist()
+            inside += range(i, stop)
+            owner += [len(held)] * (stop - i)
+            held.append((t, h_try, y, y_new, _dop853_stages(rhs, t, y, h_try, ks, 16)))
         t, y, f = t_new, y_new, f_new
-        if project and accepted % opts.project_every == 0:
-            y = project(y)
+        if targets and accepted % opts.project_every == 0:
+            y = _project_spin(y, *targets, _PROJECTION_TOL)
             f = rhs(y, t)
         if stop < len(grid) and grid[stop] == t:
-            rows.append(y)
+            rows[stop] = (_project_spin(y, *targets, _PROJECTION_TOL) if targets
+                          else y)
             stop += 1
-        if project:
-            rows[i:stop] = map(project, rows[i:stop])
         i = stop
         h = h_try * min(1.0 if rejected else 10.0, factor)
         rejected = False
-    return np.array(rows)
+    if held:
+        block = _dop853_dense(times[inside], np.array(owner),
+                              *map(np.array, zip(*held)))
+        rows[inside] = _project_rows(block, *targets) if targets else block
+    return rows
 
 
 def _rotate(axis, angle, u) -> Array:
@@ -1269,11 +1298,13 @@ def integrate(z0, times, params: ModelParams, fields: FieldConfig,
     omega = cos theta omega~ + r sin theta pi~, pi = cos theta pi~ -
     (sin theta / r) omega~ with r = |omega| / |pi| at the start.  A field
     of kind free or uniform has the physical sector in closed form, and a
-    constant gauge has theta; the rest is stepped by the same
-    Dormand-Prince stepper, whose steps land on every sample time: the 12
-    floats of the physical sector, and theta alone, from theta' = 2 r /
-    gauge(t).  With project_every = k > 0 a stepped physical sector is
-    projected back onto the surface after every k-th accepted step.
+    constant gauge has theta.  The rest is stepped: the 12 floats of the
+    physical sector by DOP853 at 1e-3 times opts' tolerances, with its
+    samples read from the order-7 dense output of the step that holds
+    them, and theta alone, from theta' = 2 r / gauge(t), by Dormand-Prince
+    5(4) steps that land on every sample time.  With project_every = k > 0
+    a stepped physical sector is projected back onto the surface after
+    every k-th accepted step, and so is every sample of it.
     """
     opts = opts or IntegrationOptions()
     times = np.array(times, dtype=float)
@@ -1305,12 +1336,9 @@ def integrate(z0, times, params: ModelParams, fields: FieldConfig,
         physical = _exact_physical(u, times, params, fields)
     else:
         physical_rhs = _physical_kernel(params, fields)
-        project = None
-        if opts.project_every:
-            def project(v):
-                return _project_spin(v, a_sq, b_sq, _PROJECTION_TOL)
         physical = _dop853(physical_rhs, u, physical_rhs(u, t0), times, opts,
-                           f"field {fields.kind!r}", project)
+                           f"field {fields.kind!r}",
+                           (a_sq, b_sq) if opts.project_every else None)
     w0, q0 = np.array(y[OMEGA]), np.array(y[PI])
     if opts.project_every and fields.kind not in _EXACT_KINDS:
         # the projected omega~, pi~ lie on the surface, where r = a / b

@@ -400,10 +400,13 @@ def one_dop853_step(h):
                                     FieldConfig.linear_gradient(1.0, 0.1))
     y0 = [0.0, 0.0, 0.0, 0.3, 0.0, 0.0, params.a, 0.0, 0.0, 0.0, params.b, 0.0]
     f0 = rhs(y0, 0.0)
-    ks = dynamics._dop853_stages(rhs, 0.0, y0, f0, h)
+    ks = dynamics._dop853_stages(rhs, 0.0, y0, h, [f0], 12)
     y1 = dynamics._DOP853_POINT[12](y0, h, ks)
-    ks.append(rhs(y1, h))
-    (mid,) = dynamics._dop853_dense(rhs, 0.0, y0, h, y1, ks, [0.5 * h])
+    ks = dynamics._dop853_stages(rhs, 0.0, y0, h, ks + [rhs(y1, h)], 16)
+    (mid,) = dynamics._dop853_dense(np.array([0.5 * h]), np.array([0]),
+                                    np.array([0.0]), np.array([h]),
+                                    np.array([y0]), np.array([y1]),
+                                    np.array([ks]))
     want, _ = dynamics._dp5(rhs, y0, f0, np.array([0.0, 0.5 * h, h]),
                             IntegrationOptions(rel_tol=1e-13, abs_tol=1e-15),
                             lambda t: "", CANONICAL_PARTICLE.labels)
@@ -476,6 +479,26 @@ def test_project_spin_matches_project_near_the_surface(rng):
             assert np.max(np.abs(late - other)) <= 1e-15
     # about 1 seeded state in 50,000 is borderline
     assert borderline <= 2
+
+
+def test_project_rows_equals_project_spin_row_by_row(rng):
+    """The block projection of the dense-output samples gives, bit for bit,
+    what _project_spin gives each row: rows on the surface to round-off,
+    which it keeps, and rows off it by up to 1e-6, which it projects.  A
+    row that is not finite is passed on, and raises as _project_spin does."""
+    rows = np.array([random_phase_state(rng, a=PARAMS.a, b=PARAMS.b)[:PHI]
+                     for _ in range(N_STATES)])
+    rows[:, 6:12] += (10.0 ** rng.uniform(-17, -6, size=(N_STATES, 1))
+                      * rng.standard_normal((N_STATES, 6)))
+    want = [_project_spin(row, A_SQ, B_SQ, PROJECTION_TOL)
+            for row in rows.tolist()]
+    kept = sum(w == row for w, row in zip(want, rows.tolist()))
+    assert 10 < kept < N_STATES - 10
+    got = dynamics._project_rows(rows.copy(), A_SQ, B_SQ)
+    assert np.array_equal(got, np.array(want))
+    rows[3, 7] = np.nan
+    with pytest.raises(ProjectionError):
+        dynamics._project_rows(rows, A_SQ, B_SQ)
 
 
 def test_project_spin_leaves_a_point_within_tol_unchanged(rng):
