@@ -1045,17 +1045,16 @@ def _dop853(rhs, y, f, times, opts: IntegrationOptions, sector: str,
     _PHYSICAL_TOL_SCALE.  Steps run at the controller's own size (factor
     0.9 norm^(-1/8), kept in [0.2, 10], and no growth right after a
     rejection), and the last one is clipped, or stretched by at most 1%,
-    to end at times[-1].  The
-    samples inside an accepted step are read off its order-7 dense output,
-    which takes three stages more; the interpolants of all steps are
-    evaluated after the last one, in one array expression.  A sample at a
-    step's end is the step's state.  With project_every = k > 0 and the
-    targets (a^2, b^2) of the spin surface, the state is projected after
-    every k-th accepted step and its derivative taken again, and every
-    sample row is projected too.  y, f and every stage are lists of Python floats.  A step size
-    underflow after a non-finite trial names the first non-finite entry
-    of the state; any other, and an exhausted step budget, name t and the
-    sector.
+    to end at times[-1].  The samples inside an accepted step are read
+    off its order-7 dense output, which takes three stages more; the
+    interpolants of all steps are evaluated after the last one, in one
+    array expression.  A sample at a step's end is the step's state.
+    With project_every = k > 0 and the targets (a^2, b^2) of the spin
+    surface, the state is projected after every k-th accepted step and its
+    derivative taken again, and every sample row is projected too.  y, f
+    and every stage are lists of Python floats.  A step size underflow
+    after a non-finite trial names the first non-finite entry of the
+    state; any other, and an exhausted step budget, name t and the sector.
     """
     grid = times.tolist()
     t, t_end = grid[0], grid[-1]
@@ -1101,7 +1100,8 @@ def _dop853(rhs, y, f, times, opts: IntegrationOptions, sector: str,
             ks.append(f_new)
             inside += range(i, stop)
             owner += [len(held)] * (stop - i)
-            held.append((t, h_try, y, y_new, _dop853_stages(rhs, t, y, h_try, ks, 16)))
+            ks = _dop853_stages(rhs, t, y, h_try, ks, 16)
+            held.append((t, h_try, y, y_new, ks))
         t, y, f = t_new, y_new, f_new
         if targets and accepted % opts.project_every == 0:
             y = _project_spin(y, *targets, _PROJECTION_TOL)

@@ -353,9 +353,11 @@ def test_dop853_stages_are_the_tableau_products(monkeypatch, rhs_calls, rng):
     """Every attempt's stage times, stage points, new state and error
     estimates equal the tableau products of its stages k1..k12, re-derived
     from the points the stepper passed to the right-hand side and the step
-    size it passed to the error norm.  Each side lies within (n + 3) eps /
-    2 of the exact y + h sum_j a_j k_j, relative to |y| + h sum_j |a_j
-    k_j|, for n <= 12 terms, so they may differ by 16 eps of that."""
+    size it passed to the error norm.  numpy's plain sum lies within (n +
+    3) eps / 2 of the exact y + h sum_j a_j k_j, relative to |y| + h sum_j
+    |a_j k_j|, for n <= 12 terms; the stepper sums W k1 + sum_j a_j (k_j -
+    k1), whose differences are small within a step, and rounds no worse,
+    so the two may differ by 16 eps of that."""
     params = ModelParams()
     fields = FieldConfig.linear_gradient(B0=1.0, gradient=0.1)
     # a constant gauge: only the physical sector is stepped
@@ -388,7 +390,8 @@ def test_dop853_stages_are_the_tableau_products(monkeypatch, rhs_calls, rng):
             got = points[j] if j < 12 else y1
             assert np.all(np.abs(got - want) <= tol * (np.abs(y0) + h * terms)), j
         for err, weights in ((err5, DOP853_E5), (err3, DOP853_E3)):
-            assert np.all(np.abs(err - weights @ k) <= tol * (np.abs(weights) @ np.abs(k)))
+            bound = tol * (np.abs(weights) @ np.abs(k))
+            assert np.all(np.abs(err - weights @ k) <= bound)
 
 
 def one_dop853_step(h):
