@@ -14,8 +14,9 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
@@ -35,7 +36,7 @@ from .errors import ConfigError, SpinBundleError
 # poisson_bracket is not called here: the benchmark harness self-test checks
 # that tracing rebinds it in this module too
 from .phasespace import OMEGA, PhasePoint, poisson_bracket
-from .verify import Check, _threshold, verify_lorentz, verify_so3, verify_t4
+from .verify import verify_lorentz, verify_so3, verify_t4
 
 __all__ = [
     "Check",
@@ -56,29 +57,71 @@ __all__ = [
 # Config table
 # ---------------------------------------------------------------------------
 
-# The checks each scenario's runner reports, in its order; a config's
-# `checks` keys are validated against these before anything runs.
-SCENARIO_CHECKS: Dict[str, Tuple[str, ...]] = {
-    "free_spin": ("spin_deviation", "constraint_drift", "energy_drift"),
-    "larmor": ("spin_frequency", "cyclotron_frequency", "constraint_drift",
-               "energy_drift"),
-    "stern_gerlach": ("second_order_residual", "constraint_drift",
-                      "energy_drift"),
-    "gauge_compare": ("spin_agreement", "position_agreement",
-                      "omega_separation"),
-    "verify_so3": ("spin_algebra_poisson", "spin_algebra_dirac",
-                   "dirac_omega_pi", "dirac_annihilation",
-                   "rotation_orthogonality", "so2_invariance",
-                   "casimir_identity", "spin_normalization", "so3_rank_ratio",
-                   "gauge_group_law"),
-    "verify_lorentz": ("t3_boost_residual", "casimir_deviation",
-                       "frenkel_residual", "ellipsoid_residual",
-                       "tetrad_identity", "bmt_round_trip",
-                       "bmt_orthogonality", "so13_rank_ratio"),
-    "verify_t4": ("first_class_misclassified", "constraint_bracket_residual",
-                  "t4_boost_residual", "structure_action_spin",
-                  "structure_action_surface"),
+# Each scenario's checks in report order, with their default thresholds. Its
+# runner returns {check name: value} for exactly these names; a config's
+# `checks` keys are validated against them before anything runs.
+SCENARIO_CHECKS: Dict[str, Dict[str, float]] = {
+    "free_spin": {"spin_deviation": 1e-9, "constraint_drift": 1e-9,
+                  "energy_drift": 1e-9},
+    "larmor": {"spin_frequency": 1e-6, "cyclotron_frequency": 1e-6,
+               "constraint_drift": 1e-6, "energy_drift": 1e-6},
+    "stern_gerlach": {"second_order_residual": 1e-6, "constraint_drift": 1e-6,
+                      "energy_drift": 1e-6},
+    "gauge_compare": {"spin_agreement": 1e-6, "position_agreement": 1e-6,
+                      "omega_separation": 0.1},
+    "verify_so3": {"spin_algebra_poisson": 1e-8, "spin_algebra_dirac": 1e-8,
+                   "dirac_omega_pi": 1e-8, "dirac_annihilation": 1e-8,
+                   "rotation_orthogonality": 1e-10, "so2_invariance": 1e-12,
+                   "casimir_identity": 1e-10, "spin_normalization": 1e-10,
+                   "so3_rank_ratio": 1e-6, "gauge_group_law": 1e-12},
+    "verify_lorentz": {"t3_boost_residual": 1e-9, "casimir_deviation": 1e-9,
+                       "frenkel_residual": 1e-9, "ellipsoid_residual": 1e-9,
+                       "tetrad_identity": 1e-9, "bmt_round_trip": 1e-10,
+                       "bmt_orthogonality": 1e-12, "so13_rank_ratio": 1e-6},
+    "verify_t4": {"first_class_misclassified": 0.5,
+                  "constraint_bracket_residual": 1e-8,
+                  "t4_boost_residual": 1e-9, "structure_action_spin": 1e-12,
+                  "structure_action_surface": 1e-12},
 }
+
+# The checks that must stay above their threshold; `checks.all` skips them
+MIN_CHECKS = frozenset({"omega_separation"})
+
+
+@dataclass(frozen=True)
+class Check:
+    """A named scalar compared against a threshold.
+
+    comparison "max" passes when value < threshold, "min" when value >
+    threshold.
+    """
+
+    name: str
+    value: float
+    threshold: float
+    comparison: str = "max"
+
+    def __post_init__(self):
+        if self.comparison not in ("max", "min"):
+            raise ValueError("comparison must be 'max' or 'min'")
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "threshold", float(self.threshold))
+
+    @property
+    def passed(self) -> bool:
+        if self.comparison == "max":
+            return self.value < self.threshold
+        return self.value > self.threshold
+
+    def as_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "value": self.value,
+            "threshold": self.threshold,
+            "comparison": self.comparison,
+            "passed": self.passed,
+        }
+
 
 # A spec is a tuple headed by what it accepts:
 #   ("number", gt, lt)              a finite int or float, gt < value < lt
@@ -193,7 +236,26 @@ def validate_config(cfg) -> dict:
         if name != "all" and name not in SCENARIO_CHECKS[scenario]:
             raise ConfigError(
                 f"$.checks.{name}: {scenario} has no check named {name!r}")
+    _check_params(cfg.get("params", {}))
     return cfg
+
+
+def _check_params(given: dict) -> None:
+    """Raise ConfigError where a quantity derived from $.params is not
+    finite. It is computed in float64 with warnings off, so an overflow
+    reads as inf or nan rather than raising."""
+    with np.errstate(all="ignore"):
+        p = ModelParams(**{key: np.float64(v) for key, v in given.items()})
+        b_path, b_sq = (("$.params.b", "b**2") if "b" in given else
+                        ("$.params", "b**2 for the default b = sqrt(3)*hbar/(2*a)"))
+        derived = (("$.params.a", "a**2", p.a ** 2),
+                   (b_path, b_sq, p.b ** 2),
+                   ("$.params", "(a*b)**2", p.spin_norm_sq),
+                   ("$.params", "(e/c)**2", (p.e / p.c) ** 2),
+                   ("$.params", "(mu*e/(m*c))**2", p.moment_coupling ** 2))
+    for path, name, value in derived:
+        if not np.isfinite(value):
+            raise ConfigError(f"{path}: {name} is not finite")
 
 
 def load_config(path) -> dict:
@@ -350,7 +412,7 @@ def _energy_drift(traj: Trajectory) -> float:
 # Dynamic scenarios
 # ---------------------------------------------------------------------------
 
-def run_free_spin(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajectory]]:
+def run_free_spin(cfg: dict) -> Tuple[Dict[str, float], dict, Dict[str, Trajectory]]:
     """No field: the composed spin must stay put while (omega, pi) gauge-rotate."""
     params = _build_params(cfg)
     fields = _build_field(cfg, default_kind="free")
@@ -362,18 +424,13 @@ def run_free_spin(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajectory]]:
     traj = integrate(z0, times, params, fields, gauge, opts)
 
     spin_dev = float(np.max(np.linalg.norm(traj.spin - traj.spin[0], axis=1)))
-    checks = [
-        Check("spin_deviation", spin_dev, _threshold(cfg, "spin_deviation", 1e-9)),
-        Check("constraint_drift", _drift(traj),
-              _threshold(cfg, "constraint_drift", 1e-9)),
-        Check("energy_drift", _energy_drift(traj),
-              _threshold(cfg, "energy_drift", 1e-9)),
-    ]
+    values = {"spin_deviation": spin_dev, "constraint_drift": _drift(traj),
+              "energy_drift": _energy_drift(traj)}
     metrics = {"spin_deviation": spin_dev, "samples": float(len(traj))}
-    return checks, metrics, {"timeseries": traj}
+    return values, metrics, {"timeseries": traj}
 
 
-def run_larmor(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajectory]]:
+def run_larmor(cfg: dict) -> Tuple[Dict[str, float], dict, Dict[str, Trajectory]]:
     """Uniform field: fit the spin precession and cyclotron frequencies."""
     params = _build_params(cfg)
     fields = _build_field(cfg, default_kind="uniform")
@@ -400,15 +457,9 @@ def run_larmor(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajectory]]:
     cyc_fit = fit_rotation_frequency(traj.times, traj.states[:, 0])
     cyc_err = abs(cyc_fit.omega - omega_cyc) / omega_cyc
 
-    checks = [
-        Check("spin_frequency", spin_err, _threshold(cfg, "spin_frequency", 1e-6)),
-        Check("cyclotron_frequency", cyc_err,
-              _threshold(cfg, "cyclotron_frequency", 1e-6)),
-        Check("constraint_drift", _drift(traj),
-              _threshold(cfg, "constraint_drift", 1e-6)),
-        Check("energy_drift", _energy_drift(traj),
-              _threshold(cfg, "energy_drift", 1e-6)),
-    ]
+    values = {"spin_frequency": spin_err, "cyclotron_frequency": cyc_err,
+              "constraint_drift": _drift(traj),
+              "energy_drift": _energy_drift(traj)}
     metrics = {
         "fitted_spin_frequency": spin_fit.omega,
         "expected_spin_frequency": omega_spin,
@@ -417,10 +468,10 @@ def run_larmor(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajectory]]:
         "max_constraint_drift": _drift(traj),
         "max_energy_drift": _energy_drift(traj),
     }
-    return checks, metrics, {"timeseries": traj}
+    return values, metrics, {"timeseries": traj}
 
 
-def run_stern_gerlach(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajectory]]:
+def run_stern_gerlach(cfg: dict) -> Tuple[Dict[str, float], dict, Dict[str, Trajectory]]:
     """Gradient field: the spin-gradient force must match the second-order
     equation of motion along the trajectory."""
     params = _build_params(cfg)
@@ -439,22 +490,17 @@ def run_stern_gerlach(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajector
 
     residual = float(np.max(second_order_residual(traj, params, fields)))
     deflection = float(traj.states[-1, 5] - traj.states[0, 5])
-    checks = [
-        Check("second_order_residual", residual,
-              _threshold(cfg, "second_order_residual", 1e-6)),
-        Check("constraint_drift", _drift(traj),
-              _threshold(cfg, "constraint_drift", 1e-6)),
-        Check("energy_drift", _energy_drift(traj),
-              _threshold(cfg, "energy_drift", 1e-6)),
-    ]
+    values = {"second_order_residual": residual,
+              "constraint_drift": _drift(traj),
+              "energy_drift": _energy_drift(traj)}
     metrics = {
         "max_second_order_residual": residual,
         "momentum_deflection_z": deflection,
     }
-    return checks, metrics, {"timeseries": traj}
+    return values, metrics, {"timeseries": traj}
 
 
-def run_gauge_compare(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajectory]]:
+def run_gauge_compare(cfg: dict) -> Tuple[Dict[str, float], dict, Dict[str, Trajectory]]:
     """Identical runs under two gauge functions: observables must agree while
     the raw (omega, pi) trajectories visibly differ."""
     params = _build_params(cfg)
@@ -471,14 +517,8 @@ def run_gauge_compare(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajector
     pos_gap = float(np.max(np.abs(traj_a.states[:, :3] - traj_b.states[:, :3])))
     omega_gap = float(np.max(np.abs(
         traj_a.states[:, OMEGA] - traj_b.states[:, OMEGA])))
-    checks = [
-        Check("spin_agreement", spin_gap, _threshold(cfg, "spin_agreement", 1e-6)),
-        Check("position_agreement", pos_gap,
-              _threshold(cfg, "position_agreement", 1e-6)),
-        Check("omega_separation", omega_gap,
-              _threshold(cfg, "omega_separation", 0.1, comparison="min"),
-              comparison="min"),
-    ]
+    values = {"spin_agreement": spin_gap, "position_agreement": pos_gap,
+              "omega_separation": omega_gap}
     metrics = {
         "max_spin_gap": spin_gap,
         "max_position_gap": pos_gap,
@@ -486,7 +526,7 @@ def run_gauge_compare(cfg: dict) -> Tuple[List[Check], dict, Dict[str, Trajector
         "gauge_a": gauge_a.label,
         "gauge_b": gauge_b.label,
     }
-    return checks, metrics, {"timeseries_a": traj_a, "timeseries_b": traj_b}
+    return values, metrics, {"timeseries_a": traj_a, "timeseries_b": traj_b}
 
 
 SCENARIOS: Dict[str, Tuple[Callable, str]] = {
@@ -526,7 +566,17 @@ def run_config(cfg: dict, out_dir: Optional[Path] = None) -> Tuple[int, dict]:
     out_dir = Path(out_dir) if out_dir is not None else _output_dir(cfg)
     prefix = cfg.get("output", {}).get("prefix", scenario)
 
-    checks, metrics, trajectories = runner(cfg)
+    values, metrics, trajectories = runner(cfg)
+    # a threshold is the config's override by name, then `checks.all` for an
+    # upper bound, then the table's default
+    overrides = cfg.get("checks", {})
+    checks = []
+    for name, default in SCENARIO_CHECKS[scenario].items():
+        comparison = "min" if name in MIN_CHECKS else "max"
+        if comparison == "max":
+            default = overrides.get("all", default)
+        checks.append(Check(name, values[name], overrides.get(name, default),
+                            comparison))
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}
     for tag, traj in trajectories.items():

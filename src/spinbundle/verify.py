@@ -1,17 +1,15 @@
-"""Named checks and the built-in verification suites.
+"""The built-in verification suites.
 
-A `Check` is a named scalar compared against a threshold; every scenario
-runner returns a list of them, the dynamic ones in `spinbundle.cli` and the
-suites here. The suites are property checks over random points, boosts and
-group elements, with no time integration; each takes a validated config and
-returns (checks, metrics, {}).
+The suites are property checks over random points, boosts and group
+elements, with no time integration. Each takes a validated config and
+returns ({check name: value}, metrics, {}); `spinbundle.cli.SCENARIO_CHECKS`
+declares the checks and their default thresholds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -29,52 +27,6 @@ from .phasespace import (
     quadratic,
     spin_component,
 )
-
-
-@dataclass(frozen=True)
-class Check:
-    """A named scalar compared against a threshold.
-
-    comparison "max" passes when value < threshold, "min" when value >
-    threshold (used for quantities that must stay large, like gauge-orbit
-    separation).
-    """
-
-    name: str
-    value: float
-    threshold: float
-    comparison: str = "max"
-
-    def __post_init__(self):
-        if self.comparison not in ("max", "min"):
-            raise ValueError("comparison must be 'max' or 'min'")
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "threshold", float(self.threshold))
-
-    @property
-    def passed(self) -> bool:
-        if self.comparison == "max":
-            return self.value < self.threshold
-        return self.value > self.threshold
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "threshold": self.threshold,
-            "comparison": self.comparison,
-            "passed": self.passed,
-        }
-
-
-def _threshold(cfg: dict, name: str, default: float,
-               comparison: str = "max") -> float:
-    checks = cfg.get("checks", {})
-    if name in checks:
-        return float(checks[name])
-    if comparison == "max" and "all" in checks:
-        return float(checks["all"])
-    return default
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +64,7 @@ def _random_quadratic(rng, dim: int = 14):
                      float(rng.standard_normal()), name="random quadratic")
 
 
-def verify_so3(cfg: dict) -> Tuple[List[Check], dict, dict]:
+def verify_so3(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     """Euclidean-sector suite: spin bracket algebra, Dirac annihilation,
     bundle identification, Casimir normalization, rank, gauge group law."""
     rng = np.random.default_rng(cfg.get("seed", 0))
@@ -216,31 +168,17 @@ def verify_so3(cfg: dict) -> Tuple[List[Check], dict, dict]:
         group_err = max(group_err, float(np.max(np.abs(
             two_step.matrix - one_step.matrix))))
 
-    checks = [
-        Check("spin_algebra_poisson", alg_poisson,
-              _threshold(cfg, "spin_algebra_poisson", 1e-8)),
-        Check("spin_algebra_dirac", alg_dirac,
-              _threshold(cfg, "spin_algebra_dirac", 1e-8)),
-        Check("dirac_omega_pi", omega_pi_err,
-              _threshold(cfg, "dirac_omega_pi", 1e-8)),
-        Check("dirac_annihilation", annihilation,
-              _threshold(cfg, "dirac_annihilation", 1e-8)),
-        Check("rotation_orthogonality", rot_err,
-              _threshold(cfg, "rotation_orthogonality", 1e-10)),
-        Check("so2_invariance", inv_err, _threshold(cfg, "so2_invariance", 1e-12)),
-        Check("casimir_identity", casimir_err,
-              _threshold(cfg, "casimir_identity", 1e-10)),
-        Check("spin_normalization", norm_err,
-              _threshold(cfg, "spin_normalization", 1e-10)),
-        Check("so3_rank_ratio", rank_ratio,
-              _threshold(cfg, "so3_rank_ratio", 1e-6)),
-        Check("gauge_group_law", group_err,
-              _threshold(cfg, "gauge_group_law", 1e-12)),
-    ]
-    return checks, {"points": float(n_alg)}, {}
+    values = {
+        "spin_algebra_poisson": alg_poisson, "spin_algebra_dirac": alg_dirac,
+        "dirac_omega_pi": omega_pi_err, "dirac_annihilation": annihilation,
+        "rotation_orthogonality": rot_err, "so2_invariance": inv_err,
+        "casimir_identity": casimir_err, "spin_normalization": norm_err,
+        "so3_rank_ratio": rank_ratio, "gauge_group_law": group_err,
+    }
+    return values, {"points": float(n_alg)}, {}
 
 
-def verify_lorentz(cfg: dict) -> Tuple[List[Check], dict, dict]:
+def verify_lorentz(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     """Covariant suite: boost invariance of both surfaces, Casimir, Frenkel
     condition, base ellipsoid, tetrad pseudo-orthogonality, BMT round trip."""
     rng = np.random.default_rng(cfg.get("seed", 0))
@@ -277,26 +215,16 @@ def verify_lorentz(cfg: dict) -> Tuple[List[Check], dict, dict]:
     rank_ratio = max(float(np.any(so3._numerical_rank(sv) != 5)),
                      _worst(sv[:, 5] / sv[:, 4]))
 
-    checks = [
-        Check("t3_boost_residual", t3_err, _threshold(cfg, "t3_boost_residual", 1e-9)),
-        Check("casimir_deviation", casimir_err,
-              _threshold(cfg, "casimir_deviation", 1e-9)),
-        Check("frenkel_residual", frenkel_err,
-              _threshold(cfg, "frenkel_residual", 1e-9)),
-        Check("ellipsoid_residual", ellipsoid_err,
-              _threshold(cfg, "ellipsoid_residual", 1e-9)),
-        Check("tetrad_identity", tetrad_err,
-              _threshold(cfg, "tetrad_identity", 1e-9)),
-        Check("bmt_round_trip", bmt_err, _threshold(cfg, "bmt_round_trip", 1e-10)),
-        Check("bmt_orthogonality", orth_err,
-              _threshold(cfg, "bmt_orthogonality", 1e-12)),
-        Check("so13_rank_ratio", rank_ratio,
-              _threshold(cfg, "so13_rank_ratio", 1e-6)),
-    ]
-    return checks, {"boosts": float(cfg.get("n_boosts", 1000))}, {}
+    values = {
+        "t3_boost_residual": t3_err, "casimir_deviation": casimir_err,
+        "frenkel_residual": frenkel_err, "ellipsoid_residual": ellipsoid_err,
+        "tetrad_identity": tetrad_err, "bmt_round_trip": bmt_err,
+        "bmt_orthogonality": orth_err, "so13_rank_ratio": rank_ratio,
+    }
+    return values, {"boosts": float(cfg.get("n_boosts", 1000))}, {}
 
 
-def verify_t4(cfg: dict) -> Tuple[List[Check], dict, dict]:
+def verify_t4(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     """Scale-free-surface suite: first-class pair, boost invariance, and the
     two-parameter structure-group action leaving the spin fixed."""
     rng = np.random.default_rng(cfg.get("seed", 0))
@@ -338,16 +266,11 @@ def verify_t4(cfg: dict) -> Tuple[List[Check], dict, dict]:
     action_surface_err = max(_worst(_dot(w2, p2)),
                              _worst(_dot(p2, p2) - a / _dot(w2, w2)))
 
-    checks = [
-        Check("first_class_misclassified", misclassified,
-              _threshold(cfg, "first_class_misclassified", 0.5)),
-        Check("constraint_bracket_residual", bracket_err,
-              _threshold(cfg, "constraint_bracket_residual", 1e-8)),
-        Check("t4_boost_residual", boost_err,
-              _threshold(cfg, "t4_boost_residual", 1e-9)),
-        Check("structure_action_spin", action_spin_err,
-              _threshold(cfg, "structure_action_spin", 1e-12)),
-        Check("structure_action_surface", action_surface_err,
-              _threshold(cfg, "structure_action_surface", 1e-12)),
-    ]
-    return checks, {"points": float(n_pts)}, {}
+    values = {
+        "first_class_misclassified": misclassified,
+        "constraint_bracket_residual": bracket_err,
+        "t4_boost_residual": boost_err,
+        "structure_action_spin": action_spin_err,
+        "structure_action_surface": action_surface_err,
+    }
+    return values, {"points": float(n_pts)}, {}

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -507,8 +508,30 @@ SMALL_RUNS = {
 @pytest.mark.parametrize("scenario", list(SCENARIOS))
 def test_scenario_checks_are_the_checks_the_runner_reports(scenario):
     runner, _ = SCENARIOS[scenario]
-    checks, _, _ = runner(dict(SMALL_RUNS[scenario]))
-    assert tuple(c.name for c in checks) == SCENARIO_CHECKS[scenario]
+    values, _, _ = runner(dict(SMALL_RUNS[scenario]))
+    assert list(values) == list(SCENARIO_CHECKS[scenario])
+
+
+@pytest.mark.parametrize("checks, thresholds", [
+    ({"all": 1e-3}, (1e-3, 1e-3, 0.1)),
+    ({"all": 1e-3, "spin_agreement": 1e-2, "omega_separation": 0.5},
+     (1e-2, 1e-3, 0.5)),
+])
+def test_checks_all_overrides_upper_bounds_only(checks, thresholds,
+                                                monkeypatch, tmp_path):
+    values = {"spin_agreement": 1e-4, "position_agreement": 1e-4,
+              "omega_separation": 0.2}
+    monkeypatch.setitem(SCENARIOS, "gauge_compare",
+                        (lambda cfg: (values, {}, {}), "unused"))
+    code, summary = run_config({"scenario": "gauge_compare", "checks": checks},
+                               out_dir=tmp_path)
+    assert [(c["name"], c["threshold"], c["comparison"], c["passed"])
+            for c in summary["checks"]] == [
+        ("spin_agreement", thresholds[0], "max", True),
+        ("position_agreement", thresholds[1], "max", True),
+        ("omega_separation", thresholds[2], "min", thresholds[2] < 0.2),
+    ]
+    assert code == (0 if thresholds[2] < 0.2 else 3)
 
 
 def test_unknown_check_is_rejected_before_the_runner(monkeypatch, tmp_path):
@@ -692,6 +715,42 @@ def test_main_rejects_degenerate_config_in_one_line(config, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+# parameter sets that pass the table but hold a derived quantity that is not
+# finite, with the line each one is rejected in
+PARAM_OVERFLOWS = {
+    "scenario: stern_gerlach\nparams: {b: 1.0e+300}\n":
+        "$.params.b: b**2 is not finite",
+    "scenario: verify_so3\nparams: {b: 1.0e+300}\n":
+        "$.params.b: b**2 is not finite",
+    "scenario: free_spin\nparams: {a: 1.0e-300}\nsamples: 16\n":
+        "$.params: b**2 for the default b = sqrt(3)*hbar/(2*a) is not finite",
+    "scenario: larmor\nparams: {c: 1.0e-300}\nsamples: 16\n":
+        "$.params: (e/c)**2 is not finite",
+    "scenario: verify_t4\nparams: {a: 1.0e+200}\n":
+        "$.params.a: a**2 is not finite",
+    "scenario: verify_lorentz\nparams: {a: 1.0e+150, b: 1.0e+10}\n":
+        "$.params: (a*b)**2 is not finite",
+    # m*c underflows to zero, so mu*e/(m*c) is 0/0
+    "scenario: free_spin\nparams: {m: 1.0e-200, c: 1.0e-200, e: 0.0}\n":
+        "$.params: (mu*e/(m*c))**2 is not finite",
+}
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+@pytest.mark.parametrize("config, message", list(PARAM_OVERFLOWS.items()))
+def test_main_rejects_overflowing_params_in_one_line(config, message, action,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setenv("SPINBUNDLE_OUTPUT_DIR", str(tmp_path))
+    path = tmp_path / "cfg.yaml"
+    path.write_text(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def run_gauge_config(expression, samples, tmp_path):

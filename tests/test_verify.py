@@ -23,7 +23,7 @@ FINAL_RNG_STATE = {
 
 
 @pytest.mark.parametrize("suite, seed", list(FINAL_RNG_STATE))
-def test_suites_draw_the_per_point_stream(suite, seed, monkeypatch):
+def test_suites_draw_the_per_point_stream(suite, seed, monkeypatch, tmp_path):
     made = []
     default_rng = np.random.default_rng
 
@@ -32,8 +32,9 @@ def test_suites_draw_the_per_point_stream(suite, seed, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(np.random, "default_rng", spy)
-    checks, _, _ = getattr(verify, suite)({"scenario": suite, "seed": seed})
-    assert all(c.passed for c in checks)
+    code, summary = run_config({"scenario": suite, "seed": seed},
+                               out_dir=tmp_path)
+    assert code == 0, [c for c in summary["checks"] if not c["passed"]]
     assert len(made) == 1
     state = made[0].bit_generator.state["state"]["state"]
     assert state == FINAL_RNG_STATE[suite, seed]
@@ -45,8 +46,8 @@ def test_smallest_run_reports_every_check(suite, tmp_path):
     cfg = {"scenario": suite, "n_points": 1, "n_boosts": 1}
     code, summary = run_config(cfg, out_dir=tmp_path)
     assert code == 0, [c for c in summary["checks"] if not c["passed"]]
-    assert (tuple(c["name"] for c in summary["checks"])
-            == SCENARIO_CHECKS[suite])
+    assert ([c["name"] for c in summary["checks"]]
+            == list(SCENARIO_CHECKS[suite]))
     assert all(np.isfinite(c["value"]) for c in summary["checks"])
 
 
