@@ -236,26 +236,36 @@ def validate_config(cfg) -> dict:
         if name != "all" and name not in SCENARIO_CHECKS[scenario]:
             raise ConfigError(
                 f"$.checks.{name}: {scenario} has no check named {name!r}")
-    _check_params(cfg.get("params", {}))
+    _check_squares(cfg)
     return cfg
 
 
-def _check_params(given: dict) -> None:
-    """Raise ConfigError where a quantity derived from $.params is not
-    finite. It is computed in float64 with warnings off, so an overflow
-    reads as inf or nan rather than raising."""
+def _check_squares(cfg: dict) -> None:
+    """Raise ConfigError where a square derived from $.params, or the
+    squared norm of a vector in $.initial, is not finite, or where a**2,
+    b**2 or (a*b)**2 underflows to 0.  They are computed in float64 with
+    warnings off, so an overflow reads as inf or nan rather than raising."""
+    given = cfg.get("params", {})
     with np.errstate(all="ignore"):
         p = ModelParams(**{key: np.float64(v) for key, v in given.items()})
         b_path, b_sq = (("$.params.b", "b**2") if "b" in given else
                         ("$.params", "b**2 for the default b = sqrt(3)*hbar/(2*a)"))
-        derived = (("$.params.a", "a**2", p.a ** 2),
-                   (b_path, b_sq, p.b ** 2),
-                   ("$.params", "(a*b)**2", p.spin_norm_sq),
+        radii = (("$.params.a", "a**2", p.a ** 2),
+                 (b_path, b_sq, p.b ** 2),
+                 ("$.params", "(a*b)**2", p.spin_norm_sq))
+        derived = [*radii,
                    ("$.params", "(e/c)**2", (p.e / p.c) ** 2),
-                   ("$.params", "(mu*e/(m*c))**2", p.moment_coupling ** 2))
+                   ("$.params", "(mu*e/(m*c))**2", p.moment_coupling ** 2)]
+        derived += [(f"$.initial.{key}", f"|{key}|**2",
+                     sum(np.float64(x) ** 2 for x in vector))
+                    for key, vector in sorted(cfg.get("initial", {}).items())
+                    if key != "pi_phi"]
     for path, name, value in derived:
         if not np.isfinite(value):
             raise ConfigError(f"{path}: {name} is not finite")
+    for path, name, value in radii:
+        if not value > 0.0:
+            raise ConfigError(f"{path}: {name} underflows to 0")
 
 
 def load_config(path) -> dict:

@@ -26,6 +26,7 @@ from .phasespace import (
     CanonicalStructure,
     Observable,
     PhasePoint,
+    _bilinear,
     _bracket,
     _checked_gradient,
     _checked_point,
@@ -273,47 +274,23 @@ def project(z, cset: ConstraintSet, max_iter: int = 25, tol: float = 1e-12):
 # Constraint builders for the spin sector
 # ---------------------------------------------------------------------------
 
+_OMEGA3 = tuple(range(OMEGA.start, OMEGA.stop))
+_PI3 = tuple(range(PI.start, PI.stop))
+
+
 def omega_norm_sq() -> Observable:
     """|omega|^2 on the particle layout."""
-
-    def fn(z):
-        return float(np.dot(z[OMEGA], z[OMEGA]))
-
-    def grad(z):
-        out = np.zeros(DIM)
-        out[OMEGA] = 2.0 * z[OMEGA]
-        return out
-
-    return Observable(fn, grad, name="omega_sq")
+    return _bilinear(_OMEGA3, _OMEGA3, (1.0, 1.0, 1.0), name="omega_sq")
 
 
 def pi_norm_sq() -> Observable:
     """|pi|^2 on the particle layout."""
-
-    def fn(z):
-        return float(np.dot(z[PI], z[PI]))
-
-    def grad(z):
-        out = np.zeros(DIM)
-        out[PI] = 2.0 * z[PI]
-        return out
-
-    return Observable(fn, grad, name="pi_sq")
+    return _bilinear(_PI3, _PI3, (1.0, 1.0, 1.0), name="pi_sq")
 
 
 def omega_dot_pi() -> Observable:
     """omega . pi on the particle layout."""
-
-    def fn(z):
-        return float(np.dot(z[OMEGA], z[PI]))
-
-    def grad(z):
-        out = np.zeros(DIM)
-        out[OMEGA] = z[PI]
-        out[PI] = z[OMEGA]
-        return out
-
-    return Observable(fn, grad, name="omega_pi")
+    return _bilinear(_OMEGA3, _PI3, (1.0, 1.0, 1.0), name="omega_pi")
 
 
 def gauge_momentum() -> Observable:

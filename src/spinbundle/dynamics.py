@@ -239,9 +239,10 @@ class GaugeFunction:
     on t); each entry must equal the value phi gives for that time alone,
     since integrate evaluates the gauge sector over the whole sample grid
     at once and takes that result only where it equals the stepper's.
-    phi must stay away from zero on the integration span.  integrate reads
-    phi alone; eom reads phi_dot, or a central difference where it is None.
-    A phi_dot of zero_rate marks a constant gauge.
+    phi must stay away from zero on the integration span.  eom reads
+    phi_dot, or a central difference where it is None, and so does
+    integrate, once, to check the start derivative; otherwise integrate
+    reads phi alone.  A phi_dot of zero_rate marks a constant gauge.
     """
 
     phi: Callable[[float], float]
@@ -714,13 +715,17 @@ def _project_rows(rows: Array, a_sq: float, b_sq: float,
 
 def _initial_step(y0, f0, rel_tol, abs_tol, span) -> float:
     """A first trial step: 0.01 |y0| / |f0|, both scaled by the tolerances,
-    or 1e-6 where either is tiny, and at most a tenth of the span.  Scaled
-    norms that overflow give inf or nan, and so a step that no underflow
-    guard passes, without a numpy warning."""
+    or 1e-6 where either is tiny, and at most a tenth of the span.  A
+    component whose scaled y0 or f0 is not finite, as where y0 is 0 under a
+    purely relative tolerance, is left out of both norms.  Scaled norms
+    that overflow give inf or nan, and so a step that no underflow guard
+    passes, without a numpy warning."""
     with np.errstate(all="ignore"):
         scale = abs_tol + rel_tol * np.abs(y0)
-        d0 = np.linalg.norm(y0 / scale)
-        d1 = np.linalg.norm(f0 / scale)
+        y_scaled, f_scaled = y0 / scale, f0 / scale
+        kept = np.isfinite(y_scaled) & np.isfinite(f_scaled)
+        d0 = np.linalg.norm(y_scaled[kept])
+        d1 = np.linalg.norm(f_scaled[kept])
         h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     return min(float(h), 0.1 * span)
 
@@ -1328,15 +1333,16 @@ def integrate(z0, times, params: ModelParams, fields: FieldConfig,
             "projecting before integration", OffSurfaceWarning, stacklevel=2)
         y = _project_spin(y, a_sq, b_sq, _PROJECTION_TOL)
 
-    f = eom(y, t0, params, fields, gauge).tolist()
-    _require_finite(f, "derivative of the start state", t0)
     # at t0 the fiber angle is zero, so the physical sector starts at y[:12]
     u = y[:PHI]
+    physical_rhs = _physical_kernel(params, fields)
+    f = physical_rhs(u, t0)
+    _require_finite(f + [gauge.derivative(t0)],
+                    "derivative of the start state", t0)
     if fields.kind in _EXACT_KINDS:
         physical = _exact_physical(u, times, params, fields)
     else:
-        physical_rhs = _physical_kernel(params, fields)
-        physical = _dop853(physical_rhs, u, physical_rhs(u, t0), times, opts,
+        physical = _dop853(physical_rhs, u, f, times, opts,
                            f"field {fields.kind!r}",
                            (a_sq, b_sq) if opts.project_every else None)
     w0, q0 = np.array(y[OMEGA]), np.array(y[PI])

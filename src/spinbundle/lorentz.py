@@ -22,7 +22,7 @@ import numpy as np
 
 from .constraints import Constraint, ConstraintSet
 from .errors import DomainError, SuperluminalError, SurfaceError, failing_point
-from .phasespace import MINKOWSKI_SPIN, Observable, _dot
+from .phasespace import MINKOWSKI_SPIN, Observable, _bilinear, _dot
 
 Array = np.ndarray
 
@@ -350,45 +350,8 @@ def spin_tensor_component(mu: int, nu: int) -> Observable:
     nu = int(nu)
     if not (0 <= mu < 4 and 0 <= nu < 4):
         raise ValueError("tensor indices must lie in 0..3")
-
-    def fn(z):
-        return 2.0 * (z[mu] * z[4 + nu] - z[nu] * z[4 + mu])
-
-    def grad(z):
-        out = np.zeros(8)
-        out[mu] += 2.0 * z[4 + nu]
-        out[nu] -= 2.0 * z[4 + mu]
-        out[4 + nu] += 2.0 * z[mu]
-        out[4 + mu] -= 2.0 * z[nu]
-        return out
-
-    return Observable(fn, grad, name=f"J{mu}{nu}")
-
-
-def _minkowski_block_sq(offset: int, name: str) -> Observable:
-    def fn(z):
-        b = z[offset:offset + 4]
-        return float(np.dot(_ETA_DIAG * b, b))
-
-    def grad(z):
-        out = np.zeros(8)
-        out[offset:offset + 4] = 2.0 * _ETA_DIAG * z[offset:offset + 4]
-        return out
-
-    return Observable(fn, grad, name=name)
-
-
-def _minkowski_omega_pi() -> Observable:
-    def fn(z):
-        return float(np.dot(_ETA_DIAG * z[:4], z[4:]))
-
-    def grad(z):
-        out = np.empty(8)
-        out[:4] = _ETA_DIAG * z[4:]
-        out[4:] = _ETA_DIAG * z[:4]
-        return out
-
-    return Observable(fn, grad, name="omega_pi")
+    return _bilinear((mu, nu), (4 + nu, 4 + mu), (2.0, -2.0), dim=8,
+                     name=f"J{mu}{nu}")
 
 
 def _minkowski_p_dot(P, offset: int, name: str) -> Observable:
@@ -410,11 +373,13 @@ def t3_constraint_set(P, a3: float = DEFAULT_SURFACE_SCALE,
                       a4: float = DEFAULT_SURFACE_SCALE) -> ConstraintSet:
     """The covariant five-constraint set as a ConstraintSet over the
     8-dimensional Minkowski spin sector (P held fixed)."""
+    omega, pi, eta = (0, 1, 2, 3), (4, 5, 6, 7), _ETA_DIAG.tolist()
     return ConstraintSet(
         constraints=(
-            Constraint("pi_sq", _minkowski_block_sq(4, "pi_sq"), float(a3)),
-            Constraint("omega_sq", _minkowski_block_sq(0, "omega_sq"), float(a4)),
-            Constraint("omega_pi", _minkowski_omega_pi(), 0.0),
+            Constraint("pi_sq", _bilinear(pi, pi, eta, 8, "pi_sq"), float(a3)),
+            Constraint("omega_sq", _bilinear(omega, omega, eta, 8, "omega_sq"),
+                       float(a4)),
+            Constraint("omega_pi", _bilinear(omega, pi, eta, 8, "omega_pi"), 0.0),
             Constraint("P_omega", _minkowski_p_dot(P, 0, "P_omega"), 0.0),
             Constraint("P_pi", _minkowski_p_dot(P, 4, "P_pi"), 0.0),
         ),

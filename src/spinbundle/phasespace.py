@@ -334,21 +334,8 @@ def spin_component(i: int) -> Observable:
         raise ValueError("spin component index must be 0, 1 or 2")
     # S_i = omega_j pi_k - omega_k pi_j with (i, j, k) cyclic.
     j, k = (i + 1) % 3, (i + 2) % 3
-    wj, wk = OMEGA.start + j, OMEGA.start + k
-    pj, pk = PI.start + j, PI.start + k
-
-    def fn(z):
-        return float(_cross3(z[OMEGA], z[PI])[i])
-
-    def grad(z):
-        out = np.zeros(DIM)
-        out[wj] = z[pk]
-        out[wk] = -z[pj]
-        out[pk] = z[wj]
-        out[pj] = -z[wk]
-        return out
-
-    return Observable(fn, grad, name=f"S{i + 1}")
+    return _bilinear((OMEGA.start + j, OMEGA.start + k),
+                     (PI.start + k, PI.start + j), (1.0, -1.0), name=f"S{i + 1}")
 
 
 def quadratic(A, b=None, c: float = 0.0, name: str = "quadratic") -> Observable:
@@ -368,5 +355,31 @@ def quadratic(A, b=None, c: float = 0.0, name: str = "quadratic") -> Observable:
 
     def grad(z):
         return A @ z + bvec
+
+    return Observable(fn, grad, name=name)
+
+
+def _bilinear(left, right, weights, dim: int = DIM, name: str = "") -> Observable:
+    """Observable sum_k w_k z[l_k] z[r_k] with its exact gradient, for
+    tuples or lists left, right and weights of one length.
+
+    The value takes one product per term and sums the terms in order.  The
+    gradient is one bincount over (row, column, weight) triples fixed here,
+    so it touches only the form's own coordinates: an inf or nan elsewhere
+    in z stays out of it.
+    """
+    (l0, r0, w0), *rest = zip(left, right, weights)
+    rows, cols = np.array(left + right), np.array(right + left)
+    coef = np.array(weights + weights, dtype=float)
+
+    def fn(z):
+        z = z.tolist()
+        total = w0 * z[l0] * z[r0]
+        for l, r, w in rest:
+            total += w * z[l] * z[r]
+        return total
+
+    def grad(z):
+        return np.bincount(rows, weights=coef * z[cols], minlength=dim)
 
     return Observable(fn, grad, name=name)

@@ -644,6 +644,26 @@ def test_main_tiny_tolerances_fail_at_once_in_one_line(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_main_purely_relative_tolerance_runs(action, tmp_path, capsys,
+                                             monkeypatch):
+    """abs_tol = 5e-324 on stern_gerlach: the components of the state that
+    are 0 scale by 0, and the first trial step leaves them out instead of
+    underflowing at once."""
+    monkeypatch.setenv("SPINBUNDLE_OUTPUT_DIR", str(tmp_path))
+    path = tmp_path / "cfg.yaml"
+    path.write_text("scenario: stern_gerlach\n"
+                    "tolerances: {rel_tol: 1.0e-10, abs_tol: 5.0e-324}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads(
+        (tmp_path / "stern_gerlach_summary.json").read_text())
+    drift = {c["name"]: c["value"] for c in summary["checks"]}
+    assert drift["constraint_drift"] < 1e-12
+
+
 # schema-valid configs holding a number that is nan, infinite or too large
 # for a float, with the JSON path each one is rejected at
 NON_FINITE_PATHS = {
@@ -735,6 +755,20 @@ PARAM_OVERFLOWS = {
     # m*c underflows to zero, so mu*e/(m*c) is 0/0
     "scenario: free_spin\nparams: {m: 1.0e-200, c: 1.0e-200, e: 0.0}\n":
         "$.params: (mu*e/(m*c))**2 is not finite",
+    "scenario: free_spin\nparams: {a: 1.0e-300, b: 1.0}\nsamples: 16\n":
+        "$.params.a: a**2 underflows to 0",
+    "scenario: larmor\nparams: {b: 1.0e-200}\n":
+        "$.params.b: b**2 underflows to 0",
+    "scenario: verify_so3\nparams: {a: 1.0e-100, b: 1.0e-100}\n":
+        "$.params: (a*b)**2 underflows to 0",
+    "scenario: larmor\ninitial: {pi: [0.0, 1.0e+300, 0.0]}\n":
+        "$.initial.pi: |pi|**2 is not finite",
+    "scenario: free_spin\ninitial: {omega: [1.0e+200, 1.0, 0.0]}\n":
+        "$.initial.omega: |omega|**2 is not finite",
+    "scenario: stern_gerlach\ninitial: {p: [1.0e+154, 1.0e+154, 1.0e+154]}\n":
+        "$.initial.p: |p|**2 is not finite",
+    "scenario: gauge_compare\ninitial: {x: [0.0, 0.0, -1.0e+160]}\n":
+        "$.initial.x: |x|**2 is not finite",
 }
 
 

@@ -463,6 +463,23 @@ def test_integrate_fails_at_once_on_non_finite_start():
     assert calls == []
 
 
+def test_integrate_never_calls_eom(monkeypatch):
+    """integrate checks the start derivative with the physical kernel and
+    the gauge rate; the 14-d eom is only the reference for them."""
+    def no_eom(*args, **kwargs):
+        raise AssertionError("integrate called eom")
+
+    monkeypatch.setattr(dynamics, "eom", no_eom)
+    params = ModelParams()
+    wobble = parse_gauge_expression("1 + 0.5*sin(2*t)")
+    for fields in (FieldConfig.free(), FieldConfig.uniform((0.0, 0.0, 1.0)),
+                   FieldConfig.linear_gradient()):
+        for gauge in (UNIT_GAUGE, wobble):
+            traj = integrate(larmor_start(params), np.linspace(0.0, 1.0, 8),
+                             params, fields, gauge)
+            assert np.isfinite(traj.states).all()
+
+
 def test_integrate_step_budget():
     """The budget holds in each stepped sector: the physical sector of a
     gradient field and the gauge sector of a gauge that moves."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spinbundle.constraints import evaluate
 from spinbundle.errors import DomainError, SuperluminalError, SurfaceError
 from spinbundle.lorentz import (
     DEFAULT_SURFACE_SCALE,
@@ -28,6 +29,7 @@ from spinbundle.lorentz import (
     sample_t3_rest_point,
     sample_t4_rest_point,
     spin_tensor,
+    t3_constraint_set,
     t3_constraints,
     t4_constraints,
     t4_structure_action,
@@ -162,6 +164,22 @@ def test_t3_boost_invariance(rng):
     for _ in range(100):
         w, p, P = boosted_t3_point(rng, mass=rng.uniform(0.5, 2.0))
         assert np.max(np.abs(t3_constraints(w, p, P, a3=A3, a4=A4))) < 1e-10
+
+
+def test_t3_constraint_set_equals_t3_constraints(rng):
+    """The five observables of t3_constraint_set and the residual map agree
+    up to the order in which each sums its four products: within 8 ulp of
+    the summed magnitudes, plus the target's."""
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        w, p = rng.standard_normal(4), rng.standard_normal(4)
+        P = np.array([3.0, *rng.standard_normal(3)])
+        a3, a4 = rng.uniform(0.1, 2.0, 2)
+        got = evaluate(t3_constraint_set(P, a3, a4), np.concatenate([w, p]))
+        want = t3_constraints(w, p, P, a3, a4)
+        magnitude = np.array([p @ p + a3, w @ w + a4, np.abs(w) @ np.abs(p),
+                              np.abs(P) @ np.abs(w), np.abs(P) @ np.abs(p)])
+        assert np.all(np.abs(got - want) <= 8 * eps * magnitude)
 
 
 def test_t3_linear_response_in_omega0():

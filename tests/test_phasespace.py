@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spinbundle.constraints import omega_dot_pi, omega_norm_sq, pi_norm_sq
 from spinbundle.errors import GradientError
-from spinbundle.lorentz import METRIC, spin_tensor_component
+from spinbundle.lorentz import METRIC, spin_tensor_component, t3_constraint_set
 from spinbundle.phasespace import (
     CANONICAL_PARTICLE,
     DIM,
@@ -122,6 +123,102 @@ def test_gradient_error_names_coordinate():
     with pytest.raises(GradientError) as err:
         poisson_bracket(bad, coordinate(6), z)
     assert "pi1" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Bilinear forms
+# ---------------------------------------------------------------------------
+
+def _spin_closed_form(i):
+    j, k = (i + 1) % 3, (i + 2) % 3
+    wj, wk, pj, pk = 6 + j, 6 + k, 9 + j, 9 + k
+
+    def closed(z):
+        g = np.zeros(DIM)
+        g[wj], g[wk], g[pk], g[pj] = z[pk], -z[pj], z[wj], -z[wk]
+        return z[wj] * z[pk] - z[wk] * z[pj], g
+
+    return spin_component(i), DIM, (wj, wk, pj, pk), closed
+
+
+def _tensor_closed_form(mu, nu):
+    def closed(z):
+        g = np.zeros(8)
+        g[mu] += 2.0 * z[4 + nu]
+        g[nu] -= 2.0 * z[4 + mu]
+        g[4 + nu] += 2.0 * z[mu]
+        g[4 + mu] -= 2.0 * z[nu]
+        return 2.0 * (z[mu] * z[4 + nu] - z[nu] * z[4 + mu]), g
+
+    return spin_tensor_component(mu, nu), 8, (mu, nu, 4 + mu, 4 + nu), closed
+
+
+def _dot_closed_form(obs, dim, left, right, eta):
+    """sum_k eta_k z[left_k] z[right_k] written out as one sum of products
+    taken in order, with its gradient 2 eta z on a square and (eta z[right],
+    eta z[left]) otherwise."""
+    left, right, eta = list(left), list(right), np.array(eta)
+
+    def closed(z):
+        value = eta[0] * z[left[0]] * z[right[0]]
+        for k in range(1, len(left)):
+            value += eta[k] * z[left[k]] * z[right[k]]
+        g = np.zeros(dim)
+        if left == right:
+            g[left] = 2.0 * eta * z[left]
+        else:
+            g[left] = eta * z[right]
+            g[right] = eta * z[left]
+        return value, g
+
+    return obs, dim, left + right, closed
+
+
+def bilinear_cases():
+    """(observable, dim, the coordinates it reads, closed form z ->
+    (value, gradient)) for every observable built as a bilinear form."""
+    w, p, ones = (6, 7, 8), (9, 10, 11), (1.0, 1.0, 1.0)
+    pi_sq, omega_sq, omega_pi = list(t3_constraint_set([1.0, 0, 0, 0]))[:3]
+    eta = np.diag(METRIC).tolist()
+    return (
+        [_dot_closed_form(omega_norm_sq(), DIM, w, w, ones),
+         _dot_closed_form(pi_norm_sq(), DIM, p, p, ones),
+         _dot_closed_form(omega_dot_pi(), DIM, w, p, ones),
+         _dot_closed_form(omega_sq.func, 8, (0, 1, 2, 3), (0, 1, 2, 3), eta),
+         _dot_closed_form(pi_sq.func, 8, (4, 5, 6, 7), (4, 5, 6, 7), eta),
+         _dot_closed_form(omega_pi.func, 8, (0, 1, 2, 3), (4, 5, 6, 7), eta)]
+        + [_spin_closed_form(i) for i in range(3)]
+        + [_tensor_closed_form(mu, nu) for mu in range(4) for nu in range(4)])
+
+
+def test_bilinear_observables_equal_their_closed_forms(rng):
+    for obs, dim, _, closed in bilinear_cases():
+        for _ in range(50):
+            z = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3, dim)
+            value, grad = closed(z)
+            assert obs(z) == value, obs.name
+            assert np.array_equal(obs.gradient(z), grad), obs.name
+
+
+def test_bilinear_gradient_is_zero_outside_the_form(rng):
+    """Coordinates the form does not read may hold inf or nan: its gradient
+    is still exactly 0 there and equals the closed form on its own."""
+    for obs, dim, support, closed in bilinear_cases():
+        z = rng.standard_normal(dim)
+        _, want = closed(z)
+        outside = np.setdiff1d(np.arange(dim), support)
+        z[outside] = np.resize([np.nan, np.inf, -np.inf], outside.size)
+        assert np.array_equal(obs.gradient(z), want), obs.name
+
+
+def test_non_finite_gradient_names_a_coordinate_of_the_form(rng):
+    """An inf in omega3 makes the gradient of omega^2 non-finite there; a
+    nan in x1, which the form does not read, must not be the one named."""
+    z = random_phase_state(rng)
+    z[0], z[8] = np.nan, np.inf
+    with pytest.raises(GradientError) as err:
+        poisson_bracket(omega_norm_sq(), spin_component(0), z)
+    assert err.value.label == "omega3"
 
 
 # ---------------------------------------------------------------------------
