@@ -12,7 +12,6 @@ points, each mapped as a call on it alone would map it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,26 +224,59 @@ def gauge_matrix_transform(g: GaugeMatrix, beta: float,
     return GaugeMatrix(matrix=moved, lambda2=g.lambda2)
 
 
+def uniform_from(u, lo: float, hi: float):
+    """lo + (hi - lo) * u: numpy's uniform(lo, hi) from the random() draw u
+    it is made of, bit for bit."""
+    return lo + (hi - lo) * u
+
+
+def _norm(v) -> Array:
+    """|v| over the last axis, as math.sqrt(v.dot(v)) takes it per point."""
+    return np.sqrt(_dot(v, v))
+
+
+def surface_points(raw, a=1.0, b=1.0):
+    """(omega, pi, ok): raw normal draws mapped to omega^2 = a^2,
+    pi^2 = b^2, omega.pi = 0 as sample_surface_point maps those it keeps.
+
+    raw is (..., 6): omega's direction, then the draw whose part
+    perpendicular to it gives pi's.  a and b are one radius for all points
+    or one per point.  ok is False where sample_surface_point would reject a
+    draw: a norm of at most 1e-12, or a perpendicular part of at most 1e-6.
+    """
+    raw = np.asarray(raw, dtype=float)
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
+    v, r = raw[..., :3], raw[..., 3:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vn, rn = _norm(v), _norm(r)
+        w = v / vn[..., None]
+        u = r / rn[..., None]
+        perp = u - _dot(u, w)[..., None] * w
+        pn = _norm(perp)
+        pi = b * perp / pn[..., None]
+    return a * w, pi, (vn > 1e-12) & (rn > 1e-12) & (pn > 1e-6)
+
+
+def surface_draw(rng) -> Array:
+    """The raw draws (6,) of one surface point, each 3-vector drawn again
+    where sample_surface_point would reject it."""
+    v = rng.normal(size=3)
+    while not _norm(v) > 1e-12:
+        v = rng.normal(size=3)
+    while True:
+        raw = np.concatenate((v, rng.normal(size=3)))
+        if surface_points(raw)[2]:
+            return raw
+
+
 def sample_surface_point(rng, a: float = 1.0, b: float = 1.0):
     """Draw (omega, pi) uniformly-in-direction on the surface
-    omega^2 = a^2, pi^2 = b^2, omega.pi = 0."""
+    omega^2 = a^2, pi^2 = b^2, omega.pi = 0: surface_points of one
+    surface_draw."""
     a = float(a)
     b = float(b)
     if a <= 0 or b <= 0:
         raise ValueError("surface radii must be positive")
-    w = _random_unit(rng)
-    while True:
-        raw = _random_unit(rng)
-        perp = raw - np.dot(raw, w) * w
-        norm = math.sqrt(perp.dot(perp))
-        if norm > 1e-6:
-            break
-    return a * w, b * perp / norm
-
-
-def _random_unit(rng) -> Array:
-    while True:
-        v = rng.normal(size=3)
-        norm = math.sqrt(v.dot(v))
-        if norm > 1e-12:
-            return v / norm
+    w, p, _ = surface_points(surface_draw(rng), a, b)
+    return w, p

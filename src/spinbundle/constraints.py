@@ -191,6 +191,19 @@ def _condition(delta: np.ndarray) -> float:
     return float(np.linalg.cond(delta)) if len(delta) else 1.0
 
 
+def _solve_delta(delta: np.ndarray, rhs) -> np.ndarray:
+    """delta^-1 rhs for an invertible constraint bracket matrix.
+
+    A pair's delta is [[0, d], [-d, 0]], whose inverse applied to rhs is
+    (rhs_1 / -d, rhs_0 / d): the divisions LAPACK's pivoted LU makes there,
+    bit for bit.  Larger sets take the solve.
+    """
+    if len(delta) == 2:
+        d = float(delta[0, 1])
+        return np.array([rhs[1] / -d, rhs[0] / d])
+    return np.linalg.solve(delta, np.array(rhs))
+
+
 def dirac_brackets(fs, gs, second_class: ConstraintSet, z,
                    rel_step: float = 1e-6,
                    max_condition: float = 1e12) -> np.ndarray:
@@ -201,7 +214,8 @@ def dirac_brackets(fs, gs, second_class: ConstraintSet, z,
     The constraint gradients, delta and its condition number are taken once,
     and a degenerate delta raises before any f or g is looked at.  Then each
     distinct observable's gradient is taken once (one that is also a
-    constraint reuses the constraint's), and delta is solved once per g.
+    constraint reuses the constraint's), and delta is solved once per g
+    (in closed form for a pair).
     """
     structure = second_class.structure
     zf = as_flat(z)
@@ -223,8 +237,7 @@ def dirac_brackets(fs, gs, second_class: ConstraintSet, z,
            for df in dfs]
     out = np.empty((len(dfs), len(dgs)))
     for j, dg in enumerate(dgs):
-        x = np.linalg.solve(
-            delta, np.array([_bracket(dc, dg, structure) for dc in grads]))
+        x = _solve_delta(delta, [_bracket(dc, dg, structure) for dc in grads])
         for i, (df, bf) in enumerate(zip(dfs, bfs)):
             out[i, j] = _bracket(df, dg, structure) - bf @ x
     return out

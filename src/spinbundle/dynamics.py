@@ -1486,6 +1486,8 @@ def fit_rotation_frequency(times, values) -> FrequencyFit:
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     amplitude = float(np.hypot(coeffs[0], coeffs[1]))
     phase = float(np.arctan2(-coeffs[1], coeffs[0]))
-    rms = float(np.sqrt(np.mean((design @ coeffs - values) ** 2)))
+    # hypot scales as it sums, so values near the float limit cannot overflow
+    rms = float(np.hypot.reduce(design @ coeffs - values)
+                / np.sqrt(times.size))
     return FrequencyFit(omega=omega, amplitude=amplitude, phase=phase,
                         rms_residual=rms)

@@ -16,10 +16,9 @@ any point raises as a call on that point would, naming its row.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .bundle_so3 import _norm, surface_draw, surface_points, uniform_from
 from .constraints import Constraint, ConstraintSet
 from .errors import DomainError, SuperluminalError, SurfaceError, failing_point
 from .phasespace import MINKOWSKI_SPIN, Observable, _bilinear, _dot
@@ -392,39 +391,71 @@ def t3_constraint_set(P, a3: float = DEFAULT_SURFACE_SCALE,
 # Samplers
 # ---------------------------------------------------------------------------
 
+def kept_directions(direction) -> Array:
+    """Where sample_beta keeps a raw direction draw: its norm is 1e-12 or
+    more."""
+    return _norm(direction) >= 1e-12
+
+
+def direction_draw(rng) -> Array:
+    """A raw velocity direction (3,), drawn again where sample_beta would
+    reject it."""
+    direction = rng.normal(size=3)
+    while not kept_directions(direction):
+        direction = rng.normal(size=3)
+    return direction
+
+
+def velocities(direction, speed) -> Array:
+    """Velocities (speed / |direction|) * direction, as sample_beta scales
+    its draws; stacks of directions take a speed each."""
+    return (speed / _norm(direction))[..., None] * direction
+
+
 def sample_beta(rng, beta_max: float = 0.99) -> Array:
     """Random boost velocity with |beta| uniform in [0, beta_max]."""
     if not 0.0 <= beta_max < 1.0:
         raise ValueError("beta_max must lie in [0, 1)")
-    direction = rng.normal(size=3)
-    norm = math.sqrt(direction.dot(direction))
-    while norm < 1e-12:
-        direction = rng.normal(size=3)
-        norm = math.sqrt(direction.dot(direction))
-    return (rng.uniform(0.0, beta_max) / norm) * direction
+    direction = direction_draw(rng)
+    return velocities(direction, rng.uniform(0.0, beta_max))
+
+
+def rest_frame(omega3, pi3, mass=1.0):
+    """Rest-frame four-vectors of spatial (omega, pi): zero time components
+    and P = (mass, 0, 0, 0); stacks take a mass each or one for all."""
+    omega, pi, P = np.zeros((3,) + np.shape(omega3)[:-1] + (4,))
+    omega[..., 1:], pi[..., 1:] = omega3, pi3
+    P[..., 0] = mass
+    return omega, pi, P
+
+
+def t3_rest_points(raw, a3: float = DEFAULT_SURFACE_SCALE,
+                   a4: float = DEFAULT_SURFACE_SCALE, mass=1.0):
+    """Rest-frame points of the covariant spin surface from raw surface draws
+    (..., 6), as sample_t3_rest_point maps them."""
+    w3, p3, _ = surface_points(raw, np.sqrt(a4), np.sqrt(a3))
+    return rest_frame(w3, p3, mass)
 
 
 def sample_t3_rest_point(rng, a3: float = DEFAULT_SURFACE_SCALE,
                          a4: float = DEFAULT_SURFACE_SCALE, mass: float = 1.0):
     """Rest-frame point of the covariant spin surface: spacelike orthogonal
     (omega, pi) with vanishing time components, P = (mass, 0, 0, 0)."""
-    from .bundle_so3 import sample_surface_point
+    return t3_rest_points(surface_draw(rng), a3, a4, float(mass))
 
-    w3, p3 = sample_surface_point(rng, a=np.sqrt(a4), b=np.sqrt(a3))
-    omega = np.concatenate(([0.0], w3))
-    pi = np.concatenate(([0.0], p3))
-    P = np.array([float(mass), 0.0, 0.0, 0.0])
-    return omega, pi, P
+
+def t4_rest_points(u, raw, a: float = 0.75, mass=1.0,
+                   radius_range=(0.5, 2.0)):
+    """Rest-frame points of the scale-free covariant surface from the
+    random() draws u of their radii and raw surface draws (..., 6), as
+    sample_t4_rest_point maps them."""
+    radius = uniform_from(u, *radius_range)
+    w3, p3, _ = surface_points(raw, radius, np.sqrt(a) / radius)
+    return rest_frame(w3, p3, mass)
 
 
 def sample_t4_rest_point(rng, a: float = 0.75, mass: float = 1.0,
                          radius_range=(0.5, 2.0)):
     """Rest-frame point of the scale-free covariant surface."""
-    from .bundle_so3 import sample_surface_point
-
-    radius = rng.uniform(*radius_range)
-    w3, p3 = sample_surface_point(rng, a=radius, b=np.sqrt(a) / radius)
-    omega = np.concatenate(([0.0], w3))
-    pi = np.concatenate(([0.0], p3))
-    P = np.array([float(mass), 0.0, 0.0, 0.0])
-    return omega, pi, P
+    u = rng.random()
+    return t4_rest_points(u, surface_draw(rng), a, float(mass), radius_range)

@@ -8,8 +8,8 @@ declares the checks and their default thresholds.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Dict, Tuple
+from itertools import groupby
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,9 +33,57 @@ from .phasespace import (
 # Verification suites (random-point property checks)
 # ---------------------------------------------------------------------------
 #
-# The geometry blocks draw their points one at a time, in a short loop that
-# keeps each suite's RNG stream, and then check them as one stack per map.
-# The bracket blocks stay one point at a time: they check the engine itself.
+# The geometry blocks draw their points' raw values row by row, with the
+# generator calls of the per-point samplers in their order (a uniform(lo, hi)
+# as the random() it is made of), and then map and check them as one stack
+# per map.  The bracket blocks stay one point at a time: they check the
+# engine itself.
+
+class _Draw(NamedTuple):
+    """One part of a point's draws: size values from the generator method
+    `method`.  A part a per-point sampler may reject names the rows it keeps
+    (kept) and how that sampler draws it (redraw)."""
+    method: str
+    size: int
+    kept: Optional[Callable] = None
+    redraw: Optional[Callable] = None
+
+
+_SURFACE = _Draw("normal", 6, lambda raw: so3.surface_points(raw)[2],
+                 so3.surface_draw)
+_DIRECTION = _Draw("normal", 3, lor.kept_directions, lor.direction_draw)
+
+
+def _draw_rows(rng, n: int, *draws: _Draw):
+    """n points' draws, one (n, size) array per part, drawn point by point
+    as the per-point samplers draw them; a run of parts from one method is
+    one call per point, which consumes the generator alike.
+
+    If any row holds a draw a sampler would reject, the generator goes back
+    to its state before the block and every part of every row is drawn again
+    as the samplers draw it, so the stream stays theirs.
+    """
+    state = rng.bit_generator.state
+    rows, calls = [], []
+    for method, run in groupby(draws, key=lambda draw: draw.method):
+        sizes = [draw.size for draw in run]
+        buf = np.empty((n, sum(sizes)))
+        edges = np.cumsum([0] + sizes)
+        rows += [buf[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
+        calls.append((getattr(rng, method), buf.shape[1], buf))
+    for i in range(n):
+        for call, size, buf in calls:
+            buf[i] = call(size=size)
+    if all(draw.kept is None or np.all(draw.kept(row))
+           for draw, row in zip(draws, rows)):
+        return rows
+    rng.bit_generator.state = state
+    for i in range(n):
+        for draw, row in zip(draws, rows):
+            row[i] = (draw.redraw(rng) if draw.redraw
+                      else getattr(rng, draw.method)(size=draw.size))
+    return rows
+
 
 def _worst(values) -> float:
     """Largest absolute value over a stack of check values; 0.0 when the
@@ -43,19 +91,31 @@ def _worst(values) -> float:
     return float(np.max(np.abs(values), initial=0.0))
 
 
-def _boosted_points(rng, n: int, beta_max: float, rest_point,
-                    draw_mass: bool = True):
+def _boosted_points(rng, n: int, beta_max: float, rest_points,
+                    radius_draws: int = 0, draw_mass: bool = True):
     """n boosted points (omega, pi, P), as three (n, 4) stacks. Each point
-    draws its mass in [0.5, 2) (or takes unit mass), then its rest point
-    rest_point(rng, mass=mass) and then its velocity."""
-    rest = np.empty((3, n, 4))
-    beta = np.empty((n, 3))
-    for i in range(n):
-        mass = rng.uniform(0.5, 2.0) if draw_mass else 1.0
-        rest[:, i] = rest_point(rng, mass=mass)
-        beta[i] = lor.sample_beta(rng, beta_max)
+    draws its mass in [0.5, 2) (or takes unit mass), then its rest point and
+    then its velocity; rest_points(u, raw, mass) maps the rest points'
+    radius_draws random() draws u and their raw surface draws."""
+    m = int(draw_mass)
+    u, raw, direction, speed = _draw_rows(
+        rng, n, _Draw("random", m + radius_draws), _SURFACE, _DIRECTION,
+        _Draw("random", 1))
+    mass = so3.uniform_from(u[:, 0], 0.5, 2.0) if draw_mass else 1.0
+    rest = np.stack(rest_points(u[:, m:], raw, mass))
+    beta = lor.velocities(direction,
+                          so3.uniform_from(speed[:, 0], 0.0, beta_max))
     # each boost applied to its own point's three four-vectors
     return tuple(np.matmul(lor.boost_matrix(beta), rest[..., None])[..., 0])
+
+
+def _scale_free_points(rng, n: int, a: float, *after: _Draw):
+    """n points of the scale-free surface omega^2 pi^2 = a, each of radius
+    |omega| in [0.7, 1.5), and the draws in after of each point."""
+    u, raw, *rest = _draw_rows(rng, n, _Draw("random", 1), _SURFACE, *after)
+    radius = so3.uniform_from(u[:, 0], 0.7, 1.5)
+    w, p, _ = so3.surface_points(raw, radius, np.sqrt(a) / radius)
+    return (w, p, *rest)
 
 
 def _random_quadratic(rng, dim: int = 14):
@@ -73,12 +133,14 @@ def verify_so3(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     pair = con.second_class_pair(a)
     S = [spin_component(i) for i in range(3)]
 
-    def sample_state():
-        w, p = so3.sample_surface_point(rng, a=a, b=b)
-        z = np.zeros(14)
-        z[:6] = rng.standard_normal(6)
-        z[OMEGA], z[PI] = w, p
-        z[12] = 1.0 + rng.uniform(0.0, 1.0)
+    def sample_states(n):
+        """n phase points on the pair's surface, as the rows of a stack."""
+        raw, x, u = _draw_rows(rng, n, _SURFACE, _Draw("standard_normal", 6),
+                               _Draw("random", 1))
+        z = np.zeros((n, 14))
+        z[:, :6] = x
+        z[:, OMEGA], z[:, PI], _ = so3.surface_points(raw, a, b)
+        z[:, 12] = 1.0 + so3.uniform_from(u[:, 0], 0.0, 1.0)
         return z
 
     # spin algebra under both brackets, the Dirac ones a block per point
@@ -88,8 +150,7 @@ def verify_so3(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     alg_poisson = 0.0
     alg_dirac = 0.0
     omega_pi_err = 0.0
-    for _ in range(n_alg):
-        z = sample_state()
+    for z in sample_states(n_alg):
         spin_dirac = con.dirac_brackets(S, S, pair, z)
         spin = _cross3(z[OMEGA], z[PI])
         for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -108,8 +169,7 @@ def verify_so3(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     observables = [_random_quadratic(rng) for _ in range(20)]
     phis = [c.func for c in pair.constraints]
     annihilation = 0.0
-    for _ in range(50):
-        z = sample_state()
+    for z in sample_states(50):
         block = con.dirac_brackets(phis, observables, pair, z)
         for j in range(len(observables)):
             for i in range(len(phis)):
@@ -117,12 +177,11 @@ def verify_so3(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
 
     # bundle identification (normalized chart) and structure-group invariance
     n_bundle = cfg.get("n_boosts", 1000)
-    wn, pn, w, p = np.empty((4, n_bundle, 3))
-    beta = np.empty(n_bundle)
-    for i in range(n_bundle):
-        wn[i], pn[i] = so3.sample_surface_point(rng, a=1.0, b=1.0)
-        w[i], p[i] = so3.sample_surface_point(rng, a=a, b=b)
-        beta[i] = rng.uniform(0.0, 2.0 * np.pi)
+    raw_n, raw, u = _draw_rows(rng, n_bundle, _SURFACE, _SURFACE,
+                               _Draw("random", 1))
+    wn, pn, _ = so3.surface_points(raw_n)
+    w, p, _ = so3.surface_points(raw, a, b)
+    beta = so3.uniform_from(u[:, 0], 0.0, 2.0 * np.pi)
     R = so3.rotation_matrix(wn, pn)
     rot_err = max(_worst(R @ np.swapaxes(R, -1, -2) - np.eye(3)),
                   _worst(np.linalg.det(R) - 1.0))
@@ -130,15 +189,12 @@ def verify_so3(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
                      - so3.spin_map(w, p))
 
     # Casimir identity at generic points; normalization on-surface
-    w, p = np.empty((2, n_alg, 3))
-    for i in range(n_alg):
-        w[i] = rng.standard_normal(3)
-        p[i] = rng.standard_normal(3)
+    w, p = _draw_rows(rng, n_alg, _Draw("standard_normal", 3),
+                      _Draw("standard_normal", 3))
     spin = so3.spin_map(w, p)
     casimir_err = _worst(_dot(spin, spin)
                          - (_dot(w, w) * _dot(p, p) - _dot(w, p) ** 2))
-    for i in range(n_alg):
-        w[i], p[i] = so3.sample_surface_point(rng, a=a, b=b)
+    w, p, _ = so3.surface_points(*_draw_rows(rng, n_alg, _SURFACE), a, b)
     spin = so3.spin_map(w, p)
     norm_err = _worst(_dot(spin, spin) - params.spin_norm_sq)
 
@@ -146,8 +202,7 @@ def verify_so3(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     # with the numerical floor standing in when the Jacobian has no further
     # singular values (a 3 x 6 map has exactly three)
     eps = float(np.finfo(float).eps)
-    for i in range(n_alg):
-        w[i], p[i] = so3.sample_surface_point(rng, a=a, b=b)
+    w, p, _ = so3.surface_points(*_draw_rows(rng, n_alg, _SURFACE), a, b)
     sv = so3.jacobian_singular_values(w, p, kind="so3")
     rank_ratio = max(float(np.any(so3._numerical_rank(sv) != 3)),
                      _worst(eps * (sv[:, 0] / sv[:, 2])))
@@ -186,10 +241,12 @@ def verify_lorentz(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     a3 = a4 = lor.DEFAULT_SURFACE_SCALE
 
     n_points = cfg.get("n_points", 200)
-    rest_point = partial(lor.sample_t3_rest_point, a3=a3, a4=a4)
+
+    def rest_points(u, raw, mass):
+        return lor.t3_rest_points(raw, a3, a4, mass)
     casimir_target = 8.0 * a3 * a4
     w, p, P = _boosted_points(rng, cfg.get("n_boosts", 1000), beta_max,
-                              rest_point)
+                              rest_points)
     t3_err = _worst(lor.t3_constraints(w, p, P, a3=a3, a4=a4))
     J = lor.spin_tensor(w, p)
     casimir_err = _worst(lor.casimir(J) - casimir_target)
@@ -198,18 +255,18 @@ def verify_lorentz(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     _, j = lor.decompose_spin_tensor(J)
     ellipsoid_err = _worst(lor.base_ellipsoid_residual(j, P))
 
-    w, p, P = _boosted_points(rng, n_points, beta_max, rest_point)
+    w, p, P = _boosted_points(rng, n_points, beta_max, rest_points)
     lam = lor.tetrad(P, w, p, a3=a3, a4=a4)
     tetrad_err = _worst(lam @ lor.METRIC @ np.swapaxes(lam, -1, -2)
                         - lor.METRIC)
 
-    w, p, P = _boosted_points(rng, n_points, beta_max, rest_point)
+    w, p, P = _boosted_points(rng, n_points, beta_max, rest_points)
     _, j = lor.decompose_spin_tensor(lor.spin_tensor(w, p))
     S = lor.j_to_bmt(j, P)
     bmt_err = _worst(lor.bmt_to_j(S, P) - j)
     orth_err = _worst(lor.minkowski_dot(S, P))
 
-    w, p, _ = _boosted_points(rng, n_points // 2, beta_max, rest_point,
+    w, p, _ = _boosted_points(rng, n_points // 2, beta_max, rest_points,
                               draw_mass=False)
     sv = so3.jacobian_singular_values(w, p, kind="so13")
     rank_ratio = max(float(np.any(so3._numerical_rank(sv) != 5)),
@@ -235,9 +292,7 @@ def verify_t4(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     n_pts = cfg.get("n_points", 100)
     bracket_err = 0.0
     first_class_ok = 0
-    for _ in range(n_pts):
-        radius = rng.uniform(0.7, 1.5)
-        w, p = so3.sample_surface_point(rng, a=radius, b=np.sqrt(a) / radius)
+    for w, p in zip(*_scale_free_points(rng, n_pts, a)):
         z = np.zeros(14)
         z[OMEGA], z[PI] = w, p
         z[12] = 1.0
@@ -249,18 +304,17 @@ def verify_t4(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     misclassified = float(n_pts - first_class_ok)
 
     n_boosts = cfg.get("n_boosts", 1000)
-    boost_err = _worst(lor.t4_constraints(
-        *_boosted_points(rng, n_boosts, beta_max,
-                         partial(lor.sample_t4_rest_point, a=a)), a=a))
 
-    w, p = np.empty((2, n_boosts, 3))
-    k, beta = np.empty((2, n_boosts))
-    for i in range(n_boosts):
-        radius = rng.uniform(0.7, 1.5)
-        w[i], p[i] = so3.sample_surface_point(rng, a=radius,
-                                              b=np.sqrt(a) / radius)
-        k[i] = np.exp(rng.uniform(-1.0, 1.0))
-        beta[i] = rng.uniform(0.0, 2.0 * np.pi)
+    def rest_points(u, raw, mass):
+        return lor.t4_rest_points(u[:, 0], raw, a, mass)
+
+    boost_err = _worst(lor.t4_constraints(
+        *_boosted_points(rng, n_boosts, beta_max, rest_points,
+                         radius_draws=1), a=a))
+
+    w, p, u = _scale_free_points(rng, n_boosts, a, _Draw("random", 2))
+    k = np.exp(so3.uniform_from(u[:, 0], -1.0, 1.0))
+    beta = so3.uniform_from(u[:, 1], 0.0, 2.0 * np.pi)
     w2, p2 = lor.t4_structure_action(w, p, k, beta)
     action_spin_err = _worst(so3.spin_map(w2, p2) - so3.spin_map(w, p))
     action_surface_err = max(_worst(_dot(w2, p2)),

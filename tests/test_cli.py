@@ -664,6 +664,23 @@ def test_main_purely_relative_tolerance_runs(action, tmp_path, capsys,
     assert drift["constraint_drift"] < 1e-12
 
 
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_main_huge_c_fails_the_frequency_checks_quietly(action, tmp_path,
+                                                        capsys, monkeypatch):
+    """c = 1e300 on larmor: 17 samples alias the ten periods, and x(t) swings
+    near 1e300, where the squares of the fit's residuals would overflow."""
+    monkeypatch.setenv("SPINBUNDLE_OUTPUT_DIR", str(tmp_path))
+    path = tmp_path / "cfg.yaml"
+    path.write_text("scenario: larmor\nparams: {c: 1.0e+300}\nsamples: 17\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action, RuntimeWarning)
+        assert main(["run", str(path)]) == 3
+    assert caught == [] and capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "larmor_summary.json").read_text())
+    failed = [c["name"] for c in summary["checks"] if not c["passed"]]
+    assert failed == ["spin_frequency", "cyclotron_frequency"]
+
+
 # schema-valid configs holding a number that is nan, infinite or too large
 # for a float, with the JSON path each one is rejected at
 NON_FINITE_PATHS = {

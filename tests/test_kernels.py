@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spinbundle import cli, dynamics
+from spinbundle import cli, constraints, dynamics
 from spinbundle.bundle_so3 import sample_surface_point
 from spinbundle.constraints import (
     Constraint,
     ConstraintSet,
     _condition,
+    _solve_delta,
     constraint_matrix,
     dirac_bracket,
     dirac_brackets,
@@ -55,7 +56,11 @@ from spinbundle.errors import (
     OffSurfaceWarning,
     ProjectionError,
 )
-from spinbundle.lorentz import sample_beta
+from spinbundle.lorentz import (
+    sample_beta,
+    sample_t3_rest_point,
+    sample_t4_rest_point,
+)
 from spinbundle.phasespace import (
     CANONICAL_PARTICLE,
     OMEGA,
@@ -805,6 +810,48 @@ def test_pair_condition_is_infinite_where_delta_does_not_invert(d):
     assert _condition(np.array([[0.0, d], [-d, 0.0]])) == math.inf
 
 
+def test_pair_solve_is_the_lu_solve():
+    rng = np.random.default_rng(11)
+    for _ in range(5000):
+        d = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 6.0)
+        delta = np.array([[0.0, d], [-d, 0.0]])
+        rhs = (rng.standard_normal(2) * 10.0 ** rng.uniform(-8.0, 8.0, 2))
+        assert np.array_equal(_solve_delta(delta, rhs.tolist()),
+                              np.linalg.solve(delta, rhs))
+
+
+def test_pair_dirac_brackets_equal_the_lu_solve_path(rng, monkeypatch):
+    """|delta_01| = 2 a^2 runs from 1e-6 to 1e6 over the radii drawn."""
+    spins = [spin_component(k) for k in range(3)]
+    coords = [coordinate(6 + k) for k in range(3)]
+    cases = []
+    for _ in range(200):
+        a = float(np.sqrt(0.5 * 10.0 ** rng.uniform(-6.0, 6.0)))
+        cases.append((second_class_pair(a),
+                      random_phase_state(rng, a=a, b=rng.uniform(0.1, 10.0))))
+    closed = [dirac_brackets(spins + coords, spins, pair, z)
+              for pair, z in cases]
+    monkeypatch.setattr(
+        constraints, "_solve_delta",
+        lambda delta, rhs: np.linalg.solve(delta, np.array(rhs)))
+    for (pair, z), block in zip(cases, closed):
+        assert np.array_equal(block, dirac_brackets(spins + coords, spins,
+                                                    pair, z))
+
+
+@pytest.mark.parametrize("omega", [[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]])
+def test_pair_dirac_brackets_reject_a_singular_delta_first(omega, rng):
+    counts = {}
+    fs = [_counted(spin_component(k), counts, f"f{k}") for k in range(3)]
+    gs = [_counted(coordinate(9 + k), counts, f"g{k}") for k in range(3)]
+    z = random_phase_state(rng)
+    z[OMEGA] = omega
+    with pytest.raises(DegenerateConstraintError) as info:
+        dirac_brackets(fs, gs, second_class_pair(1.0), z)
+    assert info.value.condition_number == math.inf
+    assert counts == {}
+
+
 # ---------------------------------------------------------------------------
 # Samplers: the same draws as with np.linalg.norm
 # ---------------------------------------------------------------------------
@@ -845,4 +892,26 @@ def test_samplers_match_np_linalg_norm_draws():
         assert np.array_equal(w, w_ref) and np.array_equal(p, p_ref)
         assert np.array_equal(sample_beta(rng, 0.9),
                               reference_sample_beta(ref, 0.9))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def reference_rest_frame(w3, p3, mass):
+    return (np.concatenate(([0.0], w3)), np.concatenate(([0.0], p3)),
+            np.array([float(mass), 0.0, 0.0, 0.0]))
+
+
+def test_rest_point_samplers_match_the_surface_sampler_draws():
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    a3, a4 = 0.6, 1.7
+    for _ in range(300):
+        mass = ref.uniform(0.5, 2.0)
+        got = sample_t3_rest_point(rng, a3, a4, mass=rng.uniform(0.5, 2.0))
+        want = reference_rest_frame(*reference_sample_surface_point(
+            ref, np.sqrt(a4), np.sqrt(a3)), mass)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        got = sample_t4_rest_point(rng, a=0.75, mass=1.5)
+        radius = ref.uniform(0.5, 2.0)
+        want = reference_rest_frame(*reference_sample_surface_point(
+            ref, radius, np.sqrt(0.75) / radius), 1.5)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert rng.bit_generator.state == ref.bit_generator.state
