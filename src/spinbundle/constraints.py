@@ -27,9 +27,10 @@ from .phasespace import (
     Observable,
     PhasePoint,
     _bilinear,
-    _bracket,
+    _brackets,
     _checked_gradient,
     _checked_point,
+    _dot,
     as_flat,
     coordinate,
 )
@@ -123,25 +124,34 @@ def _warn_if_off_surface(cset, zf, where):
 
 
 def _constraint_brackets(cset: ConstraintSet, zf, rel_step: float):
-    """Checked gradients of the constraints, each taken once, and the
-    antisymmetric matrix of their mutual brackets.
+    """Checked gradients of the constraints, each taken once, as an (..., n,
+    dim) stack, and the antisymmetric matrices (..., n, n) of their mutual
+    brackets: delta_ab = {Phi_a, Phi_b} for a < b, and delta_ba = -delta_ab.
 
     With fewer than two constraints there is no bracket to take, so neither
     the point nor any gradient is looked at.
     """
     n = len(cset)
-    delta = np.zeros((n, n))
+    delta = np.zeros(np.shape(zf)[:-1] + (n, n))
     if n < 2:
-        return [], delta
-    structure = cset.structure
-    zf = _checked_point(zf, structure)
-    grads = [_checked_gradient(c.func, zf, structure, rel_step) for c in cset]
-    for a in range(n):
-        for b in range(a + 1, n):
-            value = _bracket(grads[a], grads[b], structure)
-            delta[a, b] = value
-            delta[b, a] = -value
+        return np.zeros(delta.shape[:-2] + (0, cset.structure.dim)), delta
+    zf = _checked_point(zf, cset.structure)
+    grads = _gradients([c.func for c in cset], zf, cset.structure, rel_step, {})
+    rows, cols = zip(*[(a, b) for a in range(n) for b in range(a + 1, n)])
+    values = _brackets(grads, grads, cset.structure)[..., rows, cols]
+    delta[..., rows, cols] = values
+    delta[..., cols, rows] = -values
     return grads, delta
+
+
+def _gradients(observables, zf, structure, rel_step, taken):
+    """Checked gradients at zf, one per observable, as an (..., k, dim)
+    stack; each is taken once and kept in taken under the observable's id."""
+    for obs in observables:
+        if id(obs) not in taken:
+            taken[id(obs)] = _checked_gradient(obs, zf, structure, rel_step)
+    stack = np.array([taken[id(obs)] for obs in observables])
+    return stack.reshape((len(observables),) + zf.shape).swapaxes(0, -2)
 
 
 def constraint_matrix(cset: ConstraintSet, z, rel_step: float = 1e-6,
@@ -179,43 +189,50 @@ def classify(cset: ConstraintSet, z, tol: float = 1e-8,
 
 
 def _condition(delta: np.ndarray) -> float:
-    """Condition number of the constraint bracket matrix.
+    """Condition number of the constraint bracket matrix, the largest over a
+    stack of them.
 
     A pair's delta is antisymmetric with a zero diagonal, so both singular
     values are |delta_01|: the number is 1 when delta_01 is finite and
     nonzero and infinite otherwise.  Larger sets take the SVD.
     """
-    if len(delta) == 2:
-        d = float(delta[0, 1])
-        return 1.0 if d != 0.0 and math.isfinite(d) else math.inf
-    return float(np.linalg.cond(delta)) if len(delta) else 1.0
+    if delta.shape[-1] == 2:
+        d = delta[..., 0, 1]
+        return 1.0 if np.all((d != 0.0) & np.isfinite(d)) else math.inf
+    return float(np.max(np.linalg.cond(delta))) if delta.size else 1.0
 
 
 def _solve_delta(delta: np.ndarray, rhs) -> np.ndarray:
-    """delta^-1 rhs for an invertible constraint bracket matrix.
+    """delta^-1 rhs for invertible constraint bracket matrices, rhs one
+    vector or a stack of (..., n, 1) columns as np.linalg.solve takes them.
 
-    A pair's delta is [[0, d], [-d, 0]], whose inverse applied to rhs is
-    (rhs_1 / -d, rhs_0 / d): the divisions LAPACK's pivoted LU makes there,
-    bit for bit.  Larger sets take the solve.
+    A pair's delta is [[0, d], [-d, 0]], whose inverse applied to a column
+    (r_0, r_1) is (r_1 / -d, r_0 / d): the divisions LAPACK's pivoted LU
+    makes there, bit for bit.  Larger sets take the solve, a column at a
+    time: several columns at once round otherwise.
     """
-    if len(delta) == 2:
-        d = float(delta[0, 1])
-        return np.array([rhs[1] / -d, rhs[0] / d])
-    return np.linalg.solve(delta, np.array(rhs))
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim == 1:
+        return _solve_delta(delta, rhs[:, None])[:, 0]
+    if delta.shape[-1] != 2:
+        return np.linalg.solve(delta, rhs)
+    d = delta[..., 0, 1, None]
+    return np.stack((rhs[..., 1, :] / -d, rhs[..., 0, :] / d), axis=-2)
 
 
 def dirac_brackets(fs, gs, second_class: ConstraintSet, z,
                    rel_step: float = 1e-6,
                    max_condition: float = 1e12) -> np.ndarray:
     """Dirac brackets {f, g}* = {f, g} - {f, Phi_a} (delta^-1)_ab {Phi_b, g}
-    at one point for every f in fs and g in gs, as a (len(fs), len(gs))
-    array.
+    for every f in fs and g in gs: a (len(fs), len(gs)) array at one point
+    z, or an (n, len(fs), len(gs)) array at each point of a stack z.
 
     The constraint gradients, delta and its condition number are taken once,
-    and a degenerate delta raises before any f or g is looked at.  Then each
-    distinct observable's gradient is taken once (one that is also a
-    constraint reuses the constraint's), and delta is solved once per g
-    (in closed form for a pair).
+    and a degenerate delta at any point raises before any f or g is looked
+    at.  Then each distinct observable's gradient is taken once for the
+    stack (one that is also a constraint reuses the constraint's), and delta
+    is solved once per g and point, in closed form for a pair.  Overflows
+    give inf or nan silently, as in the brackets.
     """
     structure = second_class.structure
     zf = as_flat(z)
@@ -224,31 +241,28 @@ def dirac_brackets(fs, gs, second_class: ConstraintSet, z,
     if not np.isfinite(condition) or condition > max_condition:
         raise DegenerateConstraintError(condition)
     zf = _checked_point(zf, structure)
-    taken = {id(c.func): dc for c, dc in zip(second_class, grads)}
-
-    def gradient_of(obs):
-        if id(obs) not in taken:
-            taken[id(obs)] = _checked_gradient(obs, zf, structure, rel_step)
-        return taken[id(obs)]
-
-    dfs = [gradient_of(f) for f in fs]
-    dgs = [gradient_of(g) for g in gs]
-    bfs = [np.array([_bracket(df, dc, structure) for dc in grads])
-           for df in dfs]
-    out = np.empty((len(dfs), len(dgs)))
-    for j, dg in enumerate(dgs):
-        x = _solve_delta(delta, [_bracket(dc, dg, structure) for dc in grads])
-        for i, (df, bf) in enumerate(zip(dfs, bfs)):
-            out[i, j] = _bracket(df, dg, structure) - bf @ x
-    return out
+    taken = {id(c.func): grads[..., a, :] for a, c in enumerate(second_class)}
+    dfs = _gradients(fs, zf, structure, rel_step, taken)
+    dgs = _gradients(gs, zf, structure, rel_step, taken)
+    bf = _brackets(dfs, grads, structure)
+    bg = np.swapaxes(_brackets(grads, dgs, structure), -1, -2)
+    with np.errstate(all="ignore"):
+        x = _solve_delta(delta[..., None, :, :], bg[..., None])[..., 0]
+        # one dot product per (f, g) on unit-stride vectors, as for a single
+        # pair of arrays: BLAS sums strided ones in another order
+        bf, x = np.ascontiguousarray(bf), np.ascontiguousarray(x)
+        return (_brackets(dfs, dgs, structure)
+                - _dot(bf[..., :, None, :], x[..., None, :, :]))
 
 
 def dirac_bracket(f, g, second_class: ConstraintSet, z,
                   rel_step: float = 1e-6, max_condition: float = 1e12) -> float:
     """Dirac bracket {f, g}* = {f, g} - {f, Phi_a} (delta^-1)_ab {Phi_b, g},
-    the 1 x 1 case of dirac_brackets."""
-    return float(dirac_brackets((f,), (g,), second_class, z, rel_step,
-                                max_condition)[0, 0])
+    the 1 x 1 case of dirac_brackets: a float at one point, an (n,) array
+    on a stack."""
+    value = dirac_brackets((f,), (g,), second_class, z, rel_step,
+                           max_condition)[..., 0, 0]
+    return float(value) if value.ndim == 0 else value
 
 
 def project(z, cset: ConstraintSet, max_iter: int = 25, tol: float = 1e-12):
@@ -314,22 +328,25 @@ def gauge_momentum() -> Observable:
 def _radial_balance(a: float) -> Observable:
     """|pi|^2 - a / |omega|^2, singular at omega = 0."""
     a = float(a)
+    # |omega|^4 as a float's ** 2, libm's pow, point by point: numpy's
+    # square of an array rounds otherwise in a few cases in ten thousand
+    float_square = np.frompyfunc(lambda x: x ** 2, 1, 1)
 
     def _omega_sq(z):
-        wsq = float(np.dot(z[OMEGA], z[OMEGA]))
-        if wsq < 1e-12:
+        wsq = _dot(z[..., OMEGA], z[..., OMEGA])
+        if np.any(wsq < 1e-12):
             raise DomainError(
                 "pi^2 - a/omega^2 is singular where omega vanishes")
         return wsq
 
     def fn(z):
-        return float(np.dot(z[PI], z[PI])) - a / _omega_sq(z)
+        return float(np.dot(z[PI], z[PI])) - a / float(_omega_sq(z))
 
     def grad(z):
-        wsq = _omega_sq(z)
-        out = np.zeros(DIM)
-        out[OMEGA] = 2.0 * a * z[OMEGA] / wsq ** 2
-        out[PI] = 2.0 * z[PI]
+        wsq_sq = np.asarray(float_square(_omega_sq(z)), dtype=float)
+        out = np.zeros(z.shape)
+        out[..., OMEGA] = 2.0 * a * z[..., OMEGA] / wsq_sq[..., None]
+        out[..., PI] = 2.0 * z[..., PI]
         return out
 
     return Observable(fn, grad, name="pi_sq_minus_a_over_omega_sq")

@@ -361,8 +361,8 @@ def _minkowski_p_dot(P, offset: int, name: str) -> Observable:
         return float(np.dot(lowered, z[offset:offset + 4]))
 
     def grad(z):
-        out = np.zeros(8)
-        out[offset:offset + 4] = lowered
+        out = np.zeros(z.shape[:-1] + (8,))
+        out[..., offset:offset + 4] = lowered
         return out
 
     return Observable(fn, grad, name=name)

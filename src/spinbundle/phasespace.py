@@ -8,7 +8,10 @@ diag(-1, +1, +1, +1).
 
 Observables are scalar functions of the flattened coordinate vector with an
 optional analytic gradient; the bracket engine falls back to central finite
-differences when no gradient is supplied.
+differences when no gradient is supplied.  The engine takes one point (dim,)
+or a stack of points (n, dim); a gradient function of a stack reads its
+coordinates from the last axis, z[..., i], as the builders of phasespace,
+constraints and lorentz do.
 """
 
 from __future__ import annotations
@@ -148,6 +151,9 @@ class CanonicalStructure:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "weights", weights)
+        # the pairs' (q, p) indices as a (2, pairs) array, for _brackets
+        object.__setattr__(self, "_columns", (
+            np.array(pairs, dtype=int).reshape(-1, 2).T, np.array(weights)))
 
     @property
     def dim(self) -> int:
@@ -231,7 +237,8 @@ class Observable:
 
 
 def gradient(f, z, rel_step: float = 1e-6) -> Array:
-    """Central finite-difference gradient with per-coordinate relative steps.
+    """Central finite-difference gradient with per-coordinate relative steps,
+    at one point or, row by row, at each point of a stack.
 
     The step for coordinate i is rel_step * max(1, |z_i|).
     """
@@ -239,6 +246,8 @@ def gradient(f, z, rel_step: float = 1e-6) -> Array:
         raise ValueError("rel_step must be positive")
     fn = f.fn if isinstance(f, Observable) else f
     z0 = np.array(as_flat(z), dtype=float)
+    if z0.ndim > 1:
+        return np.reshape([gradient(fn, r, rel_step) for r in z0], z0.shape)
     out = np.empty(z0.size)
     for i in range(z0.size):
         h = rel_step * max(1.0, abs(z0[i]))
@@ -256,49 +265,56 @@ def _central_difference(fn, z, i, h):
 
 def _checked_point(z, structure):
     zf = as_flat(z)
-    if zf.shape != (structure.dim,):
+    if zf.ndim not in (1, 2) or zf.shape[-1] != structure.dim:
         raise ValueError(
-            f"point has shape {zf.shape}, structure expects ({structure.dim},)")
+            f"point has shape {zf.shape}, structure expects ({structure.dim},)"
+            f" or (n, {structure.dim})")
     return zf
 
 
 def _checked_gradient(obs, zf, structure, rel_step):
-    if isinstance(obs, Observable):
-        grad = obs.gradient(zf, rel_step)
-    else:
-        grad = gradient(obs, zf, rel_step)
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != (structure.dim,):
+    grad = np.asarray(obs.gradient(zf, rel_step) if isinstance(obs, Observable)
+                      else gradient(obs, zf, rel_step), dtype=float)
+    if grad.shape != zf.shape:
         raise ValueError(
-            f"gradient has shape {grad.shape}, expected ({structure.dim},)")
+            f"gradient has shape {grad.shape}, expected {zf.shape}")
     bad = ~np.isfinite(grad)
     if bad.any():
-        i = int(np.argmax(bad))
-        raise GradientError(structure.labels[i], grad[i])
+        first = int(np.argmax(bad))
+        raise GradientError(structure.labels[first % structure.dim],
+                            grad.flat[first])
     return grad
 
 
 def poisson_bracket(f, g, z, structure: CanonicalStructure = CANONICAL_PARTICLE,
-                    rel_step: float = 1e-6) -> float:
-    """Evaluate the canonical Poisson bracket {f, g} at the point z."""
+                    rel_step: float = 1e-6):
+    """The canonical Poisson bracket {f, g} at the point z, a float, or at
+    each point of a stack z of shape (n, dim), an (n,) array."""
     zf = _checked_point(z, structure)
     df = _checked_gradient(f, zf, structure, rel_step)
     dg = _checked_gradient(g, zf, structure, rel_step)
-    return _bracket(df, dg, structure)
+    value = _brackets(df[..., None, :], dg[..., None, :], structure)[..., 0, 0]
+    return float(value) if zf.ndim == 1 else value
 
 
-def _bracket(df: Array, dg: Array, structure: CanonicalStructure) -> float:
-    """The bracket sum over canonical pairs for two checked gradients.
+def _brackets(df: Array, dg: Array, structure: CanonicalStructure) -> Array:
+    """Every bracket of gradient stacks df (..., nf, dim) and dg (..., ng,
+    dim), as an (..., nf, ng) array.
 
-    The sum runs on Python floats: the same IEEE products and additions, in
-    the same order, without a numpy scalar per term.
+    Each entry sums the canonical pairs in order from 0.0, as total = total
+    + w * (df_q dg_p - df_p dg_q): the IEEE operations a loop over one pair
+    of gradients takes.  Like Python floats, an overflow gives inf or nan
+    silently.
     """
-    df = df.tolist()
-    dg = dg.tolist()
+    qp, weights = structure._columns
+    f, g = df[..., :, None, qp], dg[..., None, :, qp]
     total = 0.0
-    for (q, p), w in zip(structure.pairs, structure.weights):
-        total += w * (df[q] * dg[p] - df[p] * dg[q])
-    return float(total)
+    with np.errstate(all="ignore"):
+        terms = weights * (f[..., 0, :] * g[..., 1, :]
+                           - f[..., 1, :] * g[..., 0, :])
+        for k in range(len(weights)):
+            total = total + terms[..., k]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +331,8 @@ def coordinate(index: int, dim: int = DIM, label: str = "") -> Observable:
         return float(z[index])
 
     def grad(z):
-        out = np.zeros(dim)
-        out[index] = 1.0
+        out = np.zeros(z.shape[:-1] + (dim,))
+        out[..., index] = 1.0
         return out
 
     return Observable(fn, grad, name=label or f"z[{index}]")
@@ -324,7 +340,7 @@ def coordinate(index: int, dim: int = DIM, label: str = "") -> Observable:
 
 def constant(value: float) -> Observable:
     value = float(value)
-    return Observable(lambda z: value, lambda z: np.zeros(np.asarray(z).size),
+    return Observable(lambda z: value, lambda z: np.zeros(np.shape(z)),
                       name=repr(value))
 
 
@@ -354,7 +370,8 @@ def quadratic(A, b=None, c: float = 0.0, name: str = "quadratic") -> Observable:
         return float(0.5 * z @ A @ z + bvec @ z + c)
 
     def grad(z):
-        return A @ z + bvec
+        # a matrix-vector product per point, as A @ z takes for one
+        return np.matmul(A, z[..., None])[..., 0] + bvec
 
     return Observable(fn, grad, name=name)
 
@@ -364,9 +381,10 @@ def _bilinear(left, right, weights, dim: int = DIM, name: str = "") -> Observabl
     tuples or lists left, right and weights of one length.
 
     The value takes one product per term and sums the terms in order.  The
-    gradient is one bincount over (row, column, weight) triples fixed here,
-    so it touches only the form's own coordinates: an inf or nan elsewhere
-    in z stays out of it.
+    gradient adds the (row, column, weight) triples fixed here in order from
+    0.0, at every point, as one bincount over them does at one; it touches
+    only the form's own coordinates: an inf or nan elsewhere in z stays out
+    of it.
     """
     (l0, r0, w0), *rest = zip(left, right, weights)
     rows, cols = np.array(left + right), np.array(right + left)
@@ -380,6 +398,8 @@ def _bilinear(left, right, weights, dim: int = DIM, name: str = "") -> Observabl
         return total
 
     def grad(z):
-        return np.bincount(rows, weights=coef * z[cols], minlength=dim)
+        out = np.zeros(z.shape)
+        np.add.at(out, (..., rows), coef * z[..., cols])
+        return out
 
     return Observable(fn, grad, name=name)

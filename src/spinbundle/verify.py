@@ -20,7 +20,6 @@ from .dynamics import ModelParams
 from .phasespace import (
     OMEGA,
     PI,
-    _cross3,
     _dot,
     coordinate,
     poisson_bracket,
@@ -33,11 +32,12 @@ from .phasespace import (
 # Verification suites (random-point property checks)
 # ---------------------------------------------------------------------------
 #
-# The geometry blocks draw their points' raw values row by row, with the
-# generator calls of the per-point samplers in their order (a uniform(lo, hi)
-# as the random() it is made of), and then map and check them as one stack
-# per map.  The bracket blocks stay one point at a time: they check the
-# engine itself.
+# Each block draws its points' raw values row by row, with the generator
+# calls of the per-point samplers in their order (a uniform(lo, hi) as the
+# random() it is made of), and then maps and checks them as one stack per
+# map.  The bracket blocks hand the engine the whole stack, one call per
+# block; the t4 classification and the gauge group law stay one point at a
+# time.
 
 class _Draw(NamedTuple):
     """One part of a point's draws: size values from the generator method
@@ -87,8 +87,14 @@ def _draw_rows(rng, n: int, *draws: _Draw):
 
 def _worst(values) -> float:
     """Largest absolute value over a stack of check values; 0.0 when the
-    stack is empty."""
+    stack is empty, nan when any value is nan."""
     return float(np.max(np.abs(values), initial=0.0))
+
+
+def _worst_entry(values):
+    """_worst as max() over numpy entries from 0.0 gives it: a numpy scalar,
+    or 0.0 when every entry is 0."""
+    return np.float64(_worst(values)) or 0.0
 
 
 def _boosted_points(rng, n: int, beta_max: float, rest_points,
@@ -143,37 +149,28 @@ def verify_so3(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
         z[:, 12] = 1.0 + so3.uniform_from(u[:, 0], 0.0, 1.0)
         return z
 
-    # spin algebra under both brackets, the Dirac ones a block per point
+    # spin algebra under both brackets, and the Dirac brackets of omega, pi
     n_alg = cfg.get("n_points", 100)
-    omegas = [coordinate(6 + i) for i in range(3)]
-    pis = [coordinate(9 + j) for j in range(3)]
-    alg_poisson = 0.0
-    alg_dirac = 0.0
-    omega_pi_err = 0.0
-    for z in sample_states(n_alg):
-        spin_dirac = con.dirac_brackets(S, S, pair, z)
-        spin = _cross3(z[OMEGA], z[PI])
-        for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            want = float(spin[k])
-            alg_poisson = max(alg_poisson, abs(
-                poisson_bracket(S[i], S[j], z) - want))
-            alg_dirac = max(alg_dirac, abs(spin_dirac[i, j] - want))
-        omega_pi = con.dirac_brackets(omegas, pis, pair, z)
-        w = z[OMEGA]
-        for i in range(3):
-            for j in range(3):
-                want = (1.0 if i == j else 0.0) - w[i] * w[j] / (a * a)
-                omega_pi_err = max(omega_pi_err, abs(omega_pi[i, j] - want))
+    z = sample_states(n_alg)
+    w = z[:, OMEGA]
+    spin = so3.spin_map(w, z[:, PI])
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    alg_poisson = _worst([poisson_bracket(S[i], S[j], z) - spin[:, k]
+                          for i, j, k in cyclic])
+    spin_dirac = con.dirac_brackets(S, S, pair, z)
+    alg_dirac = _worst_entry([spin_dirac[:, i, j] - spin[:, k]
+                              for i, j, k in cyclic])
+    omega_pi = con.dirac_brackets([coordinate(6 + i) for i in range(3)],
+                                  [coordinate(9 + j) for j in range(3)],
+                                  pair, z)
+    omega_pi_err = _worst_entry(
+        omega_pi - (np.eye(3) - w[:, :, None] * w[:, None, :] / (a * a)))
 
     # Dirac bracket annihilates the second-class pair
     observables = [_random_quadratic(rng) for _ in range(20)]
     phis = [c.func for c in pair.constraints]
-    annihilation = 0.0
-    for z in sample_states(50):
-        block = con.dirac_brackets(phis, observables, pair, z)
-        for j in range(len(observables)):
-            for i in range(len(phis)):
-                annihilation = max(annihilation, abs(block[i, j]))
+    annihilation = _worst_entry(
+        con.dirac_brackets(phis, observables, pair, sample_states(50)))
 
     # bundle identification (normalized chart) and structure-group invariance
     n_bundle = cfg.get("n_boosts", 1000)
@@ -183,8 +180,8 @@ def verify_so3(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     w, p, _ = so3.surface_points(raw, a, b)
     beta = so3.uniform_from(u[:, 0], 0.0, 2.0 * np.pi)
     R = so3.rotation_matrix(wn, pn)
-    rot_err = max(_worst(R @ np.swapaxes(R, -1, -2) - np.eye(3)),
-                  _worst(np.linalg.det(R) - 1.0))
+    rot_err = _worst([_worst(R @ np.swapaxes(R, -1, -2) - np.eye(3)),
+                      _worst(np.linalg.det(R) - 1.0)])
     inv_err = _worst(so3.spin_map(*so3.so2_action(w, p, beta))
                      - so3.spin_map(w, p))
 
@@ -204,11 +201,11 @@ def verify_so3(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     eps = float(np.finfo(float).eps)
     w, p, _ = so3.surface_points(*_draw_rows(rng, n_alg, _SURFACE), a, b)
     sv = so3.jacobian_singular_values(w, p, kind="so3")
-    rank_ratio = max(float(np.any(so3._numerical_rank(sv) != 3)),
-                     _worst(eps * (sv[:, 0] / sv[:, 2])))
+    rank_ratio = _worst([float(np.any(so3._numerical_rank(sv) != 3)),
+                         _worst(eps * (sv[:, 0] / sv[:, 2]))])
 
     # gauge-matrix group law
-    group_err = 0.0
+    group_errs = []
     for _ in range(n_alg):
         g = so3.GaugeMatrix.from_multipliers(
             phi=1.0 + rng.uniform(0.0, 2.0),
@@ -220,8 +217,8 @@ def verify_so3(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
         two_step = so3.gauge_matrix_transform(
             so3.gauge_matrix_transform(g, b1, d1), b2, d2)
         one_step = so3.gauge_matrix_transform(g, b1 + b2, d1 + d2)
-        group_err = max(group_err, float(np.max(np.abs(
-            two_step.matrix - one_step.matrix))))
+        group_errs.append(two_step.matrix - one_step.matrix)
+    group_err = _worst(group_errs)
 
     values = {
         "spin_algebra_poisson": alg_poisson, "spin_algebra_dirac": alg_dirac,
@@ -269,8 +266,8 @@ def verify_lorentz(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     w, p, _ = _boosted_points(rng, n_points // 2, beta_max, rest_points,
                               draw_mass=False)
     sv = so3.jacobian_singular_values(w, p, kind="so13")
-    rank_ratio = max(float(np.any(so3._numerical_rank(sv) != 5)),
-                     _worst(sv[:, 5] / sv[:, 4]))
+    rank_ratio = _worst([float(np.any(so3._numerical_rank(sv) != 5)),
+                         _worst(sv[:, 5] / sv[:, 4])])
 
     values = {
         "t3_boost_residual": t3_err, "casimir_deviation": casimir_err,
@@ -290,18 +287,12 @@ def verify_t4(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     tset = con.t4_surface_set(a)
 
     n_pts = cfg.get("n_points", 100)
-    bracket_err = 0.0
-    first_class_ok = 0
-    for w, p in zip(*_scale_free_points(rng, n_pts, a)):
-        z = np.zeros(14)
-        z[OMEGA], z[PI] = w, p
-        z[12] = 1.0
-        result = con.classify(tset, z)
-        if len(result.first_class) == len(tset.constraints):
-            first_class_ok += 1
-        bracket_err = max(bracket_err, float(np.max(np.abs(
-            result.bracket.delta))))
-    misclassified = float(n_pts - first_class_ok)
+    z = np.zeros((n_pts, 14))
+    z[:, OMEGA], z[:, PI] = _scale_free_points(rng, n_pts, a)
+    z[:, 12] = 1.0
+    results = [con.classify(tset, point) for point in z]
+    misclassified = float(sum(len(r.first_class) < len(tset) for r in results))
+    bracket_err = _worst([r.bracket.delta for r in results])
 
     n_boosts = cfg.get("n_boosts", 1000)
 
@@ -317,8 +308,8 @@ def verify_t4(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     beta = so3.uniform_from(u[:, 1], 0.0, 2.0 * np.pi)
     w2, p2 = lor.t4_structure_action(w, p, k, beta)
     action_spin_err = _worst(so3.spin_map(w2, p2) - so3.spin_map(w, p))
-    action_surface_err = max(_worst(_dot(w2, p2)),
-                             _worst(_dot(p2, p2) - a / _dot(w2, w2)))
+    action_surface_err = _worst([_worst(_dot(w2, p2)),
+                                 _worst(_dot(p2, p2) - a / _dot(w2, w2))])
 
     values = {
         "first_class_misclassified": misclassified,

@@ -681,6 +681,26 @@ def test_main_huge_c_fails_the_frequency_checks_quietly(action, tmp_path,
     assert failed == ["spin_frequency", "cyclotron_frequency"]
 
 
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_main_tiny_a_verify_fails_quietly(action, tmp_path, capsys,
+                                          monkeypatch):
+    """a = 1e-150 on verify_so3: delta = 2 a^2 is near the bottom of the
+    floats, so the Dirac corrections overflow into nan; the check that reads
+    them fails with nan instead of passing as 0, and no numpy warning is
+    shown or raised."""
+    monkeypatch.setenv("SPINBUNDLE_OUTPUT_DIR", str(tmp_path))
+    path = tmp_path / "cfg.yaml"
+    path.write_text("scenario: verify_so3\nparams: {a: 1.0e-150}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action, RuntimeWarning)
+        assert main(["run", str(path)]) == 3
+    assert caught == [] and capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "verify_so3_summary.json").read_text())
+    checks = {c["name"]: c for c in summary["checks"]}
+    assert not checks["dirac_omega_pi"]["passed"]
+    assert np.isnan(checks["dirac_omega_pi"]["value"])
+
+
 # schema-valid configs holding a number that is nan, infinite or too large
 # for a float, with the JSON path each one is rejected at
 NON_FINITE_PATHS = {

@@ -122,6 +122,15 @@ def test_smallest_run_reports_every_check(suite, tmp_path):
     assert all(np.isfinite(c["value"]) for c in summary["checks"])
 
 
+def test_worst_keeps_a_nan_wherever_it_is():
+    # max() keeps its first argument against a nan, so a nan check value
+    # after the first would pass as the larger finite one
+    for values in ([np.nan, 1.0], [1.0, np.nan], [[0.0, 2.0], [np.nan, 0.0]]):
+        assert np.isnan(verify._worst(values))
+        assert np.isnan(verify._worst_entry(values))
+    assert repr(verify._worst([])) == repr(verify._worst_entry([0.0])) == "0.0"
+
+
 def count_calls(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
@@ -134,15 +143,16 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_so3_suite_brackets_one_point_at_a_time(monkeypatch):
+def test_so3_suite_brackets_each_block_on_its_stack(monkeypatch):
     dirac = count_calls(monkeypatch, constraints, "dirac_brackets")
     poisson = count_calls(monkeypatch, verify, "poisson_bracket")
     verify.verify_so3({"scenario": "verify_so3", "n_points": 4,
                        "n_boosts": 3})
-    # two Dirac blocks per algebra point, one per annihilation point
-    assert len(dirac) == 2 * 4 + 50
-    assert len(poisson) == 3 * 4
-    assert all(np.shape(args[-1]) == (14,) for args in dirac + poisson)
+    # the spin and omega-pi blocks on the algebra points, then the
+    # annihilation block on its 50 points; one Poisson call per spin pair
+    assert [np.shape(args[3]) for args in dirac] == [(4, 14), (4, 14),
+                                                     (50, 14)]
+    assert [np.shape(args[2]) for args in poisson] == [(4, 14)] * 3
 
 
 def test_t4_suite_classifies_one_point_at_a_time(monkeypatch):
