@@ -16,6 +16,7 @@ from .errors import (
     DomainError,
     OffSurfaceWarning,
     ProjectionError,
+    failing_point,
 )
 from .phasespace import (
     CANONICAL_PARTICLE,
@@ -109,18 +110,12 @@ class Classification:
 
 
 def evaluate(cset: ConstraintSet, z) -> np.ndarray:
-    """Residual vector (func_a(z) - target_a) in the set's declared order."""
+    """Residuals (func_a(z) - target_a) in the set's declared order, (k,) at
+    one point z and (n, k) over a stack, taken one point at a time."""
     zf = as_flat(z)
-    return np.array([c.residual(zf) for c in cset])
-
-
-def _warn_if_off_surface(cset, zf, where):
-    res = evaluate(cset, zf)
-    scale = np.maximum(1.0, np.abs(cset.targets))
-    if np.any(np.abs(res) > cset.tolerance * scale):
-        warnings.warn(
-            f"{where}: point is off the constraint surface "
-            f"(residuals {res})", OffSurfaceWarning, stacklevel=3)
+    rows = zf.reshape(-1, zf.shape[-1])
+    return np.array([[c.residual(r) for c in cset] for r in rows]).reshape(
+        zf.shape[:-1] + (len(cset),))
 
 
 def _constraint_brackets(cset: ConstraintSet, zf, rel_step: float):
@@ -129,12 +124,12 @@ def _constraint_brackets(cset: ConstraintSet, zf, rel_step: float):
     brackets: delta_ab = {Phi_a, Phi_b} for a < b, and delta_ba = -delta_ab.
 
     With fewer than two constraints there is no bracket to take, so neither
-    the point nor any gradient is looked at.
+    the point nor any gradient is looked at: the gradients are zeros.
     """
     n = len(cset)
     delta = np.zeros(np.shape(zf)[:-1] + (n, n))
     if n < 2:
-        return np.zeros(delta.shape[:-2] + (0, cset.structure.dim)), delta
+        return np.zeros(delta.shape[:-1] + (cset.structure.dim,)), delta
     zf = _checked_point(zf, cset.structure)
     grads = _gradients([c.func for c in cset], zf, cset.structure, rel_step, {})
     rows, cols = zip(*[(a, b) for a in range(n) for b in range(a + 1, n)])
@@ -156,36 +151,46 @@ def _gradients(observables, zf, structure, rel_step, taken):
 
 def constraint_matrix(cset: ConstraintSet, z, rel_step: float = 1e-6,
                       warn: bool = True) -> BracketMatrix:
-    """Antisymmetric matrix of mutual brackets of the set at z."""
+    """Antisymmetric matrix of mutual brackets of the set at z, (k, k) at one
+    point and (n, k, k) over a stack; with warn, a point off the surface
+    warns once, naming the first such row of a stack and its residuals."""
     zf = as_flat(z)
     if warn:
-        _warn_if_off_surface(cset, zf, "constraint_matrix")
+        res = evaluate(cset, zf)
+        scale = np.maximum(1.0, np.abs(cset.targets))
+        off = failing_point(np.any(np.abs(res) > cset.tolerance * scale, -1))
+        if off:
+            warnings.warn(f"constraint_matrix: point{off[1]} is off the "
+                          f"constraint surface (residuals {res[off[0]]})",
+                          OffSurfaceWarning, stacklevel=2)
     _, delta = _constraint_brackets(cset, zf, rel_step)
     return BracketMatrix(delta=delta, names=cset.names)
 
 
 def classify(cset: ConstraintSet, z, tol: float = 1e-8,
-             rel_step: float = 1e-6) -> Classification:
+             rel_step: float = 1e-6):
     """Tag each constraint first-class (all brackets vanish on the surface
-    within tol, scaled by the bracket magnitudes) or second-class."""
+    within tol, scaled by the bracket magnitudes) or second-class: one
+    Classification at a point z, and over a stack a tuple of them, one per
+    point, from one constraint_matrix call."""
     if tol <= 0:
         raise ValueError("classification tolerance must be positive")
-    bm = constraint_matrix(cset, z, rel_step=rel_step)
-    scale = max(1.0, float(np.max(np.abs(bm.delta))) if len(cset) else 1.0)
-    row_max = np.max(np.abs(bm.delta), axis=1) if len(cset) else np.empty(0)
-    first, second, second_idx = [], [], []
-    for i, name in enumerate(cset.names):
-        if row_max[i] < tol * scale:
-            first.append(name)
-        else:
-            second.append(name)
-            second_idx.append(i)
-    condition = None
-    if second_idx:
-        sub = bm.delta[np.ix_(second_idx, second_idx)]
-        condition = float(np.linalg.cond(sub))
-    return Classification(first_class=tuple(first), second_class=tuple(second),
-                          bracket=bm, second_class_condition=condition)
+    delta = constraint_matrix(cset, z, rel_step=rel_step).delta
+    # the scale is max(1.0, largest |delta|) as Python takes it: 1.0 for nan
+    largest = np.max(np.abs(delta), axis=(-2, -1), initial=0.0)
+    bound = tol * np.where(largest > 1.0, largest, 1.0)
+    first = np.max(np.abs(delta), axis=-1, initial=0.0) < bound[..., None]
+
+    def split(d, tags):
+        second = [j for j, tag in enumerate(tags) if not tag]
+        return Classification(
+            tuple(name for name, tag in zip(cset.names, tags) if tag),
+            tuple(cset.names[j] for j in second), BracketMatrix(d, cset.names),
+            _condition(d[np.ix_(second, second)]) if second else None)
+
+    if delta.ndim == 2:
+        return split(delta, first.tolist())
+    return tuple(map(split, delta, first.tolist()))
 
 
 def _condition(delta: np.ndarray) -> float:
@@ -248,9 +253,6 @@ def dirac_brackets(fs, gs, second_class: ConstraintSet, z,
     bg = np.swapaxes(_brackets(grads, dgs, structure), -1, -2)
     with np.errstate(all="ignore"):
         x = _solve_delta(delta[..., None, :, :], bg[..., None])[..., 0]
-        # one dot product per (f, g) on unit-stride vectors, as for a single
-        # pair of arrays: BLAS sums strided ones in another order
-        bf, x = np.ascontiguousarray(bf), np.ascontiguousarray(x)
         return (_brackets(dfs, dgs, structure)
                 - _dot(bf[..., :, None, :], x[..., None, :, :]))
 

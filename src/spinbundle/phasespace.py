@@ -114,8 +114,10 @@ def _dot(u: Array, v: Array) -> Array:
     """u . v over the last axis, one value per point of the leading axes.
 
     Each point takes the products and sums np.dot takes for a single pair of
-    vectors, so a stack matches its rows computed one at a time exactly.
+    unit-stride vectors, so a stack matches its rows computed one at a time
+    exactly; a strided last axis is copied first, as BLAS sums it otherwise.
     """
+    u, v = (a if a.strides[-1] == a.itemsize else a.copy() for a in (u, v))
     return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
 
 

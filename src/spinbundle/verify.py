@@ -35,8 +35,8 @@ from .phasespace import (
 # Each block draws its points' raw values row by row, with the generator
 # calls of the per-point samplers in their order (a uniform(lo, hi) as the
 # random() it is made of), and then maps and checks them as one stack per
-# map.  The bracket blocks hand the engine the whole stack, one call per
-# block; the t4 classification and the gauge group law stay one point at a
+# map.  The bracket blocks and the t4 classification hand the engine the
+# whole stack, one call per block; the gauge group law stays one point at a
 # time.
 
 class _Draw(NamedTuple):
@@ -290,7 +290,7 @@ def verify_t4(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     z = np.zeros((n_pts, 14))
     z[:, OMEGA], z[:, PI] = _scale_free_points(rng, n_pts, a)
     z[:, 12] = 1.0
-    results = [con.classify(tset, point) for point in z]
+    results = con.classify(tset, z)
     misclassified = float(sum(len(r.first_class) < len(tset) for r in results))
     bracket_err = _worst([r.bracket.delta for r in results])
 

@@ -112,6 +112,19 @@ def test_field_consistency_detects_mismatch(rng):
         bad.check_consistency(rng.standard_normal((5, 3)))
 
 
+@pytest.mark.parametrize("nan_at", [0, 1])
+def test_field_consistency_rejects_a_nan_curl(nan_at):
+    points = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+
+    def grad_A(x):
+        return np.full((3, 3), np.nan if x[0] == points[nan_at, 0] else 0.0)
+
+    bad = FieldConfig.custom(B=lambda x: np.zeros(3), A=lambda x: np.zeros(3),
+                             grad_B=lambda x: np.zeros((3, 3)), grad_A=grad_A)
+    with pytest.raises(DomainError, match="nan"):
+        bad.check_consistency(points)
+
+
 def test_gauge_constant_and_derivative():
     g = GaugeFunction.constant(2.0)
     assert g(3.7) == 2.0

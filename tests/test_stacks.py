@@ -1,8 +1,10 @@
 """The bracket engine over stacks of points pinned to its per-point calls:
-every observable builder's gradient, the Poisson bracket, and the Dirac
-brackets of the second-class pair, of the t4 pair off its surface and of a
-four-constraint set that LAPACK solves; a degenerate delta anywhere in a
-stack raises before any f or g gradient is taken."""
+every observable builder's gradient, the Poisson bracket, and one table of
+the engine's stacked entry points (Poisson and Dirac brackets, constraint
+matrix, classification, residuals) over constraint sets on and off their
+surfaces; a degenerate delta anywhere in a stack raises before any f or g
+gradient is taken, an off-surface stack warns once, and _dot matches
+per-row dot products on strided and Fortran-ordered stacks."""
 
 import math
 
@@ -10,24 +12,40 @@ import numpy as np
 import pytest
 
 from spinbundle.constraints import (
+    BracketMatrix,
+    Classification,
     Constraint,
     ConstraintSet,
     _radial_balance,
+    classify,
+    constraint_matrix,
     dirac_bracket,
     dirac_brackets,
+    evaluate,
     gauge_momentum,
     omega_dot_pi,
     omega_norm_sq,
+    pauli_model_set,
     pi_norm_sq,
     second_class_pair,
     t4_surface_set,
 )
-from spinbundle.errors import DegenerateConstraintError, GradientError
-from spinbundle.lorentz import spin_tensor_component, t3_constraint_set
+from spinbundle.errors import (
+    DegenerateConstraintError,
+    GradientError,
+    OffSurfaceWarning,
+    SpinBundleError,
+)
+from spinbundle.lorentz import (
+    spin_tensor_component,
+    t3_constraint_set,
+    t3_rest_points,
+)
 from spinbundle.phasespace import (
     MINKOWSKI_SPIN,
     OMEGA,
     Observable,
+    _dot,
     constant,
     coordinate,
     poisson_bracket,
@@ -36,7 +54,7 @@ from spinbundle.phasespace import (
 )
 
 from conftest import random_phase_state
-from test_kernels import _counted
+from test_kernels import _counted, _counted_set
 
 SIZES = [0, 1, 7, 100]
 
@@ -105,43 +123,158 @@ def _four_constraint_set(a):
         *pair, Constraint("x1", coordinate(0)), Constraint("p1", coordinate(3))))
 
 
-def _dirac_sets(rng, n):
-    """(constraint set, stack of points) for the pair on its surface, the t4
-    pair off its surface and the four-constraint set."""
-    a = 0.8
-    on_surface = np.reshape([random_phase_state(rng, a=a) for _ in range(n)],
-                            (n, 14))
-    off_surface = np.reshape(
-        [random_phase_state(rng, a=rng.uniform(0.7, 1.5),
-                            b=rng.uniform(0.7, 1.5)) for _ in range(n)],
-        (n, 14))
-    return [(second_class_pair(a), on_surface),
-            (t4_surface_set(0.75), off_surface),
-            (_four_constraint_set(a), on_surface)]
+def _states(rng, n, radii):
+    """n points with the spin sector on omega^2 = a^2, pi^2 = b^2,
+    omega.pi = 0, (a, b) = radii(i) for row i."""
+    return np.reshape([random_phase_state(rng, *radii(i)) for i in range(n)],
+                      (n, 14))
 
 
-def _dirac_observables(rng, cset):
-    spins = [spin_component(i) for i in range(3)]
-    quads = [quadratic(_symmetric(rng, 14), rng.standard_normal(14))
+def _t4_radii(rng, on_surface):
+    """(a, b) of a point on the t4 surface pi^2 = 0.75 / omega^2 where
+    on_surface(i), and of one off it elsewhere."""
+    def radii(i):
+        a = rng.uniform(0.7, 1.5)
+        return a, np.sqrt(0.75) / a * (1.0 if on_surface(i) else 1.3)
+    return radii
+
+
+def _t3_points(rng, n):
+    """n points of the covariant sector at rest, every third one moved off
+    the surface."""
+    w, p, _ = t3_rest_points(rng.standard_normal((n, 6)), 0.9, 0.9, 1.4)
+    z = np.concatenate([w, p], axis=-1)
+    z[2::3] += rng.standard_normal((len(z[2::3]), 8))
+    return t3_constraint_set([1.4, 0.0, 0.0, 0.0], 0.9, 0.9), z
+
+
+SETS = {
+    "pair": lambda rng, n: (
+        second_class_pair(0.8), _states(rng, n, lambda i: (0.8,))),
+    "t4 on its surface": lambda rng, n: (
+        t4_surface_set(0.75), _states(rng, n, _t4_radii(rng, lambda i: True))),
+    "t4 off its surface": lambda rng, n: (
+        t4_surface_set(0.75), _states(rng, n, _t4_radii(rng, lambda i: False))),
+    "t4 on and off its surface": lambda rng, n: (
+        t4_surface_set(0.75),
+        _states(rng, n, _t4_radii(rng, lambda i: i % 3 != 2))),
+    "pauli model": lambda rng, n: (
+        pauli_model_set(1.0), _states(rng, n, lambda i: (1.0,))),
+    "four constraints": lambda rng, n: (
+        _four_constraint_set(0.8), _states(rng, n, lambda i: (0.8,))),
+    "t3 on the Minkowski structure": _t3_points,
+    "one constraint": lambda rng, n: (
+        ConstraintSet((Constraint("omega_sq", omega_norm_sq(), 1.0),)),
+        _states(rng, n, lambda i: (rng.uniform(0.9, 1.1),))),
+}
+
+
+def _observables(rng, cset):
+    """fs and gs for the brackets: spins, coordinates, random quadratics and
+    one of the set's own constraints."""
+    dim = cset.structure.dim
+    quads = [quadratic(_symmetric(rng, dim), rng.standard_normal(dim))
              for _ in range(2)]
-    fs = [*spins, coordinate(6), quads[0], cset.constraints[0].func]
-    gs = [*spins, coordinate(9), coordinate(3), quads[1]]
-    return fs, gs
+    if dim == 8:
+        spins = [spin_tensor_component(0, 2), spin_tensor_component(1, 3)]
+        return ([*spins, coordinate(1, 8), quads[0], cset.constraints[0].func],
+                [*spins, coordinate(5, 8), quads[1]])
+    spins = [spin_component(i) for i in range(3)]
+    return ([*spins, coordinate(6), quads[0], cset.constraints[0].func],
+            [*spins, coordinate(9), coordinate(3), quads[1]])
 
 
+def _per_row(result):
+    """A stacked result as the list of its rows' results."""
+    if isinstance(result, BracketMatrix):
+        return [BracketMatrix(delta, result.names) for delta in result.delta]
+    return list(result)
+
+
+def _fields(result):
+    """What a result carries: a classification's tags, condition and
+    bracket matrix, a bracket matrix's names and delta, or the value."""
+    if isinstance(result, Classification):
+        return (result.first_class, result.second_class,
+                result.second_class_condition, *_fields(result.bracket))
+    if isinstance(result, BracketMatrix):
+        return result.names, result.delta
+    return (result,)
+
+
+# each stacked entry point of the engine as a call on (set, points, fs, gs),
+# the type it returns at one point, and the shape of that value (of its
+# delta for a bracket matrix), None for a classification
+ENTRY_POINTS = {
+    "poisson_bracket": (
+        lambda cset, z, fs, gs: poisson_bracket(fs[0], gs[-1], z,
+                                                cset.structure),
+        float, lambda cset, fs, gs: ()),
+    "dirac_bracket": (
+        lambda cset, z, fs, gs: dirac_bracket(fs[0], gs[1], cset, z),
+        float, lambda cset, fs, gs: ()),
+    "dirac_brackets": (
+        lambda cset, z, fs, gs: dirac_brackets(fs, gs, cset, z),
+        np.ndarray, lambda cset, fs, gs: (len(fs), len(gs))),
+    "constraint_matrix": (
+        lambda cset, z, fs, gs: constraint_matrix(cset, z),
+        BracketMatrix, lambda cset, fs, gs: (len(cset), len(cset))),
+    "classify": (
+        lambda cset, z, fs, gs: classify(cset, z), Classification, None),
+    "evaluate": (
+        lambda cset, z, fs, gs: evaluate(cset, z),
+        np.ndarray, lambda cset, fs, gs: (len(cset),)),
+}
+
+
+def _outcome(call):
+    """call's result, or the type of the library error it raises."""
+    try:
+        return call()
+    except SpinBundleError as err:
+        return type(err)
+
+
+@pytest.mark.filterwarnings("ignore::spinbundle.errors.OffSurfaceWarning")
 @pytest.mark.parametrize("n", SIZES)
-def test_dirac_brackets_on_a_stack_are_the_per_point_blocks(n, rng):
-    for cset, Z in _dirac_sets(rng, n):
-        fs, gs = _dirac_observables(rng, cset)
-        block = dirac_brackets(fs, gs, cset, Z)
-        assert block.shape == (n, len(fs), len(gs))
-        want = np.reshape([dirac_brackets(fs, gs, cset, z) for z in Z],
-                          block.shape)
-        assert np.array_equal(block, want), cset.names
-        single = dirac_bracket(fs[0], gs[1], cset, Z)
-        assert np.array_equal(single, block[:, 0, 1])
-        if n:
-            assert type(dirac_bracket(fs[0], gs[1], cset, Z[0])) is float
+@pytest.mark.parametrize("set_name", SETS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_engine_on_a_stack_is_its_per_point_calls(entry, set_name, n, rng):
+    """Each entry point on a stack gives, row for row, what it gives at each
+    point alone; where a point raises, the stack raises the same error."""
+    call, single_type, shape = ENTRY_POINTS[entry]
+    cset, Z = SETS[set_name](rng, n)
+    fs, gs = _observables(rng, cset)
+    stacked = _outcome(lambda: call(cset, Z, fs, gs))
+    per_point = [_outcome(lambda: call(cset, z, fs, gs)) for z in Z]
+    raised = [want for want in per_point if isinstance(want, type)]
+    if raised:
+        assert stacked is raised[0]
+        return
+    if shape is not None:
+        value = getattr(stacked, "delta", stacked)
+        assert value.shape == (n,) + shape(cset, fs, gs)
+    rows = _per_row(stacked)
+    assert len(rows) == n
+    for got, want in zip(rows, per_point):
+        assert type(want) is single_type
+        for got_field, want_field in zip(_fields(got), _fields(want),
+                                         strict=True):
+            if isinstance(want_field, (tuple, type(None))):
+                assert got_field == want_field
+            else:
+                assert np.array_equal(got_field, want_field), entry
+
+
+@pytest.mark.filterwarnings("ignore::spinbundle.errors.OffSurfaceWarning")
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("set_name",
+                         ["pair", "t4 off its surface", "four constraints"])
+def test_dirac_bracket_on_a_stack_is_an_entry_of_the_block(set_name, n, rng):
+    cset, Z = SETS[set_name](rng, n)
+    fs, gs = _observables(rng, cset)
+    assert np.array_equal(dirac_bracket(fs[0], gs[1], cset, Z),
+                          dirac_brackets(fs, gs, cset, Z)[:, 0, 1])
 
 
 @pytest.mark.parametrize("make_set", [second_class_pair, _four_constraint_set])
@@ -166,3 +299,69 @@ def test_stack_shapes_and_gradient_errors_are_checked(rng):
     with pytest.raises(GradientError) as err:
         poisson_bracket(omega_norm_sq(), spin_component(0), Z)
     assert err.value.label == "omega3"
+
+
+def test_classify_rejects_a_bad_tolerance_before_any_bracket(rng):
+    counts = {}
+    cset = _counted_set(pauli_model_set(), counts)
+    Z = np.reshape([random_phase_state(rng) for _ in range(7)], (7, 14))
+    for z in (Z, Z[0]):
+        with pytest.raises(ValueError):
+            classify(cset, z, tol=0.0)
+    assert counts == {}
+
+
+def test_classify_keeps_a_unit_scale_against_a_nan_bracket():
+    """{omega^2, pi^2} = 4 omega.pi overflows into nan here: the nan pair
+    is second-class with an infinite condition number, and pi_phi, whose
+    brackets vanish, stays first-class, on a stack as at the point."""
+    cset = ConstraintSet(constraints=(
+        Constraint("omega_sq", omega_norm_sq(), 1.0),
+        Constraint("pi_sq", pi_norm_sq(), 1.0),
+        Constraint("pi_phi", gauge_momentum(), 0.0)))
+    z = np.zeros(14)
+    z[OMEGA], z[9:12], z[12] = (1e200, 1e200, 0.0), (1e200, -1e200, 1e200), 1.0
+    with pytest.warns(OffSurfaceWarning):
+        results = [classify(cset, z), *classify(cset, z[None])]
+    for result in results:
+        assert np.isnan(result.bracket.delta[0, 1])
+        assert result.first_class == ("pi_phi",)
+        assert result.second_class == ("omega_sq", "pi_sq")
+        assert result.second_class_condition == math.inf
+
+
+def test_an_off_surface_stack_warns_once_naming_its_first_row(rng):
+    cset, Z = SETS["t4 on and off its surface"](rng, 7)
+    with pytest.warns(OffSurfaceWarning) as record:
+        constraint_matrix(cset, Z)
+    assert len(record) == 1
+    assert str(record[0].message) == (
+        "constraint_matrix: point (row 2) is off the constraint surface "
+        f"(residuals {evaluate(cset, Z[2])})")
+    with pytest.warns(OffSurfaceWarning) as record:
+        constraint_matrix(cset, Z[5])
+    assert str(record[0].message) == (
+        "constraint_matrix: point is off the constraint surface "
+        f"(residuals {evaluate(cset, Z[5])})")
+
+
+@pytest.mark.parametrize("layout", ["strided", "fortran"])
+@pytest.mark.parametrize("k", [4, 12])
+def test_dot_of_a_strided_stack_is_the_per_row_dot(k, layout, rng):
+    """BLAS sums a strided vector in another order than a unit-stride one;
+    _dot gives every row what np.dot gives its contiguous copy."""
+    n = 500
+
+    def draw():
+        values = (rng.standard_normal((n, k))
+                  * 10.0 ** rng.uniform(-8.0, 8.0, (n, k)))
+        if layout == "fortran":
+            return np.asfortranarray(values)
+        wide = np.empty((n, 2 * k))
+        wide[:, ::2] = values
+        return wide[:, ::2]
+
+    u, v = draw(), draw()
+    want = [np.dot(np.ascontiguousarray(a), np.ascontiguousarray(b))
+            for a, b in zip(u, v)]
+    assert np.array_equal(_dot(u, v), want)

@@ -155,11 +155,11 @@ def test_so3_suite_brackets_each_block_on_its_stack(monkeypatch):
     assert [np.shape(args[2]) for args in poisson] == [(4, 14)] * 3
 
 
-def test_t4_suite_classifies_one_point_at_a_time(monkeypatch):
+def test_t4_suite_classifies_its_stack_in_one_call(monkeypatch):
     classify = count_calls(monkeypatch, constraints, "classify")
     verify.verify_t4({"scenario": "verify_t4", "n_points": 4, "n_boosts": 3})
-    assert len(classify) == 4
-    assert all(np.shape(args[-1]) == (14,) for args in classify)
+    assert len(classify) == 1
+    assert np.shape(classify[0][-1]) == (4, 14)
 
 
 # ---------------------------------------------------------------------------
