@@ -79,19 +79,18 @@ def jacobian_singular_values(omega, pi, kind: str = "so3") -> Array:
     return np.linalg.svd(map_jacobian(omega, pi, kind), compute_uv=False)
 
 
-def _numerical_rank(sv: Array, threshold: float = 1e-8) -> Array:
-    """Per point, the count of singular values above threshold * the
-    largest; zero where the largest is zero."""
-    return np.count_nonzero(sv > threshold * sv[..., :1], axis=-1)
+def _numerical_rank(sv: Array) -> Array:
+    """Per point, the count of singular values above 1e-8 * the largest;
+    zero where the largest is zero."""
+    return np.count_nonzero(sv > 1e-8 * sv[..., :1], axis=-1)
 
 
-def jacobian_rank(omega, pi, kind: str = "so3", threshold: float = 1e-8) -> int:
+def jacobian_rank(omega, pi, kind: str = "so3") -> int:
     """Numerical rank of the bundle projection's Jacobian.
 
-    Singular values below threshold * (largest singular value) count as zero.
+    Singular values below 1e-8 * (largest singular value) count as zero.
     """
-    return int(_numerical_rank(jacobian_singular_values(omega, pi, kind),
-                               threshold))
+    return int(_numerical_rank(jacobian_singular_values(omega, pi, kind)))
 
 
 def surface_residuals(omega, pi) -> Array:
@@ -122,7 +121,7 @@ def normalize_to_surface(omega, pi):
     return w, perp / pn
 
 
-def rotation_matrix(omega, pi, tol: float = 1e-9) -> Array:
+def rotation_matrix(omega, pi) -> Array:
     """Rotation matrix with rows (omega, pi, omega x pi); stacked pairs give
     an (n, 3, 3) stack.
 
@@ -131,7 +130,7 @@ def rotation_matrix(omega, pi, tol: float = 1e-9) -> Array:
     """
     omega, pi = _three_pair(omega, pi, "rotation_matrix expects 3-vectors")
     residuals = surface_residuals(omega, pi)
-    bad = failing_point(np.max(np.abs(residuals), axis=-1) > tol)
+    bad = failing_point(np.max(np.abs(residuals), axis=-1) > 1e-9)
     if bad:
         i, where = bad
         raise SurfaceError(
@@ -150,16 +149,15 @@ def so2_action(omega, pi, beta):
     return c * omega + s * pi, -s * omega + c * pi
 
 
-def local_coords(omega, pi, surface_tol: float = 1e-9,
-                 chart_tol: float = 1e-12):
+def local_coords(omega, pi):
     """Adapted bundle coordinates (S1, S2, omega3) on the chart omega3 != 0."""
     omega = np.asarray(omega, dtype=float)
     pi = np.asarray(pi, dtype=float)
     residuals = surface_residuals(omega, pi)
-    if np.max(np.abs(residuals)) > surface_tol:
+    if np.max(np.abs(residuals)) > 1e-9:
         raise SurfaceError(residuals,
                            "local_coords needs a normalized surface point")
-    if abs(omega[2]) <= chart_tol:
+    if abs(omega[2]) <= 1e-12:
         raise ChartDomainError(
             "point lies outside the chart omega3 != 0")
     spin = np.cross(omega, pi)

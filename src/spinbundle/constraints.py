@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -58,7 +58,6 @@ class ConstraintSet:
 
     constraints: tuple
     structure: CanonicalStructure = CANONICAL_PARTICLE
-    tolerance: float = 1e-9
     update_indices: tuple = SPIN_BLOCK
 
     def __post_init__(self):
@@ -118,7 +117,7 @@ def evaluate(cset: ConstraintSet, z) -> np.ndarray:
         zf.shape[:-1] + (len(cset),))
 
 
-def _constraint_brackets(cset: ConstraintSet, zf, rel_step: float):
+def _constraint_brackets(cset: ConstraintSet, zf):
     """Checked gradients of the constraints, each taken once, as an (..., n,
     dim) stack, and the antisymmetric matrices (..., n, n) of their mutual
     brackets: delta_ab = {Phi_a, Phi_b} for a < b, and delta_ba = -delta_ab.
@@ -131,7 +130,7 @@ def _constraint_brackets(cset: ConstraintSet, zf, rel_step: float):
     if n < 2:
         return np.zeros(delta.shape[:-1] + (cset.structure.dim,)), delta
     zf = _checked_point(zf, cset.structure)
-    grads = _gradients([c.func for c in cset], zf, cset.structure, rel_step, {})
+    grads = _gradients([c.func for c in cset], zf, cset.structure, {})
     rows, cols = zip(*[(a, b) for a in range(n) for b in range(a + 1, n)])
     values = _brackets(grads, grads, cset.structure)[..., rows, cols]
     delta[..., rows, cols] = values
@@ -139,43 +138,40 @@ def _constraint_brackets(cset: ConstraintSet, zf, rel_step: float):
     return grads, delta
 
 
-def _gradients(observables, zf, structure, rel_step, taken):
+def _gradients(observables, zf, structure, taken):
     """Checked gradients at zf, one per observable, as an (..., k, dim)
     stack; each is taken once and kept in taken under the observable's id."""
     for obs in observables:
         if id(obs) not in taken:
-            taken[id(obs)] = _checked_gradient(obs, zf, structure, rel_step)
+            taken[id(obs)] = _checked_gradient(obs, zf, structure)
     stack = np.array([taken[id(obs)] for obs in observables])
     return stack.reshape((len(observables),) + zf.shape).swapaxes(0, -2)
 
 
-def constraint_matrix(cset: ConstraintSet, z, rel_step: float = 1e-6,
-                      warn: bool = True) -> BracketMatrix:
+def constraint_matrix(cset: ConstraintSet, z) -> BracketMatrix:
     """Antisymmetric matrix of mutual brackets of the set at z, (k, k) at one
-    point and (n, k, k) over a stack; with warn, a point off the surface
-    warns once, naming the first such row of a stack and its residuals."""
+    point and (n, k, k) over a stack; a point off the surface warns once,
+    naming the first such row of a stack and its residuals."""
     zf = as_flat(z)
-    if warn:
-        res = evaluate(cset, zf)
-        scale = np.maximum(1.0, np.abs(cset.targets))
-        off = failing_point(np.any(np.abs(res) > cset.tolerance * scale, -1))
-        if off:
-            warnings.warn(f"constraint_matrix: point{off[1]} is off the "
-                          f"constraint surface (residuals {res[off[0]]})",
-                          OffSurfaceWarning, stacklevel=2)
-    _, delta = _constraint_brackets(cset, zf, rel_step)
+    res = evaluate(cset, zf)
+    scale = np.maximum(1.0, np.abs(cset.targets))
+    off = failing_point(np.any(np.abs(res) > 1e-9 * scale, -1))
+    if off:
+        warnings.warn(f"constraint_matrix: point{off[1]} is off the "
+                      f"constraint surface (residuals {res[off[0]]})",
+                      OffSurfaceWarning, stacklevel=2)
+    _, delta = _constraint_brackets(cset, zf)
     return BracketMatrix(delta=delta, names=cset.names)
 
 
-def classify(cset: ConstraintSet, z, tol: float = 1e-8,
-             rel_step: float = 1e-6):
+def classify(cset: ConstraintSet, z, tol: float = 1e-8):
     """Tag each constraint first-class (all brackets vanish on the surface
     within tol, scaled by the bracket magnitudes) or second-class: one
     Classification at a point z, and over a stack a tuple of them, one per
     point, from one constraint_matrix call."""
     if tol <= 0:
         raise ValueError("classification tolerance must be positive")
-    delta = constraint_matrix(cset, z, rel_step=rel_step).delta
+    delta = constraint_matrix(cset, z).delta
     # the scale is max(1.0, largest |delta|) as Python takes it: 1.0 for nan
     largest = np.max(np.abs(delta), axis=(-2, -1), initial=0.0)
     bound = tol * np.where(largest > 1.0, largest, 1.0)
@@ -195,15 +191,16 @@ def classify(cset: ConstraintSet, z, tol: float = 1e-8,
 
 def _condition(delta: np.ndarray) -> float:
     """Condition number of the constraint bracket matrix, the largest over a
-    stack of them.
+    stack of them, and infinite where an entry is inf or nan.
 
     A pair's delta is antisymmetric with a zero diagonal, so both singular
-    values are |delta_01|: the number is 1 when delta_01 is finite and
-    nonzero and infinite otherwise.  Larger sets take the SVD.
+    values are |delta_01|: the number is 1 when delta_01 is nonzero and
+    infinite otherwise.  Larger sets take the SVD.
     """
+    if not np.isfinite(delta).all():
+        return math.inf
     if delta.shape[-1] == 2:
-        d = delta[..., 0, 1]
-        return 1.0 if np.all((d != 0.0) & np.isfinite(d)) else math.inf
+        return 1.0 if np.all(delta[..., 0, 1] != 0.0) else math.inf
     return float(np.max(np.linalg.cond(delta))) if delta.size else 1.0
 
 
@@ -225,30 +222,28 @@ def _solve_delta(delta: np.ndarray, rhs) -> np.ndarray:
     return np.stack((rhs[..., 1, :] / -d, rhs[..., 0, :] / d), axis=-2)
 
 
-def dirac_brackets(fs, gs, second_class: ConstraintSet, z,
-                   rel_step: float = 1e-6,
-                   max_condition: float = 1e12) -> np.ndarray:
+def dirac_brackets(fs, gs, second_class: ConstraintSet, z) -> np.ndarray:
     """Dirac brackets {f, g}* = {f, g} - {f, Phi_a} (delta^-1)_ab {Phi_b, g}
     for every f in fs and g in gs: a (len(fs), len(gs)) array at one point
     z, or an (n, len(fs), len(gs)) array at each point of a stack z.
 
     The constraint gradients, delta and its condition number are taken once,
-    and a degenerate delta at any point raises before any f or g is looked
-    at.  Then each distinct observable's gradient is taken once for the
-    stack (one that is also a constraint reuses the constraint's), and delta
-    is solved once per g and point, in closed form for a pair.  Overflows
-    give inf or nan silently, as in the brackets.
+    and a degenerate delta (condition above 1e12) at any point raises before
+    any f or g is looked at.  Then each distinct observable's gradient is
+    taken once for the stack (one that is also a constraint reuses the
+    constraint's), and delta is solved once per g and point, in closed form
+    for a pair.  Overflows give inf or nan silently, as in the brackets.
     """
     structure = second_class.structure
     zf = as_flat(z)
-    grads, delta = _constraint_brackets(second_class, zf, rel_step)
+    grads, delta = _constraint_brackets(second_class, zf)
     condition = _condition(delta)
-    if not np.isfinite(condition) or condition > max_condition:
+    if not np.isfinite(condition) or condition > 1e12:
         raise DegenerateConstraintError(condition)
     zf = _checked_point(zf, structure)
     taken = {id(c.func): grads[..., a, :] for a, c in enumerate(second_class)}
-    dfs = _gradients(fs, zf, structure, rel_step, taken)
-    dgs = _gradients(gs, zf, structure, rel_step, taken)
+    dfs = _gradients(fs, zf, structure, taken)
+    dgs = _gradients(gs, zf, structure, taken)
     bf = _brackets(dfs, grads, structure)
     bg = np.swapaxes(_brackets(grads, dgs, structure), -1, -2)
     with np.errstate(all="ignore"):
@@ -257,13 +252,11 @@ def dirac_brackets(fs, gs, second_class: ConstraintSet, z,
                 - _dot(bf[..., :, None, :], x[..., None, :, :]))
 
 
-def dirac_bracket(f, g, second_class: ConstraintSet, z,
-                  rel_step: float = 1e-6, max_condition: float = 1e12) -> float:
+def dirac_bracket(f, g, second_class: ConstraintSet, z) -> float:
     """Dirac bracket {f, g}* = {f, g} - {f, Phi_a} (delta^-1)_ab {Phi_b, g},
     the 1 x 1 case of dirac_brackets: a float at one point, an (n,) array
     on a stack."""
-    value = dirac_brackets((f,), (g,), second_class, z, rel_step,
-                           max_condition)[..., 0, 0]
+    value = dirac_brackets((f,), (g,), second_class, z)[..., 0, 0]
     return float(value) if value.ndim == 0 else value
 
 

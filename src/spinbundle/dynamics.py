@@ -199,14 +199,16 @@ class FieldConfig:
         an array or (nested) list, wrapped into one kernel; on arrays of
         points the kernel calls them once per point."""
         fns = (B, A, grad_A, grad_B)
+        shapes = ((3,), (3,), (3, 3), (3, 3))
 
         def kernel(x1, x2, x3):
             if np.ndim(x1):
                 points = np.column_stack((x1, x2, x3))
                 # components first and points last, as in the nesting of floats
-                return tuple(np.moveaxis(np.array([np.asarray(fn(x), dtype=float)
-                                                   for x in points]), 0, -1)
-                             for fn in fns)
+                return tuple(np.moveaxis(np.reshape(
+                    [np.asarray(fn(x), dtype=float) for x in points],
+                    (len(points),) + shape), 0, -1)
+                    for fn, shape in zip(fns, shapes))
             x = np.array([x1, x2, x3])
             return tuple(np.asarray(fn(x), dtype=float).tolist() for fn in fns)
 
@@ -265,16 +267,15 @@ class GaugeFunction:
         h = 1e-6 * max(1.0, abs(t))
         return (float(self.phi(t + h)) - float(self.phi(t - h))) / (2.0 * h)
 
-    def validate(self, t0: float, t1: float, samples: int = 1000,
-                 min_abs: float = 1e-6) -> None:
-        """Sample phi on a grid over [t0, t1]; raise GaugeError where |phi|
-        falls to min_abs or where phi changes sign between two samples."""
+    def validate(self, t0: float, t1: float) -> None:
+        """Sample phi at 1,000 points over [t0, t1]; raise GaugeError where
+        |phi| falls to 1e-6 or where phi changes sign between two samples."""
         prev_t = prev = None
-        for t in np.linspace(t0, t1, samples):
+        for t in np.linspace(t0, t1, 1000):
             value = float(self.phi(t))
-            if abs(value) <= min_abs:
+            if abs(value) <= 1e-6:
                 raise GaugeError(
-                    f"gauge function falls to |phi| <= {min_abs:g} near t = {t:.6g}")
+                    f"gauge function falls to |phi| <= 1e-06 near t = {t:.6g}")
             if prev is not None and prev * value < 0.0:
                 raise GaugeError(
                     f"gauge function changes sign between t = {prev_t:.6g} "
@@ -399,6 +400,9 @@ def parse_gauge_expression(expression: str, label: str = "") -> GaugeFunction:
 _ORTH_OBS = con.omega_dot_pi()
 _HALF_PI_SQ = 0.5 * con.pi_norm_sq()
 
+_PHI_FLOOR = 1e-9  # |phi| < this: the equations of motion are singular
+_PI_SQ_FLOOR = 1e-12  # pi^2 < this * max(1, b^2): no multiplier
+
 
 def _spin_sector_hamiltonian(params: ModelParams,
                              fields: Optional[FieldConfig]) -> Observable:
@@ -441,7 +445,7 @@ def solve_multiplier(z, params: ModelParams, phi_val: Optional[float] = None,
     zf = np.array(as_flat(z), dtype=float)
     if phi_val is not None:
         zf[PHI] = float(phi_val)
-    if abs(zf[PHI]) < 1e-9:
+    if abs(zf[PHI]) < _PHI_FLOOR:
         raise GaugeError("multiplier solve needs phi != 0")
     if check_surface:
         res = con.evaluate(params.surface(), zf)
@@ -453,7 +457,7 @@ def solve_multiplier(z, params: ModelParams, phi_val: Optional[float] = None,
     h0 = _spin_sector_hamiltonian(params, fields)
     numerator = poisson_bracket(_ORTH_OBS, h0, zf)
     denominator = poisson_bracket(_ORTH_OBS, _HALF_PI_SQ, zf)
-    if abs(denominator) < 1e-12 * max(1.0, params.b ** 2):
+    if abs(denominator) < _PI_SQ_FLOOR * max(1.0, params.b ** 2):
         raise DomainError("multiplier is undefined where pi^2 ~ 0")
     return float(-numerator / denominator)
 
@@ -521,10 +525,10 @@ def eom(z, t: float, params: ModelParams, fields: FieldConfig,
     (gauge.derivative(t), 0) on (phi, pi_phi)."""
     y = as_flat(z).tolist()
     w1, w2, w3, q1, q2, q3, phi = y[OMEGA.start:PHI + 1]
-    if abs(phi) < 1e-9:
+    if abs(phi) < _PHI_FLOOR:
         raise GaugeError(f"equations of motion are singular at phi = {phi!r}")
     q_sq = q1 * q1 + q2 * q2 + q3 * q3
-    if q_sq < 1e-12 * max(1.0, params.b ** 2):
+    if q_sq < _PI_SQ_FLOOR * max(1.0, params.b ** 2):
         raise DomainError("multiplier is undefined where pi^2 ~ 0")
     # _multiplier, written out
     lam1 = 2.0 * (w1 * w1 + w2 * w2 + w3 * w3) / (phi * q_sq)
@@ -1200,7 +1204,7 @@ def _gauge_sector(r: float, times, gauge: GaugeFunction,
 
     def rhs(theta, t):
         value = gauge(t)
-        if abs(value) < 1e-9:
+        if abs(value) < _PHI_FLOOR:
             raise GaugeError(f"equations of motion are singular at phi = {value!r}")
         return [2.0 * r / value]
 
@@ -1224,7 +1228,7 @@ def _gauge_sector(r: float, times, gauge: GaugeFunction,
         # a failing stage time: the stepper finds the error in its own order
         values = np.zeros(5 * gap.size)
     values = values.reshape(5, gap.size)
-    singular = (np.abs(values) < 1e-9).any(axis=0)
+    singular = (np.abs(values) < _PHI_FLOOR).any(axis=0)
     # inf and nan follow IEEE here as in the stepper's Python floats, which
     # warn of nothing; a gap whose norm is nan is left to the stepper
     with np.errstate(all="ignore"):

@@ -288,7 +288,7 @@ def j_to_bmt(j, P) -> Array:
 
 
 def tetrad(P, omega, pi, a3: float = DEFAULT_SURFACE_SCALE,
-           a4: float = DEFAULT_SURFACE_SCALE, tol: float = 1e-9) -> Array:
+           a4: float = DEFAULT_SURFACE_SCALE) -> Array:
     """Pseudo-orthogonal frame carried by a covariant spin-surface point.
 
     Rows are P, omega, pi, and the covariant spin vector, each normalized to
@@ -299,7 +299,7 @@ def tetrad(P, omega, pi, a3: float = DEFAULT_SURFACE_SCALE,
     omega = _four(omega, "omega")
     pi = _four(pi, "pi")
     residuals = t3_constraints(omega, pi, P, a3, a4)
-    bad = failing_point(np.max(np.abs(residuals), axis=-1) > tol)
+    bad = failing_point(np.max(np.abs(residuals), axis=-1) > 1e-9)
     if bad:
         i, where = bad
         raise SurfaceError(residuals[i],
@@ -444,18 +444,16 @@ def sample_t3_rest_point(rng, a3: float = DEFAULT_SURFACE_SCALE,
     return t3_rest_points(surface_draw(rng), a3, a4, float(mass))
 
 
-def t4_rest_points(u, raw, a: float = 0.75, mass=1.0,
-                   radius_range=(0.5, 2.0)):
+def t4_rest_points(u, raw, a: float = 0.75, mass=1.0):
     """Rest-frame points of the scale-free covariant surface from the
-    random() draws u of their radii and raw surface draws (..., 6), as
-    sample_t4_rest_point maps them."""
-    radius = uniform_from(u, *radius_range)
+    random() draws u of their radii |omega| in [0.5, 2) and raw surface
+    draws (..., 6), as sample_t4_rest_point maps them."""
+    radius = uniform_from(u, 0.5, 2.0)
     w3, p3, _ = surface_points(raw, radius, np.sqrt(a) / radius)
     return rest_frame(w3, p3, mass)
 
 
-def sample_t4_rest_point(rng, a: float = 0.75, mass: float = 1.0,
-                         radius_range=(0.5, 2.0)):
+def sample_t4_rest_point(rng, a: float = 0.75, mass: float = 1.0):
     """Rest-frame point of the scale-free covariant surface."""
     u = rng.random()
-    return t4_rest_points(u, surface_draw(rng), a, float(mass), radius_range)
+    return t4_rest_points(u, surface_draw(rng), a, float(mass))

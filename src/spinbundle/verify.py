@@ -91,12 +91,6 @@ def _worst(values) -> float:
     return float(np.max(np.abs(values), initial=0.0))
 
 
-def _worst_entry(values):
-    """_worst as max() over numpy entries from 0.0 gives it: a numpy scalar,
-    or 0.0 when every entry is 0."""
-    return np.float64(_worst(values)) or 0.0
-
-
 def _boosted_points(rng, n: int, beta_max: float, rest_points,
                     radius_draws: int = 0, draw_mass: bool = True):
     """n boosted points (omega, pi, P), as three (n, 4) stacks. Each point
@@ -124,9 +118,9 @@ def _scale_free_points(rng, n: int, a: float, *after: _Draw):
     return (w, p, *rest)
 
 
-def _random_quadratic(rng, dim: int = 14):
-    A = rng.standard_normal((dim, dim))
-    return quadratic(0.5 * (A + A.T), rng.standard_normal(dim),
+def _random_quadratic(rng):
+    A = rng.standard_normal((14, 14))
+    return quadratic(0.5 * (A + A.T), rng.standard_normal(14),
                      float(rng.standard_normal()), name="random quadratic")
 
 
@@ -158,18 +152,18 @@ def verify_so3(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
     alg_poisson = _worst([poisson_bracket(S[i], S[j], z) - spin[:, k]
                           for i, j, k in cyclic])
     spin_dirac = con.dirac_brackets(S, S, pair, z)
-    alg_dirac = _worst_entry([spin_dirac[:, i, j] - spin[:, k]
-                              for i, j, k in cyclic])
+    alg_dirac = _worst([spin_dirac[:, i, j] - spin[:, k]
+                        for i, j, k in cyclic])
     omega_pi = con.dirac_brackets([coordinate(6 + i) for i in range(3)],
                                   [coordinate(9 + j) for j in range(3)],
                                   pair, z)
-    omega_pi_err = _worst_entry(
+    omega_pi_err = _worst(
         omega_pi - (np.eye(3) - w[:, :, None] * w[:, None, :] / (a * a)))
 
     # Dirac bracket annihilates the second-class pair
     observables = [_random_quadratic(rng) for _ in range(20)]
     phis = [c.func for c in pair.constraints]
-    annihilation = _worst_entry(
+    annihilation = _worst(
         con.dirac_brackets(phis, observables, pair, sample_states(50)))
 
     # bundle identification (normalized chart) and structure-group invariance

@@ -1,5 +1,6 @@
 """Constraint sets, Dirac classification, Dirac brackets, and projection."""
 
+import math
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from spinbundle.constraints import (
     constraint_matrix,
     default_pi_norm,
     dirac_bracket,
+    dirac_brackets,
     evaluate,
     omega_dot_pi,
     omega_norm_sq,
@@ -271,6 +273,19 @@ def test_dirac_degenerate_matrix_raises(rng):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OffSurfaceWarning)
             dirac_bracket(coordinate(6), coordinate(9), cset, z)
+
+
+@pytest.mark.parametrize("cset", [pauli_model_set(), spin_surface_set()],
+                         ids=["pauli_model", "spin_surface"])
+def test_overflowing_brackets_are_degenerate(cset):
+    # entries of 1e155 overflow the brackets of three second-class
+    # constraints to inf and nan, on which an SVD does not converge
+    z = surface_state((1e155, 1e155, 1e155), (1e155, -1e155, 2e155))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OffSurfaceWarning)
+        assert classify(cset, z).second_class_condition == math.inf
+        with pytest.raises(DegenerateConstraintError):
+            dirac_brackets([coordinate(6)], [coordinate(9)], cset, z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The closed-form flow integrate takes in free and uniform fields, pinned
 to the Dormand-Prince path on the same field, the convergence of the
 Dormand-Prince path where no closed form exists, the factored flow pinned
-to the unfactored 14-d equations of motion, and the gauge sector's pass
-over the whole grid, pinned to the stepper."""
+to the unfactored 14-d equations of motion, the symplectic form the
+physical flow keeps, and the gauge sector's pass over the whole grid,
+pinned to the stepper."""
 
 import numpy as np
 import pytest
@@ -275,6 +276,47 @@ def test_factored_flow_matches_the_unfactored_equations_of_motion():
               for name, block in {**BLOCKS, "phi": slice(PHI, PHI + 1)}.items()}
     for name, bound in UNFACTORED_BOUNDS.items():
         assert errors[name] <= bound, errors
+
+
+# The physical sector's canonical pairs (x_i, p_i) and (omega~_i, pi~_i) as
+# the symplectic form J on its 12 coordinates (x, p, omega~, pi~)
+PHYSICAL_J = np.zeros((12, 12))
+for q in (0, 1, 2, 6, 7, 8):
+    PHYSICAL_J[q, q + 3], PHYSICAL_J[q + 3, q] = 1.0, -1.0
+
+
+def symplectic_defect(rhs, u0, times, h=1e-5):
+    """max |D^T J D - J| over the sample times, for the Jacobian D of the
+    DOP853 flow of rhs from u0, taken by central differences of step h."""
+    def flow(u):
+        u = u.tolist()
+        return dynamics._dop853(rhs, u, rhs(u, times[0]), times, tight(),
+                                "physical")
+
+    D = np.stack([(flow(u0 + h * e) - flow(u0 - h * e)) / (2.0 * h)
+                  for e in np.eye(12)], axis=-1)
+    return float(np.max(np.abs(np.swapaxes(D, -1, -2) @ PHYSICAL_J @ D
+                               - PHYSICAL_J)))
+
+
+def test_physical_flow_is_symplectic():
+    """The flow of the physical sector keeps the canonical symplectic form,
+    D^T J D = J; a kernel with half the spin force on p does not."""
+    params = ModelParams()
+    rhs = dynamics._physical_kernel(
+        params, FieldConfig.linear_gradient(B0=1.0, gradient=0.05))
+    u0 = np.array([0.0, 0.0, 0.0, 0.3, 0.0, 0.0,
+                   params.a, 0.0, 0.0, 0.0, params.b, 0.0])
+    times = np.linspace(0.0, 2.0, 11)
+
+    def half_spin_force(u, t):
+        # p' from u with omega~ = pi~ = 0 lacks the spin force entirely
+        full, spinless = rhs(u, t), rhs(u[:6] + [0.0] * 6, t)
+        half = [0.5 * (f + g) for f, g in zip(full[3:6], spinless[3:6])]
+        return full[:3] + half + full[6:]
+
+    assert symplectic_defect(rhs, u0, times) < 1e-7
+    assert symplectic_defect(half_spin_force, u0, times) > 1e-2
 
 
 def stepped_gauge_sector(r, times, gauge, opts):
