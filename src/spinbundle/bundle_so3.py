@@ -5,9 +5,10 @@ the rotation group; the spin map omega x pi projects them onto the sphere,
 and rotations in the (omega, pi) plane move along the fiber.  Gauge freedom
 of the auxiliary sector is tracked by a symmetric 2x2 matrix of multipliers.
 
-The spin map, its Jacobian, the rotation identification and the fiber
-rotation take stacks: leading axes are points, so (n, 3) inputs are n
-points, each mapped as a call on it alone would map it.
+The spin map, its Jacobian and singular values, the surface residuals, the
+rotation identification and the fiber rotation take stacks: leading axes
+are points, so (n, 3) inputs are n points, each mapped as a call on it
+alone would map it, and a guard that fails at any point names its row.
 """
 
 from __future__ import annotations
@@ -22,17 +23,20 @@ from .phasespace import _dot
 Array = np.ndarray
 
 
-def _three_pair(omega, pi, message):
-    omega = np.asarray(omega, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if omega.shape[-1:] != (3,) or pi.shape[-1:] != (3,):
-        raise ValueError(message)
-    return omega, pi
+def _points(shape, name, *arrays):
+    """The arrays as floats, each checked to be one point of the given
+    shape, such as (3,) or (4, 4), or a stack of them over leading axes."""
+    arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
+    for a in arrays:
+        if a.shape[-len(shape):] != shape:
+            raise ValueError(f"{name} takes points of shape {shape} or "
+                             f"stacks of them, got shape {a.shape}")
+    return arrays
 
 
 def spin_map(omega, pi) -> Array:
     """Bundle projection: the composed spin vector S = omega x pi."""
-    omega, pi = _three_pair(omega, pi, "spin_map expects two 3-vectors")
+    omega, pi = _points((3,), "spin_map", omega, pi)
     return np.cross(omega, pi)
 
 
@@ -52,31 +56,31 @@ def map_jacobian(omega, pi, kind: str = "so3") -> Array:
     as a map R^8 -> R^6 (four-vectors in, rows ordered k1 k2 k3 j1 j2 j3).
     Leading axes are points: (n, 3) inputs give an (n, 3, 6) stack.
     """
-    omega = np.asarray(omega, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+    if kind not in ("so3", "so13"):
+        raise ValueError(f"unknown map kind {kind!r}")
+    omega, pi = np.broadcast_arrays(*_points(
+        (3,) if kind == "so3" else (4,), f"the {kind} map_jacobian", omega, pi))
     if kind == "so3":
-        if omega.shape[-1:] != (3,) or pi.shape[-1:] != (3,):
-            raise ValueError("so3 map expects 3-vectors")
-        omega, pi = np.broadcast_arrays(omega, pi)
         return np.concatenate([-_skew(pi), _skew(omega)], axis=-1)
-    if kind == "so13":
-        if omega.shape[-1:] != (4,) or pi.shape[-1:] != (4,):
-            raise ValueError("so13 map expects four-vectors")
-        omega, pi = np.broadcast_arrays(omega, pi)
-        rows = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
-        jac = np.zeros(omega.shape[:-1] + (6, 8))
-        for r, (mu, nu) in enumerate(rows):
-            jac[..., r, mu] += 2.0 * pi[..., nu]
-            jac[..., r, nu] -= 2.0 * pi[..., mu]
-            jac[..., r, 4 + nu] += 2.0 * omega[..., mu]
-            jac[..., r, 4 + mu] -= 2.0 * omega[..., nu]
-        return jac
-    raise ValueError(f"unknown map kind {kind!r}")
+    rows = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
+    jac = np.zeros(omega.shape[:-1] + (6, 8))
+    for r, (mu, nu) in enumerate(rows):
+        jac[..., r, mu] += 2.0 * pi[..., nu]
+        jac[..., r, nu] -= 2.0 * pi[..., mu]
+        jac[..., r, 4 + nu] += 2.0 * omega[..., mu]
+        jac[..., r, 4 + mu] -= 2.0 * omega[..., nu]
+    return jac
 
 
 def jacobian_singular_values(omega, pi, kind: str = "so3") -> Array:
-    """Singular values of map_jacobian, largest first, per point."""
-    return np.linalg.svd(map_jacobian(omega, pi, kind), compute_uv=False)
+    """Singular values of map_jacobian, largest first, per point; a point
+    whose Jacobian is not finite raises DomainError, as LAPACK has no
+    singular values for it."""
+    jac = map_jacobian(omega, pi, kind)
+    bad = failing_point(~np.isfinite(jac).all(axis=(-2, -1)))
+    if bad:
+        raise DomainError(f"the {kind} Jacobian is not finite{bad[1]}")
+    return np.linalg.svd(jac, compute_uv=False)
 
 
 def _numerical_rank(sv: Array) -> Array:
@@ -96,8 +100,7 @@ def jacobian_rank(omega, pi, kind: str = "so3") -> int:
 def surface_residuals(omega, pi) -> Array:
     """Residuals (omega^2 - 1, pi^2 - 1, omega.pi) of the normalized surface,
     along the last axis."""
-    omega = np.asarray(omega, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+    omega, pi = _points((3,), "surface_residuals", omega, pi)
     return np.stack(np.broadcast_arrays(
         _dot(omega, omega) - 1.0,
         _dot(pi, pi) - 1.0,
@@ -128,7 +131,7 @@ def rotation_matrix(omega, pi) -> Array:
     Requires a point of the normalized surface; use normalize_to_surface
     first for raw input.
     """
-    omega, pi = _three_pair(omega, pi, "rotation_matrix expects 3-vectors")
+    omega, pi = _points((3,), "rotation_matrix", omega, pi)
     residuals = surface_residuals(omega, pi)
     bad = failing_point(np.max(np.abs(residuals), axis=-1) > 1e-9)
     if bad:
@@ -143,16 +146,14 @@ def rotation_matrix(omega, pi) -> Array:
 def so2_action(omega, pi, beta):
     """Structure-group rotation in the (omega, pi) plane by the angle beta;
     for stacked pairs, beta holds one angle per point or one for all."""
-    omega = np.asarray(omega, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+    omega, pi = _points((3,), "so2_action", omega, pi)
     c, s = np.cos(beta)[..., None], np.sin(beta)[..., None]
     return c * omega + s * pi, -s * omega + c * pi
 
 
 def local_coords(omega, pi):
     """Adapted bundle coordinates (S1, S2, omega3) on the chart omega3 != 0."""
-    omega = np.asarray(omega, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+    omega, pi = _points((3,), "local_coords", omega, pi)
     residuals = surface_residuals(omega, pi)
     if np.max(np.abs(residuals)) > 1e-9:
         raise SurfaceError(residuals,

@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -39,7 +38,6 @@ from .phasespace import OMEGA, PhasePoint, poisson_bracket
 from .verify import verify_lorentz, verify_so3, verify_t4
 
 __all__ = [
-    "Check",
     "ConfigError",
     "load_config",
     "main",
@@ -86,41 +84,6 @@ SCENARIO_CHECKS: Dict[str, Dict[str, float]] = {
 
 # The checks that must stay above their threshold; `checks.all` skips them
 MIN_CHECKS = frozenset({"omega_separation"})
-
-
-@dataclass(frozen=True)
-class Check:
-    """A named scalar compared against a threshold.
-
-    comparison "max" passes when value < threshold, "min" when value >
-    threshold.
-    """
-
-    name: str
-    value: float
-    threshold: float
-    comparison: str = "max"
-
-    def __post_init__(self):
-        if self.comparison not in ("max", "min"):
-            raise ValueError("comparison must be 'max' or 'min'")
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "threshold", float(self.threshold))
-
-    @property
-    def passed(self) -> bool:
-        if self.comparison == "max":
-            return self.value < self.threshold
-        return self.value > self.threshold
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "threshold": self.threshold,
-            "comparison": self.comparison,
-            "passed": self.passed,
-        }
 
 
 # A spec is a tuple headed by what it accepts:
@@ -578,15 +541,20 @@ def run_config(cfg: dict, out_dir: Optional[Path] = None) -> Tuple[int, dict]:
 
     values, metrics, trajectories = runner(cfg)
     # a threshold is the config's override by name, then `checks.all` for an
-    # upper bound, then the table's default
+    # upper bound, then the table's default; a "max" check passes below its
+    # threshold, a "min" check above it, and a nan value fails either
     overrides = cfg.get("checks", {})
     checks = []
     for name, default in SCENARIO_CHECKS[scenario].items():
         comparison = "min" if name in MIN_CHECKS else "max"
         if comparison == "max":
             default = overrides.get("all", default)
-        checks.append(Check(name, values[name], overrides.get(name, default),
-                            comparison))
+        value = float(values[name])
+        threshold = float(overrides.get(name, default))
+        checks.append({"name": name, "value": value, "threshold": threshold,
+                       "comparison": comparison,
+                       "passed": (value > threshold if comparison == "min"
+                                  else value < threshold)})
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}
     for tag, traj in trajectories.items():
@@ -597,8 +565,8 @@ def run_config(cfg: dict, out_dir: Optional[Path] = None) -> Tuple[int, dict]:
     summary = {
         "scenario": scenario,
         "seed": int(cfg.get("seed", 0)),
-        "all_passed": all(c.passed for c in checks),
-        "checks": [c.as_dict() for c in checks],
+        "all_passed": all(c["passed"] for c in checks),
+        "checks": checks,
         "metrics": {k: (v if isinstance(v, str) else float(v))
                     for k, v in sorted(metrics.items())},
         "artifacts": artifacts,

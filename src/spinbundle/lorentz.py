@@ -18,7 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundle_so3 import _norm, surface_draw, surface_points, uniform_from
+from .bundle_so3 import (
+    _norm,
+    _points,
+    _skew,
+    surface_draw,
+    surface_points,
+    uniform_from,
+)
 from .constraints import Constraint, ConstraintSet
 from .errors import DomainError, SuperluminalError, SurfaceError, failing_point
 from .phasespace import MINKOWSKI_SPIN, Observable, _bilinear, _dot
@@ -34,20 +41,6 @@ LEVI_CIVITA_SIGN = 1.0
 
 # Surface radii with 8 a3 a4 = 6 hbar^2 at hbar = 1.
 DEFAULT_SURFACE_SCALE = float(np.sqrt(3.0) / 2.0)
-
-
-def _four(u, name="four-vector") -> Array:
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1:] != (4,):
-        raise ValueError(f"{name} must have shape (4,) or (n, 4), got {u.shape}")
-    return u
-
-
-def _three(u, message) -> Array:
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1:] != (3,):
-        raise ValueError(message)
-    return u
 
 
 def _scalar(x):
@@ -67,7 +60,7 @@ def _mdot(u: Array, v: Array) -> Array:
 def minkowski_dot(u, v):
     """Metric contraction u_mu v^mu with signature (-, +, +, +): a float for
     two four-vectors, one value per point for stacks."""
-    return _scalar(_mdot(_four(u), _four(v)))
+    return _scalar(_mdot(*_points((4,), "minkowski_dot", u, v)))
 
 
 def minkowski_sq(u):
@@ -86,20 +79,25 @@ def _mass(P: Array) -> Array:
 
 def effective_mass(P):
     """Invariant scale sqrt(P0^2 - |Pvec|^2) of a timelike momentum."""
-    return _scalar(_mass(_four(P, "momentum")))
+    return _scalar(_mass(*_points((4,), "effective_mass", P)))
+
+
+def _gamma_beta(P, name):
+    """gamma = |P^0| / sqrt(P0^2 - |Pvec|^2) and beta = Pvec / P^0 of a
+    timelike momentum."""
+    (P,) = _points((4,), name, P)
+    gamma = abs(P[..., 0]) / _mass(P)
+    return gamma, P[..., 1:] / P[..., :1]  # timelike, so P^0 != 0
 
 
 def gamma_factor(P):
     """|P^0| / sqrt(P0^2 - |Pvec|^2) of a timelike momentum."""
-    P = _four(P, "momentum")
-    return abs(P[..., 0]) / _mass(P)
+    return _scalar(_gamma_beta(P, "gamma_factor")[0])
 
 
 def beta_vector(P) -> Array:
     """Velocity Pvec / P^0 of a timelike momentum."""
-    P = _four(P, "momentum")
-    _mass(P)  # timelike check; also guarantees P[0] != 0
-    return P[..., 1:] / P[..., :1]
+    return _gamma_beta(P, "beta_vector")[1]
 
 
 def boost_matrix(beta) -> Array:
@@ -109,7 +107,7 @@ def boost_matrix(beta) -> Array:
     The (gamma - 1)/beta^2 coefficient switches to its series limit 1/2 for
     |beta| < 1e-8 to stay finite through beta -> 0.
     """
-    beta = _three(beta, "beta must be a 3-vector")
+    (beta,) = _points((3,), "boost_matrix", beta)
     bsq = _dot(beta, beta)
     bad = failing_point(bsq >= 1.0)
     if bad:
@@ -132,16 +130,13 @@ def boost_matrix(beta) -> Array:
 
 def spin_tensor(omega, pi) -> Array:
     """Antisymmetric tensor 2 (omega^mu pi^nu - omega^nu pi^mu)."""
-    omega = _four(omega, "omega")
-    pi = _four(pi, "pi")
+    omega, pi = _points((4,), "spin_tensor", omega, pi)
     outer = omega[..., :, None] * pi[..., None, :]
     return 2.0 * (outer - np.swapaxes(outer, -1, -2))
 
 
-def _require_antisymmetric(J) -> Array:
-    J = np.asarray(J, dtype=float)
-    if J.shape[-2:] != (4, 4):
-        raise ValueError("spin tensor must be 4x4")
+def _require_antisymmetric(J, name) -> Array:
+    (J,) = _points((4, 4), name, J)
     scale = np.maximum(1.0, np.max(np.abs(J), axis=(-2, -1)))
     skew = np.max(np.abs(J + np.swapaxes(J, -1, -2)), axis=(-2, -1))
     bad = failing_point(skew > 1e-12 * scale)
@@ -153,7 +148,7 @@ def _require_antisymmetric(J) -> Array:
 def decompose_spin_tensor(J):
     """Boost/rotation split: k_i = J^{0i} and (j1, j2, j3) from the spatial
     block with J^{23} = j1, J^{31} = j2, J^{12} = j3."""
-    J = _require_antisymmetric(J)
+    J = _require_antisymmetric(J, "decompose_spin_tensor")
     k = J[..., 0, 1:].copy()
     j = np.stack([J[..., 2, 3], J[..., 3, 1], J[..., 1, 2]], axis=-1)
     return k, j
@@ -161,19 +156,11 @@ def decompose_spin_tensor(J):
 
 def compose_spin_tensor(k, j) -> Array:
     """Inverse of decompose_spin_tensor."""
-    k = np.asarray(k, dtype=float)
-    j = np.asarray(j, dtype=float)
-    if k.shape != (3,) or j.shape != (3,):
-        raise ValueError("compose_spin_tensor expects two 3-vectors")
-    J = np.zeros((4, 4))
-    J[0, 1:] = k
-    J[1:, 0] = -k
-    J[2, 3] = j[0]
-    J[3, 2] = -j[0]
-    J[3, 1] = j[1]
-    J[1, 3] = -j[1]
-    J[1, 2] = j[2]
-    J[2, 1] = -j[2]
+    k, j = np.broadcast_arrays(*_points((3,), "compose_spin_tensor", k, j))
+    J = np.zeros(k.shape[:-1] + (4, 4))
+    J[..., 0, 1:] = k
+    J[..., 1:, 0] = -k
+    J[..., 1:, 1:] = _skew(-j)
     return J
 
 
@@ -182,9 +169,7 @@ def t3_constraints(omega, pi, P, a3: float = DEFAULT_SURFACE_SCALE,
     """Residuals of the five-constraint covariant spin surface:
     (pi.pi - a3, omega.omega - a4, omega.pi, P.omega, P.pi), along the last
     axis."""
-    omega = _four(omega, "omega")
-    pi = _four(pi, "pi")
-    P = _four(P, "momentum")
+    omega, pi, P = _points((4,), "t3_constraints", omega, pi, P)
     return _last_axis(
         _mdot(pi, pi) - float(a3),
         _mdot(omega, omega) - float(a4),
@@ -198,9 +183,7 @@ def t4_constraints(omega, pi, P, a: float = 0.75) -> Array:
     """Residuals of the scale-free covariant surface:
     (P.omega, P.pi, omega.pi, pi.pi - a / omega.omega), along the last
     axis."""
-    omega = _four(omega, "omega")
-    pi = _four(pi, "pi")
-    P = _four(P, "momentum")
+    omega, pi, P = _points((4,), "t4_constraints", omega, pi, P)
     wsq = _mdot(omega, omega)
     bad = failing_point(abs(wsq) < 1e-12)
     if bad:
@@ -216,22 +199,25 @@ def t4_constraints(omega, pi, P, a: float = 0.75) -> Array:
 
 def frenkel_residual(J, P) -> Array:
     """The four-vector J^{mu nu} P_nu; zero on the covariant spin surface."""
-    J = _require_antisymmetric(J)
-    P = _four(P, "momentum")
+    J = _require_antisymmetric(J, "frenkel_residual")
+    (P,) = _points((4,), "frenkel_residual", P)
+    # matmul sums a non-contiguous operand in another order: contiguous
+    # copies give each point of a stack what a call on it alone gives
+    J, P = np.ascontiguousarray(J), np.ascontiguousarray(P)
     return np.matmul(J, METRIC @ P[..., None])[..., 0]
 
 
 def casimir(J):
     """Full contraction J_{mu nu} J^{mu nu}."""
-    J = _require_antisymmetric(J)
+    J = _require_antisymmetric(J, "casimir")
     return _scalar(np.sum(J * (METRIC @ J @ METRIC), axis=(-2, -1)))
 
 
 def base_ellipsoid_residual(j, P, hbar: float = 1.0):
     """Residual of the base-space quadric
     j.j - |j x Pvec|^2 / (P^0)^2 - 3 hbar^2."""
-    j = _three(j, "j must be a 3-vector")
-    P = _four(P, "momentum")
+    (j,) = _points((3,), "base_ellipsoid_residual", j)
+    (P,) = _points((4,), "base_ellipsoid_residual", P)
     _mass(P)  # timelike check
     cross = np.cross(j, P[..., 1:])
     return _scalar(_dot(j, j) - _dot(cross, cross) / P[..., 0] ** 2
@@ -242,9 +228,7 @@ def bmt_vector(omega, pi, P) -> Array:
     """Covariant spin four-vector: the dual contraction of P with the spin
     tensor, divided by the invariant momentum scale.  Orthogonal to P by
     construction; reduces to (0, omega x pi) in the rest frame."""
-    omega = _four(omega, "omega")
-    pi = _four(pi, "pi")
-    P = _four(P, "momentum")
+    omega, pi, P = _points((4,), "bmt_vector", omega, pi, P)
     scale = _mass(P)
     wv, pv, Pv = omega[..., 1:], pi[..., 1:], P[..., 1:]
     wxp = np.cross(wv, pv)
@@ -258,9 +242,8 @@ def bmt_vector(omega, pi, P) -> Array:
 def bmt_to_j(S, P) -> Array:
     """Rotation part of the spin tensor from the covariant spin vector:
     j = 2 gamma (Svec - beta (beta . Svec))."""
-    S = _four(S, "spin four-vector")
-    gamma = gamma_factor(P)
-    beta = beta_vector(P)
+    (S,) = _points((4,), "bmt_to_j", S)
+    gamma, beta = _gamma_beta(P, "bmt_to_j")
     sv = S[..., 1:]
     return (2.0 * gamma)[..., None] * (sv - beta * _dot(beta, sv)[..., None])
 
@@ -268,18 +251,16 @@ def bmt_to_j(S, P) -> Array:
 def bmt_to_k(S, P) -> Array:
     """Boost part of the spin tensor from the covariant spin vector:
     k = 2 gamma (Svec x beta)."""
-    S = _four(S, "spin four-vector")
-    gamma = gamma_factor(P)
-    beta = beta_vector(P)
+    (S,) = _points((4,), "bmt_to_k", S)
+    gamma, beta = _gamma_beta(P, "bmt_to_k")
     return (2.0 * gamma)[..., None] * np.cross(S[..., 1:], beta)
 
 
 def j_to_bmt(j, P) -> Array:
     """Covariant spin vector from the rotation part of the spin tensor:
     S^0 = (gamma/2) beta.j, Svec = (j/gamma + gamma beta (beta.j)) / 2."""
-    j = _three(j, "j must be a 3-vector")
-    gamma = gamma_factor(P)
-    beta = beta_vector(P)
+    (j,) = _points((3,), "j_to_bmt", j)
+    gamma, beta = _gamma_beta(P, "j_to_bmt")
     bj = _dot(beta, j)
     s0 = 0.5 * gamma * bj
     g = gamma[..., None]
@@ -295,9 +276,7 @@ def tetrad(P, omega, pi, a3: float = DEFAULT_SURFACE_SCALE,
     unit Minkowski length, so Lambda eta Lambda^T = eta.  Stacked points
     give an (n, 4, 4) stack of frames.
     """
-    P = _four(P, "momentum")
-    omega = _four(omega, "omega")
-    pi = _four(pi, "pi")
+    P, omega, pi = _points((4,), "tetrad", P, omega, pi)
     residuals = t3_constraints(omega, pi, P, a3, a4)
     bad = failing_point(np.max(np.abs(residuals), axis=-1) > 1e-9)
     if bad:
@@ -319,8 +298,7 @@ def t4_structure_action(omega, pi, scale, beta):
     (omega, pi) pair by scale > 0 and rotate their plane by beta, leaving
     omega x pi unchanged.  For stacked 3-vectors, scale and beta hold one
     value per point or one for all."""
-    omega = _three(omega, "t4_structure_action expects 3-vectors")
-    pi = _three(pi, "t4_structure_action expects 3-vectors")
+    omega, pi = _points((3,), "t4_structure_action", omega, pi)
     scale = np.asarray(scale, dtype=float)
     bad = failing_point(scale <= 0.0)
     if bad:
@@ -354,7 +332,7 @@ def spin_tensor_component(mu: int, nu: int) -> Observable:
 
 
 def _minkowski_p_dot(P, offset: int, name: str) -> Observable:
-    P = _four(P, "momentum")
+    (P,) = _points((4,), "t3_constraint_set", P)
     lowered = _ETA_DIAG * P
 
     def fn(z):

@@ -265,70 +265,3 @@ def test_lambda2_rides_through_unchanged():
     g = GaugeMatrix.from_multipliers(phi=1.0, lambda1=0.0, lambda2=4.5)
     out = gauge_matrix_transform(g, 1.0, 2.0)
     assert out.lambda2 == 4.5
-
-
-# ---------------------------------------------------------------------------
-# stacks of points: leading axes are points
-# ---------------------------------------------------------------------------
-
-def stacked_pairs(rng, n=50):
-    pairs = [sample_surface_point(rng) for _ in range(n)]
-    w, p = (np.array(col) for col in zip(*pairs))
-    return {"w": w, "p": p, "w4": rng.standard_normal((n, 4)),
-            "p4": rng.standard_normal((n, 4)),
-            "angle": rng.uniform(0.0, 2.0 * np.pi, size=n)}
-
-
-STACKED_MAPS = {
-    "spin_map": (spin_map, ("w", "p")),
-    "rotation_matrix": (rotation_matrix, ("w", "p")),
-    "so2_action": (so2_action, ("w", "p", "angle")),
-    "surface_residuals": (surface_residuals, ("w", "p")),
-    "map_jacobian_so3": (lambda w, p: map_jacobian(w, p, kind="so3"),
-                         ("w", "p")),
-    "map_jacobian_so13": (lambda w, p: map_jacobian(w, p, kind="so13"),
-                          ("w4", "p4")),
-    "singular_values_so3": (
-        lambda w, p: jacobian_singular_values(w, p, kind="so3"), ("w", "p")),
-    "singular_values_so13": (
-        lambda w, p: jacobian_singular_values(w, p, kind="so13"),
-        ("w4", "p4")),
-}
-
-
-@pytest.mark.parametrize("name", list(STACKED_MAPS))
-def test_stacked_call_equals_per_point_calls(name, rng):
-    # the same element operations per point, so the rows agree exactly
-    fn, keys = STACKED_MAPS[name]
-    inputs = stacked_pairs(rng)
-    args = [inputs[key] for key in keys]
-    stacked = fn(*args)
-    rows = [fn(*(a[i] for a in args)) for i in range(50)]
-    if isinstance(stacked, tuple):
-        for part, want in zip(stacked, zip(*rows)):
-            np.testing.assert_array_equal(part, np.array(want))
-    else:
-        np.testing.assert_array_equal(stacked, np.array(rows))
-
-
-def test_stacked_rotation_matrix_rejects_off_surface_row(rng):
-    inputs = stacked_pairs(rng, n=6)
-    w, p = inputs["w"], inputs["p"].copy()
-    p[3] = w[3]
-    with pytest.raises(SurfaceError) as alone:
-        rotation_matrix(w[3], p[3])
-    with pytest.raises(SurfaceError) as stacked:
-        rotation_matrix(w, p)
-    assert " (row 3)" in str(stacked.value)
-    assert str(stacked.value).replace(" (row 3)", "") == str(alone.value)
-
-
-@pytest.mark.parametrize("call", [
-    lambda: spin_map(np.zeros((5, 4)), np.zeros((5, 4))),
-    lambda: rotation_matrix(np.zeros((5, 2)), np.zeros((5, 2))),
-    lambda: map_jacobian(np.zeros((5, 4)), np.zeros((5, 4)), kind="so3"),
-    lambda: map_jacobian(np.zeros((5, 3)), np.zeros((5, 3)), kind="so13"),
-])
-def test_stacks_with_a_wrong_trailing_shape_are_rejected(call):
-    with pytest.raises(ValueError):
-        call()

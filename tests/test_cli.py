@@ -18,7 +18,6 @@ from numpy.testing import assert_allclose
 import spinbundle
 from spinbundle.bundle_so3 import sample_surface_point
 from spinbundle.cli import (
-    Check,
     CONFIG_TABLE,
     ConfigError,
     SCENARIO_CHECKS,
@@ -336,32 +335,6 @@ def test_gauge_expression_syntax_error():
 
 
 # ---------------------------------------------------------------------------
-# Check
-# ---------------------------------------------------------------------------
-
-def test_check_max_comparison():
-    assert Check("drift", 1e-12, 1e-9).passed
-    assert not Check("drift", 1e-6, 1e-9).passed
-    assert not Check("drift", 1e-9, 1e-9).passed
-
-
-def test_check_min_comparison():
-    assert Check("separation", 2.0, 0.1, comparison="min").passed
-    assert not Check("separation", 0.05, 0.1, comparison="min").passed
-
-
-def test_check_rejects_bad_comparison():
-    with pytest.raises(ValueError):
-        Check("x", 1.0, 2.0, comparison="between")
-
-
-def test_check_as_dict():
-    entry = Check("drift", 1e-12, 1e-9).as_dict()
-    assert entry == {"name": "drift", "value": 1e-12, "threshold": 1e-9,
-                     "comparison": "max", "passed": True}
-
-
-# ---------------------------------------------------------------------------
 # Time series artifacts
 # ---------------------------------------------------------------------------
 
@@ -534,6 +507,29 @@ def test_checks_all_overrides_upper_bounds_only(checks, thresholds,
     assert code == (0 if thresholds[2] < 0.2 else 3)
 
 
+@pytest.mark.parametrize("values, passed", [
+    ((1e-12, 1e-6, 2.0), (True, False, True)),
+    ((1e-7, 1e-3, 0.05), (True, False, False)),
+    ((np.nan, 0.0, np.nan), (False, True, False)),
+])
+def test_run_config_passes_a_check_by_its_comparison(values, passed,
+                                                     monkeypatch, tmp_path):
+    """A "max" check passes below its threshold, not at it; a "min" check
+    passes above it; a nan value fails either; values and thresholds are
+    written as floats."""
+    names = list(SCENARIO_CHECKS["gauge_compare"])
+    runner = (lambda cfg: (dict(zip(names, map(np.float64, values))), {}, {}))
+    monkeypatch.setitem(SCENARIOS, "gauge_compare", (runner, "unused"))
+    code, summary = run_config({"scenario": "gauge_compare"}, out_dir=tmp_path)
+    assert [c["passed"] for c in summary["checks"]] == list(passed)
+    assert code == (0 if all(passed) else 3)
+    for check, value in zip(summary["checks"], values):
+        assert list(check) == ["name", "value", "threshold", "comparison",
+                               "passed"]
+        assert type(check["value"]) is float and type(check["threshold"]) is float
+        assert check["value"] == value or np.isnan(value)
+
+
 def test_unknown_check_is_rejected_before_the_runner(monkeypatch, tmp_path):
     def never(cfg):
         raise AssertionError("the runner ran")
@@ -644,57 +640,55 @@ def test_main_tiny_tolerances_fail_at_once_in_one_line(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize("action", ["error", "default"])
-def test_main_purely_relative_tolerance_runs(action, tmp_path, capsys,
-                                             monkeypatch):
+@pytest.fixture(params=["error", "default"])
+def run_main(request, tmp_path, capsys, monkeypatch):
+    """`spinbundle run` in process on a config file in tmp_path holding the
+    given text, writing there, under the RuntimeWarning filter "error" or
+    "default" (each test runs once with each): returns the exit code and
+    stderr's lines; any warning fails the test."""
+    monkeypatch.setenv("SPINBUNDLE_OUTPUT_DIR", str(tmp_path))
+    path = tmp_path / "cfg.yaml"
+
+    def run(config):
+        path.write_text(config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(request.param, RuntimeWarning)
+            code = main(["run", str(path)])
+        assert caught == []
+        return code, capsys.readouterr().err.splitlines()
+
+    return run
+
+
+def test_main_purely_relative_tolerance_runs(run_main, tmp_path):
     """abs_tol = 5e-324 on stern_gerlach: the components of the state that
     are 0 scale by 0, and the first trial step leaves them out instead of
     underflowing at once."""
-    monkeypatch.setenv("SPINBUNDLE_OUTPUT_DIR", str(tmp_path))
-    path = tmp_path / "cfg.yaml"
-    path.write_text("scenario: stern_gerlach\n"
-                    "tolerances: {rel_tol: 1.0e-10, abs_tol: 5.0e-324}\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter(action, RuntimeWarning)
-        assert main(["run", str(path)]) == 0
-    assert capsys.readouterr().err == ""
+    assert run_main("scenario: stern_gerlach\n"
+                    "tolerances: {rel_tol: 1.0e-10, abs_tol: 5.0e-324}\n"
+                    ) == (0, [])
     summary = json.loads(
         (tmp_path / "stern_gerlach_summary.json").read_text())
     drift = {c["name"]: c["value"] for c in summary["checks"]}
     assert drift["constraint_drift"] < 1e-12
 
 
-@pytest.mark.parametrize("action", ["error", "default"])
-def test_main_huge_c_fails_the_frequency_checks_quietly(action, tmp_path,
-                                                        capsys, monkeypatch):
+def test_main_huge_c_fails_the_frequency_checks_quietly(run_main, tmp_path):
     """c = 1e300 on larmor: 17 samples alias the ten periods, and x(t) swings
     near 1e300, where the squares of the fit's residuals would overflow."""
-    monkeypatch.setenv("SPINBUNDLE_OUTPUT_DIR", str(tmp_path))
-    path = tmp_path / "cfg.yaml"
-    path.write_text("scenario: larmor\nparams: {c: 1.0e+300}\nsamples: 17\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter(action, RuntimeWarning)
-        assert main(["run", str(path)]) == 3
-    assert caught == [] and capsys.readouterr().err == ""
+    assert run_main("scenario: larmor\nparams: {c: 1.0e+300}\nsamples: 17\n"
+                    ) == (3, [])
     summary = json.loads((tmp_path / "larmor_summary.json").read_text())
     failed = [c["name"] for c in summary["checks"] if not c["passed"]]
     assert failed == ["spin_frequency", "cyclotron_frequency"]
 
 
-@pytest.mark.parametrize("action", ["error", "default"])
-def test_main_tiny_a_verify_fails_quietly(action, tmp_path, capsys,
-                                          monkeypatch):
+def test_main_tiny_a_verify_fails_quietly(run_main, tmp_path):
     """a = 1e-150 on verify_so3: delta = 2 a^2 is near the bottom of the
     floats, so the Dirac corrections overflow into nan; the check that reads
     them fails with nan instead of passing as 0, and no numpy warning is
     shown or raised."""
-    monkeypatch.setenv("SPINBUNDLE_OUTPUT_DIR", str(tmp_path))
-    path = tmp_path / "cfg.yaml"
-    path.write_text("scenario: verify_so3\nparams: {a: 1.0e-150}\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter(action, RuntimeWarning)
-        assert main(["run", str(path)]) == 3
-    assert caught == [] and capsys.readouterr().err == ""
+    assert run_main("scenario: verify_so3\nparams: {a: 1.0e-150}\n") == (3, [])
     summary = json.loads((tmp_path / "verify_so3_summary.json").read_text())
     checks = {c["name"]: c for c in summary["checks"]}
     assert not checks["dirac_omega_pi"]["passed"]
@@ -761,17 +755,10 @@ def test_bad_config_numbers_name_their_path(config, path, tmp_path):
     *BAD_GRID_CONFIGS,
     UNKNOWN_CHECK,
 ])
-def test_main_rejects_degenerate_config_in_one_line(config, tmp_path):
-    path = tmp_path / "cfg.yaml"
-    path.write_text(config)
-    env = {**os.environ, "SPINBUNDLE_OUTPUT_DIR": str(tmp_path),
-           "PYTHONPATH": str(Path(spinbundle.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "spinbundle.cli", "run", str(path)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config error: ")
+def test_main_rejects_degenerate_config_in_one_line(config, run_main):
+    code, err = run_main(config)
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("config error: ")
 
 
 # parameter sets that pass the table but hold a derived quantity that is not
@@ -809,32 +796,19 @@ PARAM_OVERFLOWS = {
 }
 
 
-@pytest.mark.parametrize("action", ["error", "default"])
 @pytest.mark.parametrize("config, message", list(PARAM_OVERFLOWS.items()))
-def test_main_rejects_overflowing_params_in_one_line(config, message, action,
-                                                     tmp_path, capsys,
-                                                     monkeypatch):
-    monkeypatch.setenv("SPINBUNDLE_OUTPUT_DIR", str(tmp_path))
-    path = tmp_path / "cfg.yaml"
-    path.write_text(config)
-    with warnings.catch_warnings():
-        warnings.simplefilter(action, RuntimeWarning)
-        assert main(["run", str(path)]) == 1
-    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
-    assert list(tmp_path.iterdir()) == [path]
+def test_main_rejects_overflowing_params_in_one_line(config, message, run_main,
+                                                     tmp_path):
+    assert run_main(config) == (1, [f"config error: {message}"])
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.yaml"]
 
 
-def run_gauge_config(expression, samples, tmp_path):
-    """`spinbundle run` on free_spin over [0, 1] with the gauge expression."""
-    path = tmp_path / "cfg.yaml"
-    path.write_text("scenario: free_spin\n"
-                    "t_span: [0.0, 1.0]\n"
-                    f"samples: {samples}\n"
-                    f"gauge: {{expression: \"{expression}\"}}\n")
-    env = {**os.environ, "SPINBUNDLE_OUTPUT_DIR": str(tmp_path),
-           "PYTHONPATH": str(Path(spinbundle.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-m", "spinbundle.cli", "run", str(path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+def gauge_config(expression, samples):
+    """free_spin over [0, 1] with the gauge expression."""
+    return ("scenario: free_spin\n"
+            "t_span: [0.0, 1.0]\n"
+            f"samples: {samples}\n"
+            f"gauge: {{expression: \"{expression}\"}}\n")
 
 
 # The pole 1/(t-0.5)^2 fails only where t = 0.5 is a sample (21 samples):
@@ -854,18 +828,15 @@ GAUGE_FAILURES = [
 @pytest.mark.parametrize("expression, samples, message", GAUGE_FAILURES,
                          ids=[f"{e}-{m}" for e, _, m in GAUGE_FAILURES])
 def test_main_gauge_failure_is_one_line_runtime_error(expression, samples,
-                                                       message, tmp_path):
-    proc = run_gauge_config(expression, samples, tmp_path)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("runtime error: ")
-    assert message in lines[0]
+                                                       message, run_main):
+    code, err = run_main(gauge_config(expression, samples))
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("runtime error: ")
+    assert message in err[0]
 
 
-def test_main_gauge_pole_between_samples_runs(tmp_path):
-    proc = run_gauge_config("1/((t-0.5)*(t-0.5))", 16, tmp_path)
-    assert proc.returncode == 0, proc.stderr
+def test_main_gauge_pole_between_samples_runs(run_main):
+    assert run_main(gauge_config("1/((t-0.5)*(t-0.5))", 16)) == (0, [])
 
 
 @pytest.mark.parametrize("initial", [

@@ -443,157 +443,3 @@ def test_t4_action_rejects_bad_inputs():
         t4_structure_action(w, p, 0.0, 0.1)
     with pytest.raises(DomainError):
         t4_structure_action(np.zeros(3), p, 1.0, 0.1)
-
-
-# ---------------------------------------------------------------------------
-# stacks of points: leading axes are points
-# ---------------------------------------------------------------------------
-
-def stacked_inputs(rng, n=50):
-    """n seeded points of every input kind the maps take, as stacks."""
-    from spinbundle.bundle_so3 import sample_surface_point
-
-    pts = [boosted_t3_point(rng, mass=rng.uniform(0.5, 2.0)) for _ in range(n)]
-    w, p, P = (np.array(col) for col in zip(*pts))
-    beta = np.array([sample_beta(rng, 0.99) for _ in range(n)])
-    # both arms of the boost coefficient: at rest and on its series
-    beta[0] = 0.0
-    beta[1] = (1e-10, 0.0, 0.0)
-    J = spin_tensor(w, p)
-    _, j = decompose_spin_tensor(J)
-    pairs = [sample_surface_point(rng, a=r, b=np.sqrt(0.75) / r)
-             for r in rng.uniform(0.5, 2.0, size=n)]
-    w3, p3 = (np.array(col) for col in zip(*pairs))
-    return {
-        "w": w, "p": p, "P": P, "beta": beta, "J": J, "j": j,
-        "S": j_to_bmt(j, P), "w3": w3, "p3": p3,
-        "k": np.exp(rng.uniform(-1.0, 1.0, size=n)),
-        "angle": rng.uniform(0.0, 2.0 * np.pi, size=n),
-    }
-
-
-STACKED_MAPS = {
-    "minkowski_dot": (minkowski_dot, ("w", "p")),
-    "minkowski_sq": (minkowski_sq, ("P",)),
-    "effective_mass": (effective_mass, ("P",)),
-    "gamma_factor": (gamma_factor, ("P",)),
-    "beta_vector": (beta_vector, ("P",)),
-    "boost_matrix": (boost_matrix, ("beta",)),
-    "spin_tensor": (spin_tensor, ("w", "p")),
-    "decompose_spin_tensor": (decompose_spin_tensor, ("J",)),
-    "casimir": (casimir, ("J",)),
-    "frenkel_residual": (frenkel_residual, ("J", "P")),
-    "base_ellipsoid_residual": (base_ellipsoid_residual, ("j", "P")),
-    "t3_constraints": (t3_constraints, ("w", "p", "P")),
-    "t4_constraints": (t4_constraints, ("w", "p", "P")),
-    "bmt_vector": (bmt_vector, ("w", "p", "P")),
-    "j_to_bmt": (j_to_bmt, ("j", "P")),
-    "bmt_to_j": (bmt_to_j, ("S", "P")),
-    "bmt_to_k": (bmt_to_k, ("S", "P")),
-    "tetrad": (tetrad, ("P", "w", "p")),
-    "t4_structure_action": (t4_structure_action, ("w3", "p3", "k", "angle")),
-}
-
-
-@pytest.mark.parametrize("name", list(STACKED_MAPS))
-def test_stacked_call_equals_per_point_calls(name, rng):
-    # every stacked map takes the products and sums of its per-point call,
-    # so the rows agree exactly, not to a rounding bound
-    fn, keys = STACKED_MAPS[name]
-    inputs = stacked_inputs(rng)
-    args = [inputs[key] for key in keys]
-    stacked = fn(*args)
-    rows = [fn(*(a[i] for a in args)) for i in range(50)]
-    if isinstance(stacked, tuple):
-        for part, want in zip(stacked, zip(*rows)):
-            np.testing.assert_array_equal(part, np.array(want))
-    else:
-        np.testing.assert_array_equal(stacked, np.array(rows))
-
-
-@pytest.mark.parametrize("name", ["minkowski_dot", "minkowski_sq",
-                                  "effective_mass", "casimir",
-                                  "base_ellipsoid_residual"])
-def test_per_point_scalars_stay_floats(name, rng):
-    fn, keys = STACKED_MAPS[name]
-    inputs = stacked_inputs(rng, n=3)
-    assert type(fn(*(inputs[key][0] for key in keys))) is float
-
-
-def test_stack_broadcasts_a_single_momentum(rng):
-    inputs = stacked_inputs(rng, n=5)
-    w, p = inputs["w"], inputs["p"]
-    P = np.array([1.3, 0.2, -0.1, 0.4])
-    np.testing.assert_array_equal(
-        t3_constraints(w, p, P),
-        np.array([t3_constraints(w[i], p[i], P) for i in range(5)]))
-
-
-def assert_fails_as_row(exc, fn, args, row):
-    """The stacked call raises what the call on `row` alone raises, with the
-    row named in its message."""
-    with pytest.raises(exc) as alone:
-        fn(*(a[row] for a in args))
-    with pytest.raises(exc) as stacked:
-        fn(*args)
-    where = f" (row {row})"
-    assert where in str(stacked.value)
-    assert str(stacked.value).replace(where, "") == str(alone.value)
-
-
-def test_stacked_boost_rejects_superluminal_row(rng):
-    beta = stacked_inputs(rng, n=6)["beta"]
-    beta[4] = (0.8, 0.8, 0.0)
-    assert_fails_as_row(SuperluminalError, boost_matrix, [beta], 4)
-
-
-def test_stacked_maps_reject_spacelike_momentum_row(rng):
-    inputs = stacked_inputs(rng, n=6)
-    P = inputs["P"].copy()
-    P[2] = (1.0, 2.0, 0.0, 0.0)
-    assert_fails_as_row(DomainError, effective_mass, [P], 2)
-    assert_fails_as_row(DomainError, base_ellipsoid_residual,
-                        [inputs["j"], P], 2)
-    assert_fails_as_row(DomainError, bmt_to_j, [inputs["S"], P], 2)
-
-
-def test_stacked_t4_maps_reject_singular_rows(rng):
-    inputs = stacked_inputs(rng, n=6)
-    w = inputs["w"].copy()
-    w[3] = (1.0, 1.0, 0.0, 0.0)
-    assert_fails_as_row(DomainError, t4_constraints,
-                        [w, inputs["p"], inputs["P"]], 3)
-    w3, k = inputs["w3"].copy(), inputs["k"].copy()
-    w3[1] = 0.0
-    args = [w3, inputs["p3"], inputs["k"], inputs["angle"]]
-    assert_fails_as_row(DomainError, t4_structure_action, args, 1)
-    k[5] = -1.0
-    args = [inputs["w3"], inputs["p3"], k, inputs["angle"]]
-    assert_fails_as_row(DomainError, t4_structure_action, args, 5)
-
-
-def test_stacked_tetrad_rejects_off_surface_row(rng):
-    inputs = stacked_inputs(rng, n=6)
-    w = inputs["w"].copy()
-    w[2] *= 1.5
-    assert_fails_as_row(SurfaceError, tetrad, [inputs["P"], w, inputs["p"]], 2)
-
-
-def test_stacked_maps_reject_non_antisymmetric_row(rng):
-    inputs = stacked_inputs(rng, n=6)
-    J = inputs["J"].copy()
-    J[5] = np.eye(4)
-    assert_fails_as_row(ValueError, casimir, [J], 5)
-    assert_fails_as_row(ValueError, frenkel_residual, [J, inputs["P"]], 5)
-
-
-@pytest.mark.parametrize("call", [
-    lambda: minkowski_dot(np.zeros((5, 3)), np.zeros((5, 3))),
-    lambda: boost_matrix(np.zeros((5, 4))),
-    lambda: casimir(np.zeros((5, 4, 3))),
-    lambda: base_ellipsoid_residual(np.zeros((5, 4)), np.eye(4)),
-    lambda: t4_structure_action(np.zeros((5, 4)), np.zeros((5, 4)), 1.0, 0.0),
-])
-def test_stacks_with_a_wrong_trailing_shape_are_rejected(call):
-    with pytest.raises(ValueError):
-        call()

@@ -1,11 +1,13 @@
-"""The bracket engine over stacks of points pinned to its per-point calls:
-every observable builder's gradient, the Poisson bracket, and one table of
-the engine's stacked entry points (Poisson and Dirac brackets, constraint
-matrix, classification, residuals) over constraint sets on and off their
-surfaces; a degenerate delta anywhere in a stack raises before any f or g
-gradient is taken, an off-surface stack warns once, and _dot matches
-per-row dot products on strided and Fortran-ordered stacks."""
+"""Stacks of points pinned to their per-point calls: every observable
+builder's gradient, the Poisson bracket, and one table of the engine's
+stacked entry points (Poisson and Dirac brackets, constraint matrix,
+classification, residuals) over constraint sets on and off their surfaces;
+a degenerate delta anywhere in a stack raises before any f or g gradient is
+taken, an off-surface stack warns once, and _dot matches per-row dot
+products on strided and Fortran-ordered stacks.  One more table,
+STACKED_MAPS, holds every geometry map of bundle_so3 and lorentz."""
 
+import functools
 import math
 
 import numpy as np
@@ -36,6 +38,8 @@ from spinbundle.errors import (
     OffSurfaceWarning,
     SpinBundleError,
 )
+from spinbundle import bundle_so3 as so3
+from spinbundle import lorentz as lor
 from spinbundle.lorentz import (
     spin_tensor_component,
     t3_constraint_set,
@@ -228,11 +232,11 @@ ENTRY_POINTS = {
 
 
 def _outcome(call):
-    """call's result, or the type of the library error it raises."""
+    """call's result, or the library or shape error it raises."""
     try:
         return call()
-    except SpinBundleError as err:
-        return type(err)
+    except (SpinBundleError, ValueError) as err:
+        return err
 
 
 @pytest.mark.filterwarnings("ignore::spinbundle.errors.OffSurfaceWarning")
@@ -247,9 +251,9 @@ def test_engine_on_a_stack_is_its_per_point_calls(entry, set_name, n, rng):
     fs, gs = _observables(rng, cset)
     stacked = _outcome(lambda: call(cset, Z, fs, gs))
     per_point = [_outcome(lambda: call(cset, z, fs, gs)) for z in Z]
-    raised = [want for want in per_point if isinstance(want, type)]
+    raised = [want for want in per_point if isinstance(want, Exception)]
     if raised:
-        assert stacked is raised[0]
+        assert type(stacked) is type(raised[0])
         return
     if shape is not None:
         value = getattr(stacked, "delta", stacked)
@@ -365,3 +369,168 @@ def test_dot_of_a_strided_stack_is_the_per_row_dot(k, layout, rng):
     want = [np.dot(np.ascontiguousarray(a), np.ascontiguousarray(b))
             for a, b in zip(u, v)]
     assert np.array_equal(_dot(u, v), want)
+
+
+# ---------------------------------------------------------------------------
+# geometry kernels: one stack contract for bundle_so3 and lorentz
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _geometry_inputs(n):
+    """n read-only points of every argument kind the geometry maps take:
+    boosted points of the covariant spin surface with their spin tensor and
+    its parts, points of the normalized surface, velocities, positive
+    scales and angles."""
+    rng = np.random.default_rng(n)
+    beta = lor.velocities(rng.standard_normal((n, 3)),
+                          rng.uniform(0.0, 0.99, n))
+    # both arms of the boost coefficient: at rest and on its series
+    beta[:2] = np.array([(0.0, 0.0, 0.0), (1e-10, 0.0, 0.0)])[:n]
+    rest = t3_rest_points(rng.standard_normal((n, 6)),
+                          mass=rng.uniform(0.5, 2.0, n))
+    omega4, pi4, P = ((lor.boost_matrix(beta) @ v[..., None])[..., 0]
+                      for v in rest)
+    J = lor.spin_tensor(omega4, pi4)
+    k, j = lor.decompose_spin_tensor(J)
+    omega3, pi3, _ = so3.surface_points(rng.standard_normal((n, 6)))
+    inputs = {
+        "omega4": omega4, "pi4": pi4, "P": P, "beta": beta, "J": J, "k": k,
+        "j": j, "S": lor.j_to_bmt(j, P), "omega3": omega3, "pi3": pi3,
+        "scale": np.exp(rng.uniform(-1.0, 1.0, n)),
+        "angle": rng.uniform(0.0, 2.0 * np.pi, n),
+    }
+    for value in inputs.values():
+        value.setflags(write=False)
+    return inputs
+
+
+# every geometry map that takes stacks, keyed by its name (and the Jacobian's
+# kind), with the kinds of its arguments
+STACKED_MAPS = {
+    **{name: (getattr(lor, name), kinds) for name, kinds in [
+        ("minkowski_dot", ("omega4", "pi4")), ("minkowski_sq", ("P",)),
+        ("effective_mass", ("P",)), ("gamma_factor", ("P",)),
+        ("beta_vector", ("P",)), ("boost_matrix", ("beta",)),
+        ("spin_tensor", ("omega4", "pi4")), ("decompose_spin_tensor", ("J",)),
+        ("compose_spin_tensor", ("k", "j")), ("casimir", ("J",)),
+        ("frenkel_residual", ("J", "P")),
+        ("base_ellipsoid_residual", ("j", "P")),
+        ("t3_constraints", ("omega4", "pi4", "P")),
+        ("t4_constraints", ("omega4", "pi4", "P")),
+        ("bmt_vector", ("omega4", "pi4", "P")), ("j_to_bmt", ("j", "P")),
+        ("bmt_to_j", ("S", "P")), ("bmt_to_k", ("S", "P")),
+        ("tetrad", ("P", "omega4", "pi4")),
+        ("t4_structure_action", ("omega3", "pi3", "scale", "angle"))]},
+    **{name: (getattr(so3, name), kinds) for name, kinds in [
+        ("spin_map", ("omega3", "pi3")), ("rotation_matrix", ("omega3", "pi3")),
+        ("so2_action", ("omega3", "pi3", "angle")),
+        ("surface_residuals", ("omega3", "pi3"))]},
+    **{f"{fn.__name__}_{kind}": (functools.partial(fn, kind=kind), vectors)
+       for fn in (so3.map_jacobian, so3.jacobian_singular_values)
+       for kind, vectors in [("so3", ("omega3", "pi3")),
+                             ("so13", ("omega4", "pi4"))]},
+}
+
+LAYOUTS = (lambda a: a, lambda a: np.repeat(a, 2, -1)[..., ::2],
+           np.asfortranarray)
+
+SPECIAL_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+# finite rows that fail a guard: a J that is not antisymmetric, which no
+# special value gives, and an omega off the covariant spin surface
+BAD_ROWS = {
+    "J": [np.eye(4)],
+    "omega4": [(0.0, 2.0, 0.0, 0.0)],
+}
+
+
+def _parts(result):
+    """A map's result as a tuple: its parts, or itself alone."""
+    return result if isinstance(result, tuple) else (result,)
+
+
+def _per_point(fn, args):
+    """fn at each point of the stacked args alone, on C-contiguous copies of
+    its rows."""
+    return [_outcome(lambda: fn(*(a[i].copy() for a in args)))
+            for i in range(len(args[0]))]
+
+
+def _assert_stack_is_its_points(name, args, points):
+    """The map on the stacked args gives each point's result in that point's
+    row, or raises the error of the first point that raises, naming its
+    row; one point's scalar is a float."""
+    fn, kinds = STACKED_MAPS[name]
+    one = _geometry_inputs(1)
+    shapes = [np.shape(part) for part in _parts(fn(*(one[k][0] for k in kinds)))]
+    stacked = _outcome(lambda: fn(*args))
+    errors = [(i, p) for i, p in enumerate(points) if isinstance(p, Exception)]
+    if errors:
+        i, err = errors[0]
+        assert type(stacked) is type(err)
+        assert f" (row {i})" in str(stacked), stacked
+        assert str(stacked).replace(f" (row {i})", "") == str(err)
+        return
+    assert all(np.ndim(part) or type(part) is float
+               for point in points for part in _parts(point))
+    for j, (part, shape) in enumerate(zip(_parts(stacked), shapes,
+                                          strict=True)):
+        want = np.array([_parts(point)[j] for point in points]
+                        or np.empty((0, *shape)))
+        assert part.shape == want.shape == (len(points), *shape)
+        assert np.array_equal(part, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", STACKED_MAPS)
+def test_geometry_map_on_a_stack_is_its_per_point_calls(name):
+    """At each size, in C order, with a strided last axis and in Fortran
+    order."""
+    fn, kinds = STACKED_MAPS[name]
+    for n in SIZES:
+        args = [_geometry_inputs(n)[kind] for kind in kinds]
+        points = _per_point(fn, args)
+        for layout in LAYOUTS:
+            _assert_stack_is_its_points(name, [layout(a) for a in args],
+                                        points)
+
+
+@pytest.mark.parametrize("name", [name for name, (_, kinds)
+                                  in STACKED_MAPS.items()
+                                  if "P" in kinds and len(kinds) > 1])
+def test_a_single_momentum_broadcasts_against_a_stack(name):
+    fn, kinds = STACKED_MAPS[name]
+    inputs = dict(_geometry_inputs(7), P=np.array([1.3, 0.2, -0.1, 0.4]))
+    args = [inputs[kind] for kind in kinds]
+    points = _per_point(fn, [np.broadcast_to(a, (7, *a.shape[-1:]))
+                             if kind == "P" else a
+                             for a, kind in zip(args, kinds)])
+    _assert_stack_is_its_points(name, args, points)
+
+
+@pytest.mark.parametrize("name", STACKED_MAPS)
+def test_a_special_row_of_a_stack_is_its_point(name, capfd):
+    """Row 3 of each argument in turn holds +-0, +-inf, nan or a bad row;
+    nothing is printed."""
+    fn, kinds = STACKED_MAPS[name]
+    for position, kind in enumerate(kinds):
+        for value in (*SPECIAL_VALUES, *BAD_ROWS.get(kind, ())):
+            args = [_geometry_inputs(7)[k].copy() for k in kinds]
+            args[position][3] = value
+            with np.errstate(all="ignore"):
+                _assert_stack_is_its_points(name, args, _per_point(fn, args))
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("name", STACKED_MAPS)
+def test_geometry_map_rejects_a_wrong_trailing_shape(name):
+    """Each vector or tensor argument in turn, then all of them, one entry
+    short or long along the last axis."""
+    fn, kinds = STACKED_MAPS[name]
+    args = [_geometry_inputs(7)[kind] for kind in kinds]
+    vectors = [i for i, a in enumerate(args) if a.ndim > 1]
+    for change in (-1, 1):
+        for wrong in [*([i] for i in vectors), vectors]:
+            bad = [np.ones(a.shape[:-1] + (a.shape[-1] + change,))
+                   if i in wrong else a for i, a in enumerate(args)]
+            with pytest.raises(ValueError, match="takes points of shape"):
+                fn(*bad)
