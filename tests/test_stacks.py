@@ -34,9 +34,12 @@ from spinbundle.constraints import (
 )
 from spinbundle.errors import (
     DegenerateConstraintError,
+    DomainError,
     GradientError,
     OffSurfaceWarning,
     SpinBundleError,
+    SuperluminalError,
+    SurfaceError,
 )
 from spinbundle import bundle_so3 as so3
 from spinbundle import lorentz as lor
@@ -231,11 +234,14 @@ ENTRY_POINTS = {
 }
 
 
-def _outcome(call):
-    """call's result, or the library or shape error it raises."""
+def _outcome(call, catch=SpinBundleError):
+    """call's result, or the error of a type in catch that it raises; numpy's
+    LinAlgError, although a ValueError, propagates."""
     try:
         return call()
-    except (SpinBundleError, ValueError) as err:
+    except np.linalg.LinAlgError:
+        raise
+    except catch as err:
         return err
 
 
@@ -436,11 +442,26 @@ LAYOUTS = (lambda a: a, lambda a: np.repeat(a, 2, -1)[..., ::2],
 
 SPECIAL_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan)
 
-# finite rows that fail a guard: a J that is not antisymmetric, which no
-# special value gives, and an omega off the covariant spin surface
-BAD_ROWS = {
-    "J": [np.eye(4)],
-    "omega4": [(0.0, 2.0, 0.0, 0.0)],
+# a finite row that fails each guard of a map, by the map and the kind of
+# argument the row stands in for, with the error the point alone raises
+GUARDS = {
+    **dict.fromkeys(["effective_mass", "gamma_factor", "beta_vector",
+                     "base_ellipsoid_residual", "bmt_vector", "bmt_to_j",
+                     "bmt_to_k", "j_to_bmt"],
+                    {"P": ((1.0, 2.0, 0.0, 0.0), DomainError)}),
+    **dict.fromkeys(["decompose_spin_tensor", "casimir", "frenkel_residual"],
+                    {"J": (np.eye(4), ValueError)}),
+    "boost_matrix": {"beta": ((0.8, 0.8, 0.0), SuperluminalError)},
+    "t4_constraints": {"omega4": ((1.0, 1.0, 0.0, 0.0), DomainError)},
+    "tetrad": {"omega4": ((0.0, 2.0, 0.0, 0.0), SurfaceError)},
+    "t4_structure_action": {"omega3": ((0.0, 0.0, 0.0), DomainError),
+                            "pi3": ((0.0, 0.0, 0.0), DomainError),
+                            "scale": (-1.0, DomainError)},
+    "rotation_matrix": {"omega3": ((0.0, 2.0, 0.0), SurfaceError)},
+    "jacobian_singular_values_so3": {"omega3": ((np.inf, 0.0, 0.0),
+                                                DomainError)},
+    "jacobian_singular_values_so13": {"omega4": ((0.0, np.inf, 0.0, 0.0),
+                                                 DomainError)},
 }
 
 
@@ -452,7 +473,8 @@ def _parts(result):
 def _per_point(fn, args):
     """fn at each point of the stacked args alone, on C-contiguous copies of
     its rows."""
-    return [_outcome(lambda: fn(*(a[i].copy() for a in args)))
+    return [_outcome(lambda: fn(*(a[i].copy() for a in args)),
+                     (SpinBundleError, ValueError))
             for i in range(len(args[0]))]
 
 
@@ -463,7 +485,7 @@ def _assert_stack_is_its_points(name, args, points):
     fn, kinds = STACKED_MAPS[name]
     one = _geometry_inputs(1)
     shapes = [np.shape(part) for part in _parts(fn(*(one[k][0] for k in kinds)))]
-    stacked = _outcome(lambda: fn(*args))
+    stacked = _outcome(lambda: fn(*args), (SpinBundleError, ValueError))
     errors = [(i, p) for i, p in enumerate(points) if isinstance(p, Exception)]
     if errors:
         i, err = errors[0]
@@ -484,7 +506,7 @@ def _assert_stack_is_its_points(name, args, points):
 @pytest.mark.parametrize("name", STACKED_MAPS)
 def test_geometry_map_on_a_stack_is_its_per_point_calls(name):
     """At each size, in C order, with a strided last axis and in Fortran
-    order."""
+    order; then with a single P against a stack of its other arguments."""
     fn, kinds = STACKED_MAPS[name]
     for n in SIZES:
         args = [_geometry_inputs(n)[kind] for kind in kinds]
@@ -492,32 +514,30 @@ def test_geometry_map_on_a_stack_is_its_per_point_calls(name):
         for layout in LAYOUTS:
             _assert_stack_is_its_points(name, [layout(a) for a in args],
                                         points)
-
-
-@pytest.mark.parametrize("name", [name for name, (_, kinds)
-                                  in STACKED_MAPS.items()
-                                  if "P" in kinds and len(kinds) > 1])
-def test_a_single_momentum_broadcasts_against_a_stack(name):
-    fn, kinds = STACKED_MAPS[name]
-    inputs = dict(_geometry_inputs(7), P=np.array([1.3, 0.2, -0.1, 0.4]))
-    args = [inputs[kind] for kind in kinds]
-    points = _per_point(fn, [np.broadcast_to(a, (7, *a.shape[-1:]))
-                             if kind == "P" else a
-                             for a, kind in zip(args, kinds)])
-    _assert_stack_is_its_points(name, args, points)
+    if "P" in kinds and len(kinds) > 1:
+        P = np.array([1.3, 0.2, -0.1, 0.4])
+        args = [P if kind == "P" else a for kind, a in zip(kinds, args)]
+        points = _per_point(fn, [np.broadcast_to(a, (n, 4)) if a is P else a
+                                 for a in args])
+        _assert_stack_is_its_points(name, args, points)
 
 
 @pytest.mark.parametrize("name", STACKED_MAPS)
 def test_a_special_row_of_a_stack_is_its_point(name, capfd):
-    """Row 3 of each argument in turn holds +-0, +-inf, nan or a bad row;
-    nothing is printed."""
+    """Row 3 of each argument in turn holds +-0, +-inf, nan or the map's
+    GUARDS row for that argument, which the point alone fails with the
+    error given there; nothing is printed."""
     fn, kinds = STACKED_MAPS[name]
     for position, kind in enumerate(kinds):
-        for value in (*SPECIAL_VALUES, *BAD_ROWS.get(kind, ())):
+        guard = GUARDS.get(name, {}).get(kind)
+        for value, error in [*((v, None) for v in SPECIAL_VALUES),
+                             *([guard] if guard else [])]:
             args = [_geometry_inputs(7)[k].copy() for k in kinds]
             args[position][3] = value
             with np.errstate(all="ignore"):
-                _assert_stack_is_its_points(name, args, _per_point(fn, args))
+                points = _per_point(fn, args)
+                assert error is None or type(points[3]) is error, points[3]
+                _assert_stack_is_its_points(name, args, points)
     assert capfd.readouterr() == ("", "")
 
 
