@@ -133,7 +133,7 @@ def rotation_matrix(omega, pi) -> Array:
     """
     omega, pi = _points((3,), "rotation_matrix", omega, pi)
     residuals = surface_residuals(omega, pi)
-    bad = failing_point(np.max(np.abs(residuals), axis=-1) > 1e-9)
+    bad = failing_point(~(np.max(np.abs(residuals), axis=-1) <= 1e-9))
     if bad:
         i, where = bad
         raise SurfaceError(
@@ -155,7 +155,7 @@ def local_coords(omega, pi):
     """Adapted bundle coordinates (S1, S2, omega3) on the chart omega3 != 0."""
     omega, pi = _points((3,), "local_coords", omega, pi)
     residuals = surface_residuals(omega, pi)
-    if np.max(np.abs(residuals)) > 1e-9:
+    if not np.max(np.abs(residuals)) <= 1e-9:
         raise SurfaceError(residuals,
                            "local_coords needs a normalized surface point")
     if abs(omega[2]) <= 1e-12:

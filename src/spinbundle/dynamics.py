@@ -28,10 +28,10 @@ ends and the samples are projected onto the spin constraint surface by
 Newton iteration.  theta takes Dormand-Prince 5(4), whose steps land on each
 sample time.  The steppers, their right-hand sides (built once per
 integrate) and the projection work on lists of Python floats.  theta' = 2
-r / phi(t) does not read theta, so under a moving gauge the landing steps
-are first taken as one array pass over the grid, kept up to the first gap
-the stepper would step otherwise, and the stepper resumes there
-(_gauge_sector).  The per-sample diagnostics call the
+r / phi(t) does not read theta, so under a moving gauge the landing step
+of every sample gap is made at once, over the whole grid; one loop over
+the gaps then takes each where the stepper would take it and steps the
+rest (_gauge_sector).  The per-sample diagnostics call the
 field kernel once, on the coordinates of all samples.
 fit_rotation_frequency refines a spectral peak by golden-section search
 with parabolic steps (Brent).
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import ast
 import bisect
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -1183,17 +1182,18 @@ def _gauge_sector(r: float, times, gauge: GaugeFunction,
     gauge(t) with theta(t0) = 0, in closed form, 2 r (t - t0) / phi0, under
     a constant gauge, and stepped as a single float under any other.
 
-    theta' does not read theta, so a step that lands on the next sample
-    reads the gauge only at times the grid fixes.  The stepper takes the
-    first gap, which it enters with a short trial step; every later gap is
-    then taken as that one landing step at once over the grid, from one
-    call of the gauge on all stage times and with the stepper's float
-    operations.  The result stands up to the first gap where the stepper
-    would do otherwise: its error norm is above 1, it is longer than the
-    step the controller proposes, a stage value of phi is singular, or the
-    step budget is spent.  The stepper resumes there, from that sample's
-    theta, derivative, proposed step and attempts, so a gauge that fails
-    at once costs one array pass more than stepping alone.
+    theta' does not read theta, so the step that lands on the next sample
+    reads the gauge only at times the grid fixes.  That landing step is
+    made for every gap at once, from one call of the gauge on all stage
+    times and with the stepper's float operations.  One loop then walks
+    the gaps with the stepper's state (theta, derivative, proposed step,
+    attempts).  A gap takes its landing step where the stepper, in that
+    state, would take it: the step budget is not spent, no stage value of
+    phi is singular, the derivative held is the step's first stage, the gap
+    is no longer than the proposed step nor too short to step, and the
+    error norm is at most 1.  Any other gap, the first among them, since
+    the stepper enters it with a short trial step, is stepped by _dp5
+    from that state, and the loop carries on with the state it returns.
     """
     def phi_at(ts):
         return np.broadcast_to(np.asarray(gauge.phi(ts), dtype=float), ts.shape)
@@ -1209,18 +1209,7 @@ def _gauge_sector(r: float, times, gauge: GaugeFunction,
         return [2.0 * r / value]
 
     name = f"gauge {gauge.label!r}" if gauge.label else "gauge"
-
-    def step(theta, f, grid, h, attempts):
-        rows, state = _dp5(rhs, [theta], f, grid, opts,
-                           lambda t: f"{name} = {gauge(t):.6g} there", ("theta",),
-                           h=h, attempts=attempts)
-        return rows[:, 0].tolist(), state
-
-    f = rhs([0.0], times[0].item())
-    span = (times[-1] - times[0]).item()
-    theta, (f, h, attempts) = step(0.0, f, times[:2], _initial_step(
-        [0.0], f, opts.rel_tol, opts.abs_tol, span), 0)
-    t, gap = times[1:-1], np.diff(times[1:])  # the second gap on
+    t, gap = times[:-1], np.diff(times)
     try:
         values = phi_at(np.concatenate([t + c * gap for c in _DP_NODES]
                                        + [t + gap]))
@@ -1229,6 +1218,7 @@ def _gauge_sector(r: float, times, gauge: GaugeFunction,
         values = np.zeros(5 * gap.size)
     values = values.reshape(5, gap.size)
     singular = (np.abs(values) < _PHI_FLOOR).any(axis=0)
+    f = rhs([0.0], times[0].item())
     # inf and nan follow IEEE here as in the stepper's Python floats, which
     # warn of nothing; a gap whose norm is nan is left to the stepper
     with np.errstate(all="ignore"):
@@ -1238,28 +1228,31 @@ def _gauge_sector(r: float, times, gauge: GaugeFunction,
                            - 2187 / 6784 * k5 + 11 / 84 * k7)
         err = gap * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
                      - 17253 / 339200 * k5 + 22 / 525 * k7 - 1 / 40 * k7)
-        landed = np.array(list(itertools.accumulate(increment.tolist(),
-                                                    initial=theta[1])))
-        # _error_norm of one entry: fsum and the mean over one square are
-        # exact, and both square roots are correctly rounded
-        q = err / (opts.abs_tol + opts.rel_tol * np.maximum(np.abs(landed[:-1]),
-                                                            np.abs(landed[1:])))
-        norm = np.sqrt(q * q)
 
-    taken = 0
-    for g, t_k, n, bad in zip(gap.tolist(), t.tolist(), norm.tolist(),
-                              singular.tolist()):
-        if (attempts > opts.max_steps or bad or not g <= h * (1 + 1e-12)
-                or not g >= _min_step(t_k) or not n <= 1.0):
-            break
-        attempts += 1
-        taken += 1
-        h = g * _growth(n)
-    theta += landed[1:taken + 1].tolist()
-    if taken < gap.size:
-        f = [k7[taken - 1].item()] if taken else f
-        resumed, _ = step(theta[-1], f, times[1 + taken:], h, attempts)
-        theta += resumed[1:]
+    theta = [0.0]
+    h = _initial_step(theta, f, opts.rel_tol, opts.abs_tol,
+                      (times[-1] - times[0]).item())
+    attempts = 0
+    for i, (t_i, g, first, step, e, last, bad) in enumerate(zip(
+            t.tolist(), gap.tolist(), k1.tolist(), increment.tolist(),
+            err.tolist(), k7.tolist(), singular.tolist())):
+        landed = theta[-1] + step
+        if (attempts <= opts.max_steps and not bad and f[0] == first
+                and g <= h * (1 + 1e-12) and g >= _min_step(t_i)):
+            # _error_norm of one entry: fsum and the mean over one square
+            # are exact, and max(a, b) is its b if b > a else a
+            q = e / (opts.abs_tol + opts.rel_tol * max(abs(theta[-1]),
+                                                       abs(landed)))
+            norm = math.sqrt(q * q)
+            if norm <= 1.0:
+                theta.append(landed)
+                f, h, attempts = [last], g * _growth(norm), attempts + 1
+                continue
+        rows, (f, h, attempts) = _dp5(
+            rhs, theta[-1:], f, times[i:i + 2], opts,
+            lambda t: f"{name} = {gauge(t):.6g} there", ("theta",),
+            h=h, attempts=attempts)
+        theta.append(rows[-1, 0].item())
     return np.array(theta)[:, None], phi
 
 

@@ -139,9 +139,10 @@ def _require_antisymmetric(J, name) -> Array:
     (J,) = _points((4, 4), name, J)
     scale = np.maximum(1.0, np.max(np.abs(J), axis=(-2, -1)))
     skew = np.max(np.abs(J + np.swapaxes(J, -1, -2)), axis=(-2, -1))
-    bad = failing_point(skew > 1e-12 * scale)
+    # an inf or nan entry makes scale inf or nan
+    bad = failing_point(~((skew <= 1e-12 * scale) & np.isfinite(scale)))
     if bad:
-        raise ValueError(f"spin tensor must be antisymmetric{bad[1]}")
+        raise ValueError(f"spin tensor must be finite and antisymmetric{bad[1]}")
     return J
 
 
@@ -278,7 +279,7 @@ def tetrad(P, omega, pi, a3: float = DEFAULT_SURFACE_SCALE,
     """
     P, omega, pi = _points((4,), "tetrad", P, omega, pi)
     residuals = t3_constraints(omega, pi, P, a3, a4)
-    bad = failing_point(np.max(np.abs(residuals), axis=-1) > 1e-9)
+    bad = failing_point(~(np.max(np.abs(residuals), axis=-1) <= 1e-9))
     if bad:
         i, where = bad
         raise SurfaceError(residuals[i],

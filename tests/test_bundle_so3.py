@@ -198,6 +198,8 @@ def test_local_coords_chart_boundary():
 def test_local_coords_rejects_off_surface():
     with pytest.raises(SurfaceError):
         local_coords((0, 0, 2), (1, 0, 0))
+    with pytest.raises(SurfaceError):
+        local_coords((np.nan, 0, 0), (0, 1, 0))
 
 
 def test_local_coords_fiber_motion(rng):

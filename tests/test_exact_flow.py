@@ -320,8 +320,9 @@ def test_physical_flow_is_symplectic():
 
 
 def stepped_gauge_sector(r, times, gauge, opts):
-    """The gauge sector as the stepper alone takes it, the reference of the
-    array pass: theta stepped over the whole grid, phi one call a sample."""
+    """The gauge sector as the stepper alone takes it, the reference of
+    _gauge_sector: theta stepped over the whole grid, phi one call a
+    sample."""
     def rhs(theta, t):
         return [2.0 * r / gauge(t)]
 
@@ -330,14 +331,13 @@ def stepped_gauge_sector(r, times, gauge, opts):
     return theta, np.array([gauge(t) for t in times.tolist()])
 
 
-def resumed_at(monkeypatch):
-    """The start time of every stepper run after the first gap's."""
+def stepped_gaps(monkeypatch):
+    """The start time of every gap a stepper run takes, over all runs."""
     starts = []
     step = dynamics._dp5
 
     def spy(rhs, y, f, times, *args, **kwargs):
-        if kwargs.get("attempts"):
-            starts.append(times[0])
+        starts.extend(times[:-1].tolist())
         return step(rhs, y, f, times, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_dp5", spy)
@@ -349,39 +349,58 @@ WOBBLE_TEXT = "1 + 0.5*sin(2*t)"
 SHARP_TEXT = "1 + 0.5*sin(2*t) + 0.5*exp(-10000*(t - 7)*(t - 7))"
 GAUGE_COMPARE_TIMES = np.linspace(0.0, 4.0 * np.pi, 800)
 STERN_GERLACH_TIMES = np.linspace(0.0, 20.0, 2000)
+# a grid across t = 0, where a step that lands from t' < 0 on t_i reads its
+# last stage at t' + (t_i - t'), which need not be t_i
+ACROSS_ZERO_TIMES = np.linspace(-3.0, 3.0, 201)
+ACROSS_ZERO_TEXT = "1 + 0.5*sin(2*t) + 0.5*exp(-10000*t*t)"
+# the first gap crosses 0: the stepper reads its last stage at 0.001, the
+# landing step over that gap at the next float up, where this gauge is
+# 1e-9 higher, so the second gap's landing step starts from a derivative
+# the stepper does not hold
+HELD_TIMES = np.append(-0.02, np.linspace(0.001, 0.101, 21))
+HELD_JUMP = HELD_TIMES[0] + (HELD_TIMES[1] - HELD_TIMES[0])
+HELD = GaugeFunction(phi=lambda t: (np.where(t == HELD_JUMP, 1.0 + 1e-9, 1.0)
+                                    + 0.5 * np.sin(2.0 * t)))
 
 
-@pytest.mark.parametrize("gauge, times, opts, resumes_in", [
+@pytest.mark.parametrize("gauge, times, opts, stepped_in", [
     (parse_gauge_expression(WOBBLE_TEXT), GAUGE_COMPARE_TIMES,
      IntegrationOptions(), None),
-    (WOBBLE, TIMES, tight(), (TIMES[1], TIMES[2])),
+    (WOBBLE, TIMES, tight(), ...),
     *((WOBBLE, grid, loose(tol), ...)
       for grid in (TIMES, COARSE_TIMES) for tol in TOLERANCES),
     (parse_gauge_expression(WOBBLE_TEXT), STERN_GERLACH_TIMES,
      IntegrationOptions(project_every=1), None),
     (parse_gauge_expression(SHARP_TEXT), STERN_GERLACH_TIMES,
-     IntegrationOptions(), (6.9, 7.0)),
+     IntegrationOptions(), (6.9, 7.1)),
     # not marked constant, and one float for an array of times
     (GaugeFunction(phi=lambda t: 1.3), TIMES, IntegrationOptions(), None),
+    (parse_gauge_expression(ACROSS_ZERO_TEXT), ACROSS_ZERO_TIMES,
+     IntegrationOptions(), (-0.1, 0.1)),
+    (HELD, HELD_TIMES, IntegrationOptions(), (HELD_TIMES[1], HELD_TIMES[2])),
 ], ids=["gauge_compare", "wobble_tight",
         *(f"wobble_{n}_{tol:g}" for n in (400, 40) for tol in TOLERANCES),
-        "projected", "sharp", "float_for_array"])
+        "projected", "sharp", "float_for_array", "across_zero",
+        "held_derivative"])
 def test_gauge_sector_equals_the_stepper(monkeypatch, gauge, times, opts,
-                                         resumes_in):
-    """theta and phi of the array pass equal, with ==, those of the stepper
-    run over the whole grid.  resumes_in bounds the sample where the
-    stepper takes over: None where the array pass takes every gap after
-    the first, ... where either may happen."""
+                                         stepped_in):
+    """theta and phi of the gauge sector equal, with ==, those of the
+    stepper run over the whole grid.  The stepper takes the first gap, and
+    stepped_in bounds the start times of the other gaps it takes: None
+    where the landing steps take every gap after the first, ... where
+    either may take any."""
     r = 2.0 / np.sqrt(3.0)
     want = stepped_gauge_sector(r, times, gauge, opts)
-    starts = resumed_at(monkeypatch)
+    starts = stepped_gaps(monkeypatch)
     theta, phi = dynamics._gauge_sector(r, times, gauge, opts)
     assert np.array_equal(theta, want[0])
     assert np.array_equal(phi, want[1])
-    if resumes_in is None:
-        assert starts == []
-    elif resumes_in is not ...:
-        assert len(starts) == 1 and resumes_in[0] <= starts[0] < resumes_in[1]
+    if stepped_in is None:
+        assert starts == [times[0]]
+    elif stepped_in is not ...:
+        lo, hi = stepped_in
+        assert starts[0] == times[0]
+        assert all(lo <= t < hi for t in starts[1:]), starts
 
 
 def test_gauge_sector_equals_the_stepper_near_its_thresholds():
