@@ -9,6 +9,7 @@ table of keys, which rejects unknown ones. Exit codes: 0 ok, 1 bad config,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -130,13 +131,43 @@ CONFIG_TABLE = ("mapping", {
 }, ("scenario",))
 
 
+_SHOWN_LIMIT = 200  # characters of a config value quoted in a message
+_BRACKETS = {list: "[]", tuple: "()", dict: "{}"}
+
+
+def _pieces(value, inside=()):
+    """repr(value) as a stream of text that opens each list, tuple and dict
+    before it makes their items.  As in repr, a container inside itself
+    reads as [...], (...) or {...}; an int past Python's int-to-string digit
+    limit, which a hex literal can be, reads as a stand-in."""
+    brackets = _BRACKETS.get(type(value))
+    if brackets is None:
+        try:
+            yield repr(value)
+        except ValueError:
+            yield f"<{type(value).__name__} too long to print>"
+        return
+    if any(value is outer for outer in inside):
+        yield "...".join(brackets)
+        return
+    yield brackets[0]
+    inside += (value,)
+    for i, item in enumerate(value):
+        yield from [", "] if i else []
+        if brackets == "{}":
+            yield from _pieces(item, inside)
+            yield ": "
+            item = value[item]
+        yield from _pieces(item, inside)
+    yield ("," if brackets == "()" and len(value) == 1 else "") + brackets[1]
+
+
 def _shown(value) -> str:
-    """repr of a config value, or a stand-in where the value holds an int
-    past Python's int-to-string digit limit, which a hex literal can be."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"<{type(value).__name__} too long to print>"
+    """repr of a config value, cut after _SHOWN_LIMIT characters with "...".
+    Each piece holds a character or more, so the text is made only up to
+    the cut, and a deep or aliased value costs no more than the text shown."""
+    text = "".join(itertools.islice(_pieces(value), _SHOWN_LIMIT + 1))
+    return text if len(text) <= _SHOWN_LIMIT else text[:_SHOWN_LIMIT] + "..."
 
 
 def _walk(value, spec, path: str) -> None:
@@ -246,6 +277,9 @@ def load_config(path) -> dict:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError(f"{path}{where}: {exc}") from None
+    except RecursionError:
+        # PyYAML's composer recurses once per level of nesting
+        raise ConfigError(f"{path}: nested too deeply to parse") from None
     return validate_config(cfg)
 
 
@@ -615,6 +649,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{name}: {SCENARIOS[name][1]}")
         return 0
 
+    # a warning shown on stderr is one line, like the error messages
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _one_line_warning
     try:
         if args.command == "run":
             cfg = load_config(args.config)
@@ -628,14 +665,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if not 0 < args.tol < math.inf:
                     raise ConfigError("--tol must be positive and finite")
                 cfg["checks"] = {"all": args.tol}
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    # a warning shown on stderr is one line, like the error messages
-    formatwarning = warnings.formatwarning
-    warnings.formatwarning = _one_line_warning
-    try:
         code, summary = run_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -379,11 +379,15 @@ def pauli_model_set(a: float = 1.0, b: Optional[float] = None,
                     hbar: float = 1.0) -> ConstraintSet:
     """Four constraints of the spin model in a basis that separates classes:
     the second-class pair plus pi_phi and the first-class combination
-    pi^2 - b^2 + (b^2/a^2)(omega^2 - a^2)."""
+    pi^2 - b^2 + (b^2/a^2)(omega^2 - a^2), written as the bilinear form
+    pi^2 + (b^2/a^2) omega^2 with target b^2 + (b^2/a^2) a^2."""
     a = float(a)
     b = default_pi_norm(a, hbar) if b is None else float(b)
-    ratio = (b / a) ** 2
-    combination = pi_norm_sq() + ratio * omega_norm_sq()
+    # a Python float: the form's terms then overflow to inf without warning
+    ratio = float((b / a) ** 2)
+    combination = _bilinear(_PI3 + _OMEGA3, _PI3 + _OMEGA3,
+                            (1.0, 1.0, 1.0, ratio, ratio, ratio),
+                            name="pi_sq_combination")
     return ConstraintSet(constraints=(
         Constraint("omega_sq", omega_norm_sq(), a * a),
         Constraint("omega_pi", omega_dot_pi(), 0.0),

@@ -349,16 +349,20 @@ def parse_gauge_expression(expression: str, label: str = "") -> GaugeFunction:
     that fails."""
     try:
         tree = ast.parse(expression, mode="eval")
+        _check_gauge_node(tree)
+        source = ast.parse("lambda t: 0", mode="eval")
+        source.body.body = tree.body
+        code = compile(ast.fix_missing_locations(source), "<gauge>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"gauge expression does not parse: {exc.msg}") from None
-    _check_gauge_node(tree)
+    except (RecursionError, MemoryError):
+        # the parser, the check and the compiler each recurse once per level
+        # of nesting, and a sum nests once per term
+        raise ConfigError("gauge expression is nested too deeply") from None
     # t is the only name in a checked tree besides the called functions
     moves = any(isinstance(node, ast.Name) and node.id == "t"
                 for node in ast.walk(tree))
     what = f"gauge expression {expression!r}"
-    source = ast.parse("lambda t: 0", mode="eval")
-    source.body.body = tree.body
-    code = compile(ast.fix_missing_locations(source), "<gauge>", "eval")
     fn = eval(code, {"__builtins__": {}, **_GAUGE_FUNCS})
     fn_array = eval(code, {"__builtins__": {}, **_GAUGE_ARRAY_FUNCS})
 
@@ -397,7 +401,7 @@ def parse_gauge_expression(expression: str, label: str = "") -> GaugeFunction:
 # ---------------------------------------------------------------------------
 
 _ORTH_OBS = con.omega_dot_pi()
-_HALF_PI_SQ = 0.5 * con.pi_norm_sq()
+_PI_SQ_OBS = con.pi_norm_sq()
 
 _PHI_FLOOR = 1e-9  # |phi| < this: the equations of motion are singular
 _PI_SQ_FLOOR = 1e-12  # pi^2 < this * max(1, b^2): no multiplier
@@ -455,7 +459,7 @@ def solve_multiplier(z, params: ModelParams, phi_val: Optional[float] = None,
                 OffSurfaceWarning, stacklevel=2)
     h0 = _spin_sector_hamiltonian(params, fields)
     numerator = poisson_bracket(_ORTH_OBS, h0, zf)
-    denominator = poisson_bracket(_ORTH_OBS, _HALF_PI_SQ, zf)
+    denominator = 0.5 * poisson_bracket(_ORTH_OBS, _PI_SQ_OBS, zf)
     if abs(denominator) < _PI_SQ_FLOOR * max(1.0, params.b ** 2):
         raise DomainError("multiplier is undefined where pi^2 ~ 0")
     return float(-numerator / denominator)
@@ -558,9 +562,9 @@ def physical_hamiltonian(z, params: ModelParams, fields: FieldConfig) -> float:
 
 @dataclass(frozen=True)
 class IntegrationOptions:
-    """Step control of integrate: the error tolerances, the projection
-    period project_every (0 for never) and the step budget max_steps of
-    each stepped sector.
+    """Step control of integrate: the error tolerances and the projection
+    period project_every (0 for never).  Each stepped sector has the fixed
+    budget of _MAX_STEPS step attempts.
 
     rel_tol and abs_tol hold as given for theta; the stepped physical
     sector runs at _PHYSICAL_TOL_SCALE (1e-3) times each, since its samples
@@ -574,7 +578,6 @@ class IntegrationOptions:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     project_every: int = 0
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -585,6 +588,8 @@ class IntegrationOptions:
 
 # Residual bound of every spin-surface projection in integrate
 _PROJECTION_TOL = 1e-13
+# Step attempts each stepped sector of integrate may make
+_MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -754,7 +759,7 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions,
     """Step y' = rhs(y, t) from (times[0], y), with f = rhs(y, times[0]), and
     return the states at the sample times, one row each, with the stepper's
     state after the last one, (f, h, attempts): the derivative there, the
-    next step size to try and the attempts spent against max_steps.  Given
+    next step size to try and the attempts spent against _MAX_STEPS.  Given
     h and attempts, a run resumes another that ended at times[0] with that
     state; h defaults to _initial_step's over the whole grid.  This is the
     gauge sector's stepper (_gauge_sector).
@@ -773,9 +778,9 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions,
     y_new = y
     i = 1  # the next sample to land on
     while i < len(grid):
-        if attempts > opts.max_steps:
+        if attempts > _MAX_STEPS:
             raise IntegrationError(
-                f"step budget {opts.max_steps} exhausted at t = {t:.6g} ({sector(t)})")
+                f"step budget {_MAX_STEPS} exhausted at t = {t:.6g} ({sector(t)})")
         gap = grid[i] - t
         lands = gap <= h * (1 + 1e-12)
         h_try = gap if lands else h
@@ -1053,7 +1058,8 @@ def _dop853(rhs, y, f, times, opts: IntegrationOptions, sector: str,
     array expression.  A sample at a step's end is the step's state.
     With project_every = k > 0 and the targets (a^2, b^2) of the spin
     surface, the state is projected after every k-th accepted step and its
-    derivative taken again, and every sample row is projected too.  y, f
+    derivative taken again, and every sample row after the first is
+    projected too, once all rows are recorded, by one _project_rows.  y, f
     and every stage are lists of Python floats.  A step size underflow
     after a non-finite trial names the first non-finite entry of the
     state; any other, and an exhausted step budget, name t and the sector.
@@ -1072,9 +1078,9 @@ def _dop853(rhs, y, f, times, opts: IntegrationOptions, sector: str,
     accepted = attempts = 0
     rejected = False
     while i < len(grid):
-        if attempts > opts.max_steps:
+        if attempts > _MAX_STEPS:
             raise IntegrationError(
-                f"step budget {opts.max_steps} exhausted at t = {t:.6g} ({sector})")
+                f"step budget {_MAX_STEPS} exhausted at t = {t:.6g} ({sector})")
         # a step that would end within 1% of t_end ends there
         last = t_end - t <= 1.01 * h
         h_try = t_end - t if last else h
@@ -1109,16 +1115,16 @@ def _dop853(rhs, y, f, times, opts: IntegrationOptions, sector: str,
             y = _project_spin(y, *targets, _PROJECTION_TOL)
             f = rhs(y, t)
         if stop < len(grid) and grid[stop] == t:
-            rows[stop] = (_project_spin(y, *targets, _PROJECTION_TOL) if targets
-                          else y)
+            rows[stop] = y
             stop += 1
         i = stop
         h = h_try * min(1.0 if rejected else 10.0, factor)
         rejected = False
     if held:
-        block = _dop853_dense(times[inside], np.array(owner),
-                              *map(np.array, zip(*held)))
-        rows[inside] = _project_rows(block, *targets) if targets else block
+        rows[inside] = _dop853_dense(times[inside], np.array(owner),
+                                     *map(np.array, zip(*held)))
+    if targets:
+        _project_rows(rows[1:], *targets)
     return rows
 
 
@@ -1237,7 +1243,7 @@ def _gauge_sector(r: float, times, gauge: GaugeFunction,
             t.tolist(), gap.tolist(), k1.tolist(), increment.tolist(),
             err.tolist(), k7.tolist(), singular.tolist())):
         landed = theta[-1] + step
-        if (attempts <= opts.max_steps and not bad and f[0] == first
+        if (attempts <= _MAX_STEPS and not bad and f[0] == first
                 and g <= h * (1 + 1e-12) and g >= _min_step(t_i)):
             # _error_norm of one entry: fsum and the mean over one square
             # are exact, and max(a, b) is its b if b > a else a

@@ -183,49 +183,6 @@ class Observable:
             return np.asarray(self.grad(zf), dtype=float)
         return gradient(self.fn, zf)
 
-    def __add__(self, other):
-        if isinstance(other, Observable):
-            g = None
-            if self.grad is not None and other.grad is not None:
-                g = lambda z: np.asarray(self.grad(z)) + np.asarray(other.grad(z))
-            return Observable(lambda z: self.fn(z) + other.fn(z), g,
-                              name=f"({self.name}+{other.name})")
-        c = float(other)
-        g = self.grad
-        return Observable(lambda z: self.fn(z) + c, g, name=self.name)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        g = None
-        if self.grad is not None:
-            g = lambda z: -np.asarray(self.grad(z))
-        return Observable(lambda z: -self.fn(z), g, name=f"(-{self.name})")
-
-    def __sub__(self, other):
-        if isinstance(other, Observable):
-            return self + (-other)
-        return self + (-float(other))
-
-    def __rsub__(self, other):
-        return (-self) + float(other)
-
-    def __mul__(self, other):
-        if isinstance(other, Observable):
-            g = None
-            if self.grad is not None and other.grad is not None:
-                g = lambda z: (np.asarray(self.grad(z)) * other.fn(z)
-                               + self.fn(z) * np.asarray(other.grad(z)))
-            return Observable(lambda z: self.fn(z) * other.fn(z), g,
-                              name=f"({self.name}*{other.name})")
-        c = float(other)
-        g = None
-        if self.grad is not None:
-            g = lambda z: c * np.asarray(self.grad(z))
-        return Observable(lambda z: c * self.fn(z), g, name=f"({other}*{self.name})")
-
-    __rmul__ = __mul__
-
 
 def gradient(f, z) -> Array:
     """Central finite-difference gradient with per-coordinate relative steps,
@@ -324,12 +281,6 @@ def coordinate(index: int, dim: int = DIM, label: str = "") -> Observable:
         return out
 
     return Observable(fn, grad, name=label or f"z[{index}]")
-
-
-def constant(value: float) -> Observable:
-    value = float(value)
-    return Observable(lambda z: value, lambda z: np.zeros(np.shape(z)),
-                      name=repr(value))
 
 
 def spin_component(i: int) -> Observable:

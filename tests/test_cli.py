@@ -23,6 +23,7 @@ from spinbundle.cli import (
     SCENARIO_CHECKS,
     SCENARIOS,
     TIMESERIES_COLUMNS,
+    _shown,
     load_config,
     main,
     parse_gauge_expression,
@@ -837,6 +838,69 @@ def test_main_gauge_failure_is_one_line_runtime_error(expression, samples,
 
 def test_main_gauge_pole_between_samples_runs(run_main):
     assert run_main(gauge_config("1/((t-0.5)*(t-0.5))", 16)) == (0, [])
+
+
+def alias_bomb(levels):
+    """A YAML list of 10**levels ones built from nested anchors and aliases:
+    each level is a list of ten copies of the level below."""
+    text = "1"
+    for k in range(levels):
+        text = f"[&l{k} {text}" + f", *l{k}" * 9 + "]"
+    return text
+
+
+# configs nested deeper than the parsers recurse, with the message of each
+NESTED_CONFIGS = {
+    "seed": ("scenario: free_spin\nseed: " + "[" * 1000 + "]" * 1000 + "\n",
+             "nested too deeply to parse"),
+    "checks": ("scenario: free_spin\nchecks: " + "{a: " * 3000 + "1"
+               + "}" * 3000 + "\n", "nested too deeply to parse"),
+    "sum_2000": (gauge_config("1" + "+t" * 2000, 16),
+                 "gauge expression is nested too deeply"),
+    "sum_20000": (gauge_config("1" + "+t" * 20000, 16),
+                  "gauge expression is nested too deeply"),
+    "minus_1000": (gauge_config("-" * 1000 + "t", 16),
+                   "gauge expression is nested too deeply"),
+    "minus_100000": (gauge_config("-" * 100000 + "t", 16),
+                     "gauge expression is nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("config, message", list(NESTED_CONFIGS.values()),
+                         ids=list(NESTED_CONFIGS))
+def test_main_rejects_deep_nesting_in_one_line(config, message, run_main):
+    code, err = run_main(config)
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert err[0].endswith(message)
+
+
+def test_main_quotes_a_bounded_part_of_an_alias_bomb(run_main):
+    """Six levels of aliases make a million ones under $.seed; the error
+    quotes about 200 characters of the value."""
+    code, err = run_main(f"scenario: free_spin\nseed: {alias_bomb(6)}\n")
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith("config error: $.seed: [[[[[[1, 1, 1")
+    assert err[0].endswith("... is not an integer")
+    assert len(err[0]) < 300
+
+
+def test_shown_is_repr_up_to_its_limit():
+    itself = [1, "a'b"]
+    itself.append(itself)
+    mapping = {"k": (1,), 2: [(), None, 2.5e-300]}
+    mapping["self"] = mapping
+    for value in (None, True, -0.0, "x\"y", [], {}, (), (1,), (1, 2),
+                  [[1, [2, {}]], {"a": [True]}], itself, mapping):
+        assert _shown(value) == repr(value)
+    long = list(range(1000))
+    assert _shown(long) == repr(long)[:200] + "..."
+    deep = []
+    for _ in range(10000):
+        deep = [deep]
+    assert _shown(deep) == "[" * 200 + "..."
+    assert _shown([16 ** 5000]) == "[<int too long to print>]"
 
 
 @pytest.mark.parametrize("initial", [

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinbundle.constraints import (
+    _OMEGA3,
     Constraint,
     ConstraintSet,
     classify,
@@ -19,6 +20,7 @@ from spinbundle.constraints import (
     omega_dot_pi,
     omega_norm_sq,
     pauli_model_set,
+    pi_norm_sq,
     project,
     second_class_pair,
     spin_surface_set,
@@ -36,6 +38,7 @@ from spinbundle.phasespace import (
     OMEGA,
     PI,
     PhasePoint,
+    _bilinear,
     coordinate,
     quadratic,
     spin_component,
@@ -116,6 +119,23 @@ def test_gauge_momentum_row_vanishes(rng):
     row = names.index("pi_phi")
     assert_allclose(delta[row], np.zeros(len(names)), atol=1e-9)
     assert_allclose(delta[:, row], np.zeros(len(names)), atol=1e-9)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, None), (1.3, 0.7), (0.05, 40.0)])
+def test_pauli_combination_is_pi_sq_plus_ratio_omega_sq(a, b, rng):
+    # one bilinear form: each gradient entry is pi_i + pi_i or r omega_i +
+    # r omega_i, which is 2 pi_i + 0 and 0 + r (2 omega_i) bit for bit
+    combination = pauli_model_set(a, b).constraints[3].func
+    b = default_pi_norm(a) if b is None else b
+    ratio = (b / a) ** 2
+    Z = rng.standard_normal((50, DIM))
+    want = pi_norm_sq().gradient(Z) + ratio * omega_norm_sq().gradient(Z)
+    assert np.array_equal(combination.gradient(Z), want)
+    for z in Z:
+        assert np.array_equal(combination.gradient(z), pi_norm_sq().gradient(z)
+                              + ratio * omega_norm_sq().gradient(z))
+        assert_allclose(combination(z), pi_norm_sq()(z)
+                        + ratio * omega_norm_sq()(z), rtol=1e-15)
 
 
 def test_off_surface_warning():
@@ -264,7 +284,8 @@ def test_dirac_degenerate_matrix_raises(rng):
     cset = ConstraintSet(
         constraints=(
             Constraint("omega_sq", omega_norm_sq(), 1.0),
-            Constraint("omega_sq_again", omega_norm_sq() * 1.0, 1.0),
+            Constraint("omega_sq_again",
+                       _bilinear(_OMEGA3, _OMEGA3, (1.0, 1.0, 1.0)), 1.0),
         ),
         structure=CANONICAL_PARTICLE,
     )

@@ -493,18 +493,18 @@ def test_integrate_never_calls_eom(monkeypatch):
             assert np.isfinite(traj.states).all()
 
 
-def test_integrate_step_budget():
+def test_integrate_step_budget(monkeypatch):
     """The budget holds in each stepped sector: the physical sector of a
     gradient field and the gauge sector of a gauge that moves."""
     params = ModelParams()
-    opts = IntegrationOptions(max_steps=3)
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 3)
     wobble = GaugeFunction(phi=lambda t: 1.0 + 0.5 * np.sin(2 * t),
                            phi_dot=lambda t: np.cos(2 * t))
     for fields, gauge in ((FieldConfig.linear_gradient(), UNIT_GAUGE),
                           (FieldConfig.free(), wobble)):
         with pytest.raises(IntegrationError, match="step budget 3 exhausted"):
             integrate(larmor_start(params), (0.0, 10.0), params, fields,
-                      gauge, opts)
+                      gauge)
 
 
 def test_retried_step_starts_from_the_derivative_at_its_base(monkeypatch,
@@ -626,17 +626,18 @@ def test_underflow_in_the_physical_sector_names_the_field():
                   fields, UNIT_GAUGE)
 
 
-def test_step_budget_in_the_gauge_sector_names_the_gauge():
+def test_step_budget_in_the_gauge_sector_names_the_gauge(monkeypatch):
     """phi oscillates at 1e15 per unit time: stepping theta alone spends the
     step budget, and the message names t, the gauge and its value there."""
     params = ModelParams()
     gauge = GaugeFunction(phi=lambda t: 1.0 + 0.5 * np.sin(1e15 * t),
                           label="fast")
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 1000)
     with pytest.raises(IntegrationError,
                        match=r"^step budget 1000 exhausted at t = \S+ "
                              r"\(gauge 'fast' = \S+ there\)$"):
         integrate(larmor_start(params), np.linspace(0.0, 1.0, 11), params,
-                  FieldConfig.free(), gauge, IntegrationOptions(max_steps=1000))
+                  FieldConfig.free(), gauge)
 
 
 # ---------------------------------------------------------------------------

@@ -422,7 +422,7 @@ def test_gauge_sector_equals_the_stepper_near_its_thresholds():
         assert np.array_equal(theta, want), (gauge.label, opts)
 
 
-def test_gauge_sector_raises_the_stepper_errors():
+def test_gauge_sector_raises_the_stepper_errors(monkeypatch):
     """The array pass takes no gap where the stepper would raise: a stage
     value of phi below 1e-9 (the second stage, whose value no sum reads),
     a gap too short to step and a step budget spent in mid-grid stop the
@@ -436,11 +436,11 @@ def test_gauge_sector_raises_the_stepper_errors():
     with pytest.raises(IntegrationError,
                        match=r"^step size underflow at t = 12\.5664 "):
         dynamics._gauge_sector(r, tiny_gap, WOBBLE, IntegrationOptions())
-    opts = IntegrationOptions(max_steps=50)
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 50)
     with pytest.raises(IntegrationError) as want:
-        stepped_gauge_sector(r, TIMES, WOBBLE, opts)
+        stepped_gauge_sector(r, TIMES, WOBBLE, IntegrationOptions())
     with pytest.raises(IntegrationError) as got:
-        dynamics._gauge_sector(r, TIMES, WOBBLE, opts)
+        dynamics._gauge_sector(r, TIMES, WOBBLE, IntegrationOptions())
     assert str(got.value).split(" (")[0] == str(want.value).split(" (")[0]
 
 

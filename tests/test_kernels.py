@@ -20,6 +20,7 @@ from numpy.testing import assert_allclose
 from spinbundle import cli, constraints, dynamics
 from spinbundle.bundle_so3 import sample_surface_point
 from spinbundle.constraints import (
+    _OMEGA3,
     Constraint,
     ConstraintSet,
     _condition,
@@ -70,6 +71,7 @@ from spinbundle.phasespace import (
     PI_PHI,
     X,
     Observable,
+    _bilinear,
     coordinate,
     poisson_bracket,
     quadratic,
@@ -314,11 +316,11 @@ def test_dp5_stages_are_the_tableau_products(monkeypatch, rhs_calls, rng):
         return _error_norm(err, y0, y1, rel_tol, abs_tol)
 
     monkeypatch.setattr(dynamics, "_error_norm", spy_norm)
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 1000)
     u = random_phase_state(rng, a=params.a, b=params.b)[:PHI].tolist()
     rhs = dynamics._physical_kernel(params, fields)
     dynamics._dp5(rhs, u, rhs(u, 0.0), np.linspace(0.0, 3.0, 30),
-                  IntegrationOptions(max_steps=1000), lambda t: "",
-                  CANONICAL_PARTICLE.labels)
+                  IntegrationOptions(), lambda t: "", CANONICAL_PARTICLE.labels)
     assert len(attempts) > 30
 
     tol = 10 * np.finfo(float).eps
@@ -384,9 +386,10 @@ def test_dop853_stages_are_the_tableau_products(monkeypatch, rhs_calls, rng):
 
     dynamics_error_norm = dynamics._dop853_error_norm
     monkeypatch.setattr(dynamics, "_dop853_error_norm", spy_norm)
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 1000)
     z0 = random_phase_state(rng, a=params.a, b=params.b)
     integrate(z0, np.linspace(0.0, 30.0, 30), params, fields, gauge,
-              IntegrationOptions(rel_tol=1e-6, abs_tol=1e-8, max_steps=1000))
+              IntegrationOptions(rel_tol=1e-6, abs_tol=1e-8))
     assert len(attempts) > 30
 
     rhs = dynamics._physical_kernel(params, fields)
@@ -723,7 +726,8 @@ def test_degenerate_delta_raises_before_f_and_g(rng):
     counts = {}
     cset = ConstraintSet(constraints=(
         Constraint("omega_sq", omega_norm_sq(), 1.0),
-        Constraint("omega_sq_again", 2.0 * omega_norm_sq(), 2.0),
+        Constraint("omega_sq_again", _bilinear(_OMEGA3, _OMEGA3, (2.0, 2.0, 2.0)),
+                   2.0),
     ))
     f = _counted(spin_component(0), counts, "f")
     g = _counted(spin_component(1), counts, "g")
@@ -778,7 +782,8 @@ def test_dirac_brackets_degenerate_delta_raises_before_f_and_g(rng):
     counts = {}
     cset = ConstraintSet(constraints=(
         Constraint("omega_sq", omega_norm_sq(), 1.0),
-        Constraint("omega_sq_again", 2.0 * omega_norm_sq(), 2.0),
+        Constraint("omega_sq_again", _bilinear(_OMEGA3, _OMEGA3, (2.0, 2.0, 2.0)),
+                   2.0),
     ))
     fs = [_counted(spin_component(k), counts, f"f{k}") for k in range(3)]
     gs = [_counted(coordinate(9 + k), counts, f"g{k}") for k in range(3)]

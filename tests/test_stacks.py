@@ -53,7 +53,6 @@ from spinbundle.phasespace import (
     OMEGA,
     Observable,
     _dot,
-    constant,
     coordinate,
     poisson_bracket,
     quadratic,
@@ -72,18 +71,18 @@ def _symmetric(rng, dim):
 
 
 def _builders(rng):
-    """(observable, dim) for every builder of the package, with sums,
-    negations and scalar multiples, and one observable without a gradient."""
+    """(observable, dim) for every builder of the package, the first-class
+    combination of pauli_model_set among them, and one observable without
+    a gradient."""
     A, b = _symmetric(rng, 14), rng.standard_normal(14)
     P = [1.3, 0.2, -0.4, 0.5]
     return [
-        (coordinate(6), 14), (constant(2.5), 14), (gauge_momentum(), 14),
+        (coordinate(6), 14), (gauge_momentum(), 14),
         *[(spin_component(i), 14) for i in range(3)],
         (quadratic(A, b, 0.3), 14),
         (omega_norm_sq(), 14), (pi_norm_sq(), 14), (omega_dot_pi(), 14),
         (_radial_balance(0.75), 14),
-        (pi_norm_sq() + 1.7 * omega_norm_sq(), 14),
-        (-spin_component(1), 14), (spin_component(0) - 1.5, 14),
+        (pauli_model_set().constraints[3].func, 14),
         (Observable(lambda z: z[6] * z[9] ** 2, name="no gradient"), 14),
         (spin_tensor_component(0, 2), 8), (spin_tensor_component(1, 3), 8),
         *[(c.func, 8) for c in t3_constraint_set(P)],
