@@ -6,9 +6,10 @@ and rotations in the (omega, pi) plane move along the fiber.  Gauge freedom
 of the auxiliary sector is tracked by a symmetric 2x2 matrix of multipliers.
 
 The spin map, its Jacobian and singular values, the surface residuals, the
-rotation identification and the fiber rotation take stacks: leading axes
-are points, so (n, 3) inputs are n points, each mapped as a call on it
-alone would map it, and a guard that fails at any point names its row.
+rotation identification, the fiber rotation and gauge_matrices_transform
+take stacks: leading axes are points, so (n, 3) inputs are n points, each
+mapped as a call on it alone would map it, and a guard that fails at any
+point names its row.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ class GaugeMatrix:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (2, 2):
             raise ValueError("gauge matrix must be 2x2")
-        m = 0.5 * (m + m.T)
+        m = _symmetrized(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "lambda2", float(self.lambda2))
@@ -213,14 +214,31 @@ class GaugeMatrix:
         return 2.0 * self.matrix[0, 1]
 
 
+def _symmetrized(m) -> Array:
+    """0.5 (m + m^T) over the last two axes."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def gauge_matrices_transform(m, beta, beta_dot) -> Array:
+    """Action of the structure group on gauge matrices:
+    g' = K g K^T + (beta_dot / 2) I with K the rotation by beta, symmetrized
+    as GaugeMatrix keeps its matrix.  m is one 2x2 matrix or a stack of
+    them, with an angle and a rate each."""
+    c, s = np.cos(beta), np.sin(beta)
+    K = np.stack(np.broadcast_arrays(c, s, -s, c), axis=-1).reshape(
+        np.shape(c) + (2, 2))
+    beta_dot = np.asarray(beta_dot, dtype=float)[..., None, None]
+    return _symmetrized(K @ m @ np.swapaxes(K, -1, -2)
+                        + 0.5 * beta_dot * np.eye(2))
+
+
 def gauge_matrix_transform(g: GaugeMatrix, beta: float,
                            beta_dot: float) -> GaugeMatrix:
     """Action of the structure group on the gauge matrix:
     g' = K g K^T + (beta_dot / 2) I with K the rotation by beta."""
-    c, s = np.cos(beta), np.sin(beta)
-    K = np.array([[c, s], [-s, c]])
-    moved = K @ g.matrix @ K.T + 0.5 * float(beta_dot) * np.eye(2)
-    return GaugeMatrix(matrix=moved, lambda2=g.lambda2)
+    return GaugeMatrix(matrix=gauge_matrices_transform(g.matrix, beta,
+                                                       float(beta_dot)),
+                       lambda2=g.lambda2)
 
 
 def uniform_from(u, lo: float, hi: float):

@@ -135,6 +135,15 @@ _SHOWN_LIMIT = 200  # characters of a config value quoted in a message
 _BRACKETS = {list: "[]", tuple: "()", dict: "{}"}
 
 
+def _printed(value, form) -> str:
+    """form(value), with repr or str for form, or a stand-in for an int past
+    Python's int-to-string digit limit, which a hex literal can be."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _pieces(value, inside=()):
     """repr(value) as a stream of text that opens each list, tuple and dict
     before it makes their items.  As in repr, a container inside itself
@@ -142,10 +151,7 @@ def _pieces(value, inside=()):
     limit, which a hex literal can be, reads as a stand-in."""
     brackets = _BRACKETS.get(type(value))
     if brackets is None:
-        try:
-            yield repr(value)
-        except ValueError:
-            yield f"<{type(value).__name__} too long to print>"
+        yield _printed(value, repr)
         return
     if any(value is outer for outer in inside):
         yield "...".join(brackets)
@@ -183,12 +189,14 @@ def _walk(value, spec, path: str) -> None:
         for key in required:
             if key not in value:
                 raise ConfigError(f"{path}: missing required key {key!r}")
-        order = sorted(value, key=str)
+        names = {key: _printed(key, str) for key in value}
+        order = sorted(value, key=names.get)
         for key in order:
             if key not in keys and "*" not in keys:
-                raise ConfigError(f"{path}: unknown key {key!r}")
+                raise ConfigError(f"{path}: unknown key {_shown(key)}")
         for key in order:
-            _walk(value[key], keys.get(key, keys.get("*")), f"{path}.{key}")
+            _walk(value[key], keys.get(key, keys.get("*")),
+                  f"{path}.{names[key]}")
     elif kind == "list":
         if not isinstance(value, list) or len(value) != spec[1]:
             raise ConfigError(
@@ -228,8 +236,8 @@ def validate_config(cfg) -> dict:
     scenario = cfg["scenario"]
     for name in cfg.get("checks", {}):
         if name != "all" and name not in SCENARIO_CHECKS[scenario]:
-            raise ConfigError(
-                f"$.checks.{name}: {scenario} has no check named {name!r}")
+            raise ConfigError(f"$.checks.{_printed(name, str)}: {scenario} "
+                              f"has no check named {_shown(name)}")
     _check_squares(cfg)
     return cfg
 
@@ -274,9 +282,13 @@ def load_config(path) -> dict:
         # PyYAML raise ValueError
         cfg = yaml.safe_load(text)
     except (yaml.YAMLError, ValueError) as exc:
+        # a YAML error's text quotes the lines around it; its problem alone
+        # is one line
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
-        raise ConfigError(f"{path}{where}: {exc}") from None
+        problem = getattr(exc, "problem", None) or str(exc)
+        problem = problem.partition("\n")[0]
+        raise ConfigError(f"{path}{where}: {problem}") from None
     except RecursionError:
         # PyYAML's composer recurses once per level of nesting
         raise ConfigError(f"{path}: nested too deeply to parse") from None

@@ -32,12 +32,11 @@ from .phasespace import (
 # Verification suites (random-point property checks)
 # ---------------------------------------------------------------------------
 #
-# Each block draws its points' raw values row by row, with the generator
-# calls of the per-point samplers in their order (a uniform(lo, hi) as the
-# random() it is made of), and then maps and checks them as one stack per
-# map.  The bracket blocks and the t4 classification hand the engine the
-# whole stack, one call per block; the gauge group law stays one point at a
-# time.
+# Each block draws its points' raw values with the generator calls of the
+# per-point samplers, in their order (a uniform(lo, hi) as the random() it is
+# made of), and then maps and checks them as one stack per map.  The bracket
+# blocks and the t4 classification hand the engine the whole stack, one call
+# per block, and the gauge group law moves all its matrices as one stack.
 
 class _Draw(NamedTuple):
     """One part of a point's draws: size values from the generator method
@@ -53,27 +52,59 @@ _SURFACE = _Draw("normal", 6, lambda raw: so3.surface_points(raw)[2],
                  so3.surface_draw)
 _DIRECTION = _Draw("normal", 3, lor.kept_directions, lor.direction_draw)
 
+# The generator call that fills each method's draws in place.  numpy's
+# normal() is 0.0 + 1.0 * standard_normal(), which differs from it only
+# where it turns a -0.0 into 0.0.
+_FILLS = {"normal": "standard_normal", "standard_normal": "standard_normal",
+          "random": "random"}
+
 
 def _draw_rows(rng, n: int, *draws: _Draw):
-    """n points' draws, one (n, size) array per part, drawn point by point
-    as the per-point samplers draw them; a run of parts from one method is
-    one call per point, which consumes the generator alike.
+    """n points' draws, one (n, size) array per part, in the stream of the
+    per-point samplers: point by point, each part in turn.
+
+    A run of parts that one generator call fills is one call per point.  The
+    run that ends a point and the run that starts the next are one call when
+    one method fills both, and a block of one run is one call in all.
 
     If any row holds a draw a sampler would reject, the generator goes back
     to its state before the block and every part of every row is drawn again
     as the samplers draw it, so the stream stays theirs.
     """
     state = rng.bit_generator.state
-    rows, calls = [], []
-    for method, run in groupby(draws, key=lambda draw: draw.method):
-        sizes = [draw.size for draw in run]
+    runs = [(fill, list(run)) for fill, run in groupby(
+        enumerate(draws), key=lambda part: _FILLS[part[1].method])]
+    # the first buffer holds the first run and then, when one method fills
+    # both, the last: point i's tail lies just before point i + 1's head
+    tail = 0
+    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
+        last = runs.pop()[1]
+        tail = sum(draw.size for _, draw in last)
+        runs[0] = (runs[0][0], runs[0][1] + last)
+    rows = [None] * len(draws)
+    fills = []
+    for fill, run in runs:
+        sizes = [draw.size for _, draw in run]
         buf = np.empty((n, sum(sizes)))
         edges = np.cumsum([0] + sizes)
-        rows += [buf[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
-        calls.append((getattr(rng, method), buf.shape[1], buf))
-    for i in range(n):
-        for call, size, buf in calls:
-            buf[i] = call(size=size)
+        for (k, _), lo, hi in zip(run, edges, edges[1:]):
+            rows[k] = buf[:, lo:hi]
+        fills.append((getattr(rng, fill), buf))
+    (fill, buf), rest = fills[0], fills[1:]
+    flat, width = buf.reshape(-1), buf.shape[1]
+    if rest:
+        fill(out=flat[:width - tail])
+        for i in range(n):
+            for call, block in rest:
+                call(out=block[i])
+            # point i's tail and point i + 1's head; the last point's tail
+            # alone, where the slice ends at the buffer's end
+            fill(out=flat[(i + 1) * width - tail:(i + 2) * width - tail])
+    else:
+        fill(out=flat)
+    for draw, row in zip(draws, rows):
+        if draw.method == "normal":
+            row += 0.0  # normal()'s 0.0 + 1.0 * z
     if all(draw.kept is None or np.all(draw.kept(row))
            for draw, row in zip(draws, rows)):
         return rows
@@ -116,6 +147,24 @@ def _scale_free_points(rng, n: int, a: float, *after: _Draw):
     radius = so3.uniform_from(u[:, 0], 0.7, 1.5)
     w, p, _ = so3.surface_points(raw, radius, np.sqrt(a) / radius)
     return (w, p, *rest)
+
+
+def _group_law(rng, n: int):
+    """n gauge matrices, each moved by two structure-group elements in turn
+    and by their product at once, as the stacks (two steps, one step).
+    Each point draws phi - 1 in [0, 2), lambda1, lambda3, two angles in
+    [0, 2 pi) and two rates, and its matrix is from_multipliers'."""
+    u, lam, beta, rate = _draw_rows(
+        rng, n, _Draw("random", 1), _Draw("standard_normal", 2),
+        _Draw("random", 2), _Draw("standard_normal", 2))
+    g = np.empty((n, 2, 2))
+    g[:, 0, 0] = 1.0 / (1.0 + so3.uniform_from(u[:, 0], 0.0, 2.0))
+    g[:, 0, 1] = g[:, 1, 0] = 0.5 * lam[:, 1]
+    g[:, 1, 1] = 0.5 * lam[:, 0]
+    b1, b2 = so3.uniform_from(beta, 0.0, 2.0 * np.pi).T
+    d1, d2 = rate.T
+    move = so3.gauge_matrices_transform
+    return move(move(g, b1, d1), b2, d2), move(g, b1 + b2, d1 + d2)
 
 
 def _random_quadratic(rng):
@@ -199,20 +248,8 @@ def verify_so3(cfg: dict) -> Tuple[Dict[str, float], dict, dict]:
                          _worst(eps * (sv[:, 0] / sv[:, 2]))])
 
     # gauge-matrix group law
-    group_errs = []
-    for _ in range(n_alg):
-        g = so3.GaugeMatrix.from_multipliers(
-            phi=1.0 + rng.uniform(0.0, 2.0),
-            lambda1=rng.standard_normal(),
-            lambda3=rng.standard_normal(),
-        )
-        b1, b2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        d1, d2 = rng.standard_normal(2)
-        two_step = so3.gauge_matrix_transform(
-            so3.gauge_matrix_transform(g, b1, d1), b2, d2)
-        one_step = so3.gauge_matrix_transform(g, b1 + b2, d1 + d2)
-        group_errs.append(two_step.matrix - one_step.matrix)
-    group_err = _worst(group_errs)
+    two_step, one_step = _group_law(rng, n_alg)
+    group_err = _worst(two_step - one_step)
 
     values = {
         "spin_algebra_poisson": alg_poisson, "spin_algebra_dirac": alg_dirac,

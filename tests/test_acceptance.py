@@ -4,8 +4,9 @@ Each test pins one of the headline guarantees: bracket algebra closure,
 Dirac-bracket annihilation, the bundle identification, Casimir values,
 boost invariance, tetrad pseudo-orthogonality, covariant spin round trips,
 precession and drift bounds for the integrator, gauge independence of
-observables, map ranks, and the gauge-matrix group law. Tolerances here
-are contractual; do not loosen them to make a regression pass.
+observables, map ranks, the gauge-matrix group law, and the stepped
+sector against a tight reference. Tolerances here are contractual; do not
+loosen them to make a regression pass.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from numpy.testing import assert_allclose
 
 import spinbundle.bundle_so3 as so3
 import spinbundle.constraints as con
+import spinbundle.dynamics as dyn
 import spinbundle.lorentz as lor
 from spinbundle.dynamics import (
     FieldConfig,
@@ -356,3 +358,46 @@ def test_gauge_matrix_group_law(rng):
         worst = max(worst, float(np.max(np.abs(
             two_step.matrix - one_step.matrix))))
     assert worst < 1e-12, worst
+
+
+# ---------------------------------------------------------------------------
+# 13. the stepped sector at default tolerances against a tight reference
+# ---------------------------------------------------------------------------
+
+# stern_gerlach's shipped field and start, as configs/stern_gerlach.yaml runs
+# them, and the same under a moving gauge with projection after every step
+STERN_GERLACH_CASES = {
+    "shipped": (GaugeFunction.constant(1.0), 0),
+    "wobbling_projected": (
+        GaugeFunction(phi=lambda t: 1.0 + 0.5 * np.sin(2 * t),
+                      phi_dot=lambda t: np.cos(2 * t)), 1),
+}
+
+
+@pytest.mark.parametrize("case", list(STERN_GERLACH_CASES))
+def test_stepped_sector_matches_a_tight_reference(case, monkeypatch):
+    """A gradient field has no closed form, so the physical sector is
+    stepped; its states at the default tolerances lie within 1e-11 of a run
+    at rel_tol 1e-13, abs_tol 1e-15."""
+    gauge, project_every = STERN_GERLACH_CASES[case]
+    stepped = []
+    dop853 = dyn._dop853
+
+    def counted(*args):
+        stepped.append(args)
+        return dop853(*args)
+
+    monkeypatch.setattr(dyn, "_dop853", counted)
+    start = PhasePoint(x=[0, 0, 0], p=[0.3, 0, 0], omega=[1.0, 0, 0],
+                       pi=[0, 0.8660254037844386, 0])
+    field = FieldConfig.linear_gradient(B0=1.0, gradient=0.05)
+    times = np.linspace(0.0, 20.0, 2000)
+
+    def run(**tolerances):
+        opts = IntegrationOptions(**tolerances, project_every=project_every)
+        return integrate(start, times, ModelParams(), field, gauge, opts)
+
+    default, tight = run(), run(rel_tol=1e-13, abs_tol=1e-15)
+    assert len(stepped) == 2
+    err = float(np.max(np.abs(default.states - tight.states)))
+    assert err < 1e-11, err

@@ -886,6 +886,34 @@ def test_main_quotes_a_bounded_part_of_an_alias_bomb(run_main):
     assert len(err[0]) < 300
 
 
+def test_main_quotes_a_yaml_syntax_error_in_one_line(run_main, tmp_path):
+    """PyYAML's message quotes the lines around the fault over eight lines;
+    the error keeps its problem and line number."""
+    code, err = run_main("scenario: larmor\nfield: [unclosed\n")
+    assert code == 1
+    assert err == [f"config error: {tmp_path / 'cfg.yaml'} at line 3: "
+                   "expected ',' or ']', but got '<stream end>'"]
+
+
+HUGE_KEY = "? 0x" + "f" * 5000 + "\n"
+LONG_INT = "<int too long to print>"
+
+
+@pytest.mark.parametrize("config, message", [
+    (f"scenario: free_spin\n{HUGE_KEY}: 1\n", f"$: unknown key {LONG_INT}"),
+    (f"scenario: free_spin\nchecks:\n  {HUGE_KEY}  : 1.0\n",
+     f"$.checks.{LONG_INT}: free_spin has no check named {LONG_INT}"),
+    (f"scenario: free_spin\nchecks:\n  {HUGE_KEY}  : -1.0\n",
+     f"$.checks.{LONG_INT}: -1.0 must be greater than 0"),
+], ids=["top", "check_name", "check_value"])
+def test_main_names_a_key_past_the_digit_limit(config, message, run_main):
+    """A hex key past Python's int-to-string digit limit has no str or
+    repr; the error names it by the stand-in _shown uses."""
+    code, err = run_main(config)
+    assert code == 1
+    assert err == [f"config error: {message}"]
+
+
 def test_shown_is_repr_up_to_its_limit():
     itself = [1, "a'b"]
     itself.append(itself)

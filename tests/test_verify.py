@@ -166,7 +166,8 @@ def test_t4_suite_classifies_its_stack_in_one_call(monkeypatch):
 # ---------------------------------------------------------------------------
 
 class EditedNormals:
-    """A generator whose k-th 3-vector of normal draws is replaced by zeros,
+    """A generator whose k-th 3-vector of normal draws, from normal() or from
+    standard_normal() as the stacked draws fill them, is replaced by zeros,
     or by the 3-vector drawn before it; the edit is part of its state."""
 
     def __init__(self, seed, k, repeat=False):
@@ -184,7 +185,12 @@ class EditedNormals:
         self.rng.bit_generator.state, self.count, self.last = state
 
     def normal(self, size):
-        values = self.rng.normal(size=size)
+        return self.edited(self.rng.normal(size=size))
+
+    def standard_normal(self, size=None, out=None):
+        return self.edited(self.rng.standard_normal(size=size, out=out))
+
+    def edited(self, values):
         for row in values.reshape(-1, 3):
             if self.count == self.k:
                 row[:] = self.last if self.repeat else 0.0
@@ -279,3 +285,90 @@ def test_rejected_boost_draw_falls_back_to_the_per_point_draws(k, repeat):
     want = per_point_boosted(ref, 9, 0.9, rest_point)
     assert np.array_equal(got, want)
     assert rng.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# The draw blocks' calls against the per-point generator calls
+# ---------------------------------------------------------------------------
+
+RANDOM = {size: verify._Draw("random", size) for size in range(3)}
+STANDARD = {size: verify._Draw("standard_normal", size) for size in (2, 3, 6)}
+
+# every layout of parts the suites draw: runs joined across points where the
+# first and last run share a method, a size-0 random part, a normal part next
+# to a standard_normal one, and blocks of one run
+DRAW_LAYOUTS = {
+    "surface": (verify._SURFACE,),
+    "surface_states": (verify._SURFACE, STANDARD[6], RANDOM[1]),
+    "bundle": (verify._SURFACE, verify._SURFACE, RANDOM[1]),
+    "casimir": (STANDARD[3], STANDARD[3]),
+    "boosted_unit_mass": (RANDOM[0], verify._SURFACE, verify._DIRECTION,
+                          RANDOM[1]),
+    "boosted": (RANDOM[1], verify._SURFACE, verify._DIRECTION, RANDOM[1]),
+    "boosted_t4": (RANDOM[2], verify._SURFACE, verify._DIRECTION, RANDOM[1]),
+    "scale_free": (RANDOM[1], verify._SURFACE),
+    "scale_free_action": (RANDOM[1], verify._SURFACE, RANDOM[2]),
+    "group_law": (RANDOM[1], STANDARD[2], RANDOM[2], STANDARD[2]),
+}
+
+
+def per_point_rows(rng, n, draws):
+    """Each point's parts drawn in turn, one generator call each."""
+    rows = [np.empty((n, draw.size)) for draw in draws]
+    for i in range(n):
+        for draw, row in zip(draws, rows):
+            row[i] = getattr(rng, draw.method)(size=draw.size)
+    return rows
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+@pytest.mark.parametrize("layout", list(DRAW_LAYOUTS))
+def test_draw_rows_are_the_per_point_calls(layout, n):
+    draws = DRAW_LAYOUTS[layout]
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    got = verify._draw_rows(rng, n, *draws)
+    want = per_point_rows(ref, n, draws)
+    assert [row.shape for row in got] == [row.shape for row in want]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class NegativeZeros:
+    """A generator whose standard normal draws are all -0.0; its normal() is
+    numpy's 0.0 + 1.0 * standard_normal(), so its draws are 0.0."""
+
+    bit_generator = np.random.default_rng(0).bit_generator
+
+    def standard_normal(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = -0.0
+        return out
+
+    def normal(self, size=None):
+        return 0.0 + 1.0 * self.standard_normal(size)
+
+
+def test_draw_rows_give_normal_parts_the_sign_of_normal():
+    draws = (verify._Draw("normal", 3), STANDARD[3], verify._Draw("normal", 3))
+    got = verify._draw_rows(NegativeZeros(), 4, *draws)
+    want = per_point_rows(NegativeZeros(), 4, draws)
+    assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
+    assert not np.signbit(got[0]).any() and np.signbit(got[1]).all()
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_stacked_group_law_is_the_per_point_transforms(seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    two_step, one_step = verify._group_law(rng, 100)
+    for i in range(100):
+        g = bundle_so3.GaugeMatrix.from_multipliers(
+            phi=1.0 + ref.uniform(0.0, 2.0),
+            lambda1=ref.standard_normal(),
+            lambda3=ref.standard_normal(),
+        )
+        b1, b2 = ref.uniform(0.0, 2.0 * np.pi, size=2)
+        d1, d2 = ref.standard_normal(2)
+        move = bundle_so3.gauge_matrix_transform
+        assert np.array_equal(two_step[i], move(move(g, b1, d1), b2, d2).matrix)
+        assert np.array_equal(one_step[i], move(g, b1 + b2, d1 + d2).matrix)
+    assert rng.bit_generator.state == ref.bit_generator.state
