@@ -26,13 +26,14 @@ tolerances, with steps of the controller's own size; the samples inside a
 step are read from its order-7 dense output, and with projection the step
 ends and the samples are projected onto the spin constraint surface by
 Newton iteration.  theta takes Dormand-Prince 5(4), whose steps land on each
-sample time.  The steppers, their right-hand sides (built once per
-integrate) and the projection work on lists of Python floats.  theta' = 2
-r / phi(t) does not read theta, so under a moving gauge the landing step
-of every sample gap is made at once, over the whole grid; one loop over
-the gaps then takes each where the stepper would take it and steps the
-rest (_gauge_sector).  The per-sample diagnostics call the
-field kernel once, on the coordinates of all samples.
+sample time and read phi there.  The steppers, their right-hand sides (built
+once per integrate) and the projection work on lists of Python floats.  phi
+is read a grid at a time, each entry its value at that time alone.  theta'
+= 2 r / phi(t) does not read theta, so under a moving gauge the landing
+step of every sample gap is made at once, from phi at the samples and at
+the stage times between; one loop over the gaps then takes each where the
+stepper would take it and steps the rest (_gauge_sector).  The per-sample
+diagnostics call the field kernel once, on the coordinates of all samples.
 fit_rotation_frequency refines a spectral peak by golden-section search
 with parabolic steps (Brent).
 """
@@ -231,9 +232,8 @@ class GaugeFunction:
 
     phi takes a float, or a 1-d float array of times, for which it returns
     the array of its values there (or one float, where phi does not depend
-    on t); each entry must equal the value phi gives for that time alone,
-    since integrate evaluates the gauge sector over the whole sample grid
-    at once and takes that result only where it equals the stepper's.
+    on t); each entry must equal the value phi gives for that time alone:
+    integrate reads phi a grid at a time, and its stepper a time at a time.
     phi must stay away from zero on the integration span.  eom reads
     phi_dot, or a central difference where it is None, and so does
     integrate, once, to check the start derivative; otherwise integrate
@@ -267,19 +267,29 @@ class GaugeFunction:
         return (float(self.phi(t + h)) - float(self.phi(t - h))) / (2.0 * h)
 
     def validate(self, t0: float, t1: float) -> None:
-        """Sample phi at 1,000 points over [t0, t1]; raise GaugeError where
-        |phi| falls to 1e-6 or where phi changes sign between two samples."""
-        prev_t = prev = None
-        for t in np.linspace(t0, t1, 1000):
-            value = float(self.phi(t))
-            if abs(value) <= 1e-6:
-                raise GaugeError(
-                    f"gauge function falls to |phi| <= 1e-06 near t = {t:.6g}")
-            if prev is not None and prev * value < 0.0:
-                raise GaugeError(
-                    f"gauge function changes sign between t = {prev_t:.6g} "
-                    f"and t = {t:.6g}")
-            prev_t, prev = t, value
+        """Read phi once at 1,000 points over [t0, t1]; raise GaugeError at
+        the first where |phi| <= 1e-6 or phi's sign flips from the sample
+        before (a nan passes), or where the read itself fails."""
+        ts = np.linspace(t0, t1, 1000)
+        values = _phi_at(self, ts)
+        small = np.abs(values) <= 1e-6
+        # signs, not values: two neighbours near 1e308 overflow a product
+        flips = np.sign(values[:-1]) * np.sign(values[1:]) < 0.0
+        bad = small | np.append(False, flips)
+        i = bad.argmax()  # the first bad sample, or 0 where none is
+        if small[i]:
+            raise GaugeError(
+                f"gauge function falls to |phi| <= 1e-06 near t = {ts[i]:.6g}")
+        if bad[i]:
+            raise GaugeError(f"gauge function changes sign between "
+                             f"t = {ts[i - 1]:.6g} and t = {ts[i]:.6g}")
+
+
+def _phi_at(gauge: GaugeFunction, ts) -> Array:
+    """phi at the 1-d array of times ts, from one call of gauge.phi, as an
+    array of their shape: a float result, from a phi that does not depend
+    on t, stands for every time."""
+    return np.broadcast_to(np.asarray(gauge.phi(ts), dtype=float), ts.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +298,6 @@ class GaugeFunction:
 
 _GAUGE_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 _GAUGE_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
-
-
-def _entrywise(fn: Callable[[float], float]) -> Callable:
-    """fn of one float, applied to each entry of a 1-d float array."""
-    def apply(x):
-        if isinstance(x, np.ndarray):
-            return np.fromiter(map(fn, x.tolist()), float, x.size)
-        return fn(x)
-
-    return apply
-
-
-# math's functions rather than numpy's: np.exp differs from math.exp in the
-# last bit for a few percent of arguments, and numpy may take vectorised sin
-# and cos that differ too, so only these keep an array call equal to the
-# scalar calls it stands for
-_GAUGE_ARRAY_FUNCS = {name: _entrywise(fn) for name, fn in _GAUGE_FUNCS.items()}
 
 
 def _check_gauge_node(node: ast.AST) -> None:
@@ -341,17 +334,18 @@ def parse_gauge_expression(expression: str, label: str = "") -> GaugeFunction:
     GaugeFunction.zero_rate; any other has no phi_dot, so its derivative is
     a central difference.
 
-    Over an array of times the arithmetic runs in numpy, with floating-point
-    errors raised, and sin, cos and exp are math's, entry by entry, so each
-    value equals the scalar call's.  Where any entry fails (an overflow, a
-    division by zero, a value that is not finite), each time is evaluated
-    alone instead, which raises the scalar call's error at the first time
-    that fails."""
+    The checked tree compiles to lambda t: <expr> and, for an array of
+    times, lambda ts: [<expr> for t in ts], so each entry of an array call
+    is the scalar call's value by construction.  Where any entry fails (an
+    overflow, a division by zero, a value that is not finite), each time
+    is evaluated alone instead, which raises the scalar call's error at the
+    first time that fails."""
     try:
         tree = ast.parse(expression, mode="eval")
         _check_gauge_node(tree)
-        source = ast.parse("lambda t: 0", mode="eval")
-        source.body.body = tree.body
+        source = ast.parse("(lambda t: 0, lambda ts: [0 for t in ts])", mode="eval")
+        scalar, listed = source.body.elts
+        scalar.body = listed.body.elt = tree.body
         code = compile(ast.fix_missing_locations(source), "<gauge>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"gauge expression does not parse: {exc.msg}") from None
@@ -363,8 +357,7 @@ def parse_gauge_expression(expression: str, label: str = "") -> GaugeFunction:
     moves = any(isinstance(node, ast.Name) and node.id == "t"
                 for node in ast.walk(tree))
     what = f"gauge expression {expression!r}"
-    fn = eval(code, {"__builtins__": {}, **_GAUGE_FUNCS})
-    fn_array = eval(code, {"__builtins__": {}, **_GAUGE_ARRAY_FUNCS})
+    fn, fn_list = eval(code, {"__builtins__": {}, **_GAUGE_FUNCS})
 
     def value_at(t: float) -> float:
         t = float(t)
@@ -381,16 +374,14 @@ def parse_gauge_expression(expression: str, label: str = "") -> GaugeFunction:
     def phi(t):
         if not np.ndim(t):
             return value_at(t)
-        ts = np.asarray(t, dtype=float)
+        ts = np.asarray(t, dtype=float).tolist()
         try:
-            with np.errstate(all="raise", under="ignore"):
-                values = np.array(np.broadcast_to(fn_array(ts), ts.shape),
-                                  dtype=float)
+            values = np.array(fn_list(ts), dtype=float)
             if np.isfinite(values).all():
                 return values
-        except (ArithmeticError, ValueError):
+        except (OverflowError, ZeroDivisionError, ValueError):
             pass
-        return np.array([value_at(v) for v in ts.tolist()])
+        return np.array([value_at(v) for v in ts])
 
     return GaugeFunction(phi=phi, phi_dot=None if moves else GaugeFunction.zero_rate,
                          label=label or expression)
@@ -765,7 +756,8 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions,
     gauge sector's stepper (_gauge_sector).
 
     y, f and every stage are lists of Python floats, and the tableau is
-    written out as float constants.  Steps land on every sample time.  A
+    written out as float constants.  Steps land on every sample time, and
+    read their last two stages there, not at t + h, a float away at times.  A
     step size underflow after a non-finite trial names its first
     non-finite entry of labels; any other, and an exhausted step budget,
     name t and sector(t), which describes the stepped sector.
@@ -791,6 +783,7 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions,
                 f"step size underflow at t = {t:.6g} ({sector(t)})")
 
         attempts += 1
+        t_new = grid[i] if lands else t + h_try
         k1 = f
         k2 = rhs([a + h_try * (1 / 5 * b1) for a, b1 in zip(y, k1)],
                  t + 1 / 5 * h_try)
@@ -806,12 +799,12 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions,
                                + 46732 / 5247 * b3 + 49 / 176 * b4
                                - 5103 / 18656 * b5)
                   for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)],
-                 t + h_try)
+                 t_new)
         # the fifth-order solution, which is also the last stage's point
         y_new = [a + h_try * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4
                               - 2187 / 6784 * b5 + 11 / 84 * b6)
                  for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)]
-        k7 = rhs(y_new, t + h_try)
+        k7 = rhs(y_new, t_new)
         # the fifth- minus the embedded fourth-order solution
         err = [h_try * (71 / 57600 * b1 - 71 / 16695 * b3 + 71 / 1920 * b4
                         - 17253 / 339200 * b5 + 22 / 525 * b6 - 1 / 40 * b7)
@@ -819,7 +812,7 @@ def _dp5(rhs, y, f, times, opts: IntegrationOptions,
         norm = _error_norm(err, y, y_new, opts.rel_tol, opts.abs_tol)
 
         if norm <= 1.0:
-            t = grid[i] if lands else t + h_try
+            t = t_new
             y, f = y_new, k7
             if lands:
                 rows.append(y)
@@ -1177,7 +1170,7 @@ def _exact_physical(u, times, params: ModelParams, fields: FieldConfig) -> Array
 
 
 # The stage times of a Dormand-Prince step from t, as t + c h: the second to
-# fifth stages; the sixth and the derivative at the new state share t + h
+# fifth stages; a landing step reads the others at the samples it joins
 _DP_NODES = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
 
 
@@ -1189,22 +1182,19 @@ def _gauge_sector(r: float, times, gauge: GaugeFunction,
     a constant gauge, and stepped as a single float under any other.
 
     theta' does not read theta, so the step that lands on the next sample
-    reads the gauge only at times the grid fixes.  That landing step is
-    made for every gap at once, from one call of the gauge on all stage
-    times and with the stepper's float operations.  One loop then walks
-    the gaps with the stepper's state (theta, derivative, proposed step,
+    reads the gauge only at times the grid fixes: first and last at the
+    samples, whose phi is read already, and at the four nodes between,
+    read for every gap in one call of the gauge.  The landing steps are
+    made from these with the stepper's float operations, and one loop
+    walks the gaps with the stepper's state (theta, proposed step,
     attempts).  A gap takes its landing step where the stepper, in that
     state, would take it: the step budget is not spent, no stage value of
-    phi is singular, the derivative held is the step's first stage, the gap
-    is no longer than the proposed step nor too short to step, and the
-    error norm is at most 1.  Any other gap, the first among them, since
-    the stepper enters it with a short trial step, is stepped by _dp5
-    from that state, and the loop carries on with the state it returns.
+    phi is singular, the gap is no longer than the proposed step nor too
+    short to step, and the error norm is at most 1.  Any other gap, the
+    first among them, since the stepper enters it with a short trial
+    step, is stepped by _dp5 from that state.
     """
-    def phi_at(ts):
-        return np.broadcast_to(np.asarray(gauge.phi(ts), dtype=float), ts.shape)
-
-    phi = phi_at(times)
+    phi = _phi_at(gauge, times)
     if gauge.phi_dot is GaugeFunction.zero_rate:
         return (2.0 * r * (times - times[0]) / phi[0])[:, None], phi
 
@@ -1217,33 +1207,30 @@ def _gauge_sector(r: float, times, gauge: GaugeFunction,
     name = f"gauge {gauge.label!r}" if gauge.label else "gauge"
     t, gap = times[:-1], np.diff(times)
     try:
-        values = phi_at(np.concatenate([t + c * gap for c in _DP_NODES]
-                                       + [t + gap]))
+        nodes = _phi_at(gauge, np.concatenate([t + c * gap for c in _DP_NODES]))
     except GaugeError:
         # a failing stage time: the stepper finds the error in its own order
-        values = np.zeros(5 * gap.size)
-    values = values.reshape(5, gap.size)
+        nodes = np.zeros(len(_DP_NODES) * gap.size)
+    values = np.vstack((phi[:-1], nodes.reshape(-1, gap.size), phi[1:]))
     singular = (np.abs(values) < _PHI_FLOOR).any(axis=0)
-    f = rhs([0.0], times[0].item())
     # inf and nan follow IEEE here as in the stepper's Python floats, which
     # warn of nothing; a gap whose norm is nan is left to the stepper
     with np.errstate(all="ignore"):
-        k2, k3, k4, k5, k7 = 2.0 * r / values
-        k1 = np.concatenate((f, k7[:-1]))
+        k1, k2, k3, k4, k5, k7 = 2.0 * r / values
         increment = gap * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
                            - 2187 / 6784 * k5 + 11 / 84 * k7)
         err = gap * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
                      - 17253 / 339200 * k5 + 22 / 525 * k7 - 1 / 40 * k7)
 
     theta = [0.0]
-    h = _initial_step(theta, f, opts.rel_tol, opts.abs_tol,
+    h = _initial_step(theta, k1[:1], opts.rel_tol, opts.abs_tol,
                       (times[-1] - times[0]).item())
     attempts = 0
-    for i, (t_i, g, first, step, e, last, bad) in enumerate(zip(
+    for i, (t_i, g, first, step, e, bad) in enumerate(zip(
             t.tolist(), gap.tolist(), k1.tolist(), increment.tolist(),
-            err.tolist(), k7.tolist(), singular.tolist())):
+            err.tolist(), singular.tolist())):
         landed = theta[-1] + step
-        if (attempts <= _MAX_STEPS and not bad and f[0] == first
+        if (attempts <= _MAX_STEPS and not bad
                 and g <= h * (1 + 1e-12) and g >= _min_step(t_i)):
             # _error_norm of one entry: fsum and the mean over one square
             # are exact, and max(a, b) is its b if b > a else a
@@ -1252,10 +1239,10 @@ def _gauge_sector(r: float, times, gauge: GaugeFunction,
             norm = math.sqrt(q * q)
             if norm <= 1.0:
                 theta.append(landed)
-                f, h, attempts = [last], g * _growth(norm), attempts + 1
+                h, attempts = g * _growth(norm), attempts + 1
                 continue
-        rows, (f, h, attempts) = _dp5(
-            rhs, theta[-1:], f, times[i:i + 2], opts,
+        rows, (_, h, attempts) = _dp5(
+            rhs, theta[-1:], [first], times[i:i + 2], opts,
             lambda t: f"{name} = {gauge(t):.6g} there", ("theta",),
             h=h, attempts=attempts)
         theta.append(rows[-1, 0].item())

@@ -823,6 +823,10 @@ GAUGE_FAILURES = [
      "derivative of the start state is not finite at t = 0.0: phi = inf"),
     ("2 + sin(1e308*10*(t + 1))", 16,
      "cannot be evaluated at t = 0.0: math domain error"),
+    # validate reads phi once, so the overflow from t = 0.7107 on wins over
+    # the sign change at t = 0.3 before it
+    ("(t - 0.3)*exp(1000*t)", 16,
+     "cannot be evaluated at t = 0.7107107107107107: math range error"),
 ]
 
 
@@ -958,6 +962,12 @@ def test_main_prints_each_warning_on_one_line(initial, tmp_path):
     "exp(-t/10)*cos(t) + 2",
     "1.5 + 0.5*exp(-t/5)*sin(40*t)",
     "-exp(1)",
+    # without t the array call's list holds ints
+    "2",
+    "3/4",
+    "-(1 - 4)",
+    "123456789012345678901234567890*t + 98765432109876543210",
+    "12345678901234567890123 - 12345678901234567890120",
 ])
 def test_gauge_expression_array_call_equals_scalar_calls(expression, rng):
     times = np.concatenate([np.linspace(0.0, 20.0, 2001),

@@ -148,7 +148,7 @@ def test_gauge_validate_rejects_sign_change_between_samples():
     calls = []
 
     def phi(t):
-        calls.append(t)
+        calls.append(np.array(t))
         return t - 0.500123
 
     g = GaugeFunction(phi=phi)
@@ -156,7 +156,46 @@ def test_gauge_validate_rejects_sign_change_between_samples():
     with pytest.raises(GaugeError,
                        match="changes sign between t = 0.499499 and t = 0.500501"):
         g.validate(0.0, 1.0)
-    assert len(calls) == 501  # stops at the first sample past the crossing
+    # one read of phi, at all 1,000 times
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.linspace(0.0, 1.0, 1000))
+
+
+def sampled(runs):
+    """A gauge whose phi gives, for any 1,000 times, the values of runs:
+    (count, value) pairs in order."""
+    values = np.concatenate([np.full(count, value) for count, value in runs])
+    assert values.size == 1000
+    return GaugeFunction(phi=lambda t: values)
+
+
+@pytest.mark.parametrize("gauge, message", [
+    (sampled([(400, 1.0), (1, 5e-7), (599, 1.0)]),
+     r"falls to \|phi\| <= 1e-06 near t = 0\.4004$"),
+    (GaugeFunction(phi=lambda t: t - 0.500123),
+     r"changes sign between t = 0\.499499 and t = 0\.500501$"),
+    (sampled([(301, -1.0), (1, 0.0), (698, 1.0)]),
+     r"falls to \|phi\| <= 1e-06 near t = 0\.301301$"),
+    (sampled([(600, 1.0), (400, -5e-7)]),
+     r"falls to \|phi\| <= 1e-06 near t = 0\.600601$"),
+    (parse_gauge_expression("1/t"),
+     r"cannot be evaluated at t = 0\.0: float division by zero$"),
+    (GaugeFunction(phi=lambda t: np.where(t < 0.5, 1e308, -1e308)),
+     r"changes sign between t = 0\.499499 and t = 0\.500501$"),
+    (sampled([(500, 1.0), (1, np.nan), (499, 1.0)]), None),
+], ids=["small", "sign_change", "zero_after_negative", "small_and_flip",
+        "fault_at_0", "huge_neighbours", "nan_passes"])
+def test_gauge_validate_raises_at_the_first_bad_sample(gauge, message):
+    """validate reads phi once on [0, 1] and raises at the first sample
+    that is at most 1e-6 in size or has the other sign from the one
+    before, a small value first where both; an error of the read wins.
+    Neighbours near 1e308 flip sign without an overflow warning, and a nan
+    sample passes."""
+    if message is None:
+        gauge.validate(0.0, 1.0)
+        return
+    with pytest.raises(GaugeError, match=message):
+        gauge.validate(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

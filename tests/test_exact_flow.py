@@ -349,18 +349,22 @@ WOBBLE_TEXT = "1 + 0.5*sin(2*t)"
 SHARP_TEXT = "1 + 0.5*sin(2*t) + 0.5*exp(-10000*(t - 7)*(t - 7))"
 GAUGE_COMPARE_TIMES = np.linspace(0.0, 4.0 * np.pi, 800)
 STERN_GERLACH_TIMES = np.linspace(0.0, 20.0, 2000)
-# a grid across t = 0, where a step that lands from t' < 0 on t_i reads its
-# last stage at t' + (t_i - t'), which need not be t_i
+# a grid across t = 0, where t' + (t_i - t') need not be t_i for a step that
+# lands from t' < 0 on t_i: the step reads its last stage at t_i all the same
 ACROSS_ZERO_TIMES = np.linspace(-3.0, 3.0, 201)
 ACROSS_ZERO_TEXT = "1 + 0.5*sin(2*t) + 0.5*exp(-10000*t*t)"
-# the first gap crosses 0: the stepper reads its last stage at 0.001, the
-# landing step over that gap at the next float up, where this gauge is
-# 1e-9 higher, so the second gap's landing step starts from a derivative
-# the stepper does not hold
+# the first gap crosses 0, and t0 + (t1 - t0) is the float above t1 =
+# 0.001, where this gauge is 1e-9 higher.  Steps that land on t1 read it at
+# t1 itself, the stepper's and the landing steps' alike, so the second
+# gap's landing step starts from the derivative the stepper holds; one
+# that read t0 + (t1 - t0) would not, and the stepper would take that gap.
 HELD_TIMES = np.append(-0.02, np.linspace(0.001, 0.101, 21))
 HELD_JUMP = HELD_TIMES[0] + (HELD_TIMES[1] - HELD_TIMES[0])
 HELD = GaugeFunction(phi=lambda t: (np.where(t == HELD_JUMP, 1.0 + 1e-9, 1.0)
                                     + 0.5 * np.sin(2.0 * t)))
+# a grid that starts in (0, t1 / 2), where t0 + (t1 - t0) is not t1 either
+EARLY_TIMES = np.append(0.007527354088680521,
+                        np.linspace(0.3922364433730868, 10.0, 50))
 
 
 @pytest.mark.parametrize("gauge, times, opts, stepped_in", [
@@ -377,11 +381,12 @@ HELD = GaugeFunction(phi=lambda t: (np.where(t == HELD_JUMP, 1.0 + 1e-9, 1.0)
     (GaugeFunction(phi=lambda t: 1.3), TIMES, IntegrationOptions(), None),
     (parse_gauge_expression(ACROSS_ZERO_TEXT), ACROSS_ZERO_TIMES,
      IntegrationOptions(), (-0.1, 0.1)),
-    (HELD, HELD_TIMES, IntegrationOptions(), (HELD_TIMES[1], HELD_TIMES[2])),
+    (HELD, HELD_TIMES, IntegrationOptions(), None),
+    (parse_gauge_expression(WOBBLE_TEXT), EARLY_TIMES, loose(1e-6), None),
 ], ids=["gauge_compare", "wobble_tight",
         *(f"wobble_{n}_{tol:g}" for n in (400, 40) for tol in TOLERANCES),
         "projected", "sharp", "float_for_array", "across_zero",
-        "held_derivative"])
+        "held_derivative", "early_start"])
 def test_gauge_sector_equals_the_stepper(monkeypatch, gauge, times, opts,
                                          stepped_in):
     """theta and phi of the gauge sector equal, with ==, those of the
@@ -401,6 +406,14 @@ def test_gauge_sector_equals_the_stepper(monkeypatch, gauge, times, opts,
         lo, hi = stepped_in
         assert starts[0] == times[0]
         assert all(lo <= t < hi for t in starts[1:]), starts
+
+
+@pytest.mark.parametrize("times", [HELD_TIMES, EARLY_TIMES],
+                         ids=["held_derivative", "early_start"])
+def test_first_gap_sum_is_off_the_sample(times):
+    """On these grids of the table above a step over the first gap,
+    t0 + (t1 - t0), ends a float away from t1."""
+    assert times[0] + (times[1] - times[0]) != times[1]
 
 
 def test_gauge_sector_equals_the_stepper_near_its_thresholds():
