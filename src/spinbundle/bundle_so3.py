@@ -278,11 +278,11 @@ def surface_points(raw, a=1.0, b=1.0):
 def surface_draw(rng) -> Array:
     """The raw draws (6,) of one surface point, each 3-vector drawn again
     where sample_surface_point would reject it."""
-    v = rng.normal(size=3)
+    v = rng.standard_normal(3)
     while not _norm(v) > 1e-12:
-        v = rng.normal(size=3)
+        v = rng.standard_normal(3)
     while True:
-        raw = np.concatenate((v, rng.normal(size=3)))
+        raw = np.concatenate((v, rng.standard_normal(3)))
         if surface_points(raw)[2]:
             return raw
 

@@ -117,7 +117,7 @@ CONFIG_TABLE = ("mapping", {
     "gauge": _GAUGE,
     "gauge_alt": _GAUGE,
     "initial": ("mapping", {"x": _VEC3, "p": _VEC3, "omega": _VEC3,
-                            "pi": _VEC3, "pi_phi": _NUM}, ()),
+                            "pi": _VEC3}, ()),
     "t_span": ("list", 2, _NUM),
     "periods": _POS,
     "samples": ("integer", 8),
@@ -260,8 +260,7 @@ def _check_squares(cfg: dict) -> None:
                    ("$.params", "(mu*e/(m*c))**2", p.moment_coupling ** 2)]
         derived += [(f"$.initial.{key}", f"|{key}|**2",
                      sum(np.float64(x) ** 2 for x in vector))
-                    for key, vector in sorted(cfg.get("initial", {}).items())
-                    if key != "pi_phi"]
+                    for key, vector in sorted(cfg.get("initial", {}).items())]
     for path, name, value in derived:
         if not np.isfinite(value):
             raise ConfigError(f"{path}: {name} is not finite")
@@ -385,7 +384,6 @@ def _build_initial(cfg: dict, params: ModelParams) -> PhasePoint:
         omega=omega,
         pi=pi,
         phi=1.0,
-        pi_phi=spec.get("pi_phi", 0.0),
     )
 
 

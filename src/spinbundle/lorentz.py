@@ -379,9 +379,9 @@ def kept_directions(direction) -> Array:
 def direction_draw(rng) -> Array:
     """A raw velocity direction (3,), drawn again where sample_beta would
     reject it."""
-    direction = rng.normal(size=3)
+    direction = rng.standard_normal(3)
     while not kept_directions(direction):
-        direction = rng.normal(size=3)
+        direction = rng.standard_normal(3)
     return direction
 
 

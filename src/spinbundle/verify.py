@@ -8,7 +8,7 @@ declares the checks and their default thresholds.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import accumulate
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -48,63 +48,44 @@ class _Draw(NamedTuple):
     redraw: Optional[Callable] = None
 
 
-_SURFACE = _Draw("normal", 6, lambda raw: so3.surface_points(raw)[2],
-                 so3.surface_draw)
-_DIRECTION = _Draw("normal", 3, lor.kept_directions, lor.direction_draw)
-
-# The generator call that fills each method's draws in place.  numpy's
-# normal() is 0.0 + 1.0 * standard_normal(), which differs from it only
-# where it turns a -0.0 into 0.0.
-_FILLS = {"normal": "standard_normal", "standard_normal": "standard_normal",
-          "random": "random"}
+_SURFACE = _Draw("standard_normal", 6,
+                 lambda raw: so3.surface_points(raw)[2], so3.surface_draw)
+_DIRECTION = _Draw("standard_normal", 3, lor.kept_directions,
+                   lor.direction_draw)
 
 
 def _draw_rows(rng, n: int, *draws: _Draw):
     """n points' draws, one (n, size) array per part, in the stream of the
     per-point samplers: point by point, each part in turn.
 
-    A run of parts that one generator call fills is one call per point.  The
-    run that ends a point and the run that starts the next are one call when
-    one method fills both, and a block of one run is one call in all.
+    The parts are the columns of one buffer, so the stream is its row-major
+    order, and each stretch of it that one method fills is one call: a
+    row's last stretch runs into the next row's first where one method
+    fills both, and a block that one method fills is one call in all.
 
     If any row holds a draw a sampler would reject, the generator goes back
     to its state before the block and every part of every row is drawn again
     as the samplers draw it, so the stream stays theirs.
     """
     state = rng.bit_generator.state
-    runs = [(fill, list(run)) for fill, run in groupby(
-        enumerate(draws), key=lambda part: _FILLS[part[1].method])]
-    # the first buffer holds the first run and then, when one method fills
-    # both, the last: point i's tail lies just before point i + 1's head
-    tail = 0
-    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
-        last = runs.pop()[1]
-        tail = sum(draw.size for _, draw in last)
-        runs[0] = (runs[0][0], runs[0][1] + last)
-    rows = [None] * len(draws)
-    fills = []
-    for fill, run in runs:
-        sizes = [draw.size for _, draw in run]
-        buf = np.empty((n, sum(sizes)))
-        edges = np.cumsum([0] + sizes)
-        for (k, _), lo, hi in zip(run, edges, edges[1:]):
-            rows[k] = buf[:, lo:hi]
-        fills.append((getattr(rng, fill), buf))
-    (fill, buf), rest = fills[0], fills[1:]
-    flat, width = buf.reshape(-1), buf.shape[1]
-    if rest:
-        fill(out=flat[:width - tail])
-        for i in range(n):
-            for call, block in rest:
-                call(out=block[i])
-            # point i's tail and point i + 1's head; the last point's tail
-            # alone, where the slice ends at the buffer's end
-            fill(out=flat[(i + 1) * width - tail:(i + 2) * width - tail])
-    else:
-        fill(out=flat)
-    for draw, row in zip(draws, rows):
-        if draw.method == "normal":
-            row += 0.0  # normal()'s 0.0 + 1.0 * z
+    edges = [0, *accumulate(draw.size for draw in draws)]
+    buf = np.empty((n, edges[-1]))
+    rows = [buf[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
+    # a stretch of one method starts at each column where a row's method
+    # changes, the first column too when a row ends in another method, and
+    # the stream opens in the method a row ends with (an empty stretch
+    # where the first column starts one)
+    fills = {draw.method: getattr(rng, draw.method) for draw in draws}
+    parts = [(lo, fills[draw.method])
+             for lo, draw in zip(edges, draws) if draw.size]
+    starts = [(lo, fill) for (_, prev), (lo, fill)
+              in zip(parts[-1:] + parts, parts) if fill is not prev]
+    flat = buf.reshape(-1)
+    bounds = [0, *(edges[-1] * np.arange(n)[:, None]
+                   + [lo for lo, _ in starts]).ravel().tolist(), flat.size]
+    for lo, hi, (_, fill) in zip(bounds, bounds[1:], parts[-1:] + starts * n):
+        if hi > lo:
+            fill(out=flat[lo:hi])
     if all(draw.kept is None or np.all(draw.kept(row))
            for draw, row in zip(draws, rows)):
         return rows

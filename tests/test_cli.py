@@ -701,7 +701,6 @@ def test_main_tiny_a_verify_fails_quietly(run_main, tmp_path):
 NON_FINITE_PATHS = {
     "scenario: free_spin\ninitial: {x: [.nan, 0, 0]}\n": "$.initial.x[0]",
     "scenario: free_spin\ninitial: {omega: [.inf, 0, 0]}\n": "$.initial.omega[0]",
-    "scenario: free_spin\ninitial: {pi_phi: .nan}\n": "$.initial.pi_phi",
     "scenario: verify_lorentz\nboost: {beta_max: .nan}\n": "$.boost.beta_max",
     "scenario: free_spin\nparams: {m: .inf}\n": "$.params.m",
     "scenario: verify_t4\nchecks: {all: .nan}\n": "$.checks.all",
@@ -730,6 +729,9 @@ BAD_GRID_CONFIGS = list(BAD_GRID_PATHS)
 
 # a check name the scenario does not produce
 UNKNOWN_CHECK = "scenario: free_spin\nsamples: 16\nchecks: {energy_drft: 1.0e-30}\n"
+# an initial pi_phi: pi_phi = 0 is the model's primary constraint, not a
+# starting value
+UNKNOWN_KEY = "scenario: free_spin\ninitial: {pi_phi: .nan}\n"
 
 
 @pytest.mark.parametrize("config, path", [
@@ -739,6 +741,7 @@ UNKNOWN_CHECK = "scenario: free_spin\nsamples: 16\nchecks: {energy_drft: 1.0e-30
     pytest.param("scenario: free_spin\nparams: {m: 1%s}\n" % ("0" * 400),
                  "$.params.m", id="int-too-large-for-a-float"),
     (UNKNOWN_CHECK, "$.checks.energy_drft"),
+    (UNKNOWN_KEY, "$.initial"),
 ])
 def test_bad_config_numbers_name_their_path(config, path, tmp_path):
     with pytest.raises(ConfigError) as info:
@@ -755,6 +758,7 @@ def test_bad_config_numbers_name_their_path(config, path, tmp_path):
     *FLOAT_FOR_INT_CONFIGS,
     *BAD_GRID_CONFIGS,
     UNKNOWN_CHECK,
+    UNKNOWN_KEY,
 ])
 def test_main_rejects_degenerate_config_in_one_line(config, run_main):
     code, err = run_main(config)

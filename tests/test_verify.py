@@ -1,6 +1,8 @@
 """The verification suites: their RNG streams, their smallest runs, and the
 bracket engine on their path."""
 
+from itertools import groupby
+
 import numpy as np
 import pytest
 
@@ -166,9 +168,9 @@ def test_t4_suite_classifies_its_stack_in_one_call(monkeypatch):
 # ---------------------------------------------------------------------------
 
 class EditedNormals:
-    """A generator whose k-th 3-vector of normal draws, from normal() or from
-    standard_normal() as the stacked draws fill them, is replaced by zeros,
-    or by the 3-vector drawn before it; the edit is part of its state."""
+    """A generator whose k-th 3-vector of standard normal draws is replaced
+    by zeros, or by the 3-vector drawn before it; the edit is part of its
+    state."""
 
     def __init__(self, seed, k, repeat=False):
         self.rng = np.random.default_rng(seed)
@@ -183,9 +185,6 @@ class EditedNormals:
     @state.setter
     def state(self, state):
         self.rng.bit_generator.state, self.count, self.last = state
-
-    def normal(self, size):
-        return self.edited(self.rng.normal(size=size))
 
     def standard_normal(self, size=None, out=None):
         return self.edited(self.rng.standard_normal(size=size, out=out))
@@ -294,9 +293,9 @@ def test_rejected_boost_draw_falls_back_to_the_per_point_draws(k, repeat):
 RANDOM = {size: verify._Draw("random", size) for size in range(3)}
 STANDARD = {size: verify._Draw("standard_normal", size) for size in (2, 3, 6)}
 
-# every layout of parts the suites draw: runs joined across points where the
-# first and last run share a method, a size-0 random part, a normal part next
-# to a standard_normal one, and blocks of one run
+# every layout of parts the suites draw: stretches joined across points where
+# the first and last part share a method, a size-0 random part, and blocks
+# that one method fills
 DRAW_LAYOUTS = {
     "surface": (verify._SURFACE,),
     "surface_states": (verify._SURFACE, STANDARD[6], RANDOM[1]),
@@ -312,6 +311,56 @@ DRAW_LAYOUTS = {
 }
 
 
+R, S = "random", "standard_normal"
+
+
+def random_layouts(seed, count):
+    """count layouts of 1 to 5 parts, each of 0 to 6 draws of random() or
+    standard_normal()."""
+    rng = np.random.default_rng(seed)
+    return {f"random_{k}": tuple(
+        verify._Draw((R, S)[rng.integers(2)], int(rng.integers(7)))
+        for _ in range(rng.integers(1, 6))) for k in range(count)}
+
+
+# first and last parts that share a method, blocks that one method fills,
+# size-0 parts between two parts of one method and at a row's ends
+MORE_LAYOUTS = {
+    "shared_ends": (STANDARD[2], verify._Draw(R, 3), verify._Draw(S, 1)),
+    "one_method": (verify._Draw(R, 3), RANDOM[0], verify._Draw(R, 5)),
+    "empty_between": (STANDARD[2], RANDOM[0], verify._Draw(S, 4), RANDOM[1]),
+    "empty_ends": (RANDOM[0], STANDARD[3], RANDOM[2], verify._Draw(S, 0)),
+    "all_empty": (RANDOM[0], verify._Draw(S, 0)),
+    **random_layouts(30, 24),
+}
+
+LAYOUTS = {**DRAW_LAYOUTS, **MORE_LAYOUTS}
+
+
+class CountedCalls:
+    """A generator that counts its calls of random() and standard_normal()."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def stretches(n, draws):
+    """The number of stretches of the per-point stream that one method
+    fills."""
+    stream = [d.method for _ in range(n) for d in draws for _ in range(d.size)]
+    return len(list(groupby(stream)))
+
+
 def per_point_rows(rng, n, draws):
     """Each point's parts drawn in turn, one generator call each."""
     rows = [np.empty((n, draw.size)) for draw in draws]
@@ -321,39 +370,21 @@ def per_point_rows(rng, n, draws):
     return rows
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 1000])
-@pytest.mark.parametrize("layout", list(DRAW_LAYOUTS))
+@pytest.mark.parametrize(
+    "layout, n",
+    [(layout, n) for layout in DRAW_LAYOUTS for n in (0, 1, 7, 1000)]
+    + [(layout, n) for layout in MORE_LAYOUTS for n in (0, 1, 7)])
 def test_draw_rows_are_the_per_point_calls(layout, n):
-    draws = DRAW_LAYOUTS[layout]
-    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    draws = LAYOUTS[layout]
+    rng, ref = CountedCalls(n), np.random.default_rng(n)
     got = verify._draw_rows(rng, n, *draws)
     want = per_point_rows(ref, n, draws)
     assert [row.shape for row in got] == [row.shape for row in want]
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert rng.bit_generator.state == ref.bit_generator.state
-
-
-class NegativeZeros:
-    """A generator whose standard normal draws are all -0.0; its normal() is
-    numpy's 0.0 + 1.0 * standard_normal(), so its draws are 0.0."""
-
-    bit_generator = np.random.default_rng(0).bit_generator
-
-    def standard_normal(self, size=None, out=None):
-        out = np.empty(size) if out is None else out
-        out[...] = -0.0
-        return out
-
-    def normal(self, size=None):
-        return 0.0 + 1.0 * self.standard_normal(size)
-
-
-def test_draw_rows_give_normal_parts_the_sign_of_normal():
-    draws = (verify._Draw("normal", 3), STANDARD[3], verify._Draw("normal", 3))
-    got = verify._draw_rows(NegativeZeros(), 4, *draws)
-    want = per_point_rows(NegativeZeros(), 4, draws)
-    assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
-    assert not np.signbit(got[0]).any() and np.signbit(got[1]).all()
+    assert rng.calls == stretches(n, draws)
+    if n and len({d.method for d in draws if d.size}) == 1:
+        assert rng.calls == 1
 
 
 @pytest.mark.parametrize("seed", range(50))
