@@ -19,23 +19,16 @@ sector (x, p, omega~, pi~), in which omega~ and pi~ precess rigidly about
 B(x), never sees phi, and theta never sees the field; phi is gauge(t).  In a
 free or uniform field the physical sector is known in closed form (the
 gradient force vanishes and the particle moves on a helix), and under a
-constant gauge theta is linear in t.  What is not closed form is stepped,
-each sector by its own embedded Runge-Kutta pair.  The physical sector takes
-the Dormand-Prince 8(5,3) pair, DOP853, at 1e-3 times the configured
-tolerances, with steps of the controller's own size; the samples inside a
-step are read from its order-7 dense output, and with projection the step
-ends and the samples are projected onto the spin constraint surface by
-Newton iteration.  theta takes Dormand-Prince 5(4), whose steps land on each
-sample time and read phi there.  The steppers, their right-hand sides (built
-once per integrate) and the projection work on lists of Python floats.  phi
-is read a grid at a time, each entry its value at that time alone.  theta'
-= 2 r / phi(t) does not read theta, so under a moving gauge the landing
-step of every sample gap is made at once, from phi at the samples and at
-the stage times between; one loop over the gaps then takes each where the
-stepper would take it and steps the rest (_gauge_sector).  The per-sample
-diagnostics call the field kernel once, on the coordinates of all samples.
-fit_rotation_frequency refines a spectral peak by golden-section search
-with parabolic steps (Brent).
+constant gauge theta is linear in t.  Any other physical sector is stepped
+on lists of Python floats by the Dormand-Prince 8(5,3) pair, DOP853, at 1e-3
+times the configured tolerances, its samples read from the order-7 dense
+output and, with projection, its step ends and samples projected onto the
+spin constraint surface by Newton iteration.  theta' = 2 r / phi(t) does not
+read theta, so under a moving gauge theta is a quadrature by Dormand-Prince
+5(4) steps over all sample gaps at once, bisected where their error fails
+(_gauge_sector); phi is read a grid at a time.  The per-sample diagnostics
+call the field kernel once, on all samples.  fit_rotation_frequency refines
+a spectral peak by golden-section search with parabolic steps (Brent).
 """
 
 from __future__ import annotations
@@ -233,8 +226,8 @@ class GaugeFunction:
     phi takes a float, or a 1-d float array of times, for which it returns
     the array of its values there (or one float, where phi does not depend
     on t); each entry must equal the value phi gives for that time alone:
-    integrate reads phi a grid at a time, and its stepper a time at a time.
-    phi must stay away from zero on the integration span.  eom reads
+    integrate reads phi a grid at a time, and at the start alone.  phi
+    must be finite and stay away from zero on the integration span.  eom reads
     phi_dot, or a central difference where it is None, and so does
     integrate, once, to check the start derivative; otherwise integrate
     reads phi alone.  A phi_dot of zero_rate marks a constant gauge.
@@ -554,8 +547,8 @@ def physical_hamiltonian(z, params: ModelParams, fields: FieldConfig) -> float:
 @dataclass(frozen=True)
 class IntegrationOptions:
     """Step control of integrate: the error tolerances and the projection
-    period project_every (0 for never).  Each stepped sector has the fixed
-    budget of _MAX_STEPS step attempts.
+    period project_every (0 for never).  The physical sector's stepper and
+    theta's quadrature each have the fixed budget of _MAX_STEPS.
 
     rel_tol and abs_tol hold as given for theta; the stepped physical
     sector runs at _PHYSICAL_TOL_SCALE (1e-3) times each, since its samples
@@ -579,7 +572,7 @@ class IntegrationOptions:
 
 # Residual bound of every spin-surface projection in integrate
 _PROJECTION_TOL = 1e-13
-# Step attempts each stepped sector of integrate may make
+# Step attempts of DOP853 in integrate, and pieces theta's quadrature may try
 _MAX_STEPS = 1_000_000
 
 
@@ -611,15 +604,6 @@ def _field_rows(fields: FieldConfig, xs) -> Tuple[Array, ...]:
         return np.broadcast_to(np.asarray(entry, dtype=float), (n,))
 
     return tuple(stack(entry) for entry in fields.kernel(*xs.T))
-
-
-def _error_norm(err, y0, y1, rel_tol, abs_tol):
-    """RMS of the float sequence err scaled by abs_tol + rel_tol *
-    max(|y0|, |y1|), summed exactly with math.fsum."""
-    # b if b > a else a is max(a, b), nan included, without the call
-    q = [e / (abs_tol + rel_tol * (b if b > a else a))
-         for e, a, b in zip(err, map(abs, y0), map(abs, y1))]
-    return math.sqrt(math.fsum([v * v for v in q]) / len(q))
 
 
 _SPIN = slice(OMEGA.start, PI.stop)
@@ -723,104 +707,18 @@ def _initial_step(y0, f0, rel_tol, abs_tol, span) -> float:
     return min(float(h), 0.1 * span)
 
 
-def _require_finite(values, what: str, t: float,
-                    labels=CANONICAL_PARTICLE.labels) -> None:
+def _require_finite(values, what: str, t: float) -> None:
     """Raise IntegrationError naming the first non-finite entry of values."""
-    for label, value in zip(labels, values):
+    for label, value in zip(CANONICAL_PARTICLE.labels, values):
         if not math.isfinite(value):
             raise IntegrationError(
                 f"{what} is not finite at t = {t!r}: {label} = {value!r}")
 
 
-def _min_step(t: float) -> float:
-    """The shortest step either stepper tries at t; a shorter one, or a nan
-    or infinite one, is a step size underflow."""
-    return 1e-14 * max(1.0, abs(t))
-
-
-def _growth(norm: float) -> float:
-    """The factor on the step size after a step accepted with error norm
-    norm <= 1."""
-    return 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
-
-
-def _dp5(rhs, y, f, times, opts: IntegrationOptions,
-         sector: Callable[[float], str], labels,
-         h: Optional[float] = None, attempts: int = 0) -> Tuple[Array, tuple]:
-    """Step y' = rhs(y, t) from (times[0], y), with f = rhs(y, times[0]), and
-    return the states at the sample times, one row each, with the stepper's
-    state after the last one, (f, h, attempts): the derivative there, the
-    next step size to try and the attempts spent against _MAX_STEPS.  Given
-    h and attempts, a run resumes another that ended at times[0] with that
-    state; h defaults to _initial_step's over the whole grid.  This is the
-    gauge sector's stepper (_gauge_sector).
-
-    y, f and every stage are lists of Python floats, and the tableau is
-    written out as float constants.  Steps land on every sample time, and
-    read their last two stages there, not at t + h, a float away at times.  A
-    step size underflow after a non-finite trial names its first
-    non-finite entry of labels; any other, and an exhausted step budget,
-    name t and sector(t), which describes the stepped sector.
-    """
-    grid = times.tolist()
-    t = grid[0]
-    if h is None:
-        h = _initial_step(y, f, opts.rel_tol, opts.abs_tol, grid[-1] - t)
-    rows = [y]
-    y_new = y
-    i = 1  # the next sample to land on
-    while i < len(grid):
-        if attempts > _MAX_STEPS:
-            raise IntegrationError(
-                f"step budget {_MAX_STEPS} exhausted at t = {t:.6g} ({sector(t)})")
-        gap = grid[i] - t
-        lands = gap <= h * (1 + 1e-12)
-        h_try = gap if lands else h
-        if not h_try >= _min_step(t):
-            _require_finite(y_new, "step size underflow: the last trial state",
-                            t, labels)
-            raise IntegrationError(
-                f"step size underflow at t = {t:.6g} ({sector(t)})")
-
-        attempts += 1
-        t_new = grid[i] if lands else t + h_try
-        k1 = f
-        k2 = rhs([a + h_try * (1 / 5 * b1) for a, b1 in zip(y, k1)],
-                 t + 1 / 5 * h_try)
-        k3 = rhs([a + h_try * (3 / 40 * b1 + 9 / 40 * b2)
-                  for a, b1, b2 in zip(y, k1, k2)], t + 3 / 10 * h_try)
-        k4 = rhs([a + h_try * (44 / 45 * b1 - 56 / 15 * b2 + 32 / 9 * b3)
-                  for a, b1, b2, b3 in zip(y, k1, k2, k3)], t + 4 / 5 * h_try)
-        k5 = rhs([a + h_try * (19372 / 6561 * b1 - 25360 / 2187 * b2
-                               + 64448 / 6561 * b3 - 212 / 729 * b4)
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)],
-                 t + 8 / 9 * h_try)
-        k6 = rhs([a + h_try * (9017 / 3168 * b1 - 355 / 33 * b2
-                               + 46732 / 5247 * b3 + 49 / 176 * b4
-                               - 5103 / 18656 * b5)
-                  for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)],
-                 t_new)
-        # the fifth-order solution, which is also the last stage's point
-        y_new = [a + h_try * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4
-                              - 2187 / 6784 * b5 + 11 / 84 * b6)
-                 for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)]
-        k7 = rhs(y_new, t_new)
-        # the fifth- minus the embedded fourth-order solution
-        err = [h_try * (71 / 57600 * b1 - 71 / 16695 * b3 + 71 / 1920 * b4
-                        - 17253 / 339200 * b5 + 22 / 525 * b6 - 1 / 40 * b7)
-               for b1, b3, b4, b5, b6, b7 in zip(k1, k3, k4, k5, k6, k7)]
-        norm = _error_norm(err, y, y_new, opts.rel_tol, opts.abs_tol)
-
-        if norm <= 1.0:
-            t = t_new
-            y, f = y_new, k7
-            if lands:
-                rows.append(y)
-                i += 1
-            h = h_try * _growth(norm)
-        else:
-            h = h_try * min(1.0, max(0.2, 0.9 * norm ** -0.2))
-    return np.array(rows), (f, h, attempts)
+def _min_step(t):
+    """The shortest step tried at t, a float or an array of times; a shorter
+    one, or a nan or infinite one, is a step size underflow."""
+    return 1e-14 * np.maximum(1.0, np.abs(t))
 
 
 # The Dormand-Prince 8(5,3) pair with its dense output of order 7, DOP853
@@ -951,7 +849,7 @@ _DOP853_D = (
 )
 # The physical sector's error tolerances relative to IntegrationOptions'.
 # Its samples come from the dense output, whose error follows the
-# tolerance, while the gauge sector's landing steps err far below theirs.
+# tolerance, while theta's quadrature errs far below its tolerance.
 _PHYSICAL_TOL_SCALE = 1e-3
 
 
@@ -1169,9 +1067,22 @@ def _exact_physical(u, times, params: ModelParams, fields: FieldConfig) -> Array
     return out
 
 
-# The stage times of a Dormand-Prince step from t, as t + c h: the second to
-# fifth stages; a landing step reads the others at the samples it joins
-_DP_NODES = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
+# The second to fifth stage times of a Dormand-Prince 5(4) step over [t, t +
+# h], as t + c h; the first stage reads phi at t and the last two at t + h
+_DP_NODES = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9])
+
+
+def _dp5_step(h, k) -> Tuple[Array, Array]:
+    """The increments and error estimates (fifth- minus embedded fourth-order
+    solution) of Dormand-Prince 5(4) steps of sizes h for y' = f(t): k holds
+    f at the stage times, one row each, at each step's start, _DP_NODES and
+    end, which the sixth and seventh stages both read."""
+    k1, k2, k3, k4, k5, k7 = k
+    increment = h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                     - 2187 / 6784 * k5 + 11 / 84 * k7)
+    err = h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
+               - 17253 / 339200 * k5 + 22 / 525 * k7 - 1 / 40 * k7)
+    return increment, err
 
 
 def _gauge_sector(r: float, times, gauge: GaugeFunction,
@@ -1179,74 +1090,82 @@ def _gauge_sector(r: float, times, gauge: GaugeFunction,
     """The fiber angle theta, one single-entry row per sample, and phi at
     the sample times.  phi is gauge(t) itself; theta solves theta' = 2 r /
     gauge(t) with theta(t0) = 0, in closed form, 2 r (t - t0) / phi0, under
-    a constant gauge, and stepped as a single float under any other.
+    a constant gauge, and as a quadrature under any other.
 
-    theta' does not read theta, so the step that lands on the next sample
-    reads the gauge only at times the grid fixes: first and last at the
-    samples, whose phi is read already, and at the four nodes between,
-    read for every gap in one call of the gauge.  The landing steps are
-    made from these with the stepper's float operations, and one loop
-    walks the gaps with the stepper's state (theta, proposed step,
-    attempts).  A gap takes its landing step where the stepper, in that
-    state, would take it: the step budget is not spent, no stage value of
-    phi is singular, the gap is no longer than the proposed step nor too
-    short to step, and the error norm is at most 1.  Any other gap, the
-    first among them, since the stepper enters it with a short trial
-    step, is stepped by _dp5 from that state.
+    theta' does not read theta, so every sample gap first tries one
+    Dormand-Prince 5(4) step, from phi at its ends and _DP_NODES; a piece
+    whose error fails splits into halves, and the halves of all gaps are
+    tried together, level by level, until every piece passes.  theta is the
+    running sum of each gap's accepted increments.  A piece's error is
+    scaled by abs_tol + rel_tol max |theta| at its gap's ends, theta from
+    the running sum of the first tries, and passes at norm <= 0.1 on a
+    first try and 0.01 on a half.  Each level reads phi in time order, in
+    one call for the nodes and one for the new midpoints, so a failing read
+    raises at its earliest time, as does a value that is not finite.  Every
+    piece tried is charged to _MAX_STEPS, and a level that would spend
+    more stops the run at its first piece, as does, at the first such piece
+    of a level in time order, a piece shorter than _min_step or a value of
+    phi below _PHI_FLOOR among a piece's reads.
     """
-    phi = _phi_at(gauge, times)
+    name = f"gauge {gauge.label!r}" if gauge.label else "gauge"
+
+    def read(ts):
+        values = _phi_at(gauge, ts)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = bad.argmax()
+            raise GaugeError(f"{name} is {values[i].item()!r} at t = {ts[i].item()!r}")
+        return values
+
+    phi = read(times)
     if gauge.phi_dot is GaugeFunction.zero_rate:
         return (2.0 * r * (times - times[0]) / phi[0])[:, None], phi
 
-    def rhs(theta, t):
-        value = gauge(t)
-        if abs(value) < _PHI_FLOOR:
+    def where(j):
+        return f"t = {start[j]:.6g} ({name} = {left[j]:.6g} there)"
+
+    # the pending pieces in time order, one row each: their ends and phi
+    # there; gap holds the sample gap of each
+    pieces = np.column_stack((times[:-1], times[1:], phi[:-1], phi[1:]))
+    gap = np.arange(times.size - 1)
+    total = np.zeros(gap.size)
+    limit, spent, scale = 0.1, 0, None
+    while True:
+        start, end, left, right = pieces.T
+        spent += gap.size
+        if spent > _MAX_STEPS:
+            raise IntegrationError(f"step budget {_MAX_STEPS} exhausted at {where(0)}")
+        h = end - start
+        nodes = read((start[:, None] + _DP_NODES * h[:, None]).ravel())
+        values = np.vstack((left, nodes.reshape(-1, 4).T, right))
+        # inf and nan follow IEEE and warn of nothing; a nan norm fails
+        with np.errstate(all="ignore"):
+            increment, err = _dp5_step(h, 2.0 * r / values)
+            if scale is None:
+                theta = np.abs(np.append(0.0, np.cumsum(increment)))
+                scale = opts.abs_tol + opts.rel_tol * np.maximum(theta[:-1], theta[1:])
+            norm = np.abs(err) / scale[gap]
+        singular = np.abs(values) < _PHI_FLOOR
+        short = ~(h >= _min_step(start))
+        fault = short | singular.any(axis=0)
+        if fault.any():
+            j = fault.argmax()
+            if short[j]:
+                raise IntegrationError(f"step size underflow at {where(j)}")
+            value = values[singular[:, j].argmax(), j].item()
             raise GaugeError(f"equations of motion are singular at phi = {value!r}")
-        return [2.0 * r / value]
-
-    name = f"gauge {gauge.label!r}" if gauge.label else "gauge"
-    t, gap = times[:-1], np.diff(times)
-    try:
-        nodes = _phi_at(gauge, np.concatenate([t + c * gap for c in _DP_NODES]))
-    except GaugeError:
-        # a failing stage time: the stepper finds the error in its own order
-        nodes = np.zeros(len(_DP_NODES) * gap.size)
-    values = np.vstack((phi[:-1], nodes.reshape(-1, gap.size), phi[1:]))
-    singular = (np.abs(values) < _PHI_FLOOR).any(axis=0)
-    # inf and nan follow IEEE here as in the stepper's Python floats, which
-    # warn of nothing; a gap whose norm is nan is left to the stepper
-    with np.errstate(all="ignore"):
-        k1, k2, k3, k4, k5, k7 = 2.0 * r / values
-        increment = gap * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
-                           - 2187 / 6784 * k5 + 11 / 84 * k7)
-        err = gap * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
-                     - 17253 / 339200 * k5 + 22 / 525 * k7 - 1 / 40 * k7)
-
-    theta = [0.0]
-    h = _initial_step(theta, k1[:1], opts.rel_tol, opts.abs_tol,
-                      (times[-1] - times[0]).item())
-    attempts = 0
-    for i, (t_i, g, first, step, e, bad) in enumerate(zip(
-            t.tolist(), gap.tolist(), k1.tolist(), increment.tolist(),
-            err.tolist(), singular.tolist())):
-        landed = theta[-1] + step
-        if (attempts <= _MAX_STEPS and not bad
-                and g <= h * (1 + 1e-12) and g >= _min_step(t_i)):
-            # _error_norm of one entry: fsum and the mean over one square
-            # are exact, and max(a, b) is its b if b > a else a
-            q = e / (opts.abs_tol + opts.rel_tol * max(abs(theta[-1]),
-                                                       abs(landed)))
-            norm = math.sqrt(q * q)
-            if norm <= 1.0:
-                theta.append(landed)
-                h, attempts = g * _growth(norm), attempts + 1
-                continue
-        rows, (_, h, attempts) = _dp5(
-            rhs, theta[-1:], [first], times[i:i + 2], opts,
-            lambda t: f"{name} = {gauge(t):.6g} there", ("theta",),
-            h=h, attempts=attempts)
-        theta.append(rows[-1, 0].item())
-    return np.array(theta)[:, None], phi
+        passed = norm <= limit
+        np.add.at(total, gap[passed], increment[passed])
+        if passed.all():
+            return np.append(0.0, np.cumsum(total))[:, None], phi
+        start, end, left, right = pieces[~passed].T
+        mid = start + 0.5 * (end - start)
+        middle = read(mid)
+        # each failing piece's halves, side by side
+        pieces = np.array([(start, mid, left, middle), (mid, end, middle, right)])
+        pieces = pieces.transpose(2, 0, 1).reshape(-1, 4)
+        gap = np.repeat(gap[~passed], 2)
+        limit = 0.01
 
 
 def _trajectory(times, states, params: ModelParams,
@@ -1287,11 +1206,12 @@ def integrate(z0, times, params: ModelParams, fields: FieldConfig,
     omega = cos theta omega~ + r sin theta pi~, pi = cos theta pi~ -
     (sin theta / r) omega~ with r = |omega| / |pi| at the start.  A field
     of kind free or uniform has the physical sector in closed form, and a
-    constant gauge has theta.  The rest is stepped: the 12 floats of the
-    physical sector by DOP853 at 1e-3 times opts' tolerances, with its
+    constant gauge has theta.  Otherwise the 12 floats of the physical
+    sector are stepped by DOP853 at 1e-3 times opts' tolerances, with its
     samples read from the order-7 dense output of the step that holds
-    them, and theta alone, from theta' = 2 r / gauge(t), by Dormand-Prince
-    5(4) steps that land on every sample time.  With project_every = k > 0
+    them, and theta, the integral of 2 r / gauge(t), is a quadrature by
+    Dormand-Prince 5(4) steps over each sample gap, bisected where their
+    error fails (_gauge_sector).  With project_every = k > 0
     a stepped physical sector is projected back onto the surface after
     every k-th accepted step, and so is every sample of it.
     """

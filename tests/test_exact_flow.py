@@ -2,14 +2,15 @@
 to the Dormand-Prince path on the same field, the convergence of the
 Dormand-Prince path where no closed form exists, the factored flow pinned
 to the unfactored 14-d equations of motion, the symplectic form the
-physical flow keeps, and the gauge sector's pass over the whole grid,
-pinned to the stepper."""
+physical flow keeps, and the gauge sector's quadrature of theta, pinned to
+a composite Gauss-Legendre rule, with its errors and its bounded work."""
+
+import math
 
 import numpy as np
 import pytest
 
 from spinbundle import dynamics
-from spinbundle.bundle_so3 import sample_surface_point
 from spinbundle.cli import parse_gauge_expression
 from spinbundle.dynamics import (
     FieldConfig,
@@ -20,7 +21,6 @@ from spinbundle.dynamics import (
 )
 from spinbundle.errors import GaugeError, IntegrationError
 from spinbundle.phasespace import (
-    CANONICAL_PARTICLE,
     OMEGA,
     PHI,
     PI,
@@ -135,7 +135,8 @@ def test_exact_spin_is_the_precessed_start_spin(rng):
 
 def test_exact_flow_evaluates_eom_once(rhs_calls, rng):
     """The physical kernel is taken only at the start, for the finiteness
-    check of the start derivative; the stepper sees the gauge sector alone."""
+    check of the start derivative; theta, a quadrature of 1 / phi, never
+    reads it."""
     params = ModelParams()
     z0 = random_phase_state(rng, a=params.a, b=params.b)
     integrate(z0, TIMES, params, FieldConfig.uniform(B_TILTED), WOBBLE)
@@ -166,13 +167,20 @@ def test_constant_gauge_on_a_uniform_field_takes_no_step(monkeypatch, rhs_calls,
                                                         rng, gauge):
     """A gauge built constant, by GaugeFunction.constant or as an
     expression without t, has the fiber angle theta = 2 r tau / phi0 in
-    closed form, so nothing is stepped."""
-    steps = []
-    monkeypatch.setattr(dynamics, "_dp5", lambda *args, **kw: steps.append(args))
+    closed form, so phi is read only by GaugeFunction.validate and at the
+    samples, and nothing is stepped."""
+    reads = []
+    read = dynamics._phi_at
+
+    def spy(gauge, ts):
+        reads.append(ts.size)
+        return read(gauge, ts)
+
+    monkeypatch.setattr(dynamics, "_phi_at", spy)
     params = ModelParams(mu=1.3)
     z0 = random_phase_state(rng, a=params.a, b=params.b)
     traj = integrate(z0, TIMES, params, FieldConfig.uniform(B_TILTED), gauge)
-    assert steps == []
+    assert reads == [1000, TIMES.size]
     assert [t for _, t in rhs_calls] == [0.0]
 
     r = np.linalg.norm(z0[OMEGA]) / np.linalg.norm(z0[PI])
@@ -268,8 +276,10 @@ def test_factored_flow_matches_the_unfactored_equations_of_motion():
         return dynamics.eom(y, t, params, fields, WOBBLE).tolist()
 
     y0 = z0.tolist()
-    want, _ = dynamics._dp5(rhs, y0, rhs(y0, 0.0), times, tight(),
-                            lambda t: "eom", CANONICAL_PARTICLE.labels)
+    # DOP853 at rel_tol 1e-10 steps at 1e-13, with the physical sector's scale
+    want = dynamics._dop853(rhs, y0, rhs(y0, 0.0), times,
+                            IntegrationOptions(rel_tol=1e-10, abs_tol=1e-12),
+                            "eom")
     got = integrate(z0, times, params, fields, WOBBLE,
                     IntegrationOptions(rel_tol=1e-12, abs_tol=1e-14)).states
     errors = {name: float(np.max(np.abs(got[:, block] - want[:, block])))
@@ -319,45 +329,34 @@ def test_physical_flow_is_symplectic():
     assert symplectic_defect(half_spin_force, u0, times) > 1e-2
 
 
-def stepped_gauge_sector(r, times, gauge, opts):
-    """The gauge sector as the stepper alone takes it, the reference of
-    _gauge_sector: theta stepped over the whole grid, phi one call a
-    sample."""
-    def rhs(theta, t):
-        return [2.0 * r / gauge(t)]
-
-    theta, _ = dynamics._dp5(rhs, [0.0], rhs([0.0], times[0].item()), times,
-                             opts, lambda t: "", ("theta",))
-    return theta, np.array([gauge(t) for t in times.tolist()])
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-def stepped_gaps(monkeypatch):
-    """The start time of every gap a stepper run takes, over all runs."""
-    starts = []
-    step = dynamics._dp5
-
-    def spy(rhs, y, f, times, *args, **kwargs):
-        starts.extend(times[:-1].tolist())
-        return step(rhs, y, f, times, *args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "_dp5", spy)
-    return starts
+def quadrature_theta(r, times, gauge, pieces=8):
+    """2 r times the integral of 1 / phi from times[0] to each sample: a
+    10-point Gauss-Legendre rule on each of `pieces` equal pieces of every
+    gap, read in one call of phi, with the gaps' shares summed exactly."""
+    edges = times[:-1, None] + (np.diff(times)[:, None]
+                                * np.linspace(0.0, 1.0, pieces + 1))
+    half = 0.5 * np.diff(edges, axis=1)
+    ts = 0.5 * (edges[:, :-1] + edges[:, 1:])[..., None] + half[..., None] * GL_NODES
+    phi = dynamics._phi_at(gauge, ts.ravel()).reshape(ts.shape)
+    shares = (half[..., None] * GL_WEIGHTS / phi).sum(axis=(1, 2)).tolist()
+    return 2.0 * r * np.array([math.fsum(shares[:i]) for i in range(times.size)])
 
 
 WOBBLE_TEXT = "1 + 0.5*sin(2*t)"
-# a bump of width 0.01 at t = 7: across it the stepper splits the gaps
+# a bump of width 0.01 at t = 7, where the gaps split
 SHARP_TEXT = "1 + 0.5*sin(2*t) + 0.5*exp(-10000*(t - 7)*(t - 7))"
 GAUGE_COMPARE_TIMES = np.linspace(0.0, 4.0 * np.pi, 800)
 STERN_GERLACH_TIMES = np.linspace(0.0, 20.0, 2000)
-# a grid across t = 0, where t' + (t_i - t') need not be t_i for a step that
-# lands from t' < 0 on t_i: the step reads its last stage at t_i all the same
+# a grid across t = 0, where t' + (t_i - t') need not be t_i for a gap from
+# t' < 0 to t_i: the gap's last stage reads phi at t_i all the same
 ACROSS_ZERO_TIMES = np.linspace(-3.0, 3.0, 201)
 ACROSS_ZERO_TEXT = "1 + 0.5*sin(2*t) + 0.5*exp(-10000*t*t)"
 # the first gap crosses 0, and t0 + (t1 - t0) is the float above t1 =
-# 0.001, where this gauge is 1e-9 higher.  Steps that land on t1 read it at
-# t1 itself, the stepper's and the landing steps' alike, so the second
-# gap's landing step starts from the derivative the stepper holds; one
-# that read t0 + (t1 - t0) would not, and the stepper would take that gap.
+# 0.001, where this gauge is 1e-9 higher: a gap that read its end there
+# would miss the sample's value
 HELD_TIMES = np.append(-0.02, np.linspace(0.001, 0.101, 21))
 HELD_JUMP = HELD_TIMES[0] + (HELD_TIMES[1] - HELD_TIMES[0])
 HELD = GaugeFunction(phi=lambda t: (np.where(t == HELD_JUMP, 1.0 + 1e-9, 1.0)
@@ -365,47 +364,56 @@ HELD = GaugeFunction(phi=lambda t: (np.where(t == HELD_JUMP, 1.0 + 1e-9, 1.0)
 # a grid that starts in (0, t1 / 2), where t0 + (t1 - t0) is not t1 either
 EARLY_TIMES = np.append(0.007527354088680521,
                         np.linspace(0.3922364433730868, 10.0, 50))
+# CI's fast_gauge config; its bump_gauge and zero_crossing configs run
+# SHARP_TEXT on [0, 12] and ACROSS_ZERO_TEXT on ACROSS_ZERO_TIMES
+FAST_TEXT = "1.5 + 0.4*sin(2*t) + 0.1*exp(-(t - 10)*(t - 10))*sin(400*t)"
 
 
-@pytest.mark.parametrize("gauge, times, opts, stepped_in", [
+# Bounds on the largest theta error of each case against quadrature_theta,
+# with r = 2 / sqrt(3): each at or above what a step-size-controlled DP5
+# stepper, landing on every sample, errs on the case.  That stepper erred
+# 8.0e-13 on gauge_compare, 5.8e-13 on wobble_tight, 2.6e-11, 2.6e-11 and
+# 6.9e-12 on wobble_400 and 1.1e-7, 6.0e-10 and 9.6e-12 on wobble_40 at the
+# three tolerances, 1.1e-13 on projected, 2.4e-10 on sharp, 1.7e-13 on
+# float_for_array, 1.4e-10 on across_zero (CI's zero_crossing), 6.1e-15 on
+# held_derivative, 3.2e-7 on early_start, 1.3e-8 on fast_gauge and 3.3e-10
+# on bump_gauge.  The bisection pass errs less on all but sharp (2.9e-10)
+# and early_start (4.0e-7).
+@pytest.mark.parametrize("gauge, times, opts, bound", [
     (parse_gauge_expression(WOBBLE_TEXT), GAUGE_COMPARE_TIMES,
-     IntegrationOptions(), None),
-    (WOBBLE, TIMES, tight(), ...),
-    *((WOBBLE, grid, loose(tol), ...)
-      for grid in (TIMES, COARSE_TIMES) for tol in TOLERANCES),
+     IntegrationOptions(), 1e-12),
+    (WOBBLE, TIMES, tight(), 6e-13),
+    *((WOBBLE, TIMES, loose(tol), bound)
+      for tol, bound in zip(TOLERANCES, (3e-11, 3e-11, 7e-12))),
+    *((WOBBLE, COARSE_TIMES, loose(tol), bound)
+      for tol, bound in zip(TOLERANCES, (1.5e-7, 7e-10, 1e-11))),
     (parse_gauge_expression(WOBBLE_TEXT), STERN_GERLACH_TIMES,
-     IntegrationOptions(project_every=1), None),
+     IntegrationOptions(project_every=1), 2e-13),
     (parse_gauge_expression(SHARP_TEXT), STERN_GERLACH_TIMES,
-     IntegrationOptions(), (6.9, 7.1)),
+     IntegrationOptions(), 4e-10),
     # not marked constant, and one float for an array of times
-    (GaugeFunction(phi=lambda t: 1.3), TIMES, IntegrationOptions(), None),
+    (GaugeFunction(phi=lambda t: 1.3), TIMES, IntegrationOptions(), 2e-13),
     (parse_gauge_expression(ACROSS_ZERO_TEXT), ACROSS_ZERO_TIMES,
-     IntegrationOptions(), (-0.1, 0.1)),
-    (HELD, HELD_TIMES, IntegrationOptions(), None),
-    (parse_gauge_expression(WOBBLE_TEXT), EARLY_TIMES, loose(1e-6), None),
+     IntegrationOptions(), 2e-10),
+    (HELD, HELD_TIMES, IntegrationOptions(), 1e-14),
+    (parse_gauge_expression(WOBBLE_TEXT), EARLY_TIMES, loose(1e-6), 5e-7),
+    (parse_gauge_expression(FAST_TEXT), STERN_GERLACH_TIMES,
+     IntegrationOptions(), 1.5e-8),
+    (parse_gauge_expression(SHARP_TEXT), np.linspace(0.0, 12.0, 1200),
+     IntegrationOptions(), 4e-10),
 ], ids=["gauge_compare", "wobble_tight",
         *(f"wobble_{n}_{tol:g}" for n in (400, 40) for tol in TOLERANCES),
         "projected", "sharp", "float_for_array", "across_zero",
-        "held_derivative", "early_start"])
-def test_gauge_sector_equals_the_stepper(monkeypatch, gauge, times, opts,
-                                         stepped_in):
-    """theta and phi of the gauge sector equal, with ==, those of the
-    stepper run over the whole grid.  The stepper takes the first gap, and
-    stepped_in bounds the start times of the other gaps it takes: None
-    where the landing steps take every gap after the first, ... where
-    either may take any."""
+        "held_derivative", "early_start", "fast_gauge", "bump_gauge"])
+def test_gauge_sector_is_the_quadrature_of_one_over_phi(gauge, times, opts,
+                                                        bound):
+    """theta is 2 r times the integral of 1 / phi to within bound, and phi
+    is the gauge at each sample, read one time at a time."""
     r = 2.0 / np.sqrt(3.0)
-    want = stepped_gauge_sector(r, times, gauge, opts)
-    starts = stepped_gaps(monkeypatch)
     theta, phi = dynamics._gauge_sector(r, times, gauge, opts)
-    assert np.array_equal(theta, want[0])
-    assert np.array_equal(phi, want[1])
-    if stepped_in is None:
-        assert starts == [times[0]]
-    elif stepped_in is not ...:
-        lo, hi = stepped_in
-        assert starts[0] == times[0]
-        assert all(lo <= t < hi for t in starts[1:]), starts
+    err = np.max(np.abs(theta[:, 0] - quadrature_theta(r, times, gauge)))
+    assert err <= bound, err
+    assert np.array_equal(phi, [gauge(t) for t in times.tolist()])
 
 
 @pytest.mark.parametrize("times", [HELD_TIMES, EARLY_TIMES],
@@ -416,61 +424,72 @@ def test_first_gap_sum_is_off_the_sample(times):
     assert times[0] + (times[1] - times[0]) != times[1]
 
 
-def test_gauge_sector_equals_the_stepper_near_its_thresholds():
-    """Error norms and proposed steps at every distance from the stepper's
-    thresholds (norm <= 1, gap <= proposed step): rel_tol swept over six
-    decades under WOBBLE, and a bump of width 0.01 swept in height, which
-    hands over at the first gap across 1 in norm or in step ratio."""
-    r = 2.0 / np.sqrt(3.0)
-    cases = [(WOBBLE, grid, loose(float(tol)))
-             for grid in (TIMES, COARSE_TIMES)
-             for tol in np.geomspace(1e-13, 1e-7, 49)]
-    cases += [(parse_gauge_expression(
-        f"1 + 0.5*sin(2*t) + {float(height)!r}*exp(-10000*(t - 7)*(t - 7))"),
-        np.linspace(6.0, 8.0, 201), IntegrationOptions())
-        for height in np.geomspace(1e-3, 0.5, 48)]
-    for gauge, times, opts in cases:
-        want, _ = stepped_gauge_sector(r, times, gauge, opts)
-        theta, _ = dynamics._gauge_sector(r, times, gauge, opts)
-        assert np.array_equal(theta, want), (gauge.label, opts)
-
-
-def test_gauge_sector_raises_the_stepper_errors(monkeypatch):
-    """The array pass takes no gap where the stepper would raise: a stage
-    value of phi below 1e-9 (the second stage, whose value no sum reads),
-    a gap too short to step and a step budget spent in mid-grid stop the
-    run where the stepper stops."""
-    stage = TIMES[3] + 1 / 5 * (TIMES[4] - TIMES[3])
-    gauge = GaugeFunction(phi=lambda t: np.where(t == stage, 1e-10, 1.0))
+@pytest.mark.parametrize("bump", [0.0, 0.5], ids=["flat", "earlier_split"])
+def test_gauge_sector_raises_at_a_singular_stage_value(bump):
+    """A stage value of phi below 1e-9, at the second stage, whose value no
+    sum reads, stops the run, also where a bump at TIMES[1] splits the
+    gaps before it, whose halves never read that time."""
+    stage = TIMES[5] + 1 / 5 * (TIMES[6] - TIMES[5])
+    gauge = GaugeFunction(phi=lambda t: np.where(
+        t == stage, 1e-10, 1.0 + bump * np.exp(-1e4 * (t - TIMES[1]) ** 2)))
     with pytest.raises(GaugeError, match=r"singular at phi = 1e-10$"):
         dynamics._gauge_sector(1.0, TIMES, gauge, IntegrationOptions())
-    r = 2.0 / np.sqrt(3.0)
+
+
+def test_gauge_sector_raises_at_a_gap_too_short_to_step():
     tiny_gap = np.append(TIMES, np.nextafter(TIMES[-1], np.inf))
     with pytest.raises(IntegrationError,
-                       match=r"^step size underflow at t = 12\.5664 "):
-        dynamics._gauge_sector(r, tiny_gap, WOBBLE, IntegrationOptions())
-    monkeypatch.setattr(dynamics, "_MAX_STEPS", 50)
-    with pytest.raises(IntegrationError) as want:
-        stepped_gauge_sector(r, TIMES, WOBBLE, IntegrationOptions())
-    with pytest.raises(IntegrationError) as got:
-        dynamics._gauge_sector(r, TIMES, WOBBLE, IntegrationOptions())
-    assert str(got.value).split(" (")[0] == str(want.value).split(" (")[0]
+                       match=r"^step size underflow at t = 12\.5664 "
+                             r"\(gauge '1 \+ 0\.5 sin 2t' = \S+ there\)$"):
+        dynamics._gauge_sector(1.0, tiny_gap, WOBBLE, IntegrationOptions())
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_projected_run_equals_the_stepped_gauge_sector(monkeypatch, seed):
-    """The projected benchmark draw at each seed: stern_gerlach's grid and
-    field, a start drawn on the surface, a moving gauge and projection
-    after every step, integrated with the array pass and with the gauge
-    sector stepped alone, gives the same states."""
-    params = ModelParams()
-    omega, pi = sample_surface_point(np.random.default_rng(seed), a=params.a,
-                                     b=params.b)
-    z0 = PhasePoint(x=[0, 0, 0], p=[0.3, 0, 0], omega=omega, pi=pi)
-    fields = FieldConfig.linear_gradient(B0=1.0, gradient=0.05)
-    gauge = parse_gauge_expression(WOBBLE_TEXT)
-    opts = IntegrationOptions(project_every=1)
-    traj = integrate(z0, STERN_GERLACH_TIMES, params, fields, gauge, opts)
-    monkeypatch.setattr(dynamics, "_gauge_sector", stepped_gauge_sector)
-    want = integrate(z0, STERN_GERLACH_TIMES, params, fields, gauge, opts)
-    assert np.array_equal(traj.states, want.states)
+def test_gauge_sector_raises_at_the_first_piece_past_the_budget(monkeypatch):
+    """On 200 gaps across the bump at t = 7 a budget of 210 pieces runs out
+    at the first split after the first tries, and the error names the
+    first piece that failed, just before the bump."""
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 210)
+    times = np.linspace(6.0, 8.0, 201)
+    with pytest.raises(IntegrationError,
+                       match=r"^step budget 210 exhausted at t = 6\.9\d* "
+                             r"\(gauge '1 \+ .*' = \S+ there\)$"):
+        dynamics._gauge_sector(1.0, times, parse_gauge_expression(SHARP_TEXT),
+                               IntegrationOptions())
+
+
+def test_gauge_sector_work_is_bounded(monkeypatch):
+    """phi oscillates at 1e15 per unit time, so no piece passes: the pass
+    tries at most _MAX_STEPS pieces and reads phi at fewer than five times
+    that many times before the budget error."""
+    reads = []
+    read = dynamics._phi_at
+
+    def spy(gauge, ts):
+        reads.append(ts.size)
+        return read(gauge, ts)
+
+    monkeypatch.setattr(dynamics, "_phi_at", spy)
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 20_000)
+    gauge = parse_gauge_expression("1 + 0.5*sin(1e15*t)")
+    with pytest.raises(IntegrationError, match=r"^step budget 20000 exhausted"):
+        dynamics._gauge_sector(1.0, np.linspace(0.0, 1.0, 11), gauge,
+                               IntegrationOptions())
+    assert sum(reads) <= 5 * 20_000, sum(reads)
+
+
+def test_gauge_sector_names_the_first_value_that_is_not_finite():
+    """A Python gauge that is nan at two stage times raises GaugeError at
+    the earlier, although its node comes later in its step, and one that is
+    inf at a sample raises there."""
+    fifth_stage = float(TIMES[3] + 8 / 9 * (TIMES[4] - TIMES[3]))
+    second_stage = float(TIMES[5] + 1 / 5 * (TIMES[6] - TIMES[5]))
+    gauge = GaugeFunction(phi=lambda t: np.where(
+        (t == fifth_stage) | (t == second_stage), np.nan,
+        1.0 + 0.5 * np.sin(2.0 * t)))
+    with pytest.raises(GaugeError, match=rf"^gauge is nan at t = {fifth_stage!r}$"):
+        dynamics._gauge_sector(1.0, TIMES, gauge, IntegrationOptions())
+    gauge = GaugeFunction(phi=lambda t: np.where(t == TIMES[7], np.inf, 1.0),
+                          label="spike")
+    with pytest.raises(GaugeError,
+                       match=rf"^gauge 'spike' is inf at t = {float(TIMES[7])!r}$"):
+        dynamics._gauge_sector(1.0, TIMES, gauge, IntegrationOptions())

@@ -2,12 +2,12 @@
 the Poisson-engine solve, the right-hand side to the np.cross formulation,
 the batched trajectory post-processing to the per-sample functions, the
 field kernels to formulas written out here and to central differences, the
-float-level spin projection to constraints.project, the error norm to its
-numpy form, the written-out 3-vector cross product to np.cross, the
-gradient-once Dirac brackets to the same brackets built from public
-Poisson-bracket calls, a block of Dirac brackets at one point to the single
-brackets, the pair's closed-form condition number to the SVD, and the
-samplers' vector norms to np.linalg.norm."""
+float-level spin projection to constraints.project, the Dormand-Prince
+steps to their tableaus, the written-out 3-vector cross product to
+np.cross, the gradient-once Dirac brackets to the same brackets built from
+public Poisson-bracket calls, a block of Dirac brackets at one point to the
+single brackets, the pair's closed-form condition number to the SVD, and
+the samplers' vector norms to np.linalg.norm."""
 
 import math
 import warnings
@@ -41,7 +41,6 @@ from spinbundle.dynamics import (
     IntegrationOptions,
     ModelParams,
     _PROJECTION_TOL as PROJECTION_TOL,
-    _error_norm,
     _multiplier,
     _project_spin,
     eom,
@@ -63,7 +62,6 @@ from spinbundle.lorentz import (
     sample_t4_rest_point,
 )
 from spinbundle.phasespace import (
-    CANONICAL_PARTICLE,
     OMEGA,
     P,
     PHI,
@@ -269,77 +267,41 @@ def test_field_rows_of_no_points(kind):
     assert fields.check_consistency(none) == 0.0
 
 
-def test_error_norm_equals_np_mean_form(rng):
-    for _ in range(2000):
-        n = int(rng.integers(1, 30))
-        scale = 10.0 ** rng.uniform(-12, 3, size=(3, n))
-        err, y0, y1 = rng.standard_normal((3, n)) * scale
-        rel_tol, abs_tol = (10.0 ** rng.uniform(-13, -3, size=2)).tolist()
-        q = err / (abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1)))
-        # math.fsum rounds the exact sum once, so the two sides agree to the
-        # bit whatever order their terms come in
-        old = math.sqrt(math.fsum((q * q).tolist()) / n)
-        assert _error_norm(err.tolist(), y0.tolist(), y1.tolist(),
-                           rel_tol, abs_tol) == old
-
-
 # The Dormand-Prince 5(4) tableau (Dormand & Prince 1980; Hairer, Norsett &
-# Wanner, Solving ODEs I, §II.5) as arrays; the stepper writes it out as floats.
+# Wanner, Solving ODEs I, §II.5) as arrays: the stage times and the weights
+# of the fifth-order solution and of its error estimate.
 DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-DP_A = [np.array(row) for row in (
-    (), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))]
+DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
+                 0.0])
 DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                    22 / 525, -1 / 40])
 
 
-def test_dp5_stages_are_the_tableau_products(monkeypatch, rhs_calls, rng):
-    """Every attempt's stage times, stage points, new state and error
-    estimate equal the tableau products of its stages k1..k7, re-derived
-    from the points the stepper passed to the right-hand side.  The two
-    sides sum in different orders; each lies within (n + 3) eps / 2 of the
-    exact value of y + h sum_j c_j k_j, relative to |y| + h sum_j |c_j k_j|,
-    for n <= 7 terms, so they may differ by 10 eps of that.  h itself is
-    recovered from two rounded stage times, to within dh = 2.5 eps max |t|,
-    which adds dh sum_j |c_j k_j|.  _dp5 is the gauge sector's stepper; it
-    is driven here on the 12 floats of the physical kernel of a gradient
-    field."""
-    params = ModelParams()
-    fields = FieldConfig.linear_gradient(B0=1.0, gradient=0.1)
-    attempts = []
+def test_dp5_tableau_meets_the_quadrature_conditions():
+    """For y' = f(t) the pair is a quadrature rule on the stage times: the
+    weights B integrate c^q exactly for q <= 4 (order 5), and so do those of
+    the embedded solution for q <= 3, whose difference DP_ERR is."""
+    for q in range(5):
+        assert abs(math.fsum(DP_B * DP_C ** q) - 1 / (q + 1)) <= 4e-16, q
+    for q in range(4):
+        assert abs(math.fsum(DP_ERR * DP_C ** q)) <= 4e-16, q
 
-    def spy_norm(err, y0, y1, rel_tol, abs_tol):
-        attempts.append((np.array(err), np.array(y0), np.array(y1),
-                         rhs_calls[-6:]))
-        return _error_norm(err, y0, y1, rel_tol, abs_tol)
 
-    monkeypatch.setattr(dynamics, "_error_norm", spy_norm)
-    monkeypatch.setattr(dynamics, "_MAX_STEPS", 1000)
-    u = random_phase_state(rng, a=params.a, b=params.b)[:PHI].tolist()
-    rhs = dynamics._physical_kernel(params, fields)
-    dynamics._dp5(rhs, u, rhs(u, 0.0), np.linspace(0.0, 3.0, 30),
-                  IntegrationOptions(), lambda t: "", CANONICAL_PARTICLE.labels)
-    assert len(attempts) > 30
-
-    tol = 10 * np.finfo(float).eps
-    for err, y0, y1, stages in attempts:
-        points = [y0] + [np.array(u) for u, _ in stages]
-        times = np.array([t for _, t in stages])
-        h = (times[-1] - times[0]) / (1.0 - DP_C[1])
-        dh = 2.5 * np.finfo(float).eps * np.max(np.abs(times))
-        k = np.array([rhs(u.tolist(), 0.0) for u in points])
-        assert_allclose(times - times[0], (DP_C[1:] - DP_C[1]) * h, rtol=0,
-                        atol=tol * np.max(np.abs(times)))
-        assert np.array_equal(points[6], y1)
-        for j in range(1, 7):
-            want = y0 + h * (DP_A[j] @ k[:j])
-            terms = np.abs(DP_A[j]) @ np.abs(k[:j])
-            bound = tol * (np.abs(y0) + h * terms) + dh * terms
-            assert np.all(np.abs(points[j] - want) <= bound), j
-        terms = np.abs(DP_ERR) @ np.abs(k)
-        assert np.all(np.abs(err - h * (DP_ERR @ k)) <= (tol * h + dh) * terms)
+def test_dp5_step_is_the_tableau_products(rng):
+    """The gauge sector's steps read phi at the stage times DP_C, and sum
+    their increment and error estimate with the weights DP_B and DP_ERR,
+    the sixth and seventh stages both at the step's end.  Each side sums
+    at most 7 products and scales by h, so it lies within 8 eps of the
+    exact value relative to h sum_j |w_j k_j|, and the two within 16 eps."""
+    assert np.array_equal(dynamics._DP_NODES, DP_C[1:5])
+    h = 10.0 ** rng.uniform(-6.0, 1.0, size=1000)
+    k = rng.standard_normal((6, 1000)) * 10.0 ** rng.uniform(-3.0, 3.0,
+                                                              size=(6, 1000))
+    stages = np.vstack((k, k[-1:]))
+    tol = 16 * np.finfo(float).eps
+    for got, weights in zip(dynamics._dp5_step(h, k), (DP_B, DP_ERR)):
+        bound = tol * h * (np.abs(weights) @ np.abs(stages))
+        assert np.all(np.abs(got - h * (weights @ stages)) <= bound)
 
 
 # DOP853's tableau as arrays: row s of DOP853_A holds stage s's weights
@@ -413,7 +375,8 @@ def test_dop853_stages_are_the_tableau_products(monkeypatch, rhs_calls, rng):
 def one_dop853_step(h):
     """One DOP853 step of size h from t = 0 on linear_gradient(1, 0.1),
     with its state at h / 2 from the dense output, and the same two states
-    from _dp5 at rel_tol 1e-13, which errs far below either."""
+    from a DOP853 run at rel_tol 1e-10, stepped at 1e-13 with the physical
+    sector's scale, which errs far below either."""
     params = ModelParams()
     rhs = dynamics._physical_kernel(params,
                                     FieldConfig.linear_gradient(1.0, 0.1))
@@ -426,9 +389,9 @@ def one_dop853_step(h):
                                     np.array([0.0]), np.array([h]),
                                     np.array([y0]), np.array([y1]),
                                     np.array([ks]))
-    want, _ = dynamics._dp5(rhs, y0, f0, np.array([0.0, 0.5 * h, h]),
-                            IntegrationOptions(rel_tol=1e-13, abs_tol=1e-15),
-                            lambda t: "", CANONICAL_PARTICLE.labels)
+    want = dynamics._dop853(rhs, y0, f0, np.array([0.0, 0.5 * h, h]),
+                            IntegrationOptions(rel_tol=1e-10, abs_tol=1e-12),
+                            "reference")
     return (float(np.max(np.abs(np.array(y1) - want[2]))),
             float(np.max(np.abs(mid - want[1]))))
 
