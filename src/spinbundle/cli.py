@@ -1,15 +1,14 @@
 """Scenario runner: loads configurations, runs simulations and verification
 suites, and writes machine-readable summaries plus plot-ready time series.
 
-Configs are YAML (JSON works too, it is a YAML subset) checked against one
-table of keys, which rejects unknown ones. Exit codes: 0 ok, 1 bad config,
-2 runtime failure, 3 one or more declared checks failed.
+Configs are YAML without aliases (JSON works too, it is a YAML subset),
+checked against one table of keys, which rejects unknown ones. Exit codes:
+0 ok, 1 bad config, 2 runtime failure, 3 one or more declared checks failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -132,47 +131,21 @@ CONFIG_TABLE = ("mapping", {
 
 
 _SHOWN_LIMIT = 200  # characters of a config value quoted in a message
-_BRACKETS = {list: "[]", tuple: "()", dict: "{}"}
 
 
 def _printed(value, form) -> str:
-    """form(value), with repr or str for form, or a stand-in for an int past
-    Python's int-to-string digit limit, which a hex literal can be."""
+    """form(value), with repr or str for form, or a stand-in for a value that
+    is or holds an int past Python's int-to-string digit limit, which a hex
+    literal can be."""
     try:
         return form(value)
     except ValueError:
         return f"<{type(value).__name__} too long to print>"
 
 
-def _pieces(value, inside=()):
-    """repr(value) as a stream of text that opens each list, tuple and dict
-    before it makes their items.  As in repr, a container inside itself
-    reads as [...], (...) or {...}; an int past Python's int-to-string digit
-    limit, which a hex literal can be, reads as a stand-in."""
-    brackets = _BRACKETS.get(type(value))
-    if brackets is None:
-        yield _printed(value, repr)
-        return
-    if any(value is outer for outer in inside):
-        yield "...".join(brackets)
-        return
-    yield brackets[0]
-    inside += (value,)
-    for i, item in enumerate(value):
-        yield from [", "] if i else []
-        if brackets == "{}":
-            yield from _pieces(item, inside)
-            yield ": "
-            item = value[item]
-        yield from _pieces(item, inside)
-    yield ("," if brackets == "()" and len(value) == 1 else "") + brackets[1]
-
-
 def _shown(value) -> str:
-    """repr of a config value, cut after _SHOWN_LIMIT characters with "...".
-    Each piece holds a character or more, so the text is made only up to
-    the cut, and a deep or aliased value costs no more than the text shown."""
-    text = "".join(itertools.islice(_pieces(value), _SHOWN_LIMIT + 1))
+    """repr of a config value, cut after _SHOWN_LIMIT characters with "..."."""
+    text = _printed(value, repr)
     return text if len(text) <= _SHOWN_LIMIT else text[:_SHOWN_LIMIT] + "..."
 
 
@@ -269,17 +242,30 @@ def _check_squares(cfg: dict) -> None:
             raise ConfigError(f"{path}: {name} underflows to 0")
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that refuses aliases, so that no loaded value is larger
+    than its file's text and every message can quote a plain repr."""
+
+    def compose_node(self, parent, index):
+        if self.check_event(yaml.AliasEvent):
+            raise yaml.composer.ComposerError(
+                None, None, "YAML aliases are not supported",
+                self.peek_event().start_mark)
+        return super().compose_node(parent, index)
+
+
 def load_config(path) -> dict:
-    """Parse and validate a YAML or JSON config file."""
+    """Parse and validate a YAML or JSON config file: UTF-8, or UTF-16 with
+    a byte order mark."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     try:
         # an integer literal over Python's int-to-string digit limit makes
         # PyYAML raise ValueError
-        cfg = yaml.safe_load(text)
+        cfg = yaml.load(data, Loader=_Loader)
     except (yaml.YAMLError, ValueError) as exc:
         # a YAML error's text quotes the lines around it; its problem alone
         # is one line
@@ -599,13 +585,7 @@ def run_config(cfg: dict, out_dir: Optional[Path] = None) -> Tuple[int, dict]:
                        "comparison": comparison,
                        "passed": (value > threshold if comparison == "min"
                                   else value < threshold)})
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = {}
-    for tag, traj in trajectories.items():
-        name = f"{prefix}_{tag}.csv"
-        write_timeseries(traj, out_dir / name)
-        artifacts[tag] = name
-
+    artifacts = {tag: f"{prefix}_{tag}.csv" for tag in trajectories}
     summary = {
         "scenario": scenario,
         "seed": int(cfg.get("seed", 0)),
@@ -616,7 +596,13 @@ def run_config(cfg: dict, out_dir: Optional[Path] = None) -> Tuple[int, dict]:
         "artifacts": artifacts,
     }
     summary_path = out_dir / f"{prefix}_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for tag, traj in trajectories.items():
+            write_timeseries(traj, out_dir / artifacts[tag])
+        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise SpinBundleError(f"cannot write output to {out_dir}: {exc}") from None
     summary["summary_path"] = str(summary_path)
     return (0 if summary["all_passed"] else 3), summary
 

@@ -644,14 +644,14 @@ def test_main_tiny_tolerances_fail_at_once_in_one_line(tmp_path, capsys,
 @pytest.fixture(params=["error", "default"])
 def run_main(request, tmp_path, capsys, monkeypatch):
     """`spinbundle run` in process on a config file in tmp_path holding the
-    given text, writing there, under the RuntimeWarning filter "error" or
-    "default" (each test runs once with each): returns the exit code and
-    stderr's lines; any warning fails the test."""
+    given text (as UTF-8) or bytes, writing there, under the RuntimeWarning
+    filter "error" or "default" (each test runs once with each): returns the
+    exit code and stderr's lines; any warning fails the test."""
     monkeypatch.setenv("SPINBUNDLE_OUTPUT_DIR", str(tmp_path))
     path = tmp_path / "cfg.yaml"
 
     def run(config):
-        path.write_text(config)
+        path.write_bytes(config if isinstance(config, bytes) else config.encode())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(request.param, RuntimeWarning)
             code = main(["run", str(path)])
@@ -883,15 +883,77 @@ def test_main_rejects_deep_nesting_in_one_line(config, message, run_main):
     assert err[0].endswith(message)
 
 
-def test_main_quotes_a_bounded_part_of_an_alias_bomb(run_main):
-    """Six levels of aliases make a million ones under $.seed; the error
-    quotes about 200 characters of the value."""
-    code, err = run_main(f"scenario: free_spin\nseed: {alias_bomb(6)}\n")
-    assert code == 1
-    assert len(err) == 1
-    assert err[0].startswith("config error: $.seed: [[[[[[1, 1, 1")
-    assert err[0].endswith("... is not an integer")
-    assert len(err[0]) < 300
+@pytest.mark.parametrize("config", [
+    f"scenario: free_spin\nseed: {alias_bomb(6)}\n",
+    "base: &base {n_points: 2}\n<<: *base\nscenario: verify_t4\n",
+    "n_boosts: &n 2\nn_points: *n\nscenario: verify_t4\n",
+], ids=["bomb", "merge_key", "plain"])
+def test_main_rejects_yaml_aliases(config, run_main, tmp_path):
+    """The loader stops at the first alias, before six levels of them can
+    make a million ones under $.seed."""
+    assert run_main(config) == (1, [
+        f"config error: {tmp_path / 'cfg.yaml'} at line 2: "
+        "YAML aliases are not supported"])
+
+
+@pytest.mark.parametrize("config", [
+    "scenario: &name verify_t4\nn_points: 2\n",
+    "scenario: verify_t4\nn_points: 2\n".encode("utf-16"),
+], ids=["anchor", "utf16_bom"])
+def test_main_runs_configs_without_aliases(config, run_main):
+    """An anchor that no alias names loads, and so does UTF-16 with a byte
+    order mark."""
+    assert run_main(config) == (0, [])
+
+
+def test_main_rejects_a_file_that_is_not_utf8(run_main, tmp_path):
+    assert run_main(b"scenario: free_spin\nseed: \xff\xfe\n") == (1, [
+        f"config error: {tmp_path / 'cfg.yaml'}: "
+        "unacceptable character #x00ff: invalid start byte"])
+
+
+def test_main_nests_no_deeper_than_repr_prints(run_main):
+    """The deepest list the loader passes on fails the schema in one line,
+    and _shown quotes a list one level deeper still: every value the
+    loader accepts has a repr."""
+    def error(depth):
+        code, err = run_main(
+            "scenario: free_spin\nseed: " + "[" * depth + "]" * depth + "\n")
+        assert code == 1 and len(err) == 1
+        return err[0]
+
+    # the composer takes at least two frames per level
+    loads, fails = 1, sys.getrecursionlimit() // 2
+    assert error(loads).endswith("is not an integer")
+    assert error(fails).endswith("nested too deeply to parse")
+    while fails - loads > 1:
+        depth = (loads + fails) // 2
+        message = error(depth)
+        if message.endswith(" is not an integer"):
+            loads = depth
+        else:
+            assert message.endswith("nested too deeply to parse")
+            fails = depth
+    deeper = []
+    for _ in range(loads + 1):
+        deeper = [deeper]
+    assert _shown(deeper) == "[" * 200 + "..."
+
+
+@pytest.mark.parametrize("where", ["output_dir", "summary"])
+def test_main_reports_an_unusable_output_location(where, run_main, tmp_path,
+                                                  monkeypatch):
+    """SPINBUNDLE_OUTPUT_DIR naming a regular file, or a summary path that
+    is a directory: a runtime error in one line."""
+    out_dir = tmp_path / "out"
+    if where == "output_dir":
+        out_dir.write_text("")
+    else:
+        (out_dir / "verify_t4_summary.json").mkdir(parents=True)
+    monkeypatch.setenv("SPINBUNDLE_OUTPUT_DIR", str(out_dir))
+    code, err = run_main("scenario: verify_t4\nn_points: 2\n")
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith(f"runtime error: cannot write output to {out_dir}: ")
 
 
 def test_main_quotes_a_yaml_syntax_error_in_one_line(run_main, tmp_path):
@@ -923,20 +985,13 @@ def test_main_names_a_key_past_the_digit_limit(config, message, run_main):
 
 
 def test_shown_is_repr_up_to_its_limit():
-    itself = [1, "a'b"]
-    itself.append(itself)
-    mapping = {"k": (1,), 2: [(), None, 2.5e-300]}
-    mapping["self"] = mapping
     for value in (None, True, -0.0, "x\"y", [], {}, (), (1,), (1, 2),
-                  [[1, [2, {}]], {"a": [True]}], itself, mapping):
+                  [[1, [2, {}]], {"a": [True]}],
+                  {"k": (1,), 2: [(), None, 2.5e-300]}):
         assert _shown(value) == repr(value)
     long = list(range(1000))
     assert _shown(long) == repr(long)[:200] + "..."
-    deep = []
-    for _ in range(10000):
-        deep = [deep]
-    assert _shown(deep) == "[" * 200 + "..."
-    assert _shown([16 ** 5000]) == "[<int too long to print>]"
+    assert _shown([16 ** 5000]) == "<list too long to print>"
 
 
 @pytest.mark.parametrize("initial", [
